@@ -11,8 +11,6 @@ radial test family, and smoothness norms on top; `classifier` is the pure
 inequality system deciding boundedness of T_{b,c} between weighted spaces;
 `probe` cross-checks those verdicts against observed numerics; `cli` exposes
 everything as subcommands.
-
-Set BERGBESOV_NO_NUMBA=1 to force the pure-numpy series path.
 """
 
 from ._accel import backend

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _accel
 from .classifier import ExtExponent, OperatorParams, Target, classify
-from .kernel import KernelSpec, kernel_eval, truncation_degree
+from .kernel import KernelDivergenceError, KernelSpec, kernel_eval, truncation_degree
 from .operators import apply_T_report, as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
 from .probe import finiteness_probe, kernel_floor_probe, ratio_probe
 from .quadrature import (
@@ -150,7 +150,11 @@ def _cmd_kernel(args):
     if x.size != y.size:
         raise ValueError(f"x has dim {x.size} but y has dim {y.size}")
     spec = KernelSpec(args.alpha, x.size, args.tol)
-    value = kernel_eval(spec, x, y)
+    try:
+        value = kernel_eval(spec, x, y)
+    except (KernelDivergenceError, RuntimeError) as exc:
+        # both points on the sphere, or |x||y| too close to 1 for MAX_DEGREE
+        raise ValueError(str(exc)) from exc
     rx = float(np.linalg.norm(x))
     ry = float(np.linalg.norm(y))
     degree = truncation_degree(spec, rx, ry) if rx * ry > 0.0 else 0

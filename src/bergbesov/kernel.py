@@ -210,12 +210,6 @@ def truncation_degree(spec, rx, ry):
     )
 
 
-def _series(gam, rho, cost, dim):
-    if dim == 2:
-        return _accel.series_disk(gam, rho, cost)
-    return _accel.series_ball(gam, rho, cost, dim)
-
-
 def kernel_eval(spec, x, y):
     """Evaluate R_alpha(x, y); truncation error below spec.tol.
 
@@ -236,9 +230,7 @@ def kernel_eval(spec, x, y):
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     t = float(np.dot(x, y)) / (rx * ry)
     t = min(1.0, max(-1.0, t))
-    rho = np.array([rx * ry])
-    cost = np.array([t])
-    return float(_series(gam, rho, cost, spec.dim)[0])
+    return _accel.series_point(gam, rx * ry, t, spec.dim)
 
 
 def kernel_eval_batch(spec, x, pts, max_degree=None):
@@ -250,7 +242,7 @@ def kernel_eval_batch(spec, x, pts, max_degree=None):
     sphere rule's exactness so that unresolved degrees are dropped rather
     than aliased (the certificate then no longer bounds the dropped tail;
     that is the caller's accepted quadrature error).  This is the hot path
-    behind the integral operators (see _accel for the backend).
+    behind the integral operators; single pairs go through kernel_eval.
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -271,4 +263,6 @@ def kernel_eval_batch(spec, x, pts, max_degree=None):
     safe = np.where(ry == 0.0, 1.0, ry)
     cost = (pts @ x) / (rx * safe)
     cost = np.where(ry == 0.0, 0.0, np.clip(cost, -1.0, 1.0))
-    return _series(gam, rho, cost, spec.dim)
+    if spec.dim == 2:
+        return _accel.series_disk(gam, rho, cost)
+    return _accel.series_ball(gam, rho, cost, spec.dim)

@@ -60,12 +60,24 @@ def test_kernel_at_origin_is_one():
     out = run_json("kernel", "--alpha", "0.7", "--x", "0.3,0.1", "--y", "0,0")
     assert out["value"] == 1.0
     assert out["truncation_degree"] == 0
-    assert out["backend"] in ("numba", "numpy")
+    assert out["backend"] == "numpy"
 
 
 def test_kernel_dimension_mismatch():
     proc = run_cli("kernel", "--alpha", "0", "--x", "0.3,0.1", "--y", "0,0,0")
     assert proc.returncode == 2
+
+
+def test_kernel_past_max_degree_is_input_error():
+    proc = run_cli("kernel", "--alpha", "0", "--x", "0.9999,0", "--y", "0.99995,0")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_kernel_both_points_on_sphere_is_input_error():
+    proc = run_cli("kernel", "--alpha", "0", "--x", "1,0", "--y", "0.6,0.8")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
 def test_apply_constant_function():

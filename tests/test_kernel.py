@@ -1,5 +1,5 @@
 """Kernel layer: gamma coefficients, zonal harmonics, truncation certificate,
-series evaluation, and the numba/numpy backend parity."""
+series evaluation, and the single-pair series against the node-array one."""
 
 import math
 import os
@@ -272,31 +272,78 @@ def test_kernel_diagonal_positive(alpha, r, dim):
     assert kernel_eval(spec, x, x) >= 1.0 - 1e-10
 
 
-def test_series_backends_agree_in_process():
-    gam = gamma_coefs(60, -1.1, 3).astype(float)
-    rho = RNG.uniform(0.0, 0.95, size=257)
-    cost = RNG.uniform(-1.0, 1.0, size=257)
-    disk = _accel.series_disk_numpy(gam, rho, cost)
-    ball = _accel.series_ball_numpy(gam, rho, cost, 3)
-    assert np.all(np.isfinite(disk)) and np.all(np.isfinite(ball))
-    if _accel.JIT_ENABLED:
-        assert np.allclose(_accel.series_disk(gam, rho, cost), disk, rtol=1e-12, atol=1e-12)
-        assert np.allclose(_accel.series_ball(gam, rho, cost, 3), ball, rtol=1e-12, atol=1e-12)
+def _series_array(gam, rho, t, dim):
+    rho, cost = np.array([rho]), np.array([t])
+    if dim == 2:
+        return _accel.series_disk(gam, rho, cost)[0]
+    return _accel.series_ball(gam, rho, cost, dim)[0]
 
 
-def test_numpy_fallback_env_flag():
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_series_point_equals_array_series_at_one_node(dim):
+    spec = KernelSpec(alpha=-1.1, dim=dim)
+    certified = truncation_degree(spec, 0.999, 1.0)
+    for kmax in (0, 1, 2, certified):
+        gam = gamma_coefs(kmax, spec.alpha, dim)
+        for rho, t in ((0.999, 0.3), (0.999, 1.0), (0.5, -1.0), (0.0, 0.7)):
+            value = _accel.series_point(gam, rho, t, dim)
+            assert type(value) is float
+            assert value == _series_array(gam, rho, t, dim)
+
+
+@given(
+    t=st.floats(min_value=-1.0, max_value=1.0),
+    rho=st.floats(min_value=0.0, max_value=0.99),
+    alpha=st.floats(min_value=-6.0, max_value=3.0),
+    dim=st.integers(min_value=2, max_value=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_series_point_bit_identical_over_angles(t, rho, alpha, dim):
+    gam = gamma_coefs(120, alpha, dim)
+    assert _accel.series_point(gam, rho, t, dim) == _series_array(gam, rho, t, dim)
+
+
+def _dyadic_point(dim):
+    # multiples of 1/16: dot products and squared norms are exact in any
+    # summation order, so kernel_eval and kernel_eval_batch (ddot against a
+    # matrix product and a row reduction) form the same |x||y| and cos
+    v = RNG.integers(-15, 16, size=dim) / 16.0
+    while np.dot(v, v) >= 1.0:
+        v = v / 2.0
+    return v
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_kernel_eval_equals_batch_exactly(dim):
+    tiny = np.zeros(dim)
+    tiny[0] = 2.0**-40  # certified degree 0: the series is gamma_0 alone
+    for alpha in (-4.5, -1.0, 0.0, 1.7):
+        spec = KernelSpec(alpha=alpha, dim=dim)
+        for _ in range(4):
+            x = _dyadic_point(dim)
+            assert truncation_degree(spec, float(np.linalg.norm(x)), 2.0**-40) == 0
+            for y in (_dyadic_point(dim), x, -x, np.zeros(dim), tiny):
+                assert kernel_eval(spec, x, y) == kernel_eval_batch(spec, x, y[None, :])[0]
+
+
+def test_kernel_eval_same_value_in_fresh_process():
     code = (
         "import bergbesov, numpy as np\n"
-        "assert bergbesov.backend() == 'numpy'\n"
         "spec = bergbesov.KernelSpec(alpha=-0.3, dim=3)\n"
         "x = np.array([0.1, 0.2, 0.55]); y = np.array([0.4, -0.2, 0.1])\n"
         "print(repr(bergbesov.kernel_eval(spec, x, y)))\n"
     )
-    env = dict(os.environ, BERGBESOV_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    # fallback value agrees with whatever backend this process uses
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     spec = KernelSpec(alpha=-0.3, dim=3)
     here = kernel_eval(spec, np.array([0.1, 0.2, 0.55]), np.array([0.4, -0.2, 0.1]))
-    assert float(out.stdout.strip()) == pytest.approx(here, rel=1e-12)
+    assert float(out.stdout.strip()) == here
+
+
+def test_import_does_not_load_numba(tmp_path):
+    # an importable stand-in, so the test holds whether or not numba is installed
+    (tmp_path / "numba.py").write_text("")
+    path = os.pathsep.join(p for p in (str(tmp_path), os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, bergbesov\nprint('numba' in sys.modules)\n"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert out.stdout.strip() == "False"
