@@ -31,6 +31,7 @@ from .kernel import (
     MAX_DEGREE,
     KernelDivergenceError,
     KernelSpec,
+    TruncationLimitError,
     gamma_coef,
     gamma_coefs,
     harmonic_dim,
@@ -90,8 +91,8 @@ __all__ = [
     "classify", "conjugate", "reduce_to_unweighted",
     "HarmonicExpansion", "apply_D", "apply_I", "evaluate", "evaluate_many",
     "expansion_from_json", "expansion_to_json",
-    "MAX_DEGREE", "KernelDivergenceError", "KernelSpec", "gamma_coef",
-    "gamma_coefs", "harmonic_dim", "kernel_eval", "kernel_eval_batch",
+    "MAX_DEGREE", "KernelDivergenceError", "KernelSpec", "TruncationLimitError",
+    "gamma_coef", "gamma_coefs", "harmonic_dim", "kernel_eval", "kernel_eval_batch",
     "truncation_degree", "zonal_harmonic",
     "NormResult", "TestFunction", "TransformReport", "apply_T",
     "apply_T_derivative", "apply_T_report", "as_ball_function", "besov_norm",

@@ -1,13 +1,14 @@
 """Hot loops for zonal series evaluation.
 
-The degree-summed zonal series comes in two forms that share their
-arithmetic: `series_disk` / `series_ball` run the recurrence on arrays of
-nodes (quadrature grids of 10^4 to 10^6 nodes), and `series_point` runs it on
-Python floats for a single pair, where NumPy calls on one-element arrays
-cost 8 to 14 us per degree.  Each node's sum is accumulated with the same
-expressions in ascending degree order, so `series_point` equals the array
-forms at one node bit for bit.  `zonal_table` is the degree-by-node zonal
-table behind the polar-grid image evaluator.
+`series_disk` (dimension 2) and `series_ball` (dimension >= 3) sum the
+degree-summed zonal series at an array of nodes.  Quadrature grids of 10^4 to
+10^6 nodes run the recurrence on whole arrays (`series_disk_nodes`,
+`series_ball_nodes`).  A single node, which is what every `kernel_eval` call
+passes, runs it on Python floats in `series_point`: NumPy calls on
+one-element arrays cost 8 to 14 us per degree.  Each node's sum is
+accumulated with the same expressions in ascending degree order, so the two
+loops give the same value at one node bit for bit.  `zonal_table` is the
+degree-by-node zonal table behind the polar-grid image evaluator.
 """
 
 import numpy as np
@@ -22,8 +23,16 @@ def series_disk(gam, rho, cost):
     """Sum_k gam[k] * (2 - (k==0)) * rho**k * cos(k*theta) per node, dim 2.
 
     gam is the coefficient table (length K+1), rho[j] = |x||y_j| and
-    cost[j] = cos of the angle between x and y_j.
+    cost[j] = cos of the angle between x and y_j.  One node is summed by
+    series_point, more by series_disk_nodes.
     """
+    if rho.size == 1:
+        return np.full(rho.shape, series_point(gam, rho.item(), cost.item(), 2))
+    return series_disk_nodes(gam, rho, cost)
+
+
+def series_disk_nodes(gam, rho, cost):
+    """series_disk with the recurrence run on the node arrays."""
     kmax = gam.shape[0] - 1
     acc = np.full(rho.shape, gam[0])
     if kmax == 0:
@@ -40,7 +49,17 @@ def series_disk(gam, rho, cost):
 
 
 def series_ball(gam, rho, cost, dim):
-    """Sum_k gam[k] * rho**k * ((dim+2k-2)/(dim-2)) * C_k^{(dim-2)/2}(cost), dim >= 3."""
+    """Sum_k gam[k] * rho**k * ((dim+2k-2)/(dim-2)) * C_k^{(dim-2)/2}(cost), dim >= 3.
+
+    One node is summed by series_point, more by series_ball_nodes.
+    """
+    if rho.size == 1:
+        return np.full(rho.shape, series_point(gam, rho.item(), cost.item(), dim))
+    return series_ball_nodes(gam, rho, cost, dim)
+
+
+def series_ball_nodes(gam, rho, cost, dim):
+    """series_ball with the recurrence run on the node arrays."""
     kmax = gam.shape[0] - 1
     lam = 0.5 * (dim - 2.0)
     acc = np.full(rho.shape, gam[0])
@@ -59,14 +78,15 @@ def series_ball(gam, rho, cost, dim):
 
 def series_point(gam, rho, t, dim):
     """The zonal series of `series_disk` (dim 2) or `series_ball` (dim >= 3)
-    at the single node rho = |x||y|, t = cos of the angle, as a float.
+    at the single node rho = |x||y|, t = cos of the angle (Python floats),
+    as a float.
 
     The recurrence runs on Python floats.  Its per-degree factors, which do
     not depend on the running terms, are formed first by NumPy with the same
     IEEE operations as the array forms and read back as floats through a
     memoryview.  Every term is then the same expression evaluated in the same
-    order, so the result equals series_disk(gam, [rho], [t])[0] (resp.
-    series_ball) exactly.
+    order, so the result equals series_disk_nodes(gam, [rho], [t])[0] (resp.
+    series_ball_nodes) exactly.
     """
     kmax = gam.shape[0] - 1
     acc = float(gam[0])

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _accel
 from .classifier import ExtExponent, OperatorParams, Target, classify
-from .kernel import KernelDivergenceError, KernelSpec, kernel_eval, truncation_degree
+from .kernel import KernelDivergenceError, KernelSpec, TruncationLimitError, kernel_eval, truncation_degree
 from .operators import apply_T_report, as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
 from .probe import finiteness_probe, kernel_floor_probe, ratio_probe
 from .quadrature import (
@@ -152,7 +152,7 @@ def _cmd_kernel(args):
     spec = KernelSpec(args.alpha, x.size, args.tol)
     try:
         value = kernel_eval(spec, x, y)
-    except (KernelDivergenceError, RuntimeError) as exc:
+    except (KernelDivergenceError, TruncationLimitError) as exc:
         # both points on the sphere, or |x||y| too close to 1 for MAX_DEGREE
         raise ValueError(str(exc)) from exc
     rx = float(np.linalg.norm(x))

@@ -23,6 +23,7 @@ from .specfun import gegenbauer
 __all__ = [
     "KernelSpec",
     "KernelDivergenceError",
+    "TruncationLimitError",
     "gamma_coef",
     "gamma_coefs",
     "harmonic_dim",
@@ -38,6 +39,10 @@ MAX_DEGREE = 200_000
 
 class KernelDivergenceError(ArithmeticError):
     """Kernel series evaluated with both arguments on the unit sphere."""
+
+
+class TruncationLimitError(RuntimeError):
+    """Certified tail bound still above tol at MAX_DEGREE (|x||y| too close to 1)."""
 
 
 @dataclass(frozen=True)
@@ -205,9 +210,15 @@ def truncation_degree(spec, rx, ry):
         gam_prev = float(gam[-1])
         lo = hi + 1
         block = min(2 * block, 65536)
-    raise RuntimeError(
+    raise TruncationLimitError(
         f"tail bound did not reach tol={tol} within {MAX_DEGREE} terms (t={t})"
     )
+
+
+def _series(gam, rho, cost, dim):
+    if dim == 2:
+        return _accel.series_disk(gam, rho, cost)
+    return _accel.series_ball(gam, rho, cost, dim)
 
 
 def kernel_eval(spec, x, y):
@@ -230,7 +241,9 @@ def kernel_eval(spec, x, y):
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     t = float(np.dot(x, y)) / (rx * ry)
     t = min(1.0, max(-1.0, t))
-    return _accel.series_point(gam, rx * ry, t, spec.dim)
+    rho = np.array([rx * ry])
+    cost = np.array([t])
+    return float(_series(gam, rho, cost, spec.dim)[0])
 
 
 def kernel_eval_batch(spec, x, pts, max_degree=None):
@@ -242,7 +255,7 @@ def kernel_eval_batch(spec, x, pts, max_degree=None):
     sphere rule's exactness so that unresolved degrees are dropped rather
     than aliased (the certificate then no longer bounds the dropped tail;
     that is the caller's accepted quadrature error).  This is the hot path
-    behind the integral operators; single pairs go through kernel_eval.
+    behind the integral operators (see _accel for the series loops).
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -263,6 +276,4 @@ def kernel_eval_batch(spec, x, pts, max_degree=None):
     safe = np.where(ry == 0.0, 1.0, ry)
     cost = (pts @ x) / (rx * safe)
     cost = np.where(ry == 0.0, 0.0, np.clip(cost, -1.0, 1.0))
-    if spec.dim == 2:
-        return _accel.series_disk(gam, rho, cost)
-    return _accel.series_ball(gam, rho, cost, spec.dim)
+    return _series(gam, rho, cost, spec.dim)

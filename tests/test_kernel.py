@@ -16,6 +16,7 @@ from bergbesov.kernel import (
     MAX_DEGREE,
     KernelDivergenceError,
     KernelSpec,
+    TruncationLimitError,
     gamma_coef,
     gamma_coefs,
     harmonic_dim,
@@ -169,6 +170,8 @@ def test_truncation_gives_up_past_max_degree():
     spec = KernelSpec(alpha=0.0, dim=2)
     with pytest.raises(RuntimeError):
         truncation_degree(spec, 0.99999, 0.99999)
+    with pytest.raises(TruncationLimitError):
+        kernel_eval(spec, np.array([0.9999, 0.0]), np.array([0.99995, 0.0]))
     assert MAX_DEGREE == 200_000
 
 
@@ -273,10 +276,17 @@ def test_kernel_diagonal_positive(alpha, r, dim):
 
 
 def _series_array(gam, rho, t, dim):
+    # the recurrence on node arrays, run at one node
     rho, cost = np.array([rho]), np.array([t])
     if dim == 2:
-        return _accel.series_disk(gam, rho, cost)[0]
-    return _accel.series_ball(gam, rho, cost, dim)[0]
+        return _accel.series_disk_nodes(gam, rho, cost)[0]
+    return _accel.series_ball_nodes(gam, rho, cost, dim)[0]
+
+
+def _series(gam, rho, cost, dim):
+    if dim == 2:
+        return _accel.series_disk(gam, rho, cost)
+    return _accel.series_ball(gam, rho, cost, dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
@@ -289,6 +299,19 @@ def test_series_point_equals_array_series_at_one_node(dim):
             value = _accel.series_point(gam, rho, t, dim)
             assert type(value) is float
             assert value == _series_array(gam, rho, t, dim)
+            routed = _series(gam, np.array([rho]), np.array([t]), dim)
+            assert routed.shape == (1,) and routed[0] == value
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_series_on_many_nodes_equals_series_point_per_node(dim):
+    gam = gamma_coefs(300, 0.4, dim)
+    rho = RNG.uniform(0.0, 0.95, size=33)
+    cost = RNG.uniform(-1.0, 1.0, size=33)
+    values = _series(gam, rho, cost, dim)
+    assert values.shape == (33,)
+    assert values.tolist() == [_accel.series_point(gam, r, c, dim)
+                               for r, c in zip(rho.tolist(), cost.tolist())]
 
 
 @given(
