@@ -41,9 +41,11 @@ from .expansion import HarmonicExpansion, evaluate_many
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, kernel_eval_batch, truncation_degree
 from .quadrature import (
+    _SUP_GRID,
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
     BallQuadrature,
+    _v_or_one,
     integrate_ball,
     normalization_V,
     radial_power_log_ladder,
@@ -81,8 +83,6 @@ _OUTER_MC = 512
 # Default inner rule when the caller supplies none (norm paths only).
 _INNER_RADIAL = 48
 _INNER_SPHERE = 48
-# w-grid for sup-type norms, w = log 1/(1-r^2); e^-16 boundary clearance.
-_SUP_GRID = np.linspace(0.0, 16.0, 97)
 
 
 @dataclass(frozen=True)
@@ -220,10 +220,6 @@ def test_function_lp_norm(tf, p, alpha, dim):
 
 # ---------------------------------------------------------------------------
 # Transform evaluation.
-
-
-def _v_or_one(a, dim):
-    return normalization_V(a, dim) if a > -1.0 else 1.0
 
 
 def _setup_point(x):

@@ -38,6 +38,7 @@ from .operators import (
 )
 from .quadrature import (
     DEFAULT_LEVELS,
+    _v_or_one,
     normalization_V,
     radial_power_log_ladder,
     radial_power_log_value,
@@ -165,10 +166,6 @@ def default_ratio_family(params, deltas=_DELTAS):
     else:
         base = -(1.0 + params.alpha) / params.p.raw
     return [TestFunction(base + d, 1.0) for d in deltas]
-
-
-def _v_or_one(a, dim):
-    return normalization_V(a, dim) if a > -1.0 else 1.0
 
 
 def _constant_target_norm(cval, target, params):

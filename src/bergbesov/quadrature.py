@@ -17,6 +17,11 @@ over [0, L] with the cutoff L doubling along a refinement ladder.  Divergence
 is declared on value growth beyond a fixed factor across two ladder doublings
 (or a hard cap); this log-space frontier advances geometrically, which is what
 makes slowly divergent boundary exponents detectable at all.
+
+scipy is imported on first use, inside the functions that call it: the
+Gauss-Jacobi and Gauss-Legendre rules, normalization_V, and the adaptive
+pieces of the radial ladders.  Importing this module loads numpy only, so the
+classify, sweep, kernel and floor-probe commands start without scipy.
 """
 
 import math
@@ -24,8 +29,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaln, roots_jacobi, roots_legendre
 
 __all__ = [
     "BallQuadrature",
@@ -59,6 +62,8 @@ DIVERGENCE_CAP = 1e12
 DEFAULT_LEVELS = (32.0, 64.0, 128.0, 256.0, 512.0)
 
 _QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
+# w-grid for sup-type norms, w = log 1/(1-r^2); e^-16 boundary clearance.
+_SUP_GRID = np.linspace(0.0, 16.0, 97)
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,8 @@ class BallQuadrature:
 
 @lru_cache(maxsize=256)
 def _radial_rule(dim, m, exponent):
+    from scipy.special import roots_jacobi
+
     x, w = roots_jacobi(m, exponent, 0.5 * dim - 1.0)
     r = np.sqrt(0.5 * (1.0 + x))
     scale = 0.5 * dim * 2.0 ** (-(exponent + 0.5 * dim))
@@ -152,6 +159,8 @@ def _sphere_rule(dim, sphere_nodes, mc_samples, seed):
         wts = np.full(sphere_nodes, 1.0 / sphere_nodes)
         return pts, wts
     if dim == 3:
+        from scipy.special import roots_legendre
+
         polar = max(sphere_nodes // 4, 8)
         azim = max(sphere_nodes // 2, 8)
         mu, v = roots_legendre(polar)
@@ -214,10 +223,17 @@ def normalization_V(alpha, dim):
     probability measure; callers apply the convention V_alpha = 1 for
     alpha <= -1 themselves.
     """
+    from scipy.special import gammaln
+
     if not alpha > -1.0:
         raise ValueError(f"normalization requires alpha > -1, got {alpha}")
     n2 = 0.5 * dim
     return float(math.exp(gammaln(n2 + 1.0) + gammaln(alpha + 1.0) - gammaln(n2 + alpha + 1.0)))
+
+
+def _v_or_one(alpha, dim):
+    """normalization_V(alpha, dim), or 1 under the alpha <= -1 convention."""
+    return normalization_V(alpha, dim) if alpha > -1.0 else 1.0
 
 
 def lp_norm(f, p, alpha, rule):
@@ -230,8 +246,7 @@ def lp_norm(f, p, alpha, rule):
     if p != math.inf and not p >= 1.0:
         raise ValueError(f"p must be in [1, inf], got {p}")
     if p == math.inf:
-        w = np.linspace(0.0, 16.0, 97)
-        r = np.sqrt(-np.expm1(-w))
+        r = np.sqrt(-np.expm1(-_SUP_GRID))
         zeta, _ = rule.sphere_rule()
         pts = (r[:, None, None] * zeta[None, :, :]).reshape(-1, rule.dim)
         vals = np.abs(np.asarray(f(pts), dtype=float)).reshape(len(r), -1)
@@ -257,6 +272,7 @@ class LadderResult:
 
 def _wspace_piece(coef, expo, bexp, v, lo, hi):
     """coef * int_{lo}^{hi} (1-e^-w)^expo e^{-bexp w} (1+w)^{-v} dw."""
+    from scipy.integrate import quad
 
     def f(w):
         return coef * (-np.expm1(-w)) ** expo * math.exp(-bexp * w) * (1.0 + w) ** (-v)
@@ -323,6 +339,8 @@ def radial_power_log_value(bexp_minus_1, v, dim=None):
     cases: the [0, 1] head piece via the z-substitution plus an adaptive tail
     on [1, inf).  Complements radial_power_log_ladder, whose finite cutoffs
     leave percent-level truncation for boundary-marginal exponents."""
+    from scipy.integrate import quad
+
     bexp = float(bexp_minus_1) + 1.0
     v = float(v)
     if dim is None:
@@ -371,19 +389,12 @@ def radial_log_integral(u, v):
     """int_0^1 (1-t^2)^u (1 + log 1/(1-t^2))^{-v} dt.
 
     The finiteness decision is analytic: finite iff u > -1, or u = -1 and
-    v > 1.  The finite value is computed adaptively in the variable
-    w = log 1/(1-t^2); the divergent case reports value inf.
+    v > 1.  The finite value is radial_power_log_value(u, v) on the interval
+    (dim None); the divergent case reports value inf.
     """
     u = float(u)
     v = float(v)
     finite = u > -1.0 or (u == -1.0 and v > 1.0)
     if not finite:
         return RadialLogIntegral(False, math.inf)
-    bexp = u + 1.0
-
-    def f(w):
-        return 0.5 * (-np.expm1(-w)) ** -0.5 * math.exp(-bexp * w) * (1.0 + w) ** (-v)
-
-    head = _wspace_piece(0.5, -0.5, bexp, v, 0.0, 1.0)
-    tail, _ = quad(f, 1.0, np.inf, **_QUAD_OPTS)
-    return RadialLogIntegral(True, head + tail)
+    return RadialLogIntegral(True, radial_power_log_value(u, v))

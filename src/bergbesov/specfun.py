@@ -5,11 +5,13 @@ tracking, Pochhammer symbols (rising factorials), and Gegenbauer polynomials
 evaluated by forward recurrence.  These are the building blocks for the kernel
 coefficient tables and the normalization constants; they are kept free of any
 array or quadrature machinery.
+
+log_gamma imports scipy.special on its first call, not at module import, so
+the commands that never need a Gamma value (classify, sweep, kernel, and the
+floor probe) start without scipy.
 """
 
 import math
-
-from scipy.special import gammaln, gammasgn
 
 __all__ = [
     "PoleError",
@@ -41,6 +43,8 @@ def log_gamma(x):
 
     Raises PoleError at non-positive integers.
     """
+    from scipy.special import gammaln, gammasgn
+
     x = float(x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"Gamma pole at {x}")

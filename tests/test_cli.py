@@ -2,6 +2,7 @@
 fixture values, exercised through real subprocess invocations."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -162,3 +163,49 @@ def test_infinite_exponent_spellings(pflag):
                    "--p", pflag, "--q", "inf", "--target", "bloch")
     assert out["params"]["p"] == float("inf")
     assert out["theorem_part"] == "bloch(iii)"
+
+
+def _main_in_fresh_process(*args):
+    """Run cli.main(args) in a new interpreter; return its exit code, its
+    stdout, and the scipy modules it loaded."""
+    code = (
+        "import contextlib, io, json, sys\n"
+        "import bergbesov, bergbesov.cli as cli\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out):\n"
+        f"    rc = cli.main({list(args)!r})\n"
+        "mods = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "print(json.dumps([rc, out.getvalue(), mods]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_does_not_load_scipy():
+    code = ("import sys, bergbesov, bergbesov.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--b", "0", "--c", "0", "--alpha", "0", "--beta", "0",
+     "--p", "2", "--q", "2", "--target", "besov"),
+    ("sweep", "--b", "0:1:3", "--c=-1,0,1", "--alpha", "0", "--beta", "0",
+     "--p", "2", "--q", "2", "--target", "besov"),
+    ("kernel", "--alpha", "0", "--x", "0.3,0.1", "--y", "0.2,0.5"),
+    ("probe", "--kind", "floor"),
+], ids=["classify", "sweep", "kernel", "floor"])
+def test_commands_without_quadrature_do_not_load_scipy(args):
+    rc, stdout, mods = _main_in_fresh_process(*args)
+    assert rc == 0 and stdout
+    assert mods == []
+
+
+def test_norm_loads_scipy_on_demand():
+    rc, stdout, mods = _main_in_fresh_process("norm", "--f", "fuv:0.5,0", "--p", "2",
+                                              "--alpha", "0.5")
+    assert rc == 0
+    # ||f_{0.5,0}||_{L^2_{0.5}} in dim 2 is (V_1.5 / V_0.5)^{1/2} = sqrt(0.6)
+    assert json.loads(stdout)["value"] == pytest.approx(math.sqrt(0.6), rel=1e-9)
+    assert "scipy.integrate" in mods and "scipy.special" in mods

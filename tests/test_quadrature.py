@@ -228,6 +228,16 @@ def test_radial_log_integral_oracle_values():
         assert radial_log_integral(u, v).value == pytest.approx(want, rel=1e-9)
 
 
+@pytest.mark.parametrize("u", [-1.0, -0.9, -0.5, 0.0, 0.7, 2.0])
+@pytest.mark.parametrize("v", [0.0, 0.5, 1.5, 3.0])
+def test_radial_log_integral_is_the_interval_ladder_value(u, v):
+    got = radial_log_integral(u, v)
+    if u == -1.0 and v <= 1.0:
+        assert not got.finite and got.value == math.inf
+    else:
+        assert got.finite and got.value == radial_power_log_value(u, v)
+
+
 def test_radial_power_log_value_matches_normalization():
     for dim in (2, 3):
         for b in (0.5, 2.0):
