@@ -19,7 +19,7 @@ import numpy as np
 
 from . import _accel
 from .classifier import ExtExponent, OperatorParams, Target, classify
-from .kernel import KernelDivergenceError, KernelSpec, TruncationLimitError, kernel_eval, truncation_degree
+from .kernel import KernelDivergenceError, KernelSpec, TruncationLimitError, kernel_eval_degree
 from .operators import apply_T_report, as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
 from .probe import finiteness_probe, kernel_floor_probe, ratio_probe
 from .quadrature import (
@@ -151,13 +151,10 @@ def _cmd_kernel(args):
         raise ValueError(f"x has dim {x.size} but y has dim {y.size}")
     spec = KernelSpec(args.alpha, x.size, args.tol)
     try:
-        value = kernel_eval(spec, x, y)
+        value, degree = kernel_eval_degree(spec, x, y)
     except (KernelDivergenceError, TruncationLimitError) as exc:
         # both points on the sphere, or |x||y| too close to 1 for MAX_DEGREE
         raise ValueError(str(exc)) from exc
-    rx = float(np.linalg.norm(x))
-    ry = float(np.linalg.norm(y))
-    degree = truncation_degree(spec, rx, ry) if rx * ry > 0.0 else 0
     _print_json({"command": "kernel", "alpha": spec.alpha, "dim": spec.dim,
                  "tol": spec.tol, "x": x.tolist(), "y": y.tolist(),
                  "value": value, "truncation_degree": degree,
@@ -246,8 +243,8 @@ def _cmd_sweep(args):
         _parse_values(args.c),
         _parse_values(args.alpha),
         _parse_values(args.beta),
-        _parse_values(args.p, allow_inf=True),
-        _parse_values(args.q, allow_inf=True),
+        [ExtExponent.parse(v) for v in _parse_values(args.p, allow_inf=True)],
+        [ExtExponent.parse(v) for v in _parse_values(args.q, allow_inf=True)],
     ]
     lines = [CSV_HEADER]
     for b, c, al, be, p, q in itertools.product(*grids):

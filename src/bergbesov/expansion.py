@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _accel
 from .kernel import gamma_coefs
 
 __all__ = [
@@ -64,57 +65,39 @@ class HarmonicExpansion:
         return len(self.degrees)
 
 
-def _zonal_terms_at(exp, x):
-    """Z_{k_i}(x, y_i) for every term, vectorized over terms at a fixed x."""
-    x = np.asarray(x, dtype=float)
-    kk = exp.degrees
-    tcount = len(kk)
-    if tcount == 0:
-        return np.zeros(0)
-    rx = float(np.linalg.norm(x))
-    ry = np.linalg.norm(exp.anchors, axis=1)
-    prod = rx * ry
-    safe = np.where(prod == 0.0, 1.0, prod)
-    cost = np.clip((exp.anchors @ x) / safe, -1.0, 1.0)
-    out = np.empty(tcount)
-    zero_deg = kk == 0
-    out[zero_deg] = 1.0
-    live = (~zero_deg) & (prod > 0.0)
-    out[(~zero_deg) & (prod == 0.0)] = 0.0
-    if not np.any(live):
-        return out
-    k_live = kk[live]
-    p_live = prod[live]
-    t_live = cost[live]
-    pw = p_live**k_live
-    if exp.dim == 2:
-        out[live] = 2.0 * pw * np.cos(k_live * np.arccos(t_live))
-        return out
-    lam = 0.5 * (exp.dim - 2.0)
-    kmax = int(k_live.max())
-    vals = np.empty_like(p_live)
-    cm1 = np.ones_like(t_live)
-    c = 2.0 * lam * t_live
-    for k in range(1, kmax + 1):
-        if k >= 2:
-            cm1, c = c, (2.0 * t_live * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * cm1) / k
-        sel = k_live == k
-        if np.any(sel):
-            scale = (exp.dim + 2.0 * k - 2.0) / (exp.dim - 2.0)
-            vals[sel] = scale * c[sel]
-    out[live] = pw * vals
-    return out
-
-
 def evaluate(exp, x):
-    """Evaluate the expansion at a single point x."""
-    return float(np.dot(exp.coefs, _zonal_terms_at(exp, x)))
+    """Evaluate the expansion at a single point x (the one-row evaluate_many)."""
+    return float(evaluate_many(exp, np.asarray(x, dtype=float)[None, :])[0])
 
 
 def evaluate_many(exp, pts):
-    """Evaluate at each row of pts; returns an array of values."""
+    """Evaluate at each row of pts; returns an array of values.
+
+    Terms are grouped by anchor y.  Each anchor costs one zonal table over
+    the cosines u between the points and y, whose degree-k row times
+    (|x||y|)^k is Z_k(x, y); its terms sum those rows by Horner's rule in
+    |x||y|.  Where |x||y| = 0 only the degree-0 terms survive.
+    """
     pts = np.asarray(pts, dtype=float)
-    return np.array([evaluate(exp, p) for p in pts])
+    out = np.zeros(pts.shape[0])
+    if len(exp) == 0:
+        return out
+    rx = np.linalg.norm(pts, axis=1)
+    anchors, group = np.unique(exp.anchors, axis=0, return_inverse=True)
+    group = group.ravel()
+    for a, y in enumerate(anchors):
+        mine = group == a
+        coef = np.zeros(int(exp.degrees[mine].max()) + 1)
+        np.add.at(coef, exp.degrees[mine], exp.coefs[mine])
+        kmax = coef.size - 1
+        prod = rx * float(np.linalg.norm(y))
+        u = np.clip((pts @ y) / np.where(prod == 0.0, 1.0, prod), -1.0, 1.0)
+        table = _accel.zonal_table(kmax, u, exp.dim)
+        acc = coef[kmax] * table[kmax]
+        for k in range(kmax - 1, -1, -1):
+            acc = acc * prod + coef[k] * table[k]
+        out += acc
+    return out
 
 
 def apply_D(s, t, exp):

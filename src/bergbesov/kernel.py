@@ -30,6 +30,7 @@ __all__ = [
     "zonal_harmonic",
     "truncation_degree",
     "kernel_eval",
+    "kernel_eval_degree",
     "kernel_eval_batch",
 ]
 
@@ -227,6 +228,12 @@ def kernel_eval(spec, x, y):
     Either argument may lie on the unit sphere, but not both (the series has
     no convergent truncation there and KernelDivergenceError is raised).
     """
+    return kernel_eval_degree(spec, x, y)[0]
+
+
+def kernel_eval_degree(spec, x, y):
+    """(R_alpha(x, y), K): kernel_eval's value and the degree K at which
+    truncation_degree cut its series (0 when x or y is 0)."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
@@ -234,28 +241,24 @@ def kernel_eval(spec, x, y):
     rx = float(np.linalg.norm(x))
     ry = float(np.linalg.norm(y))
     if rx * ry == 0.0:
-        return 1.0
+        return 1.0, 0
     kmax = truncation_degree(spec, rx, ry)
     if kmax == 0:
-        return 1.0
+        return 1.0, 0
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     t = float(np.dot(x, y)) / (rx * ry)
     t = min(1.0, max(-1.0, t))
     rho = np.array([rx * ry])
     cost = np.array([t])
-    return float(_series(gam, rho, cost, spec.dim)[0])
+    return float(_series(gam, rho, cost, spec.dim)[0]), kmax
 
 
-def kernel_eval_batch(spec, x, pts, max_degree=None):
+def kernel_eval_batch(spec, x, pts):
     """Evaluate R_alpha(x, y_j) for a fixed x against rows y_j of pts.
 
     The truncation degree is certified for the largest |x||y_j| and shared
-    across the batch; smaller products only gain accuracy.  max_degree caps
-    the series below the certified degree: quadrature callers pass their
-    sphere rule's exactness so that unresolved degrees are dropped rather
-    than aliased (the certificate then no longer bounds the dropped tail;
-    that is the caller's accepted quadrature error).  This is the hot path
-    behind the integral operators (see _accel for the series loops).
+    across the batch; smaller products only gain accuracy.  The series runs
+    node-vectorized (see _accel for the series loops).
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -267,8 +270,6 @@ def kernel_eval_batch(spec, x, pts, max_degree=None):
         return np.ones(pts.shape[0])
     ry_max = float(ry.max()) if ry.size else 0.0
     kmax = truncation_degree(spec, rx, ry_max)
-    if max_degree is not None:
-        kmax = min(kmax, int(max_degree))
     if kmax == 0:
         return np.ones(pts.shape[0])
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)

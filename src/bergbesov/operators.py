@@ -18,10 +18,14 @@ is decided by the exact dichotomy (finite iff b+u > -1, or b+u = -1 with
 v > 1), and the finite value comes from the log-space cutoff ladder.  The
 marginal divergences at b+u = -1, v <= 1 grow slower than any fixed-factor
 refinement rule, which is why the dichotomy, not a growth heuristic, is
-authoritative on this path.  Generic inputs are integrated with the full
-product rule, the kernel series capped at the sphere rule's exactness degree
-(unresolved degrees alias, so they are dropped), and flagged divergent on
-value growth under radial node doubling.
+authoritative on this path.  Every other input goes through one evaluator,
+_image_polar, whether the caller wants the transform at a single point
+(apply_T, apply_T_report, projection_Q) or on the outer grid of an image
+norm: the full product rule, with the kernel's zonal series split into the
+evaluation radius and a zonal table over the sphere rule, and the series
+capped at the sphere rule's exactness degree (unresolved degrees alias, so
+they are dropped).  apply_T_report flags such inputs divergent on value
+growth under radial node doubling.
 
 Weighted-space norms of transform images use the exact shift identity
 D_c^t (T_{b,c} f) = T_{b,c+t} f, so no derivative is ever formed
@@ -39,14 +43,13 @@ from . import _accel
 from .classifier import OperatorParams
 from .expansion import HarmonicExpansion, evaluate_many
 from .expansion import from_json as expansion_from_json
-from .kernel import KernelSpec, gamma_coefs, kernel_eval_batch, truncation_degree
+from .kernel import KernelSpec, gamma_coefs, truncation_degree
 from .quadrature import (
     _SUP_GRID,
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
     BallQuadrature,
     _v_or_one,
-    integrate_ball,
     normalization_V,
     radial_power_log_ladder,
     radial_power_log_value,
@@ -276,27 +279,20 @@ def _integrand_parts(b, fvec, tf, rule):
     return rule.with_jacobi_exponent(absorb), b, fvec
 
 
-def _transform_value(b, c, fvec, tf, x, kspec, rule):
-    """One kernel-quadrature evaluation of the transform at x."""
-    inner, weight_exp, rest = _integrand_parts(b, fvec, tf, rule)
-    cap = inner.sphere_exactness()
-
-    def integrand(pts):
-        return kernel_eval_batch(kspec, x, pts, max_degree=cap) * rest(pts)
-
-    return integrate_ball(integrand, weight_exp, inner)
-
-
 def _image_polar(b, fvec, tf, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
-    The zonal series separates the evaluation radius from everything else:
-    with S_k the degree-k moment of the inner integrand against one outer
-    direction, the image at radius r is sum_k gamma_k r^k S_k.  Each direction
-    therefore costs one degree-length pass over the inner rule instead of one
-    per radius.  The truncation degree is certified at the largest radius
-    pair and shared, then capped at the sphere rule's exactness, matching
-    kernel_eval_batch with max_degree.
+    This is the one evaluator behind every non-radial path: the norms use
+    their outer grids, and apply_T, apply_T_report, projection_Q and the
+    constant-image check use a 1x1 grid (_image_at).  The zonal series
+    separates the evaluation radius from everything else: with S_k the
+    degree-k moment of the inner integrand against one outer direction, the
+    image at radius r is sum_k gamma_k r^k S_k.  Each direction therefore
+    costs one zonal table over the inner sphere rule instead of one series
+    per quadrature node.  The truncation degree is certified at the largest
+    radius pair and shared, then capped at the sphere rule's exactness:
+    degrees the rule cannot integrate would alias onto lower ones, so they
+    are dropped.
     """
     inner, weight_exp, rest = _integrand_parts(b, fvec, tf, rule)
     r_in, wr_in = inner.radial_rule()
@@ -323,6 +319,14 @@ def _image_polar(b, fvec, tf, r_out, dirs, kspec, rule):
     return vals
 
 
+def _image_at(b, fvec, tf, x, kspec, rule):
+    """Transform value at the single point x: _image_polar on the 1x1 grid
+    of radius |x| and direction x/|x| (any unit vector when x = 0)."""
+    r = float(np.linalg.norm(x))
+    zeta = x / r if r > 0.0 else np.eye(x.size)[0]
+    return float(_image_polar(b, fvec, tf, [r], zeta[None, :], kspec, rule)[0, 0])
+
+
 def apply_T(b, c, f, x, spec=None, rule=None):
     """Transform value at x: int_B R_c(x,y) f(y) (1-|y|^2)^b dnu(y).
 
@@ -341,7 +345,7 @@ def apply_T(b, c, f, x, spec=None, rule=None):
     if tf is not None and not np.any(x != 0.0):
         return _radial_report(float(b) + tf.u, tf.v, dim).value
     kspec = _kernel_spec(c, dim, spec)
-    return _transform_value(b, c, fvec, tf, x, kspec, rule)
+    return _image_at(b, fvec, tf, x, kspec, rule)
 
 
 def apply_T_report(b, c, f, x, spec=None, rule=None):
@@ -367,7 +371,7 @@ def apply_T_report(b, c, f, x, spec=None, rule=None):
     refinements = []
     for mult in (1, 2, 4):
         nodes = rule.radial_nodes * mult
-        val = _transform_value(b, c, fvec, tf, x, kspec, rule.with_radial_nodes(nodes))
+        val = _image_at(b, fvec, tf, x, kspec, rule.with_radial_nodes(nodes))
         refinements.append((nodes, val))
     value = refinements[-1][1]
     first, last = abs(refinements[0][1]), abs(value)
@@ -443,7 +447,7 @@ def _constant_image_check(b, c, u, v, dim):
     x = np.zeros(dim)
     x[0] = 0.25
     fvec, tf = as_ball_function(tf, dim)
-    probe = _transform_value(b, c, fvec, tf, x, kspec, rule)
+    probe = _image_at(b, fvec, tf, x, kspec, rule)
     dev = abs(probe - const) / max(abs(const), 1e-30)
     return const, dev
 

@@ -1,6 +1,7 @@
 """Command-line front end: JSON/CSV output contracts, exit codes, and
 fixture values, exercised through real subprocess invocations."""
 
+import itertools
 import json
 import math
 import subprocess
@@ -81,6 +82,70 @@ def test_kernel_both_points_on_sphere_is_input_error():
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+KERNEL_STDOUT = {
+    ("--alpha", "0.7", "--x", "0.3,0.1", "--y", "0.5,-0.2"): """{
+  "command": "kernel",
+  "alpha": 0.69999999999999996,
+  "dim": 2,
+  "tol": 1e-10,
+  "x": [
+    0.29999999999999999,
+    0.10000000000000001
+  ],
+  "y": [
+    0.5,
+    -0.20000000000000001
+  ],
+  "value": 1.688394513618994,
+  "truncation_degree": 16,
+  "backend": "numpy"
+}
+""",
+    ("--alpha", "-4.5", "--x", "0.5,0.2,-0.3,0.6", "--y", "0.1,0.7,0.4,-0.5", "--tol", "1e-12"): """{
+  "command": "kernel",
+  "alpha": -4.5,
+  "dim": 4,
+  "tol": 9.9999999999999998e-13,
+  "x": [
+    0.5,
+    0.20000000000000001,
+    -0.29999999999999999,
+    0.59999999999999998
+  ],
+  "y": [
+    0.10000000000000001,
+    0.69999999999999996,
+    0.40000000000000002,
+    -0.5
+  ],
+  "value": 0.84193330500457197,
+  "truncation_degree": 118,
+  "backend": "numpy"
+}
+""",
+}
+
+
+@pytest.mark.parametrize("args", list(KERNEL_STDOUT), ids=["dim2", "dim4-factorial-branch"])
+def test_kernel_certifies_once_and_prints_the_fixture(args, monkeypatch, capsys):
+    import bergbesov.kernel as kernel
+    from bergbesov import cli
+
+    calls = []
+    certify = kernel.truncation_degree
+
+    def counted(*a, **kw):
+        calls.append(a)
+        return certify(*a, **kw)
+
+    monkeypatch.setattr(kernel, "truncation_degree", counted)
+    # and under any name the CLI module itself may hold
+    monkeypatch.setattr(cli, "truncation_degree", counted, raising=False)
+    assert cli.main(["kernel", *args]) == 0
+    assert capsys.readouterr().out == KERNEL_STDOUT[args]
+    assert len(calls) == 1
+
+
 def test_apply_constant_function():
     out = run_json("apply", "--b", "0", "--c", "0", "--f", "const1",
                    "--x", "0.4,0.2", "--radial-nodes", "32", "--sphere-nodes", "32")
@@ -149,6 +214,44 @@ def test_sweep_to_file_and_io_failure(tmp_path):
                   "--target", "besov", "--out", str(tmp_path / "no" / "dir.csv"))
     assert bad.returncode == 1
     assert "i/o error" in bad.stderr
+
+
+def test_sweep_parses_each_exponent_once(tmp_path, monkeypatch, capsys):
+    from bergbesov import cli
+    from bergbesov.classifier import ExtExponent, OperatorParams, Target, classify
+
+    grids = {"b": "0,1.5", "c": "-3:1:3", "alpha": "0,-0.5", "beta": "-1.5,0.5",
+             "p": "1,2,oo", "q": "1.5,3"}
+    argv = ["sweep", "--target", "besov", "--dim", "3"]
+    for name, spec in grids.items():
+        argv.append(f"--{name}={spec}")
+    # the CSV built tuple by tuple from the raw grid values
+    values = [cli._parse_values(grids[k], allow_inf=k in "pq") for k in grids]
+    rows = [cli.CSV_HEADER]
+    for b, c, al, be, p, q in itertools.product(*values):
+        params = OperatorParams(b=b, c=c, alpha=al, beta=be, p=p, q=q, dim=3)
+        verdict = classify(params, Target.BESOV)
+        rows.append(",".join(["%.17g" % v for v in (b, c, al, be)]
+                             + [str(params.p), str(params.q), "besov", "3",
+                                "true" if verdict.bounded else "false", verdict.part,
+                                "%.17g" % verdict.binding_slack]))
+    want = "\n".join(rows) + "\n"
+
+    parsed = []
+    parse = ExtExponent.parse.__func__
+
+    def counted(cls, text):
+        parsed.append(text)
+        return parse(cls, text)
+
+    monkeypatch.setattr(ExtExponent, "parse", classmethod(counted))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == want
+    assert parsed == [1.0, 2.0, math.inf, 1.5, 3.0]
+    dest = tmp_path / "grid.csv"
+    assert cli.main(argv + ["--out", str(dest)]) == 0
+    assert dest.read_bytes() == want.encode()
+    assert len(parsed) == 10
 
 
 def test_sweep_rejects_malformed_range():

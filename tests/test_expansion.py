@@ -79,6 +79,41 @@ def test_evaluate_many_matches_scalar():
         assert many[j] == pytest.approx(evaluate(f, pts[j]), rel=1e-12, abs=1e-13)
 
 
+def _zonal_sum(f, x):
+    return sum(c * zonal_harmonic(k, x, y, f.dim) for k, y, c in f.terms())
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_evaluate_many_is_the_per_term_zonal_sum(dim):
+    spec = KernelSpec(alpha=0.4, dim=dim)
+    shared = _ball_point(dim, 0.6)
+    kernel_terms = list(_kernel_expansion(spec, shared, extra=0).terms())[:40]
+    assert len(kernel_terms) == 40
+    # zero anchors, degree-0 terms, a repeated anchor away from the kernel
+    # block, and 40 terms on one anchor: every anchor group has its own shape
+    other = _ball_point(dim, 0.8)
+    terms = kernel_terms + [
+        (0, np.zeros(dim), 0.75), (3, np.zeros(dim), 2.0), (0, other, -1.25),
+        (2, other, 0.5), (5, other, -0.3), (2, _ball_point(dim, 1.0), 0.9),
+    ]
+    f = HarmonicExpansion.from_terms(dim, terms)
+    pts = np.vstack([np.zeros(dim)] + [_ball_point(dim, r) for r in (0.05, 0.3, 0.6, 0.85, 0.99)])
+    many = evaluate_many(f, pts)
+    assert many.shape == (len(pts),)
+    for j, x in enumerate(pts):
+        assert many[j] == pytest.approx(_zonal_sum(f, x), rel=1e-12)
+    # at the origin only the degree-0 terms survive
+    assert many[0] == pytest.approx(gamma_coefs(0, spec.alpha, dim)[0] + 0.75 - 1.25, rel=1e-15)
+
+
+def test_evaluate_is_the_one_row_evaluate_many():
+    for dim in (2, 3, 4):
+        f = _random_expansion(dim, max_degree=6, nterms=7)
+        for r in (0.0, 0.4, 0.95):
+            x = _ball_point(dim, r) if r else np.zeros(dim)
+            assert evaluate(f, x) == evaluate_many(f, x[None])[0]
+
+
 def test_kernel_expansion_matches_kernel_eval():
     spec = KernelSpec(alpha=-0.6, dim=3)
     y = _ball_point(3, 0.5)

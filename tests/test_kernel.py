@@ -238,22 +238,6 @@ def test_kernel_batch_matches_scalar():
         assert abs(batch[j] - kernel_eval(spec, x, pts[j])) <= 2.0 * spec.tol
 
 
-def test_kernel_batch_max_degree_cap():
-    spec = KernelSpec(alpha=0.3, dim=2)
-    x = _ball_point(2, 0.6)
-    pts = np.vstack([_ball_point(2, 0.4), _ball_point(2, 0.7)])
-    capped = kernel_eval_batch(spec, x, pts, max_degree=4)
-    gam = gamma_coefs(4, spec.alpha, spec.dim)
-    for j in range(2):
-        partial = sum(gam[k] * zonal_harmonic(k, x, pts[j], 2) for k in range(5))
-        assert capped[j] == pytest.approx(partial, rel=1e-12)
-    full = kernel_eval_batch(spec, x, pts)
-    assert np.all(np.abs(capped - full) > 10.0 * spec.tol)
-    # a cap above the certified degree is inert
-    loose = kernel_eval_batch(spec, x, pts, max_degree=MAX_DEGREE)
-    assert np.array_equal(loose, full)
-
-
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(alpha=0.0, dim=1)

@@ -8,11 +8,19 @@ import pytest
 from scipy.special import beta as sbeta
 
 from bergbesov.expansion import HarmonicExpansion, apply_D, evaluate
-from bergbesov.kernel import KernelSpec, gamma_coef, zonal_harmonic
+from bergbesov.kernel import (
+    KernelSpec,
+    gamma_coef,
+    gamma_coefs,
+    kernel_eval_batch,
+    truncation_degree,
+    zonal_harmonic,
+)
 from bergbesov.operators import (
     NormResult,
     TestFunction as Fuv,
     TransformReport,
+    _image_polar,
     apply_T,
     apply_T_derivative,
     apply_T_report,
@@ -29,7 +37,7 @@ from bergbesov.operators import (
     test_function_lp_norm as fuv_lp_norm,
     transform_finite_analytic,
 )
-from bergbesov.quadrature import BallQuadrature, normalization_V
+from bergbesov.quadrature import BallQuadrature, integrate_ball, normalization_V
 
 RNG = np.random.default_rng(61)
 SMALL_RULE_2 = BallQuadrature(dim=2, radial_nodes=64, sphere_nodes=64)
@@ -128,6 +136,59 @@ def test_apply_T_constant_image_off_origin():
     const = apply_T(0.0, 0.0, tf, np.zeros(2))
     off = apply_T(0.0, 0.0, tf, np.array([0.3, 0.2]), rule=SMALL_RULE_2)
     assert off == pytest.approx(const, rel=1e-3)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_apply_T_at_origin_is_the_ball_integral(dim):
+    # R_c(0, y) = 1, so the one-point evaluator at x = 0 is the plain
+    # weighted integral of f over the same nodes
+    f = lambda pts: np.cos(pts[:, 0]) + pts[:, -1] ** 2 - 0.3 * pts[:, 1]
+    base = BallQuadrature(dim, radial_nodes=24, sphere_nodes=32, mc_samples=256)
+    for b in (0.0, 0.5, -1.5):
+        # the evaluator folds b > -1 into the radial nodes; below -1 it
+        # applies the weight at the nodes, as integrate_ball does
+        rule = base.with_jacobi_exponent(b if b > -1.0 else 0.0)
+        want = integrate_ball(f, b, rule)
+        assert apply_T(b, 1.3, f, np.zeros(dim), rule=rule) == pytest.approx(want, rel=1e-12)
+
+
+def _image_at_point(f, x, spec, rule):
+    """_image_polar on the 1x1 grid (|x|, x/|x|), b = 0."""
+    r = float(np.linalg.norm(x))
+    return _image_polar(0.0, f, None, [r], (x / r)[None, :], spec, rule)[0, 0]
+
+
+def test_image_polar_caps_degree_at_sphere_exactness(monkeypatch):
+    spec = KernelSpec(alpha=0.3, dim=2)
+    x = _ball_point(2, 0.6)
+    f = lambda pts: np.exp(pts[:, 0]) + pts[:, 1]
+    # four circle nodes integrate degrees up to E = 3 exactly, far below
+    # the certified degree; 512 nodes reach past it
+    coarse = BallQuadrature(dim=2, radial_nodes=16, sphere_nodes=4)
+    fine = BallQuadrature(dim=2, radial_nodes=16, sphere_nodes=512)
+    cap = coarse.sphere_exactness()
+    certified = truncation_degree(spec, 0.6, float(coarse.radial_rule()[0].max()))
+    assert cap == 3 and cap < certified < fine.sphere_exactness()
+
+    capped = _image_at_point(f, x, spec, coarse)
+    gam = gamma_coefs(cap, spec.alpha, 2)
+
+    def partial_sum(pts):
+        series = [sum(gam[k] * zonal_harmonic(k, x, y, 2) for k in range(cap + 1)) for y in pts]
+        return np.asarray(series) * f(pts)
+
+    assert capped == pytest.approx(integrate_ball(partial_sum, 0.0, coarse), rel=1e-12)
+    fine_capped = _image_at_point(f, x, spec, fine)
+
+    # without the cap the evaluator sums the full certified series, which
+    # on four circle nodes aliases the dropped degrees back in
+    monkeypatch.setattr(BallQuadrature, "sphere_exactness", lambda self: None)
+    uncapped = _image_at_point(f, x, spec, coarse)
+    full = integrate_ball(lambda pts: kernel_eval_batch(spec, x, pts) * f(pts), 0.0, coarse)
+    assert uncapped == pytest.approx(full, rel=1e-12)
+    assert abs(capped - uncapped) > 10.0 * spec.tol
+    # a cap above the certified degree is inert
+    assert fine_capped == _image_at_point(f, x, spec, fine)
 
 
 def test_apply_T_single_zonal_term_closed_form():
