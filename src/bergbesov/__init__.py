@@ -71,6 +71,7 @@ from .probe import (
 )
 from .quadrature import (
     BallQuadrature,
+    ConvergenceError,
     LadderResult,
     RadialLogIntegral,
     integrate_ball,
@@ -102,7 +103,7 @@ __all__ = [
     "transform_finite_analytic",
     "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",
     "finiteness_probe", "kernel_floor_probe", "ratio_probe",
-    "BallQuadrature", "LadderResult", "RadialLogIntegral", "integrate_ball",
+    "BallQuadrature", "ConvergenceError", "LadderResult", "RadialLogIntegral", "integrate_ball",
     "integrate_sphere", "lp_norm", "normalization_V", "radial_log_integral",
     "radial_power_log_ladder", "weighted_sup_ladder",
     "PoleError", "gegenbauer", "log_gamma", "log_pochhammer", "pochhammer",

@@ -6,7 +6,9 @@ significant digits (bit-faithful for fixtures; infinities as the Infinity
 literal, which json.loads accepts), all inputs echoed back for
 reproducibility.  Sweeps emit CSV with the fixed header
 b,c,alpha,beta,p,q,target,dim,bounded,part,binding_slack.  Exit codes:
-0 success, 2 malformed input, 1 I/O failure.
+0 success, 2 malformed input or a value the numerics cannot certify (a
+kernel series past its truncation limit, a radial integral whose rule did
+not converge), 1 I/O failure.
 """
 
 import argparse
@@ -27,6 +29,7 @@ from .quadrature import (
     DEFAULT_RADIAL_NODES,
     DEFAULT_SPHERE_NODES,
     BallQuadrature,
+    ConvergenceError,
     lp_norm,
 )
 
@@ -344,7 +347,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

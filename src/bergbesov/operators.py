@@ -210,8 +210,9 @@ def sup_membership(tf, alpha):
 
 def test_function_lp_norm(tf, p, alpha, dim):
     """Numeric norm of f_{u,v} in the alpha-weighted p-space (inf when the
-    membership ladder diverges); finite values use the full-interval adaptive
-    integral; weight normalization uses V_alpha, or 1 for alpha <= -1."""
+    membership ladder diverges); finite values use the full-interval
+    double-exponential integral; weight normalization uses V_alpha, or 1 for
+    alpha <= -1."""
     if p == math.inf:
         return sup_membership(tf, alpha).value
     ladder = lp_membership(tf, p, alpha, dim)

@@ -12,16 +12,17 @@ mean uses the uniform trapezoid rule on the circle (dim 2), a Gauss-Legendre
 normalized Gaussians (dim >= 4).
 
 Radial profiles with boundary weight (1-r^2)^B (1 + log 1/(1-r^2))^{-V} get a
-dedicated 1-D treatment in the variable w = log 1/(1-r^2): adaptive quadrature
-over [0, L] with the cutoff L doubling along a refinement ladder.  Divergence
+dedicated 1-D treatment in the variable w = log 1/(1-r^2): a double-exponential
+rule over [0, L] with the cutoff L doubling along a refinement ladder.  Divergence
 is declared on value growth beyond a fixed factor across two ladder doublings
 (or a hard cap); this log-space frontier advances geometrically, which is what
 makes slowly divergent boundary exponents detectable at all.
 
-scipy is imported on first use, inside the functions that call it: the
-Gauss-Jacobi and Gauss-Legendre rules, normalization_V, and the adaptive
-pieces of the radial ladders.  Importing this module loads numpy only, so the
-classify, sweep, kernel and floor-probe commands start without scipy.
+Everything here runs on numpy and the math module.  The Gauss rules come from
+gauss_jacobi (Golub & Welsch, Math. Comp. 23 (1969): eigenvalues of the Jacobi
+matrix, then Newton steps); the w-integrals from tanh-sinh and exp-sinh rules
+(Takahasi & Mori, 1974) that halve their step until two levels agree, and
+raise ConvergenceError when they do not.
 """
 
 import math
@@ -32,10 +33,12 @@ import numpy as np
 
 __all__ = [
     "BallQuadrature",
+    "ConvergenceError",
     "DEFAULT_RADIAL_NODES",
     "DEFAULT_SPHERE_NODES",
     "DEFAULT_MC_SAMPLES",
     "GROWTH_FACTOR",
+    "gauss_jacobi",
     "normalization_V",
     "integrate_ball",
     "integrate_sphere",
@@ -61,9 +64,24 @@ DIVERGENCE_CAP = 1e12
 # exponents within ~0.05 of the convergence threshold.
 DEFAULT_LEVELS = (32.0, 64.0, 128.0, 256.0, 512.0)
 
-_QUAD_OPTS = dict(limit=200, epsabs=1e-13, epsrel=1e-11)
+# Double-exponential rules: t runs over [-_DE_T, _DE_T] with step 2^-level,
+# from level 0 up to _DE_MAX_LEVEL, until two levels agree to _DE_RTOL.  At
+# |t| = 5 the weights are below 1e-49, so an integrand bounded near the ends
+# of its interval loses nothing there; the nodes stay 1e-101 away from the
+# ends, so the head piece's z^2 does not underflow.  The ladder integrands carry rounding
+# noise of up to 4e-15 relative (from e^{-bexp w} at bexp w ~ 700), so
+# agreement to 1e-15 is not always reachable; once two levels agree to 1e-14
+# the finer one is converged to that noise, as the error of a level is about
+# the square of its change.
+_DE_T = 5.0
+_DE_MAX_LEVEL = 10
+_DE_RTOL = 1e-14
 # w-grid for sup-type norms, w = log 1/(1-r^2); e^-16 boundary clearance.
 _SUP_GRID = np.linspace(0.0, 16.0, 97)
+
+
+class ConvergenceError(RuntimeError):
+    """A double-exponential integral missed its tolerance at the deepest level."""
 
 
 @dataclass(frozen=True)
@@ -141,11 +159,66 @@ class BallQuadrature:
         return d
 
 
+def _endpoint_coefs(m, a, b):
+    """Coefficients of the recurrence for P_k^{(a,b)}(1-y) / P_k(1) in differences."""
+    k = np.arange(1.0, m)
+    t = 2.0 * k + a + b
+    den = (k + a + 1.0) * (k + a + b + 1.0)
+    return (a + b + 2.0) / (2.0 * (a + 1.0)), (t + 1.0) * (t + 2.0) / (2.0 * den), \
+        k * (k + b) * (t + 2.0) / (den * t)
+
+
+def gauss_jacobi(m, a, b):
+    """m-point Gauss rule (x, w) for the weight (1-x)^a (1+x)^b on [-1, 1].
+
+    The nodes start as eigenvalues of the Jacobi matrix and take two Newton
+    steps.  Each node is carried as its distance y to the nearer endpoint,
+    and P_m is evaluated there by a recurrence in the differences of
+    P_k(1-y)/P_k(1), which keeps y to full relative precision: a weight
+    (1-x)^a with a near -1 puts most of the mass on a node within 1e-7 of
+    x = 1, and its weight follows y relatively.  The weights are
+    1/((1-x^2) P_m'(x)^2), scaled to the exact zeroth moment
+    2^{a+b+1} B(a+1, b+1).  Requires m >= 1 and a, b > -1.
+    """
+    m, a, b = int(m), float(a), float(b)
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + a + b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (b * b - a * a) / (s * (s + 2.0))
+        sub_sq = 4.0 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s + 1.0) * (s - 1.0))
+    diag[0] = (b - a) / (a + b + 2.0)
+    if m > 1:
+        sub_sq[1] = 4.0 * (1.0 + a) * (1.0 + b) / ((2.0 + a + b) ** 2 * (3.0 + a + b))
+    x0 = np.linalg.eigvalsh(np.diag(diag) + np.diag(np.sqrt(sub_sq[1:]), -1))
+    # nodes right of 0 use (a, b) from x = 1; the others (b, a) from x = -1
+    right = x0 > 0.0
+    side = np.where(right, 1.0, -1.0)
+    (c_r, a_r, b_r), (c_l, a_l, b_l) = _endpoint_coefs(m, a, b), _endpoint_coefs(m, b, a)
+    c0 = np.where(right, c_r, c_l)
+    rec_a = np.where(right, a_r[:, None], a_l[:, None])
+    rec_b = np.where(right, b_r[:, None], b_l[:, None])
+    y = 1.0 - side * x0
+    for _ in range(2):
+        d, dd = -c0 * y, -c0
+        p, dp = 1.0 + d, dd
+        for j in range(m - 1):
+            d, dd = rec_b[j] * d - rec_a[j] * y * p, rec_b[j] * dd - rec_a[j] * (p + y * dp)
+            p, dp = p + d, dp + dd
+        # the derivative at the last-but-one iterate serves the weights, as
+        # the nodes have converged to rounding by then
+        y, slope = y - p / dp, dp
+    kk = np.arange(1.0, m + 1)
+    log_p1 = np.where(right, math.fsum(np.log1p(a / kk)), math.fsum(np.log1p(b / kk)))
+    logw = -np.log(y * (2.0 - y)) - 2.0 * (log_p1 + np.log(np.abs(slope)))
+    w = np.exp(logw - logw.max())
+    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                   - math.lgamma(a + b + 2.0))
+    return side * (1.0 - y), w * (mu0 / w.sum())
+
+
 @lru_cache(maxsize=256)
 def _radial_rule(dim, m, exponent):
-    from scipy.special import roots_jacobi
-
-    x, w = roots_jacobi(m, exponent, 0.5 * dim - 1.0)
+    x, w = gauss_jacobi(m, exponent, 0.5 * dim - 1.0)
     r = np.sqrt(0.5 * (1.0 + x))
     scale = 0.5 * dim * 2.0 ** (-(exponent + 0.5 * dim))
     return r, scale * w
@@ -159,11 +232,9 @@ def _sphere_rule(dim, sphere_nodes, mc_samples, seed):
         wts = np.full(sphere_nodes, 1.0 / sphere_nodes)
         return pts, wts
     if dim == 3:
-        from scipy.special import roots_legendre
-
         polar = max(sphere_nodes // 4, 8)
         azim = max(sphere_nodes // 2, 8)
-        mu, v = roots_legendre(polar)
+        mu, v = gauss_jacobi(polar, 0.0, 0.0)
         theta = 2.0 * np.pi * np.arange(azim) / azim
         sin_phi = np.sqrt(1.0 - mu**2)
         pts = np.empty((polar * azim, 3))
@@ -223,12 +294,10 @@ def normalization_V(alpha, dim):
     probability measure; callers apply the convention V_alpha = 1 for
     alpha <= -1 themselves.
     """
-    from scipy.special import gammaln
-
     if not alpha > -1.0:
         raise ValueError(f"normalization requires alpha > -1, got {alpha}")
     n2 = 0.5 * dim
-    return float(math.exp(gammaln(n2 + 1.0) + gammaln(alpha + 1.0) - gammaln(n2 + alpha + 1.0)))
+    return math.exp(math.lgamma(n2 + 1.0) + math.lgamma(alpha + 1.0) - math.lgamma(n2 + alpha + 1.0))
 
 
 def _v_or_one(alpha, dim):
@@ -270,25 +339,84 @@ class LadderResult:
     rungs: tuple
 
 
+@lru_cache(maxsize=None)
+def _de_level(level, infinite):
+    """The t of a level not in the levels before it (every integer t at
+    level 0, the odd multiples of 2^-level after), mapped: (offsets, dx/dt,
+    left-half mask).  tanh-sinh offsets are distances to the nearer end of
+    [-1, 1]; exp-sinh offsets are x - lo on [lo, inf), with no mask."""
+    h = 2.0 ** -level
+    t = np.arange(-_DE_T, _DE_T + 0.5) if level == 0 else np.arange(-_DE_T + h, _DE_T, 2.0 * h)
+    u = 0.5 * np.pi * np.sinh(t)
+    if infinite:
+        e = np.exp(u)
+        return e, 0.5 * np.pi * np.cosh(t) * e, None
+    return 2.0 / (1.0 + np.exp(2.0 * np.abs(u))), 0.5 * np.pi * np.cosh(t) / np.cosh(u) ** 2, t < 0.0
+
+
+def _de_terms(f, lo, hi, level):
+    off, dxdt, left = _de_level(level, hi == math.inf)
+    if left is None:
+        return f(lo + off) * dxdt
+    half = 0.5 * (hi - lo)
+    return f(np.where(left, lo + half * off, hi - half * off)) * (half * dxdt)
+
+
+def _de_integrate(f, lo, hi):
+    """int_lo^hi f for a vectorized f: tanh-sinh on a finite [lo, hi],
+    exp-sinh when hi is inf.
+
+    The step in t starts at 1 and halves, reusing the earlier nodes, until
+    two levels agree to _DE_RTOL relative.  Raises ConvergenceError when
+    they still differ at _DE_MAX_LEVEL.  Where the end of the t-range would
+    cut off a visible part of the integral, the terms there vary too fast
+    for the levels to agree, so that raises too: (1+w)^{-v} on [1, inf)
+    raises for v <= 1.2 and is within 2.3e-14 at v = 1.25.
+    """
+    total = new = float(np.sum(_de_terms(f, lo, hi, 0)))
+    for level in range(1, _DE_MAX_LEVEL + 1):
+        total += float(np.sum(_de_terms(f, lo, hi, level)))
+        prev, new = new, total * 2.0 ** -level
+        if abs(new - prev) <= _DE_RTOL * abs(new):
+            return new
+    raise ConvergenceError(f"double-exponential rule on [{lo}, {hi}] missed rel {_DE_RTOL:g}: "
+                           f"{prev!r} and {new!r} at steps 2^-{_DE_MAX_LEVEL - 1} and 2^-{_DE_MAX_LEVEL}")
+
+
+def _integrand(coef, expo, bexp, v):
+    """w -> coef (1-e^-w)^expo e^{-bexp w} (1+w)^{-v} on arrays, formed in log
+    space so that no factor overflows on its own."""
+    return lambda w: coef * np.exp(expo * np.log(-np.expm1(-w)) - bexp * w - v * np.log1p(w))
+
+
 def _wspace_piece(coef, expo, bexp, v, lo, hi):
     """coef * int_{lo}^{hi} (1-e^-w)^expo e^{-bexp w} (1+w)^{-v} dw."""
-    from scipy.integrate import quad
-
-    def f(w):
-        return coef * (-np.expm1(-w)) ** expo * math.exp(-bexp * w) * (1.0 + w) ** (-v)
-
+    f = _integrand(coef, expo, bexp, v)
     if lo == 0.0:
         # substitute w = z^2 to flatten the (1-e^-w)^expo endpoint behavior
-        def fz(z):
-            if z == 0.0:
-                return 2.0 * coef if expo == -0.5 else 0.0
-            w = z * z
-            return f(w) * 2.0 * z
+        return _de_integrate(lambda z: 2.0 * z * f(z * z), 0.0, math.sqrt(hi))
+    return _de_integrate(f, lo, hi)
 
-        val, _ = quad(fz, 0.0, math.sqrt(hi), **_QUAD_OPTS)
-        return val
-    val, _ = quad(f, lo, hi, **_QUAD_OPTS)
-    return val
+
+def _wspace_tail(coef, expo, bexp, v):
+    """coef * int_1^inf (1-e^-w)^expo e^{-bexp w} (1+w)^{-v} dw, for bexp > 0,
+    or bexp = 0 and v > 1."""
+    if bexp > 0.0:
+        return _de_integrate(_integrand(coef, expo, bexp, v), 1.0, math.inf)
+    # (1+w)^{-v} alone decays too slowly for the rule: its tail is exact, and
+    # the rest, ((1-e^-w)^expo - 1)(1+w)^{-v}, decays like e^{-w}
+    tail = coef * 2.0 ** (1.0 - v) / (v - 1.0)
+    if expo != 0.0:
+        tail += _de_integrate(lambda w: coef * np.expm1(expo * np.log1p(-np.exp(-w))) * (1.0 + w) ** -v,
+                              1.0, math.inf)
+    return tail
+
+
+def _radial_coefs(dim):
+    """(coef, expo) of the w-space integrand: dim None is the plain interval."""
+    if dim is None:
+        return 0.5, -0.5
+    return 0.5 * dim, 0.5 * dim - 1.0
 
 
 def _log_peek(coef, bexp, v, w):
@@ -308,12 +436,8 @@ def radial_power_log_ladder(bexp_minus_1, v, dim=None, levels=DEFAULT_LEVELS,
     so nothing overflows) or grows by more than `growth` across the final two
     ladder doublings.
     """
-    b = float(bexp_minus_1)
-    bexp = b + 1.0
-    if dim is None:
-        coef, expo = 0.5, -0.5
-    else:
-        coef, expo = 0.5 * dim, 0.5 * dim - 1.0
+    bexp = float(bexp_minus_1) + 1.0
+    coef, expo = _radial_coefs(dim)
     rungs = []
     total = 0.0
     prev = 0.0
@@ -335,24 +459,19 @@ def radial_power_log_ladder(bexp_minus_1, v, dim=None, levels=DEFAULT_LEVELS,
 
 
 def radial_power_log_value(bexp_minus_1, v, dim=None):
-    """Full-interval value of the ladder integrand for analytically finite
-    cases: the [0, 1] head piece via the z-substitution plus an adaptive tail
-    on [1, inf).  Complements radial_power_log_ladder, whose finite cutoffs
-    leave percent-level truncation for boundary-marginal exponents."""
-    from scipy.integrate import quad
-
+    """Full-interval value of the ladder integrand: the [0, 1] head piece via
+    the z-substitution plus an exp-sinh tail on [1, inf).  Complements
+    radial_power_log_ladder, whose finite cutoffs leave percent-level
+    truncation for boundary-marginal exponents.  The integrand is positive,
+    so an analytically divergent case (B < -1, or B = -1 with V <= 1) is inf.
+    """
     bexp = float(bexp_minus_1) + 1.0
     v = float(v)
-    if dim is None:
-        coef, expo = 0.5, -0.5
-    else:
-        coef, expo = 0.5 * dim, 0.5 * dim - 1.0
-
-    def f(w):
-        return coef * (-np.expm1(-w)) ** expo * math.exp(-bexp * w) * (1.0 + w) ** (-v)
-
+    if bexp < 0.0 or (bexp == 0.0 and v <= 1.0):
+        return math.inf
+    coef, expo = _radial_coefs(dim)
     head = _wspace_piece(coef, expo, bexp, v, 0.0, 1.0)
-    tail, _ = quad(f, 1.0, np.inf, **_QUAD_OPTS)
+    tail = _wspace_tail(coef, expo, bexp, v)
     return head + tail
 
 

@@ -6,9 +6,7 @@ evaluated by forward recurrence.  These are the building blocks for the kernel
 coefficient tables and the normalization constants; they are kept free of any
 array or quadrature machinery.
 
-log_gamma imports scipy.special on its first call, not at module import, so
-the commands that never need a Gamma value (classify, sweep, kernel, and the
-floor probe) start without scipy.
+log_gamma is math.lgamma with the sign of Gamma worked out from x alone.
 """
 
 import math
@@ -43,12 +41,15 @@ def log_gamma(x):
 
     Raises PoleError at non-positive integers.
     """
-    from scipy.special import gammaln, gammasgn
-
     x = float(x)
     if _is_nonpositive_integer(x):
         raise PoleError(f"Gamma pole at {x}")
-    return float(gammaln(x)), float(gammasgn(x))
+    # Gamma < 0 exactly on the intervals (-2j-1, -2j)
+    sign = -1.0 if x < 0.0 and math.floor(x) % 2 == 1 else 1.0
+    try:
+        return math.lgamma(x), sign
+    except OverflowError:  # |x| above about 2.6e305
+        return math.inf, sign
 
 
 def pochhammer(a, b):

@@ -305,10 +305,43 @@ def test_commands_without_quadrature_do_not_load_scipy(args):
     assert mods == []
 
 
-def test_norm_loads_scipy_on_demand():
-    rc, stdout, mods = _main_in_fresh_process("norm", "--f", "fuv:0.5,0", "--p", "2",
-                                              "--alpha", "0.5")
-    assert rc == 0
-    # ||f_{0.5,0}||_{L^2_{0.5}} in dim 2 is (V_1.5 / V_0.5)^{1/2} = sqrt(0.6)
-    assert json.loads(stdout)["value"] == pytest.approx(math.sqrt(0.6), rel=1e-9)
-    assert "scipy.integrate" in mods and "scipy.special" in mods
+SCIPY_FREE_COMMANDS = {
+    "apply-fuv": ("apply", "--b", "0.5", "--c", "0", "--f", "fuv:0.3,1", "--x", "0.3,0.2"),
+    "apply-const1": ("apply", "--b", "0", "--c", "0", "--f", "const1", "--x", "0.1,0.2,0.3"),
+    "norm-dim2": ("norm", "--f", "fuv:0.5,0", "--p", "2", "--alpha", "0.5"),
+    "norm-dim3": ("norm", "--f", "fuv:0.5,1", "--p", "3", "--alpha", "0.5", "--dim", "3"),
+    "finiteness-dim2": ("probe", "--kind", "finiteness", "--b", "0", "--c", "0"),
+    "finiteness-dim3": ("probe", "--kind", "finiteness", "--b", "-0.5", "--c", "0.5",
+                        "--alpha", "0.5", "--dim", "3"),
+    "ratio-dim2": ("probe", "--kind", "ratio", "--b", "0", "--c", "0"),
+    "ratio-dim3": ("probe", "--kind", "ratio", "--b", "0.5", "--c", "0", "--alpha", "0.5",
+                   "--beta", "1", "--dim", "3"),
+}
+
+
+@pytest.mark.parametrize("args", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS.keys())
+def test_every_command_runs_with_scipy_unimportable(args):
+    code = ("import sys\n"
+            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            "import bergbesov.cli as cli\n"
+            f"sys.exit(cli.main({list(args)!r}))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["command"] == args[0]
+    if args == SCIPY_FREE_COMMANDS["norm-dim2"]:
+        # ||f_{0.5,0}||_{L^2_{0.5}} in dim 2 is (V_1.5 / V_0.5)^{1/2} = sqrt(0.6)
+        assert abs(out["value"] / math.sqrt(0.6) - 1.0) <= 1e-12
+
+
+def test_unconverged_radial_integral_exits_2(monkeypatch, capsys):
+    from bergbesov import cli, quadrature
+
+    # one halving of the double-exponential step cannot reach its tolerance
+    monkeypatch.setattr(quadrature, "_DE_MAX_LEVEL", 1)
+    rc = cli.main(["norm", "--f", "fuv:0.5,0", "--p", "2", "--alpha", "0.5"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: double-exponential rule on [")
+    with pytest.raises(quadrature.ConvergenceError):
+        quadrature.radial_power_log_value(0.5, 0.0, dim=2)
