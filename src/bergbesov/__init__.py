@@ -13,7 +13,6 @@ inequality system deciding boundedness of T_{b,c} between weighted spaces;
 everything as subcommands.
 """
 
-from ._accel import backend
 from .classifier import (
     ExtExponent,
     Inequality,
@@ -73,21 +72,18 @@ from .quadrature import (
     BallQuadrature,
     ConvergenceError,
     LadderResult,
-    RadialLogIntegral,
     integrate_ball,
     integrate_sphere,
     lp_norm,
     normalization_V,
-    radial_log_integral,
     radial_power_log_ladder,
     weighted_sup_ladder,
 )
-from .specfun import PoleError, gegenbauer, log_gamma, log_pochhammer, pochhammer
+from .specfun import PoleError, log_gamma, log_pochhammer, pochhammer
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "backend",
     "ExtExponent", "Inequality", "OperatorParams", "Target", "Verdict",
     "classify", "conjugate", "reduce_to_unweighted",
     "HarmonicExpansion", "apply_D", "apply_I", "evaluate", "evaluate_many",
@@ -103,9 +99,9 @@ __all__ = [
     "transform_finite_analytic",
     "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",
     "finiteness_probe", "kernel_floor_probe", "ratio_probe",
-    "BallQuadrature", "ConvergenceError", "LadderResult", "RadialLogIntegral", "integrate_ball",
-    "integrate_sphere", "lp_norm", "normalization_V", "radial_log_integral",
+    "BallQuadrature", "ConvergenceError", "LadderResult", "integrate_ball",
+    "integrate_sphere", "lp_norm", "normalization_V",
     "radial_power_log_ladder", "weighted_sup_ladder",
-    "PoleError", "gegenbauer", "log_gamma", "log_pochhammer", "pochhammer",
+    "PoleError", "log_gamma", "log_pochhammer", "pochhammer",
     "__version__",
 ]

@@ -1,79 +1,34 @@
 """Hot loops for zonal series evaluation.
 
-`series_disk` (dimension 2) and `series_ball` (dimension >= 3) sum the
-degree-summed zonal series at an array of nodes.  Quadrature grids of 10^4 to
-10^6 nodes run the recurrence on whole arrays (`series_disk_nodes`,
-`series_ball_nodes`).  A single node, which is what every `kernel_eval` call
-passes, runs it on Python floats in `series_point`: NumPy calls on
-one-element arrays cost 8 to 14 us per degree.  Each node's sum is
-accumulated with the same expressions in ascending degree order, so the two
-loops give the same value at one node bit for bit.  `zonal_table` is the
-degree-by-node zonal table behind the polar-grid image evaluator.
+The zonal recurrence exists in two forms.  `series_point` runs it on Python
+floats at one node, which is what every `kernel_eval` call passes: NumPy
+calls on one-element arrays cost 8 to 14 us per degree.  `series_disk`
+(dimension 2) and `series_ball` (dimension >= 3) are its one-node entry
+points.  `zonal_table` runs it on node arrays as a degree-by-node table, and
+`zonal_series` sums such tables, times a coefficient and a power of |x||y|
+per degree, by Horner's rule over column blocks of at most TABLE_ENTRIES
+entries.
 """
 
 import numpy as np
 
-
-def backend():
-    """Name of the series backend, echoed by the `kernel` CLI command."""
-    return "numpy"
+# Entries of one zonal table in zonal_series: 8 MB of float64 per block.
+TABLE_ENTRIES = 2**20
 
 
 def series_disk(gam, rho, cost):
-    """Sum_k gam[k] * (2 - (k==0)) * rho**k * cos(k*theta) per node, dim 2.
+    """Sum_k gam[k] * (2 - (k==0)) * rho**k * cos(k*theta) at one node, dim 2.
 
-    gam is the coefficient table (length K+1), rho[j] = |x||y_j| and
-    cost[j] = cos of the angle between x and y_j.  One node is summed by
-    series_point, more by series_disk_nodes.
+    gam is the coefficient table (length K+1), rho = [|x||y|] and
+    cost = [cos of the angle between x and y], one-element arrays.
     """
-    if rho.size == 1:
-        return np.full(rho.shape, series_point(gam, rho.item(), cost.item(), 2))
-    return series_disk_nodes(gam, rho, cost)
-
-
-def series_disk_nodes(gam, rho, cost):
-    """series_disk with the recurrence run on the node arrays."""
-    kmax = gam.shape[0] - 1
-    acc = np.full(rho.shape, gam[0])
-    if kmax == 0:
-        return acc
-    cm1 = np.ones_like(cost)
-    c = cost.copy()
-    rk = rho.copy()
-    acc += gam[1] * 2.0 * rk * c
-    for k in range(2, kmax + 1):
-        cm1, c = c, 2.0 * cost * c - cm1
-        rk = rk * rho
-        acc += gam[k] * 2.0 * rk * c
-    return acc
+    return np.full(rho.shape, series_point(gam, rho.item(), cost.item(), 2))
 
 
 def series_ball(gam, rho, cost, dim):
-    """Sum_k gam[k] * rho**k * ((dim+2k-2)/(dim-2)) * C_k^{(dim-2)/2}(cost), dim >= 3.
-
-    One node is summed by series_point, more by series_ball_nodes.
-    """
-    if rho.size == 1:
-        return np.full(rho.shape, series_point(gam, rho.item(), cost.item(), dim))
-    return series_ball_nodes(gam, rho, cost, dim)
-
-
-def series_ball_nodes(gam, rho, cost, dim):
-    """series_ball with the recurrence run on the node arrays."""
-    kmax = gam.shape[0] - 1
-    lam = 0.5 * (dim - 2.0)
-    acc = np.full(rho.shape, gam[0])
-    if kmax == 0:
-        return acc
-    cm1 = np.ones_like(cost)
-    c = 2.0 * lam * cost
-    rk = rho.copy()
-    acc += gam[1] * (dim / (dim - 2.0)) * rk * c
-    for k in range(2, kmax + 1):
-        cm1, c = c, (2.0 * cost * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * cm1) / k
-        rk = rk * rho
-        acc += gam[k] * ((dim + 2.0 * k - 2.0) / (dim - 2.0)) * rk * c
-    return acc
+    """Sum_k gam[k] * rho**k * ((dim+2k-2)/(dim-2)) * C_k^{(dim-2)/2}(cost) at
+    one node, dim >= 3; the arguments are those of series_disk."""
+    return np.full(rho.shape, series_point(gam, rho.item(), cost.item(), dim))
 
 
 def series_point(gam, rho, t, dim):
@@ -82,11 +37,9 @@ def series_point(gam, rho, t, dim):
     as a float.
 
     The recurrence runs on Python floats.  Its per-degree factors, which do
-    not depend on the running terms, are formed first by NumPy with the same
-    IEEE operations as the array forms and read back as floats through a
-    memoryview.  Every term is then the same expression evaluated in the same
-    order, so the result equals series_disk_nodes(gam, [rho], [t])[0] (resp.
-    series_ball_nodes) exactly.
+    not depend on the running terms, are formed first by NumPy and read back
+    as floats through a memoryview; the terms are then accumulated in
+    ascending degree order.
     """
     kmax = gam.shape[0] - 1
     acc = float(gam[0])
@@ -121,24 +74,48 @@ def zonal_table(kmax, u, dim):
     """Table P[k, j] of the zonal harmonic between unit vectors with inner
     product u[j]: P[k, j] = Z_k(zeta, eta_j), degrees 0..kmax.
 
-    Row 0 is 1; dimension 2 rows are 2 cos(k theta); higher dimensions use the
-    Gegenbauer form, same recurrence as the series evaluators.
+    Row 0 is 1.  Dimension 2 rows are 2 T_k(u), with the Chebyshev
+    recurrence of series_point; higher dimensions use its Gegenbauer
+    recurrence with parameter (dim-2)/2.
     """
     m = u.shape[0]
     out = np.empty((kmax + 1, m))
     out[0] = 1.0
     if kmax == 0:
         return out
+    cm1 = np.ones(m)
     if dim == 2:
-        theta = np.arccos(np.clip(u, -1.0, 1.0))
-        ks = np.arange(1.0, kmax + 1.0)
-        out[1:] = 2.0 * np.cos(ks[:, None] * theta[None, :])
+        c = u
+        out[1] = 2.0 * c
+        u2 = 2.0 * u
+        for k in range(2, kmax + 1):
+            cm1, c = c, u2 * c - cm1
+            out[k] = 2.0 * c
         return out
     lam = 0.5 * (dim - 2.0)
-    cm1 = np.ones(m)
     c = 2.0 * lam * u
     out[1] = (dim / (dim - 2.0)) * c
     for k in range(2, kmax + 1):
         cm1, c = c, (2.0 * u * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * cm1) / k
         out[k] = ((dim + 2.0 * k - 2.0) / (dim - 2.0)) * c
+    return out
+
+
+def zonal_series(coef, prod, u, dim):
+    """Sum_k coef[k] * prod**k * Z_k(u) per node, Z_k the rows of zonal_table.
+
+    prod[j] = |x||y_j| and u[j] = cos of the angle between x and y_j.  The
+    table rows are summed by Horner's rule in prod, over column blocks of at
+    most TABLE_ENTRIES table entries (at least one column).
+    """
+    kmax = coef.shape[0] - 1
+    out = np.empty(u.shape[0])
+    step = max(1, TABLE_ENTRIES // (kmax + 1))
+    for lo in range(0, u.shape[0], step):
+        p = prod[lo:lo + step]
+        table = zonal_table(kmax, u[lo:lo + step], dim)
+        acc = coef[kmax] * table[kmax]
+        for k in range(kmax - 1, -1, -1):
+            acc = acc * p + coef[k] * table[k]
+        out[lo:lo + step] = acc
     return out

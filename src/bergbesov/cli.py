@@ -19,7 +19,6 @@ import sys
 
 import numpy as np
 
-from . import _accel
 from .classifier import ExtExponent, OperatorParams, Target, classify
 from .kernel import KernelDivergenceError, KernelSpec, TruncationLimitError, kernel_eval_degree
 from .operators import apply_T_report, as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
@@ -160,8 +159,7 @@ def _cmd_kernel(args):
         raise ValueError(str(exc)) from exc
     _print_json({"command": "kernel", "alpha": spec.alpha, "dim": spec.dim,
                  "tol": spec.tol, "x": x.tolist(), "y": y.tolist(),
-                 "value": value, "truncation_degree": degree,
-                 "backend": _accel.backend()})
+                 "value": value, "truncation_degree": degree})
     return 0
 
 

@@ -73,10 +73,11 @@ def evaluate(exp, x):
 def evaluate_many(exp, pts):
     """Evaluate at each row of pts; returns an array of values.
 
-    Terms are grouped by anchor y.  Each anchor costs one zonal table over
-    the cosines u between the points and y, whose degree-k row times
-    (|x||y|)^k is Z_k(x, y); its terms sum those rows by Horner's rule in
-    |x||y|.  Where |x||y| = 0 only the degree-0 terms survive.
+    Terms are grouped by anchor y.  Each anchor costs one zonal_series pass
+    over the cosines u between the points and y: the degree-k row of its
+    zonal table times (|x||y|)^k is Z_k(x, y), and the anchor's terms sum
+    those rows by Horner's rule in |x||y|.  Where |x||y| = 0 only the
+    degree-0 terms survive.
     """
     pts = np.asarray(pts, dtype=float)
     out = np.zeros(pts.shape[0])
@@ -89,14 +90,9 @@ def evaluate_many(exp, pts):
         mine = group == a
         coef = np.zeros(int(exp.degrees[mine].max()) + 1)
         np.add.at(coef, exp.degrees[mine], exp.coefs[mine])
-        kmax = coef.size - 1
         prod = rx * float(np.linalg.norm(y))
         u = np.clip((pts @ y) / np.where(prod == 0.0, 1.0, prod), -1.0, 1.0)
-        table = _accel.zonal_table(kmax, u, exp.dim)
-        acc = coef[kmax] * table[kmax]
-        for k in range(kmax - 1, -1, -1):
-            acc = acc * prod + coef[k] * table[k]
-        out += acc
+        out += _accel.zonal_series(coef, prod, u, exp.dim)
     return out
 
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .specfun import gegenbauer
 
 __all__ = [
     "KernelSpec",
@@ -117,9 +116,9 @@ def harmonic_dim(k, dim):
 def zonal_harmonic(k, x, y, dim):
     """Zonal harmonic Z_k(x, y) (real, symmetric, harmonic in each argument).
 
-    Z_0 = 1.  For k >= 1 and either argument zero the value is 0.  Dimension 2
-    uses the cosine form 2 |x|^k |y|^k cos(k theta); higher dimensions use the
-    Gegenbauer form with parameter (dim-2)/2.
+    Z_0 = 1.  For k >= 1 and either argument zero the value is 0.  Otherwise
+    it is (|x||y|)^k times row k of the one-column zonal table at the cosine
+    of the angle between x and y.
     """
     if k != int(k) or k < 0:
         raise ValueError(f"degree must be a non-negative integer, got {k}")
@@ -134,27 +133,7 @@ def zonal_harmonic(k, x, y, dim):
         return 0.0
     t = float(np.dot(x, y)) / (rx * ry)
     t = min(1.0, max(-1.0, t))
-    radial = rx**k * ry**k
-    if dim == 2:
-        return 2.0 * radial * math.cos(k * math.acos(t))
-    scale = (dim + 2.0 * k - 2.0) / (dim - 2.0)
-    return radial * scale * gegenbauer(k, 0.5 * (dim - 2.0), t)
-
-
-def _sup_ratio(k, alpha, dim):
-    """Certified upper bound for a_{j+1}/a_j, all j >= k, where
-    a_j = gamma_j * h_j * t^j (the t factor is applied by the caller).
-
-    Each factor of the ratio is monotone in j toward its limit, so the bound
-    is the product of per-factor sups at j = k.
-    """
-    n2 = 0.5 * dim
-    if _uses_factorial_branch(alpha, dim):
-        g = (k + 1.0) / (k + n2)
-    else:
-        g = max(1.0, (1.0 + n2 + alpha + k) / (n2 + k))
-    d = harmonic_dim(k + 1, dim) / harmonic_dim(k, dim)
-    return g * d
+    return rx**k * ry**k * float(_accel.zonal_table(k, np.array([t]), dim)[k, 0])
 
 
 def _harmonic_dims(ks, dim):
@@ -257,8 +236,9 @@ def kernel_eval_batch(spec, x, pts):
     """Evaluate R_alpha(x, y_j) for a fixed x against rows y_j of pts.
 
     The truncation degree is certified for the largest |x||y_j| and shared
-    across the batch; smaller products only gain accuracy.  The series runs
-    node-vectorized (see _accel for the series loops).
+    across the batch; smaller products only gain accuracy.  The series is
+    summed by _accel.zonal_series, so it agrees with kernel_eval to rounding,
+    not bit for bit.
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -273,8 +253,7 @@ def kernel_eval_batch(spec, x, pts):
     if kmax == 0:
         return np.ones(pts.shape[0])
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
-    rho = rx * ry
     safe = np.where(ry == 0.0, 1.0, ry)
     cost = (pts @ x) / (rx * safe)
     cost = np.where(ry == 0.0, 0.0, np.clip(cost, -1.0, 1.0))
-    return _series(gam, rho, cost, spec.dim)
+    return _accel.zonal_series(gam, rx * ry, cost, spec.dim)

@@ -43,8 +43,6 @@ __all__ = [
     "integrate_ball",
     "integrate_sphere",
     "lp_norm",
-    "RadialLogIntegral",
-    "radial_log_integral",
     "LadderResult",
     "radial_power_log_ladder",
     "radial_power_log_value",
@@ -496,24 +494,3 @@ def weighted_sup_ladder(eexp, v, levels=(16.0, 32.0, 64.0, 128.0, 256.0),
     if len(sups) >= 3 and sups[-1] - sups[-3] > math.log(growth):
         return LadderResult(False, math.inf, rungs)
     return LadderResult(True, math.exp(sups[-1]), rungs)
-
-
-@dataclass(frozen=True)
-class RadialLogIntegral:
-    finite: bool
-    value: float
-
-
-def radial_log_integral(u, v):
-    """int_0^1 (1-t^2)^u (1 + log 1/(1-t^2))^{-v} dt.
-
-    The finiteness decision is analytic: finite iff u > -1, or u = -1 and
-    v > 1.  The finite value is radial_power_log_value(u, v) on the interval
-    (dim None); the divergent case reports value inf.
-    """
-    u = float(u)
-    v = float(v)
-    finite = u > -1.0 or (u == -1.0 and v > 1.0)
-    if not finite:
-        return RadialLogIntegral(False, math.inf)
-    return RadialLogIntegral(True, radial_power_log_value(u, v))

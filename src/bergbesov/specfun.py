@@ -1,10 +1,10 @@
 """Scalar special-function primitives.
 
 Everything here is a plain function of floats: log-gamma with explicit sign
-tracking, Pochhammer symbols (rising factorials), and Gegenbauer polynomials
-evaluated by forward recurrence.  These are the building blocks for the kernel
-coefficient tables and the normalization constants; they are kept free of any
-array or quadrature machinery.
+tracking and Pochhammer symbols (rising factorials).  They are kept free of
+any array or quadrature machinery.  The kernel coefficient tables are built
+by a ratio recurrence instead (kernel.gamma_coefs); the Pochhammer symbols
+are the closed form they are checked against.
 
 log_gamma is math.lgamma with the sign of Gamma worked out from x alone.
 """
@@ -16,7 +16,6 @@ __all__ = [
     "log_gamma",
     "pochhammer",
     "log_pochhammer",
-    "gegenbauer",
 ]
 
 # Largest integer second argument for which pochhammer() will run the exact
@@ -87,28 +86,3 @@ def log_pochhammer(a, b):
     la, sa = log_gamma(a + b)
     lb, sb = log_gamma(a)
     return la - lb, sa * sb
-
-
-def gegenbauer(k, lam, t):
-    """Gegenbauer polynomial C_k^lam(t) by forward recurrence.
-
-    C_0 = 1, C_1 = 2*lam*t, and
-        k C_k = 2 t (k + lam - 1) C_{k-1} - (k + 2 lam - 2) C_{k-2}.
-
-    The forward recurrence is stable on t in [-1, 1] (the regime used here;
-    values for |t| > 1 are mathematically valid but grow without a stability
-    guarantee).  Requires lam > -1/2 and integer k >= 0.
-    """
-    if k != int(k) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k}")
-    if not lam > -0.5:
-        raise ValueError(f"Gegenbauer parameter must exceed -1/2, got {lam}")
-    k = int(k)
-    t = float(t)
-    if k == 0:
-        return 1.0
-    cm1 = 1.0
-    c = 2.0 * lam * t
-    for j in range(2, k + 1):
-        cm1, c = c, (2.0 * t * (j + lam - 1.0) * c - (j + 2.0 * lam - 2.0) * cm1) / j
-    return c

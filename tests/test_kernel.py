@@ -1,17 +1,20 @@
 """Kernel layer: gamma coefficients, zonal harmonics, truncation certificate,
-series evaluation, and the single-pair series against the node-array one."""
+series evaluation, the single-pair series against a node-array loop, and the
+batch (zonal table and Horner) against the single-pair series."""
 
 import math
 import os
 import subprocess
 import sys
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergbesov import _accel
+from bergbesov.expansion import HarmonicExpansion, evaluate_many
 from bergbesov.kernel import (
     MAX_DEGREE,
     KernelDivergenceError,
@@ -22,6 +25,7 @@ from bergbesov.kernel import (
     harmonic_dim,
     kernel_eval,
     kernel_eval_batch,
+    kernel_eval_degree,
     truncation_degree,
     zonal_harmonic,
 )
@@ -98,6 +102,24 @@ def test_zonal_degree_zero_and_zero_argument():
     assert zonal_harmonic(0, x, x, 3) == 1.0
     assert zonal_harmonic(3, np.zeros(3), x, 3) == 0.0
     assert zonal_harmonic(3, x, np.zeros(3), 3) == 0.0
+
+
+def test_zonal_harmonic_validation():
+    x = _ball_point(3, 0.4)
+    with pytest.raises(ValueError):
+        zonal_harmonic(-1, x, x, 3)
+    with pytest.raises(ValueError):
+        zonal_harmonic(1.5, x, x, 3)
+
+
+def test_zonal_harmonic_is_the_zonal_table_row():
+    for dim in (2, 3, 5):
+        x = _ball_point(dim, 0.7)
+        y = _ball_point(dim, 0.9)
+        u = float(x @ y) / (0.7 * 0.9)
+        for k in (1, 2, 7, 30):
+            want = 0.63**k * _accel.zonal_table(k, np.array([u]), dim)[k, 0]
+            assert zonal_harmonic(k, x, y, dim) == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 
 def test_zonal_frozen_value_disk():
@@ -260,11 +282,31 @@ def test_kernel_diagonal_positive(alpha, r, dim):
 
 
 def _series_array(gam, rho, t, dim):
-    # the recurrence on node arrays, run at one node
+    # the zonal recurrence run on node arrays, at one node: an independent
+    # form of series_point's sum, with the same expressions in the same order
     rho, cost = np.array([rho]), np.array([t])
+    kmax = gam.shape[0] - 1
+    acc = np.full(rho.shape, gam[0])
+    if kmax == 0:
+        return acc[0]
+    cm1 = np.ones_like(cost)
+    rk = rho.copy()
     if dim == 2:
-        return _accel.series_disk_nodes(gam, rho, cost)[0]
-    return _accel.series_ball_nodes(gam, rho, cost, dim)[0]
+        c = cost.copy()
+        acc += gam[1] * 2.0 * rk * c
+        for k in range(2, kmax + 1):
+            cm1, c = c, 2.0 * cost * c - cm1
+            rk = rk * rho
+            acc += gam[k] * 2.0 * rk * c
+        return acc[0]
+    lam = 0.5 * (dim - 2.0)
+    c = 2.0 * lam * cost
+    acc += gam[1] * (dim / (dim - 2.0)) * rk * c
+    for k in range(2, kmax + 1):
+        cm1, c = c, (2.0 * cost * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * cm1) / k
+        rk = rk * rho
+        acc += gam[k] * ((dim + 2.0 * k - 2.0) / (dim - 2.0)) * rk * c
+    return acc[0]
 
 
 def _series(gam, rho, cost, dim):
@@ -287,15 +329,47 @@ def test_series_point_equals_array_series_at_one_node(dim):
             assert routed.shape == (1,) and routed[0] == value
 
 
+def _abs_series(spec, rho, kmax):
+    # sum_k gamma_k h_k rho^k: the series with every term at its sup, the
+    # scale of the rounding error of any order of summation
+    ks = np.arange(kmax + 1)
+    h = np.array([harmonic_dim(k, spec.dim) for k in range(kmax + 1)])
+    return float(np.sum(gamma_coefs(kmax, spec.alpha, spec.dim) * h * rho**ks))
+
+
+def _rounding_bound(spec, rho, kmax):
+    return 2.0 * (kmax + 2) * np.finfo(float).eps * _abs_series(spec, rho, kmax)
+
+
+def _dyadic_sphere(dim, count):
+    # `count` distinct points of one radius whose coordinates are multiples
+    # of 1/128: every node of a batch then has the same certified degree
+    # as the batch, and dot products and squared norms are exact
+    n_sq = {2: 5525, 3: 50, 5: 50}[dim]
+    m = math.isqrt(n_sq)
+    grid = np.stack(np.meshgrid(*[np.arange(-m, m + 1)] * dim, indexing="ij"), -1)
+    grid = grid.reshape(-1, dim)
+    vecs = grid[np.sum(grid * grid, axis=1) == n_sq].astype(float)
+    assert len(vecs) >= count
+    scale = 2.0 ** -math.ceil(math.log2(math.sqrt(n_sq)))
+    return vecs[RNG.permutation(len(vecs))[:count]] * scale
+
+
 @pytest.mark.parametrize("dim", [2, 3, 5])
-def test_series_on_many_nodes_equals_series_point_per_node(dim):
-    gam = gamma_coefs(300, 0.4, dim)
-    rho = RNG.uniform(0.0, 0.95, size=33)
-    cost = RNG.uniform(-1.0, 1.0, size=33)
-    values = _series(gam, rho, cost, dim)
-    assert values.shape == (33,)
-    assert values.tolist() == [_accel.series_point(gam, r, c, dim)
-                               for r, c in zip(rho.tolist(), cost.tolist())]
+def test_batch_on_many_nodes_matches_kernel_eval_per_node(dim):
+    pts = _dyadic_sphere(dim, 33)
+    ry = float(np.linalg.norm(pts[0]))
+    for alpha in (-4.5, 0.4):
+        spec = KernelSpec(alpha=alpha, dim=dim)
+        for _ in range(3):
+            x = _dyadic_point(dim)
+            rx = float(np.linalg.norm(x))
+            kmax = truncation_degree(spec, rx, ry)
+            batch = kernel_eval_batch(spec, x, pts)
+            assert batch.shape == (33,)
+            bound = _rounding_bound(spec, rx * ry, kmax)
+            for y, value in zip(pts, batch.tolist()):
+                assert abs(value - kernel_eval(spec, x, y)) <= bound
 
 
 @given(
@@ -322,15 +396,107 @@ def _dyadic_point(dim):
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5])
 def test_kernel_eval_equals_batch_exactly(dim):
+    # where the series stops at gamma_0 = 1 (certified degree 0, or y = 0)
+    # the batch and the single pair agree bit for bit
     tiny = np.zeros(dim)
-    tiny[0] = 2.0**-40  # certified degree 0: the series is gamma_0 alone
+    tiny[0] = 2.0**-40
     for alpha in (-4.5, -1.0, 0.0, 1.7):
         spec = KernelSpec(alpha=alpha, dim=dim)
         for _ in range(4):
             x = _dyadic_point(dim)
             assert truncation_degree(spec, float(np.linalg.norm(x)), 2.0**-40) == 0
-            for y in (_dyadic_point(dim), x, -x, np.zeros(dim), tiny):
+            for y in (np.zeros(dim), tiny):
                 assert kernel_eval(spec, x, y) == kernel_eval_batch(spec, x, y[None, :])[0]
+        assert kernel_eval(spec, np.zeros(dim), x) == kernel_eval_batch(spec, np.zeros(dim), x[None, :])[0]
+
+
+def _near_boundary(dim):
+    # a dyadic point with |x|^2 = 255/256 (254/256 in dim 3, 1010/1024 in
+    # dim 2): at alpha = 3, dim 4, R(x, -x) needs K = 21 380.  Reversing its
+    # coordinates keeps the norm and gives a generic angle.
+    if dim == 2:
+        return np.array([31.0, 7.0]) / 32.0
+    if dim == 3:
+        return np.array([13.0, 9.0, 2.0]) / 16.0
+    return np.r_[15.0, 5.0, 2.0, 1.0, np.zeros(dim - 4)] / 16.0
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_kernel_eval_matches_batch_to_rounding(dim):
+    # elsewhere they sum the same terms in different orders: series_point
+    # ascending, the batch by Horner's rule over the zonal table
+    edge = _near_boundary(dim)
+    for alpha in (-4.5, -1.0, 0.0, 1.7, 3.0):
+        spec = KernelSpec(alpha=alpha, dim=dim)
+        # the near-boundary pairs cost up to 0.3 s each: one alpha per branch
+        pairs = [(edge, y) for y in (edge, -edge, edge[::-1], -edge[::-1]) if alpha in (-4.5, 3.0)]
+        for _ in range(8):
+            x = _dyadic_point(dim)
+            pairs += [(x, y) for y in (_dyadic_point(dim), x, -x, 0.5 * x, _dyadic_point(dim))]
+        for x, y in pairs:
+            rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+            kmax = truncation_degree(spec, rx, ry)
+            got = kernel_eval_batch(spec, x, y[None, :])[0]
+            assert abs(kernel_eval(spec, x, y) - got) <= _rounding_bound(spec, rx * ry, kmax)
+
+
+def _disk_series_mp(alpha, xi, yi, kmax):
+    # 40-digit sum_k gamma_k 2 cos(k theta) rho^k for integer vectors xi, yi
+    # of equal norm, with the coefficient recurrence of gamma_coefs
+    rho = mpmath.mpf(int(xi @ xi)) / 1024
+    theta = mpmath.acos(mpmath.mpf(int(xi @ yi)) / int(xi @ xi))
+    gam, total = mpmath.mpf(1), mpmath.mpf(1)
+    for k in range(1, kmax + 1):
+        gam *= (alpha + 1 + k) / mpmath.mpf(k)
+        total += gam * 2 * mpmath.cos(k * theta) * rho**k
+    return total
+
+
+def test_disk_batch_is_as_accurate_as_kernel_eval_near_the_boundary():
+    # |x||y| = 1010/1024.  The dim-2 zonal table runs the Chebyshev
+    # recurrence on u itself; a table built from cos(k arccos u) moves u by
+    # about an ulp for every degree at once, and near the boundary the batch
+    # then drifts from the series by up to 1800 times kernel_eval's error
+    xi = np.array([31, 7])
+    for alpha in (0.0, 1.7, 3.0):
+        spec = KernelSpec(alpha=alpha, dim=2)
+        for yi in (np.array([7, 31]), np.array([-7, 31]), np.array([31, -7])):
+            x, y = xi / 32.0, yi / 32.0
+            value, kmax = kernel_eval_degree(spec, x, y)
+            with mpmath.workdps(40):
+                want = float(_disk_series_mp(alpha, xi, yi, kmax))
+            err_eval = abs(value - want)
+            err_batch = abs(kernel_eval_batch(spec, x, y[None, :])[0] - want)
+            assert err_batch <= 4.0 * err_eval + 64.0 * np.finfo(float).eps * abs(want)
+
+
+def test_batch_tables_stay_within_the_entry_budget(monkeypatch):
+    sizes = []
+    table = _accel.zonal_table
+
+    def recording(kmax, u, dim):
+        sizes.append((kmax + 1) * u.shape[0])
+        return table(kmax, u, dim)
+
+    monkeypatch.setattr(_accel, "zonal_table", recording)
+    m = 1_000_003
+    pts = np.random.default_rng(5).uniform(-0.3, 0.3, size=(m, 3))
+    x = np.array([0.9, 0.0, 0.0])
+    spec = KernelSpec(alpha=0.0, dim=3)
+    values = kernel_eval_batch(spec, x, pts)
+    kmax = truncation_degree(spec, 0.9, float(np.linalg.norm(pts, axis=1).max()))
+    assert kmax > 20
+    assert max(sizes) <= _accel.TABLE_ENTRIES
+    assert sum(sizes) == (kmax + 1) * m
+    # blocking changes no value: a short batch holding the largest radius
+    # is one block
+    pick = np.r_[np.arange(100), np.argmax(np.linalg.norm(pts, axis=1)), m - 1]
+    np.testing.assert_allclose(values[pick], kernel_eval_batch(spec, x, pts[pick]), rtol=1e-14)
+    sizes.clear()
+    exp = HarmonicExpansion.from_terms(3, [(40, [0.0, 0.6, 0.0], 1.0), (3, [0.0, 0.6, 0.0], 2.0)])
+    evaluate_many(exp, pts)
+    assert sizes and max(sizes) <= _accel.TABLE_ENTRIES
+    assert sum(sizes) == 41 * m
 
 
 def test_kernel_eval_same_value_in_fresh_process():

@@ -14,7 +14,6 @@ from bergbesov.quadrature import (
     integrate_sphere,
     lp_norm,
     normalization_V,
-    radial_log_integral,
     radial_power_log_ladder,
     radial_power_log_value,
     weighted_sup_ladder,
@@ -212,30 +211,37 @@ def test_lp_norm_validation():
 
 
 def test_radial_log_integral_dichotomy():
-    assert radial_log_integral(0.0, 0.0).finite
-    assert radial_log_integral(-0.999, 0.0).finite
-    assert radial_log_integral(-1.0, 2.0).finite
-    assert radial_log_integral(-1.0, 1.5).finite
-    assert not radial_log_integral(-1.0, 1.0).finite
-    assert not radial_log_integral(-1.0, 0.0).finite
-    assert not radial_log_integral(-2.0, 5.0).finite
-    assert radial_log_integral(-1.0, 0.0).value == math.inf
+    # radial_power_log_value is inf exactly on the divergent side: u < -1, or
+    # u = -1 with v <= 1
+    assert not math.isinf(radial_power_log_value(0.0, 0.0))
+    assert not math.isinf(radial_power_log_value(-0.999, 0.0))
+    assert not math.isinf(radial_power_log_value(-1.0, 2.0))
+    assert not math.isinf(radial_power_log_value(-1.0, 1.5))
+    assert math.isinf(radial_power_log_value(-1.0, 1.0))
+    assert math.isinf(radial_power_log_value(-1.0, 0.0))
+    assert math.isinf(radial_power_log_value(-2.0, 5.0))
+    assert radial_power_log_value(-1.0, 0.0) == math.inf
 
 
 def test_radial_log_integral_oracle_values():
-    assert radial_log_integral(0.0, 0.0).value == pytest.approx(1.0, rel=1e-11)
+    assert radial_power_log_value(0.0, 0.0) == pytest.approx(1.0, rel=1e-11)
     for (u, v), want in LOG_INTEGRAL_ORACLES.items():
-        assert radial_log_integral(u, v).value == pytest.approx(want, rel=1e-9)
+        assert radial_power_log_value(u, v) == pytest.approx(want, rel=1e-9)
 
 
 @pytest.mark.parametrize("u", [-1.0, -0.9, -0.5, 0.0, 0.7, 2.0])
 @pytest.mark.parametrize("v", [0.0, 0.5, 1.5, 3.0])
 def test_radial_log_integral_is_the_interval_ladder_value(u, v):
-    got = radial_log_integral(u, v)
+    # the interval integral int_0^1 (1-t^2)^u (1 + log 1/(1-t^2))^{-v} dt is
+    # the ladder value with dim None: inf where it diverges, and at v = 0 the
+    # beta integral B(1/2, u+1)/2
+    got = radial_power_log_value(u, v)
     if u == -1.0 and v <= 1.0:
-        assert not got.finite and got.value == math.inf
+        assert math.isinf(got) and got > 0.0
     else:
-        assert got.finite and got.value == radial_power_log_value(u, v)
+        assert 0.0 < got < math.inf
+    if v == 0.0 and u > -1.0:
+        assert got == pytest.approx(0.5 * sbeta(0.5, u + 1.0), rel=1e-12)
 
 
 def test_radial_power_log_value_matches_normalization():

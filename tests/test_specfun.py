@@ -1,4 +1,5 @@
-"""Special-function layer: log-gamma with sign, Pochhammer, Gegenbauer."""
+"""Special-function layer: log-gamma with sign, Pochhammer, and the
+Gegenbauer polynomials behind the rows of `_accel.zonal_table`."""
 
 import math
 
@@ -7,9 +8,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import eval_gegenbauer, eval_legendre
+from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
-from bergbesov.specfun import PoleError, gegenbauer, log_gamma, log_pochhammer, pochhammer
+from bergbesov._accel import zonal_table
+from bergbesov.kernel import harmonic_dim
+from bergbesov.specfun import PoleError, log_gamma, log_pochhammer, pochhammer
 
 mpmath.mp.dps = 40
 
@@ -91,22 +94,69 @@ def test_log_pochhammer_handles_huge_arguments():
     assert lp == pytest.approx(math.lgamma(1e5 + 1.0), rel=1e-13)
 
 
+def _h(kmax, dim):
+    return np.array([harmonic_dim(k, dim) for k in range(kmax + 1)])
+
+
 def test_gegenbauer_half_is_legendre():
+    # dim 3: Z_k(u) = (2k+1) P_k(u), P_k the Legendre polynomial (lambda = 1/2)
     ts = np.linspace(-1.0, 1.0, 17)
-    for k in range(13):
-        for t in ts:
-            assert gegenbauer(k, 0.5, t) == pytest.approx(
-                float(eval_legendre(k, t)), rel=1e-11, abs=1e-13
-            )
+    table = zonal_table(40, ts, 3)
+    for k in range(41):
+        want = (2 * k + 1) * eval_legendre(k, ts)
+        assert np.all(np.abs(table[k] - want) <= 1e-12 * (2 * k + 1)), k
 
 
 def test_gegenbauer_matches_scipy():
-    for lam in (0.5, 1.0, 2.3):
-        for k in (0, 1, 2, 5, 9):
-            for t in (-0.95, -0.4, 0.0, 0.3, 0.99):
-                assert gegenbauer(k, lam, t) == pytest.approx(
-                    float(eval_gegenbauer(k, lam, t)), rel=1e-10, abs=1e-12
-                )
+    # Z_k(u) = (n+2k-2)/(n-2) C_k^{(n-2)/2}(u), to 1e-12 of its sup h_k
+    ts = np.array([-1.0, -0.95, -0.4, 0.0, 0.3, 0.99, 1.0])
+    for dim in (3, 4, 5, 8):
+        lam = 0.5 * (dim - 2.0)
+        table = zonal_table(60, ts, dim)
+        h = _h(60, dim)
+        for k in (0, 1, 2, 5, 9, 30, 60):
+            want = (dim + 2.0 * k - 2.0) / (dim - 2.0) * eval_gegenbauer(k, lam, ts)
+            assert np.all(np.abs(table[k] - want) <= 1e-12 * h[k]), (dim, k)
+
+
+def test_zonal_table_disk_is_chebyshev():
+    # dim 2: Z_k(u) = 2 T_k(u) for k >= 1, by the Chebyshev recurrence
+    ts = np.linspace(-1.0, 1.0, 401)
+    table = zonal_table(200, ts, 2)
+    assert np.all(table[0] == 1.0)
+    for k in range(1, 201):
+        assert np.all(np.abs(table[k] - 2.0 * eval_chebyt(k, ts)) <= 1e-12), k
+
+
+def test_gegenbauer_frozen_examples():
+    table = zonal_table(2, np.array([-0.4, 0.5, 1.0]), 4)
+    assert table[0].tolist() == [1.0, 1.0, 1.0]
+    assert table[1, 1] == 2.0  # Z_1 = n u
+    assert table[2, 2] == pytest.approx(9.0, rel=1e-14)  # Z_k(1) = h_k
+    assert zonal_table(0, np.array([0.3]), 6).tolist() == [[1.0]]
+
+
+def test_gegenbauer_quadratic_closed_form():
+    # Z_2(u) = (n+2)/2 (n u^2 - 1)
+    ts = np.array([-1.0, -0.7, -0.2, 0.0, 0.3, 0.75, 1.0])
+    for dim in range(2, 9):
+        want = 0.5 * (dim + 2.0) * (dim * ts * ts - 1.0)
+        got = zonal_table(2, ts, dim)[2]
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-14 * dim * dim), dim
+
+
+@given(
+    k=st.integers(min_value=0, max_value=60),
+    dim=st.integers(min_value=2, max_value=8),
+    t=st.floats(min_value=-1.0, max_value=1.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_gegenbauer_bounded_by_endpoint(k, dim, t):
+    # |Z_k(u)| <= Z_k(1) = h_k on [-1, 1]
+    table = zonal_table(k, np.array([t, 1.0]), dim)
+    bound = harmonic_dim(k, dim)
+    assert table[k, 1] == pytest.approx(bound, rel=1e-12)
+    assert abs(table[k, 0]) <= bound * (1.0 + 1e-12)
 
 
 def test_pochhammer_ratio_stirling_stabilizes():
@@ -120,36 +170,3 @@ def test_pochhammer_ratio_stirling_stabilizes():
         vals.append(math.exp(la - lb - (a - b) * math.log(c)))
     for prev, cur in zip(vals, vals[1:]):
         assert abs(cur / prev - 1.0) < 0.02
-
-
-def test_gegenbauer_frozen_examples():
-    assert gegenbauer(0, 2.2, -0.4) == 1.0
-    assert gegenbauer(1, 1.0, 0.5) == 1.0
-    assert gegenbauer(2, 1.0, 1.0) == pytest.approx(3.0, rel=1e-14)
-
-
-def test_gegenbauer_quadratic_closed_form():
-    # C_2^lam(t) = 2 lam (lam+1) t^2 - lam
-    lam, t = 0.75, 0.3
-    assert gegenbauer(2, lam, t) == pytest.approx(2 * lam * (lam + 1) * t * t - lam, rel=1e-14)
-
-
-def test_gegenbauer_validation():
-    with pytest.raises(ValueError):
-        gegenbauer(-1, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        gegenbauer(1.5, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        gegenbauer(2, -0.5, 0.0)
-
-
-@given(
-    k=st.integers(min_value=0, max_value=10),
-    lam=st.floats(min_value=0.05, max_value=3.0),
-    t=st.floats(min_value=-1.0, max_value=1.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_gegenbauer_bounded_by_endpoint(k, lam, t):
-    # for lam > 0 the max over [-1,1] is at t=1: C_k^lam(1) = (2 lam)_k / k!
-    bound = pochhammer(2.0 * lam, k) / math.factorial(k)
-    assert abs(gegenbauer(k, lam, t)) <= bound * (1.0 + 1e-12) + 1e-12
