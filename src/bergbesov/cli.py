@@ -7,8 +7,8 @@ literal, which json.loads accepts), all inputs echoed back for
 reproducibility.  Sweeps emit CSV with the fixed header
 b,c,alpha,beta,p,q,target,dim,bounded,part,binding_slack.  Exit codes:
 0 success, 2 malformed input or a value the numerics cannot certify (a
-kernel series past its truncation limit, a radial integral whose rule did
-not converge), 1 I/O failure.
+kernel series past its truncation limit or with both points on the
+sphere, a radial integral whose rule did not converge), 1 I/O failure.
 """
 
 import argparse
@@ -78,6 +78,8 @@ def _parse_point(text):
         vals = [float(s) for s in str(text).split(",") if s.strip() != ""]
     except ValueError:
         raise ValueError(f"cannot parse point {text!r}") from None
+    if not all(math.isfinite(v) for v in vals):
+        raise ValueError(f"point coordinates must be finite, got {text!r}")
     if len(vals) < 2:
         raise ValueError(f"points need at least 2 coordinates, got {text!r}")
     return np.asarray(vals, dtype=float)
@@ -152,11 +154,7 @@ def _cmd_kernel(args):
     if x.size != y.size:
         raise ValueError(f"x has dim {x.size} but y has dim {y.size}")
     spec = KernelSpec(args.alpha, x.size, args.tol)
-    try:
-        value, degree = kernel_eval_degree(spec, x, y)
-    except (KernelDivergenceError, TruncationLimitError) as exc:
-        # both points on the sphere, or |x||y| too close to 1 for MAX_DEGREE
-        raise ValueError(str(exc)) from exc
+    value, degree = kernel_eval_degree(spec, x, y)
     _print_json({"command": "kernel", "alpha": spec.alpha, "dim": spec.dim,
                  "tol": spec.tol, "x": x.tolist(), "y": y.tolist(),
                  "value": value, "truncation_degree": degree})
@@ -345,7 +343,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, TypeError, ConvergenceError) as exc:
+    except (ValueError, TypeError, ConvergenceError, KernelDivergenceError,
+            TruncationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -37,6 +37,8 @@ class HarmonicExpansion:
     def from_terms(cls, dim, terms):
         """Build from an iterable of (k, y, c) triples."""
         terms = list(terms)
+        if int(dim) != dim or any(int(k) != k for k, _, _ in terms):
+            raise ValueError("dim and degrees must be integers")
         degrees = np.array([int(k) for k, _, _ in terms], dtype=np.int64)
         anchors = np.array([np.asarray(y, dtype=float) for _, y, _ in terms], dtype=float)
         coefs = np.array([float(c) for _, _, c in terms], dtype=float)
@@ -132,6 +134,13 @@ def to_json(exp):
     return json.dumps(obj)
 
 
+def _field(record, key):
+    """record[key], or a ValueError that names the missing key."""
+    if not isinstance(record, dict) or key not in record:
+        raise ValueError(f"expansion JSON is missing {key!r} in {record!r}")
+    return record[key]
+
+
 def from_json(text):
     """Parse the to_json format, or a bare array of {k, y, c} records with the
     dimension inferred from the first anchor; validates degrees and anchor
@@ -140,8 +149,8 @@ def from_json(text):
     if isinstance(obj, list):
         if not obj:
             raise ValueError("bare-array expansion needs at least one term to fix dim")
-        records, dim = obj, len(obj[0]["y"])
+        records, dim = obj, len(_field(obj[0], "y"))
     else:
-        records, dim = obj["terms"], int(obj["dim"])
-    terms = [(t["k"], t["y"], t["c"]) for t in records]
+        records, dim = _field(obj, "terms"), _field(obj, "dim")
+    terms = [(_field(t, "k"), _field(t, "y"), _field(t, "c")) for t in records]
     return HarmonicExpansion.from_terms(dim, terms)

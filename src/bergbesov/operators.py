@@ -8,24 +8,22 @@ volume measure:
 
 Radial inputs collapse: the spherical mean of R_c(x, .) over a centered
 sphere equals R_c(x, 0) = 1, so T sends every radial function to the
-constant int_B f (1 - |y|^2)^b dnu, independent of both c and x.  The
-radial test family
+constant int_B f (1 - |y|^2)^b dnu, independent of both c and x.  Every
+input of the radial test family
 
     f_{u,v}(x) = (1 - |x|^2)^u (1 + log(1/(1 - |x|^2)))^{-v}
 
-therefore routes through a dedicated 1-D path: finiteness of its transform
-is decided by the exact dichotomy (finite iff b+u > -1, or b+u = -1 with
-v > 1), and the finite value comes from the log-space cutoff ladder.  The
-marginal divergences at b+u = -1, v <= 1 grow slower than any fixed-factor
-refinement rule, which is why the dichotomy, not a growth heuristic, is
-authoritative on this path.  Every other input goes through one evaluator,
-_image_polar, whether the caller wants the transform at a single point
-(apply_T, apply_T_report, projection_Q) or on the outer grid of an image
-norm: the full product rule, with the kernel's zonal series split into the
-evaluation radius and a zonal table over the sphere rule, and the series
-capped at the sphere rule's exactness degree (unresolved degrees alias, so
-they are dropped).  apply_T_report flags such inputs divergent on value
-growth under radial node doubling.
+is therefore answered by quadrature.radial_power_log_value(b + u, v), at
+every x and in every norm of the image: the full-interval 1-D integral,
+inf exactly when b+u < -1, or b+u = -1 with v <= 1.  apply_T_report adds
+the cutoff-ladder rungs of the same integral.  Every other input goes
+through one evaluator, _image_polar, whether the caller wants the
+transform at a single point (apply_T, apply_T_report, projection_Q) or on
+the outer grid of an image norm: the full product rule, with the kernel's
+zonal series split into the evaluation radius and a zonal table over the
+sphere rule, and the series capped at the sphere rule's exactness degree
+(unresolved degrees alias, so they are dropped).  apply_T_report flags
+such inputs divergent on value growth under radial node doubling.
 
 Weighted-space norms of transform images use the exact shift identity
 D_c^t (T_{b,c} f) = T_{b,c+t} f, so no derivative is ever formed
@@ -35,7 +33,6 @@ exponents a <= -1 (the weighted measure is no longer finite there).
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -98,6 +95,8 @@ class TestFunction:
     def __post_init__(self):
         object.__setattr__(self, "u", float(self.u))
         object.__setattr__(self, "v", float(self.v))
+        if not (math.isfinite(self.u) and math.isfinite(self.v)):
+            raise ValueError(f"u and v must be finite, got u={self.u}, v={self.v}")
 
     def __call__(self, x):
         return test_function_eval(self, x)
@@ -121,7 +120,7 @@ def as_ball_function(f, dim):
     Accepts TestFunction, HarmonicExpansion, a callable mapping an (m, dim)
     array to m values, or the string forms "const1", "fuv:u,v", and
     serialized-expansion JSON text.  The returned TestFunction, when present,
-    unlocks the exact radial fast paths.
+    selects the exact radial route (radial_power_log_value).
     """
     if isinstance(f, str):
         s = f.strip()
@@ -230,7 +229,7 @@ def _setup_point(x):
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValueError(f"points must have dimension >= 2, got shape {x.shape}")
-    if float(x @ x) >= 1.0:
+    if not float(x @ x) < 1.0:  # also rejects nan
         raise ValueError("evaluation point must lie in the open unit ball")
     return x
 
@@ -243,65 +242,30 @@ def _kernel_spec(c, dim, spec):
     return KernelSpec(c, dim, tol)
 
 
-def _radial_report(bexp, v, dim):
-    """Transform report for a radial f_{u,v}-type profile, bexp = b + u."""
-    finite = bexp > -1.0 or (bexp == -1.0 and v > 1.0)
-    ladder = radial_power_log_ladder(bexp, v, dim=dim)
-    value = radial_power_log_value(bexp, v, dim=dim) if finite else math.inf
-    return TransformReport(value, not finite, ladder.rungs, "radial-ladder")
-
-
-def _integrand_parts(b, fvec, tf, rule):
-    """Split the transform integrand as kernel factor times the rest.
-
-    Returns (inner rule with part of the weight absorbed into its nodes,
-    remaining weight exponent, callable for the non-kernel factor).  For test
-    functions with integrable combined power b+u the power is folded into the
-    node weight, leaving only the smooth log factor at the nodes.
-    """
-    b = float(b)
-    if tf is not None:
-        e = b + tf.u
-        u, v = tf.u, tf.v
-        if e > -1.0:
-
-            def rest(pts):
-                rr = np.sum(pts * pts, axis=1)
-                return (1.0 - np.log1p(-rr)) ** (-v)
-
-            return rule.with_jacobi_exponent(e), e, rest
-
-        def rest_raw(pts):
-            rr = np.sum(pts * pts, axis=1)
-            return (1.0 - rr) ** u * (1.0 - np.log1p(-rr)) ** (-v)
-
-        return rule.with_jacobi_exponent(0.0), b, rest_raw
-    absorb = b if b > -1.0 else 0.0
-    return rule.with_jacobi_exponent(absorb), b, fvec
-
-
-def _image_polar(b, fvec, tf, r_out, dirs, kspec, rule):
+def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
-    This is the one evaluator behind every non-radial path: the norms use
-    their outer grids, and apply_T, apply_T_report, projection_Q and the
-    constant-image check use a 1x1 grid (_image_at).  The zonal series
-    separates the evaluation radius from everything else: with S_k the
-    degree-k moment of the inner integrand against one outer direction, the
-    image at radius r is sum_k gamma_k r^k S_k.  Each direction therefore
-    costs one zonal table over the inner sphere rule instead of one series
-    per quadrature node.  The truncation degree is certified at the largest
-    radius pair and shared, then capped at the sphere rule's exactness:
-    degrees the rule cannot integrate would alias onto lower ones, so they
-    are dropped.
+    This is the one evaluator behind every input that is not a TestFunction:
+    the norms use their outer grids, and apply_T, apply_T_report and
+    projection_Q use a 1x1 grid (_image_at).  A weight exponent b > -1 is
+    folded into the inner radial nodes; below -1 the weight is applied at
+    the nodes.  The zonal series separates the evaluation radius from
+    everything else: with S_k the degree-k moment of the inner integrand
+    against one outer direction, the image at radius r is
+    sum_k gamma_k r^k S_k.  Each direction therefore costs one zonal table
+    over the inner sphere rule instead of one series per quadrature node.
+    The truncation degree is certified at the largest radius pair and
+    shared, then capped at the sphere rule's exactness: degrees the rule
+    cannot integrate would alias onto lower ones, so they are dropped.
     """
-    inner, weight_exp, rest = _integrand_parts(b, fvec, tf, rule)
+    b = float(b)
+    inner = rule.with_jacobi_exponent(b if b > -1.0 else 0.0)
     r_in, wr_in = inner.radial_rule()
     zeta_in, ws_in = inner.sphere_rule()
-    leftover = float(weight_exp) - inner.jacobi_exponent
+    leftover = b - inner.jacobi_exponent
     wr = wr_in * (1.0 - r_in**2) ** leftover if leftover != 0.0 else wr_in
     pts = (r_in[:, None, None] * zeta_in[None, :, :]).reshape(-1, kspec.dim)
-    rest_w = np.asarray(rest(pts), dtype=float).reshape(len(r_in), len(ws_in))
+    rest_w = np.asarray(fvec(pts), dtype=float).reshape(len(r_in), len(ws_in))
     rest_w = rest_w * ws_in[None, :]
     r_out = np.asarray(r_out, dtype=float)
     kmax = truncation_degree(kspec, float(r_out.max()), float(r_in.max()))
@@ -320,21 +284,21 @@ def _image_polar(b, fvec, tf, r_out, dirs, kspec, rule):
     return vals
 
 
-def _image_at(b, fvec, tf, x, kspec, rule):
+def _image_at(b, fvec, x, kspec, rule):
     """Transform value at the single point x: _image_polar on the 1x1 grid
     of radius |x| and direction x/|x| (any unit vector when x = 0)."""
     r = float(np.linalg.norm(x))
     zeta = x / r if r > 0.0 else np.eye(x.size)[0]
-    return float(_image_polar(b, fvec, tf, [r], zeta[None, :], kspec, rule)[0, 0])
+    return float(_image_polar(b, fvec, [r], zeta[None, :], kspec, rule)[0, 0])
 
 
 def apply_T(b, c, f, x, spec=None, rule=None):
     """Transform value at x: int_B R_c(x,y) f(y) (1-|y|^2)^b dnu(y).
 
-    f may be anything as_ball_function accepts.  At x = 0 the kernel factor
-    is identically 1 and TestFunction inputs are integrated by the exact
-    radial route (inf when divergent); elsewhere the product quadrature rule
-    is used as given.  Convergence diagnostics live in apply_T_report.
+    f may be anything as_ball_function accepts.  A TestFunction f_{u,v} has
+    the constant image radial_power_log_value(b + u, v) at every x (inf when
+    divergent); every other input is integrated by the product quadrature
+    rule as given.  Convergence diagnostics live in apply_T_report.
     """
     x = _setup_point(x)
     dim = x.size
@@ -343,19 +307,20 @@ def apply_T(b, c, f, x, spec=None, rule=None):
     elif rule.dim != dim:
         raise ValueError(f"rule dim {rule.dim} != point dim {dim}")
     fvec, tf = as_ball_function(f, dim)
-    if tf is not None and not np.any(x != 0.0):
-        return _radial_report(float(b) + tf.u, tf.v, dim).value
+    if tf is not None:
+        return radial_power_log_value(float(b) + tf.u, tf.v, dim=dim)
     kspec = _kernel_spec(c, dim, spec)
-    return _image_at(b, fvec, tf, x, kspec, rule)
+    return _image_at(b, fvec, x, kspec, rule)
 
 
 def apply_T_report(b, c, f, x, spec=None, rule=None):
     """Transform value with a divergence verdict.
 
     TestFunction inputs (radial, so the transform is the same constant at
-    every x) get the exact finiteness dichotomy in b+u and v plus the cutoff
-    ladder rungs.  Other inputs are evaluated at 1x, 2x, and 4x the rule's
-    radial nodes and flagged divergent when the magnitude grows beyond
+    every x) get radial_power_log_value, divergent exactly when it is inf,
+    plus the cutoff-ladder rungs of the same integral.  Other inputs are
+    evaluated at 1x, 2x, and 4x the rule's radial nodes and flagged
+    divergent when the magnitude grows beyond
     GROWTH_FACTOR across the two doublings, exceeds DIVERGENCE_CAP, or
     becomes non-finite.
     """
@@ -367,12 +332,15 @@ def apply_T_report(b, c, f, x, spec=None, rule=None):
         raise ValueError(f"rule dim {rule.dim} != point dim {dim}")
     fvec, tf = as_ball_function(f, dim)
     if tf is not None:
-        return _radial_report(float(b) + tf.u, tf.v, dim)
+        bexp = float(b) + tf.u
+        value = radial_power_log_value(bexp, tf.v, dim=dim)
+        rungs = radial_power_log_ladder(bexp, tf.v, dim=dim).rungs
+        return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
     kspec = _kernel_spec(c, dim, spec)
     refinements = []
     for mult in (1, 2, 4):
         nodes = rule.radial_nodes * mult
-        val = _image_at(b, fvec, tf, x, kspec, rule.with_radial_nodes(nodes))
+        val = _image_at(b, fvec, x, kspec, rule.with_radial_nodes(nodes))
         refinements.append((nodes, val))
     value = refinements[-1][1]
     first, last = abs(refinements[0][1]), abs(value)
@@ -436,21 +404,11 @@ def bloch_smoothing_order(beta):
     return t
 
 
-@lru_cache(maxsize=512)
-def _constant_image_check(b, c, u, v, dim):
-    """Spot-check that the transform of f_{u,v} is flat: compare the radial
-    route's constant against one kernel quadrature away from the origin.
-    Returns (constant, relative deviation)."""
-    tf = TestFunction(u, v)
-    const = _radial_report(b + u, v, dim).value
-    rule = BallQuadrature(dim, radial_nodes=64, sphere_nodes=32, mc_samples=1024)
-    kspec = KernelSpec(c, dim)
-    x = np.zeros(dim)
-    x[0] = 0.25
-    fvec, tf = as_ball_function(tf, dim)
-    probe = _image_at(b, fvec, tf, x, kspec, rule)
-    dev = abs(probe - const) / max(abs(const), 1e-30)
-    return const, dev
+def _constant_besov_norm(const, q, beta, t, dim):
+    """q-integral smoothness norm of the constant function const: every
+    derivative D_s^t of a constant is the constant itself, so the norm is
+    |const| (V_{beta+qt} / V_beta)^{1/q}, with V_beta = 1 when beta <= -1."""
+    return abs(const) * (normalization_V(beta + q * t, dim) / _v_or_one(beta, dim)) ** (1.0 / q)
 
 
 def _resolve_dim(f, rule, dim):
@@ -483,10 +441,11 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
         ((1/V_beta) int_B |T_{b,c+t} f|^q (1-|x|^2)^{beta+qt} dnu)^{1/q},
 
     using V_beta = 1 when beta <= -1.  Any admissible non-negative integer t
-    may be forced instead (all choices give equivalent norms).  TestFunction
-    inputs use the exact radial route (the image is a constant), cross-checked
-    against one kernel quadrature off the origin; other inputs evaluate the
-    transform on a reduced outer grid, so expect desk-scale accuracy only.
+    may be forced instead (all choices give equivalent norms).  A TestFunction
+    f_{u,v} has the constant image radial_power_log_value(b + u, v), whose
+    norm is exactly its absolute value times (V_{beta+qt} / V_beta)^{1/q};
+    other inputs evaluate the transform on a reduced outer grid, so expect
+    desk-scale accuracy only.
     rule is the inner quadrature for the transform; outer_rule overrides the
     norm grid.
     """
@@ -504,21 +463,17 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
     fvec, tf = as_ball_function(f, n)
     s = float(c)
     if tf is not None:
-        rep = _radial_report(float(b) + tf.u, tf.v, n)
-        if rep.divergent or not math.isfinite(rep.value):
+        const = radial_power_log_value(float(b) + tf.u, tf.v, dim=n)
+        if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
-        const, dev = _constant_image_check(float(b), s + t, tf.u, tf.v, n)
-        if dev <= 5e-3:
-            value = abs(const) * (normalization_V(beta + q * t, n)
-                                  / _v_or_one(beta, n)) ** (1.0 / q)
-            return NormResult(float(value), s, t, False)
+        return NormResult(_constant_besov_norm(const, q, beta, t, n), s, t, False)
     kspec = _kernel_spec(s + t, n, spec)
     inner = rule if rule is not None else _default_inner(n)
     outer = outer_rule if outer_rule is not None else _default_outer(inner)
     outer = outer.with_jacobi_exponent(beta + q * t)
     r_out, wr_out = outer.radial_rule()
     zeta_out, ws_out = outer.sphere_rule()
-    img = _image_polar(b, fvec, tf, r_out, zeta_out, kspec, inner)
+    img = _image_polar(b, fvec, r_out, zeta_out, kspec, inner)
     raw = float((np.abs(img) ** q @ ws_out) @ wr_out)
     if not math.isfinite(raw):
         return NormResult(math.inf, s, t, True)
@@ -533,8 +488,9 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
     s = c, returns sup (1-|x|^2)^{beta+t} |T_{b,c+t} f| over a log-spaced
     radial grid times the outer rule's sphere directions (a lower estimate
     of the true supremum).  Any admissible non-negative integer t may be
-    forced instead.  TestFunction inputs short-circuit through the radial
-    route: the image is constant, so the sup is its absolute value.
+    forced instead.  A TestFunction f_{u,v} has the constant image
+    radial_power_log_value(b + u, v), so the sup is its absolute value: the
+    weight (1-|x|^2)^{beta+t} peaks at 1 at the origin.
     """
     b, c, f = g
     beta = float(beta)
@@ -547,18 +503,16 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
     fvec, tf = as_ball_function(f, n)
     s = float(c)
     if tf is not None:
-        rep = _radial_report(float(b) + tf.u, tf.v, n)
-        if rep.divergent or not math.isfinite(rep.value):
+        const = radial_power_log_value(float(b) + tf.u, tf.v, dim=n)
+        if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
-        const, dev = _constant_image_check(float(b), s + t, tf.u, tf.v, n)
-        if dev <= 5e-3:
-            return NormResult(abs(const), s, t, False)
+        return NormResult(abs(const), s, t, False)
     kspec = _kernel_spec(s + t, n, spec)
     inner = rule if rule is not None else _default_inner(n)
     outer = outer_rule if outer_rule is not None else _default_outer(inner)
     r = np.sqrt(-np.expm1(-_SUP_GRID))
     zeta, _ = outer.sphere_rule()
-    img = _image_polar(b, fvec, tf, r, zeta, kspec, inner)
+    img = _image_polar(b, fvec, r, zeta, kspec, inner)
     weighted = (1.0 - r * r)[:, None] ** (beta + t) * np.abs(img)
     value = float(np.max(weighted))
     if not math.isfinite(value):

@@ -31,18 +31,13 @@ from .classifier import OperatorParams, Target, classify
 from .kernel import KernelSpec, kernel_eval_batch
 from .operators import (
     TestFunction,
+    _constant_besov_norm,
     besov_smoothing_order,
     lp_membership_analytic,
     test_function_lp_norm,
     transform_finite_analytic,
 )
-from .quadrature import (
-    DEFAULT_LEVELS,
-    _v_or_one,
-    normalization_V,
-    radial_power_log_ladder,
-    radial_power_log_value,
-)
+from .quadrature import DEFAULT_LEVELS, radial_power_log_ladder, radial_power_log_value
 
 __all__ = [
     "ProbeEvidence",
@@ -173,11 +168,10 @@ def _constant_target_norm(cval, target, params):
     if math.isinf(cval):
         return math.inf
     a = abs(cval)
-    n, be = params.dim, params.beta
+    be = params.beta
     if target is Target.BESOV:
         q = params.q.raw
-        t = besov_smoothing_order(be, q)
-        return a * (normalization_V(be + q * t, n) / _v_or_one(be, n)) ** (1.0 / q)
+        return _constant_besov_norm(cval, q, be, besov_smoothing_order(be, q), params.dim)
     if target is Target.LEBESGUE:
         if be <= -1.0:
             return math.inf if a > 0.0 else 0.0
@@ -216,10 +210,7 @@ def ratio_probe(params, family=None, target=None, growth_threshold=GROWTH_THRESH
     ratios = []
     for tf in family:
         src = test_function_lp_norm(tf, p_raw, params.alpha, params.dim)
-        if transform_finite_analytic(params.b, tf):
-            image = radial_power_log_value(params.b + tf.u, tf.v, dim=params.dim)
-        else:
-            image = math.inf
+        image = radial_power_log_value(params.b + tf.u, tf.v, dim=params.dim)
         tnorm = _constant_target_norm(image, target, params)
         if math.isinf(tnorm):
             ratios.append(math.inf)

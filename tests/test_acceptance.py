@@ -166,7 +166,7 @@ def test_criterion_3_projection_reproduces_harmonics():
                 else:
                     # grid evaluator shared with the norm paths; spot-tie it
                     # to the public single-point projection below
-                    img = _image_polar(alpha, f, None, radii, dirs,
+                    img = _image_polar(alpha, f, radii, dirs,
                                        KernelSpec(alpha, dim), rule) / vnorm
                     vals = img.reshape(-1)
                     for idx in (3, 17):

@@ -82,6 +82,39 @@ def test_kernel_both_points_on_sphere_is_input_error():
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
+ONE_TERM = '{"dim":2,"terms":[{"k":1,"y":[0.5,0],"c":1}]}'
+APPLY = ("apply", "--b", "0", "--c", "0")
+# id: (arguments, a fragment the error line must hold)
+MALFORMED = {
+    # a kernel series that cannot be certified below MAX_DEGREE
+    "apply-uncertifiable": (APPLY + ("--f", ONE_TERM, "--x", "0.99999999,0"), "200000 terms"),
+    "apply-x-nan": (APPLY + ("--f", ONE_TERM, "--x", "nan,0"), "finite"),
+    "kernel-y-inf": (("kernel", "--alpha", "0", "--x", "0.1,0", "--y", "0,inf"), "finite"),
+    "fuv-nan": (APPLY + ("--f", "fuv:nan,0", "--x", "0.1,0"), "finite"),
+    "fuv-inf": (("norm", "--f", "fuv:0.5,-inf", "--p", "2"), "finite"),
+    "json-no-dim": (APPLY + ("--f", '{"terms":[]}', "--x", "0.1,0"), "missing 'dim'"),
+    "json-no-terms": (APPLY + ("--f", '{"dim":2}', "--x", "0.1,0"), "missing 'terms'"),
+    "json-no-k": (APPLY + ("--f", '{"dim":2,"terms":[{"y":[0.5,0],"c":1}]}', "--x", "0.1,0"),
+                  "missing 'k'"),
+    "json-no-y": (APPLY + ("--f", '{"dim":2,"terms":[{"k":1,"c":1}]}', "--x", "0.1,0"),
+                  "missing 'y'"),
+    "json-no-c": (("norm", "--b", "0", "--c", "0", "--q", "2",
+                   "--f", '{"dim":2,"terms":[{"k":1,"y":[0.5,0]}]}'), "missing 'c'"),
+    "json-fractional-k": (APPLY + ("--f", '{"dim":2,"terms":[{"k":1.5,"y":[0.5,0],"c":1}]}',
+                                   "--x", "0.1,0"), "integer"),
+    "json-fractional-dim": (APPLY + ("--f", '{"dim":2.5,"terms":[{"k":1,"y":[0.5,0],"c":1}]}',
+                                     "--x", "0.1,0"), "integer"),
+}
+
+
+@pytest.mark.parametrize("args, fragment", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_or_uncertifiable_input_exits_2(args, fragment):
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert fragment in proc.stderr
+
+
 KERNEL_STDOUT = {
     ("--alpha", "0.7", "--x", "0.3,0.1", "--y", "0.5,-0.2"): """{
   "command": "kernel",

@@ -233,6 +233,8 @@ def test_from_json_accepts_bare_record_array():
     assert evaluate(f, np.zeros(2)) == 2.0
     with pytest.raises(ValueError):
         from_json("[]")
+    with pytest.raises(ValueError, match="'y'"):
+        from_json('[{"k": 0, "c": 2.0}]')
 
 
 def test_validation_errors():

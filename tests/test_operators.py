@@ -2,11 +2,14 @@
 family, membership ladders, and norms of transform images."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import beta as sbeta
 
+from bergbesov import operators
+from bergbesov.classifier import OperatorParams
 from bergbesov.expansion import HarmonicExpansion, apply_D, evaluate
 from bergbesov.kernel import (
     KernelSpec,
@@ -37,6 +40,7 @@ from bergbesov.operators import (
     test_function_lp_norm as fuv_lp_norm,
     transform_finite_analytic,
 )
+from bergbesov.probe import ratio_probe
 from bergbesov.quadrature import BallQuadrature, integrate_ball, normalization_V
 
 RNG = np.random.default_rng(61)
@@ -126,16 +130,32 @@ def test_apply_T_marginal_log_value():
 
 
 def test_apply_T_divergent_radial_is_inf():
-    assert apply_T(0.0, 0.0, Fuv(-1.0, 1.0), np.zeros(2)) == math.inf
-    assert apply_T(0.0, 0.0, Fuv(-2.0, 0.0), np.zeros(3)) == math.inf
+    # the image of a radial input is the same constant at every x, so a
+    # divergent one is inf everywhere, not only at the origin
+    for x in (np.zeros(2), np.array([0.3, 0.2])):
+        x3 = np.append(x, 0.1 if x.any() else 0.0)
+        assert apply_T(0.0, 0.0, Fuv(-1.0, 1.0), x) == math.inf
+        assert apply_T(0.0, 0.0, Fuv(-2.0, 0.0), x3) == math.inf
+        assert apply_T(-1.5, 0.0, "const1", x) == math.inf
+        assert apply_T(0.0, 0.0, Fuv(-2.0, 0.0), x) == math.inf
+        assert projection_Q(0.0, Fuv(-1.0, 1.0), x) == math.inf
+        assert projection_Q(0.5, "fuv:-1.5,0.5", x3) == math.inf
+    with pytest.raises(ValueError):
+        apply_T(0.0, 0.0, "const1", np.array([math.nan, 0.0]))
 
 
-def test_apply_T_constant_image_off_origin():
-    # radial input: kernel quadrature at x != 0 reproduces the radial constant
+def test_apply_T_radial_image_is_the_same_constant_off_origin():
+    # a TestFunction takes the 1-D route at every x, bit for bit; the same
+    # function as a plain callable goes through the kernel quadrature, whose
+    # radial nodes cannot absorb its (1-|y|^2)^{-1/2} factor, so it gets 128
     tf = Fuv(-0.5, 1.0)
+    x = np.array([0.3, 0.2])
     const = apply_T(0.0, 0.0, tf, np.zeros(2))
-    off = apply_T(0.0, 0.0, tf, np.array([0.3, 0.2]), rule=SMALL_RULE_2)
-    assert off == pytest.approx(const, rel=1e-3)
+    assert apply_T(0.0, 0.0, tf, x, rule=SMALL_RULE_2) == const
+    assert apply_T(0.0, 3.0, tf, x) == const
+    rule = BallQuadrature(dim=2, radial_nodes=128, sphere_nodes=64)
+    wrapped = apply_T(0.0, 0.0, lambda pts: fuv_eval(tf, pts), x, rule=rule)
+    assert wrapped == pytest.approx(const, rel=1e-3)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -155,7 +175,7 @@ def test_apply_T_at_origin_is_the_ball_integral(dim):
 def _image_at_point(f, x, spec, rule):
     """_image_polar on the 1x1 grid (|x|, x/|x|), b = 0."""
     r = float(np.linalg.norm(x))
-    return _image_polar(0.0, f, None, [r], (x / r)[None, :], spec, rule)[0, 0]
+    return _image_polar(0.0, f, [r], (x / r)[None, :], spec, rule)[0, 0]
 
 
 def test_image_polar_caps_degree_at_sphere_exactness(monkeypatch):
@@ -452,6 +472,51 @@ def test_bloch_norm_constant_image():
     assert bloch_norm((0.0, 0.0, "const1"), 0.0, dim=2).t == 1
     with pytest.raises(ValueError):
         bloch_norm((0.0, 0.0, "const1"), 0.0, dim=2, t=0)
+
+
+def _ball_V(a, dim):
+    """V_a = int_B (1-|x|^2)^a dnu = (n/2) B(n/2, a+1), or 1 for a <= -1."""
+    return dim / 2.0 * sbeta(dim / 2.0, a + 1.0) if a > -1.0 else 1.0
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_radial_image_norms_are_exact(dim):
+    # the image of f_{u,0} under weight b is the constant V_{b+u}
+    for b, c, u, q, beta in [(0.0, 0.25, 0.4, 3.0, -2.5), (0.5, -1.0, -1.2, 2.0, 0.0),
+                             (-0.5, 2.0, 0.0, 1.0, -1.0), (0.0, 0.0, 0.3, 2.0, -3.0)]:
+        const = _ball_V(b + u, dim)
+        res = besov_norm((b, c, Fuv(u, 0.0)), q, beta, dim=dim)
+        t = besov_smoothing_order(beta, q)
+        want = const * (_ball_V(beta + q * t, dim) / _ball_V(beta, dim)) ** (1.0 / q)
+        assert res.t == t and not res.divergent
+        assert res.value == pytest.approx(want, rel=1e-12)
+        res = bloch_norm((b, c, Fuv(u, 0.0)), beta, dim=dim)
+        assert not res.divergent and res.value == pytest.approx(const, rel=1e-12)
+    if dim == 4:
+        res = besov_norm((0.0, 0.25, Fuv(0.4, 0.0)), 3.0, -2.5, dim=4)
+        assert res.value == pytest.approx(0.48271444409312, rel=1e-12)
+
+
+def test_radial_inputs_never_reach_the_kernel_quadrature(monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("a TestFunction reached _image_polar")
+
+    monkeypatch.setattr(operators, "_image_polar", boom)
+    for dim in range(2, 7):
+        x = np.full(dim, 0.7 / math.sqrt(dim))
+        origin = np.zeros(dim)
+        for f in (Fuv(-0.3, 0.5), "const1", "fuv:-2,0"):
+            values = [apply_T(0.2, 1.5, f, pt) for pt in (origin, x)]
+            assert values[0] == values[1]
+            values = [projection_Q(0.2, f, pt) for pt in (origin, x)]
+            assert values[0] == values[1]
+            reports = [apply_T_report(0.2, 1.5, f, pt) for pt in (origin, x)]
+            assert reports[0] == reports[1]
+            besov_norm((0.2, 1.5, f), 2.0, -2.0, dim=dim)
+            bloch_norm((0.2, 1.5, f), -0.5, dim=dim)
+        params = OperatorParams(b=1.0, c=0.0, alpha=0.3, beta=0.5, p=2.0, q=3.0, dim=dim)
+        assert ratio_probe(params, target="besov").evidence
+        assert ratio_probe(replace(params, q=math.inf), target="bloch").evidence
 
 
 def test_bloch_norm_divergent_input():
