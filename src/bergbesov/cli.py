@@ -24,7 +24,6 @@ from .kernel import KernelDivergenceError, KernelSpec, TruncationLimitError, ker
 from .operators import apply_T_report, as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
 from .probe import finiteness_probe, kernel_floor_probe, ratio_probe
 from .quadrature import (
-    DEFAULT_MC_SAMPLES,
     DEFAULT_RADIAL_NODES,
     DEFAULT_SPHERE_NODES,
     BallQuadrature,
@@ -116,8 +115,7 @@ def _build_params(args):
 
 def _build_rule(args, dim):
     return BallQuadrature(dim, radial_nodes=args.radial_nodes,
-                          sphere_nodes=args.sphere_nodes,
-                          mc_samples=args.mc_samples, seed=args.seed)
+                          sphere_nodes=args.sphere_nodes)
 
 
 def _add_param_flags(sp):
@@ -133,8 +131,6 @@ def _add_param_flags(sp):
 def _add_rule_flags(sp, radial=DEFAULT_RADIAL_NODES, sphere=DEFAULT_SPHERE_NODES):
     sp.add_argument("--radial-nodes", type=int, default=radial)
     sp.add_argument("--sphere-nodes", type=int, default=sphere)
-    sp.add_argument("--mc-samples", type=int, default=DEFAULT_MC_SAMPLES)
-    sp.add_argument("--seed", type=int, default=0)
 
 
 def _cmd_classify(args):

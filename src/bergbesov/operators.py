@@ -79,7 +79,6 @@ __all__ = [
 # costs a full inner quadrature, so the outer resolution stays modest.
 _OUTER_RADIAL = 24
 _OUTER_SPHERE = 32
-_OUTER_MC = 512
 # Default inner rule when the caller supplies none (norm paths only).
 _INNER_RADIAL = 48
 _INNER_SPHERE = 48
@@ -119,8 +118,9 @@ def as_ball_function(f, dim):
 
     Accepts TestFunction, HarmonicExpansion, a callable mapping an (m, dim)
     array to m values, or the string forms "const1", "fuv:u,v", and
-    serialized-expansion JSON text.  The returned TestFunction, when present,
-    selects the exact radial route (radial_power_log_value).
+    serialized-expansion JSON text (an object or a bare record array).  The
+    returned TestFunction, when present, selects the exact radial route
+    (radial_power_log_value).
     """
     if isinstance(f, str):
         s = f.strip()
@@ -131,7 +131,7 @@ def as_ball_function(f, dim):
             if len(parts) != 2:
                 raise ValueError(f"expected 'fuv:u,v', got {f!r}")
             f = TestFunction(float(parts[0]), float(parts[1]))
-        elif s.startswith("{"):
+        elif s.startswith(("{", "[")):
             f = expansion_from_json(s)
         else:
             raise ValueError(f"unknown function spec {f!r}; "
@@ -208,15 +208,12 @@ def sup_membership(tf, alpha):
 
 
 def test_function_lp_norm(tf, p, alpha, dim):
-    """Numeric norm of f_{u,v} in the alpha-weighted p-space (inf when the
-    membership ladder diverges); finite values use the full-interval
-    double-exponential integral; weight normalization uses V_alpha, or 1 for
-    alpha <= -1."""
+    """Numeric norm of f_{u,v} in the alpha-weighted p-space: the
+    full-interval double-exponential integral, inf exactly on the divergent
+    side (alpha + pu < -1, or = -1 with pv <= 1); weight normalization uses
+    V_alpha, or 1 for alpha <= -1."""
     if p == math.inf:
         return sup_membership(tf, alpha).value
-    ladder = lp_membership(tf, p, alpha, dim)
-    if not ladder.finite:
-        return math.inf
     raw = radial_power_log_value(float(alpha) + p * tf.u, p * tf.v, dim=dim)
     return (raw / _v_or_one(alpha, dim)) ** (1.0 / p)
 
@@ -268,10 +265,8 @@ def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     rest_w = np.asarray(fvec(pts), dtype=float).reshape(len(r_in), len(ws_in))
     rest_w = rest_w * ws_in[None, :]
     r_out = np.asarray(r_out, dtype=float)
-    kmax = truncation_degree(kspec, float(r_out.max()), float(r_in.max()))
-    cap = inner.sphere_exactness()
-    if cap is not None:
-        kmax = min(kmax, cap)
+    kmax = min(truncation_degree(kspec, float(r_out.max()), float(r_in.max())),
+               inner.sphere_exactness())
     gam = gamma_coefs(kmax, kspec.alpha, kspec.dim)
     ks = np.arange(kmax + 1, dtype=float)
     in_pow = np.power(r_in[None, :], ks[:, None])
@@ -428,8 +423,7 @@ def _default_inner(dim):
 def _default_outer(inner):
     return replace(inner,
                    radial_nodes=min(inner.radial_nodes, _OUTER_RADIAL),
-                   sphere_nodes=max(min(inner.sphere_nodes, _OUTER_SPHERE), 4),
-                   mc_samples=min(inner.mc_samples, _OUTER_MC))
+                   sphere_nodes=max(min(inner.sphere_nodes, _OUTER_SPHERE), 4))
 
 
 def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None):

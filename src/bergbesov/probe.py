@@ -184,18 +184,17 @@ def _constant_target_norm(cval, target, params):
     return a
 
 
-def ratio_probe(params, family=None, target=None, growth_threshold=GROWTH_THRESHOLD,
-                plateau_band=PLATEAU_BAND, levels=DEFAULT_LEVELS):
+def ratio_probe(params, family=None, target=None):
     """Track target-norm(T f) / source-norm(f) across a radial family.
 
-    Growth beyond growth_threshold (or an infinite ratio) is divergence
+    Growth beyond GROWTH_THRESHOLD (or an infinite ratio) is divergence
     evidence; otherwise the family plateaus.  Predicted growth: the verdict
     is unbounded through the strict first inequality or a target-weight
     obstruction.  Unbounded verdicts that fail only the c-inequality are
     tagged c_blind (radial families cannot witness them) and predicted to
     plateau.  Family members must lie in the source space; extending the
-    family toward smaller offsets and deepening `levels` are the refinement
-    knobs.  An empty family yields empty evidence.
+    family toward smaller offsets is the refinement knob.  An empty family
+    yields empty evidence.
     """
     target = _infer_target(params, target)
     verdict = classify(params, target)
@@ -225,7 +224,7 @@ def ratio_probe(params, family=None, target=None, growth_threshold=GROWTH_THRESH
     elif not finite or finite[0] <= 0.0:
         grew = False
     else:
-        grew = max(finite) / finite[0] > growth_threshold
+        grew = max(finite) / finite[0] > GROWTH_THRESHOLD
     obstruction = len(verdict.inequalities) == 1
     predicted_growth = obstruction or not verdict.inequalities[0].ok
     c_blind = (not verdict.bounded) and not predicted_growth
@@ -234,9 +233,9 @@ def ratio_probe(params, family=None, target=None, growth_threshold=GROWTH_THRESH
     detail = {
         "ratios": ratios,
         "family_u": [tf.u for tf in family],
-        "growth_threshold": growth_threshold,
+        "growth_threshold": GROWTH_THRESHOLD,
         "plateau_spread": spread,
-        "plateau_band": plateau_band,
+        "plateau_band": PLATEAU_BAND,
         "predicted_growth": predicted_growth,
         "c_blind": c_blind,
     }

@@ -7,9 +7,11 @@ Geometry: the ball integral with normalized volume measure factorizes as
 u = r^2, F the spherical mean.  The radial factor is handled by Gauss-Jacobi
 nodes in u so that an integrable weight singularity at the boundary
 (w in (-1, 0)) is absorbed into the rule rather than sampled.  The spherical
-mean uses the uniform trapezoid rule on the circle (dim 2), a Gauss-Legendre
-(polar) x trapezoid (azimuth) product (dim 3), and seeded Monte Carlo via
-normalized Gaussians (dim >= 4).
+mean uses one recursive product rule in every dimension (Stroud, Approximate
+Calculation of Multiple Integrals, 1971): the uniform trapezoid rule on the
+circle, and for each further dimension a polar factor of Gauss-Jacobi nodes.
+Every rule integrates spherical harmonics exactly up to a known degree,
+BallQuadrature.sphere_exactness().
 
 Radial profiles with boundary weight (1-r^2)^B (1 + log 1/(1-r^2))^{-V} get a
 dedicated 1-D treatment in the variable w = log 1/(1-r^2): a double-exponential
@@ -36,7 +38,6 @@ __all__ = [
     "ConvergenceError",
     "DEFAULT_RADIAL_NODES",
     "DEFAULT_SPHERE_NODES",
-    "DEFAULT_MC_SAMPLES",
     "GROWTH_FACTOR",
     "gauss_jacobi",
     "normalization_V",
@@ -52,7 +53,9 @@ __all__ = [
 
 DEFAULT_RADIAL_NODES = 128
 DEFAULT_SPHERE_NODES = 256
-DEFAULT_MC_SAMPLES = 4096
+# Node budget of a sphere rule in dim >= 4: without it the default
+# sphere_nodes would give 524 288 nodes in dim 4 and 33.5 M in dim 5.
+_SPHERE_BUDGET = 4096
 
 # Factor-of-growth across two ladder doublings that flags divergence.
 GROWTH_FACTOR = 4.0
@@ -87,17 +90,18 @@ class BallQuadrature:
     """Descriptor for the product rule; node arrays are built lazily and cached.
 
     sphere_nodes is the circle count for dim 2; for dim 3 it is split into a
-    sphere_nodes//4 polar by sphere_nodes//2 azimuth product.  mc_samples and
-    seed apply to dim >= 4 only.  jacobi_exponent is the radial weight folded
-    into node generation; integrate_ball applies any difference between the
-    requested weight and this exponent as an explicit factor at the nodes.
+    sphere_nodes//4 polar by sphere_nodes//2 azimuth product (each at least
+    8).  In dim >= 4 every polar factor starts from dim 3's count, with twice
+    as many azimuth points, and the polar count drops until the rule has at
+    most 4 096 nodes (but stays >= 2).  jacobi_exponent is the radial weight
+    folded into node generation; integrate_ball applies any difference
+    between the requested weight and this exponent as an explicit factor at
+    the nodes.
     """
 
     dim: int
     radial_nodes: int = DEFAULT_RADIAL_NODES
     sphere_nodes: int = DEFAULT_SPHERE_NODES
-    mc_samples: int = DEFAULT_MC_SAMPLES
-    seed: int = 0
     jacobi_exponent: float = 0.0
 
     def __post_init__(self):
@@ -107,8 +111,6 @@ class BallQuadrature:
             raise ValueError("radial_nodes must be >= 1")
         if self.sphere_nodes < 4:
             raise ValueError("sphere_nodes must be >= 4")
-        if self.mc_samples < 2:
-            raise ValueError("mc_samples must be >= 2")
         if not self.jacobi_exponent > -1.0:
             raise ValueError("jacobi_exponent must exceed -1")
         object.__setattr__(self, "dim", int(self.dim))
@@ -127,34 +129,25 @@ class BallQuadrature:
 
     def sphere_rule(self):
         """(unit vectors (S, dim), weights (S,)): weights sum to 1."""
-        return _sphere_rule(self.dim, self.sphere_nodes, self.mc_samples, self.seed)
+        return _sphere_rule(self.dim, self.sphere_nodes)
 
     def sphere_exactness(self):
         """Largest spherical-harmonic degree the sphere rule integrates
-        exactly, or None for the Monte Carlo rules (dim >= 4), which have no
-        such threshold.  Kernel-quadrature callers cap their series here:
+        exactly: azim - 1 for the circle, and min(2 polar - 1, azim - 1) for
+        the product rules.  Kernel-quadrature callers cap their series here:
         degrees the rule cannot integrate alias onto lower ones instead of
         averaging to zero, so dropping them is the smaller error.
         """
-        if self.dim == 2:
-            return self.sphere_nodes - 1
-        if self.dim == 3:
-            polar = max(self.sphere_nodes // 4, 8)
-            azim = max(self.sphere_nodes // 2, 8)
-            return min(2 * polar - 1, azim - 1)
-        return None
+        polar, azim = _sphere_counts(self.dim, self.sphere_nodes)
+        return azim - 1 if self.dim == 2 else min(2 * polar - 1, azim - 1)
 
     def describe(self):
-        d = {
+        return {
             "dim": self.dim,
             "radial_nodes": self.radial_nodes,
             "sphere_nodes": self.sphere_nodes,
             "jacobi_exponent": self.jacobi_exponent,
         }
-        if self.dim >= 4:
-            d["mc_samples"] = self.mc_samples
-            d["seed"] = self.seed
-        return d
 
 
 def _endpoint_coefs(m, a, b):
@@ -209,9 +202,13 @@ def gauss_jacobi(m, a, b):
     log_p1 = np.where(right, math.fsum(np.log1p(a / kk)), math.fsum(np.log1p(b / kk)))
     logw = -np.log(y * (2.0 - y)) - 2.0 * (log_p1 + np.log(np.abs(slope)))
     w = np.exp(logw - logw.max())
-    mu0 = math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
-                   - math.lgamma(a + b + 2.0))
-    return side * (1.0 - y), w * (mu0 / w.sum())
+    return side * (1.0 - y), w * (_jacobi_mass(a, b) / w.sum())
+
+
+def _jacobi_mass(a, b):
+    """Zeroth moment 2^{a+b+1} B(a+1, b+1) of (1-x)^a (1+x)^b on [-1, 1]."""
+    return math.exp((a + b + 1.0) * math.log(2.0) + math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                    - math.lgamma(a + b + 2.0))
 
 
 @lru_cache(maxsize=256)
@@ -222,48 +219,47 @@ def _radial_rule(dim, m, exponent):
     return r, scale * w
 
 
-@lru_cache(maxsize=64)
-def _sphere_rule(dim, sphere_nodes, mc_samples, seed):
+def _sphere_counts(dim, sphere_nodes):
+    """(polar, azimuth) node counts of the sphere rule; dim 2 has no polar
+    factor.  In dim >= 4 the polar count starts from dim 3's and drops until
+    the rule's 2 polar^(dim-1) nodes fit _SPHERE_BUDGET, stopping at 2."""
     if dim == 2:
-        theta = 2.0 * np.pi * np.arange(sphere_nodes) / sphere_nodes
-        pts = np.column_stack([np.cos(theta), np.sin(theta)])
-        wts = np.full(sphere_nodes, 1.0 / sphere_nodes)
-        return pts, wts
+        return 0, sphere_nodes
+    polar = max(sphere_nodes // 4, 8)
     if dim == 3:
-        polar = max(sphere_nodes // 4, 8)
-        azim = max(sphere_nodes // 2, 8)
-        mu, v = gauss_jacobi(polar, 0.0, 0.0)
-        theta = 2.0 * np.pi * np.arange(azim) / azim
-        sin_phi = np.sqrt(1.0 - mu**2)
-        pts = np.empty((polar * azim, 3))
-        pts[:, 0] = (sin_phi[:, None] * np.cos(theta)[None, :]).ravel()
-        pts[:, 1] = (sin_phi[:, None] * np.sin(theta)[None, :]).ravel()
-        pts[:, 2] = np.repeat(mu, azim)
-        wts = np.repeat(0.5 * v / azim, azim)
-        return pts, wts
-    rng = np.random.default_rng(seed)
-    g = rng.standard_normal((mc_samples, dim))
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0.0] = 1.0
-    pts = g / norms[:, None]
-    wts = np.full(mc_samples, 1.0 / mc_samples)
-    return pts, wts
+        return polar, max(sphere_nodes // 2, 8)
+    while polar > 2 and 2 * polar ** (dim - 1) > _SPHERE_BUDGET:
+        polar -= 1
+    return polar, 2 * polar
+
+
+@lru_cache(maxsize=64)
+def _sphere_rule(dim, sphere_nodes):
+    """Recursive product rule on S^{dim-1} (Stroud 1971): the circle
+    trapezoid rule, then for d = 3..dim a polar factor of Gauss-Jacobi nodes
+    t for the weight (1-t^2)^{(d-3)/2}, with the (d-1)-rule scaled by
+    sqrt(1-t^2) and t appended as the last coordinate.  Polar weights are
+    divided by the weight's exact zeroth moment and the product by the
+    azimuth count last, so that dim 3 is the Gauss-Legendre x trapezoid
+    product bit for bit."""
+    polar, azim = _sphere_counts(dim, sphere_nodes)
+    theta = 2.0 * np.pi * np.arange(azim) / azim
+    pts = np.column_stack([np.cos(theta), np.sin(theta)])
+    wts = np.ones(azim)
+    for d in range(3, dim + 1):
+        a = 0.5 * d - 1.5
+        t, v = gauss_jacobi(polar, a, a)
+        ring = (np.sqrt(1.0 - t**2)[:, None, None] * pts[None, :, :]).reshape(-1, d - 1)
+        pts = np.column_stack([ring, np.repeat(t, len(wts))])
+        wts = np.outer(v / _jacobi_mass(a, a), wts).ravel()
+    return pts, wts / azim
 
 
 def integrate_sphere(f, rule):
-    """(value, stderr) of the normalized spherical mean of f.
-
-    stderr is the Monte Carlo standard error for dim >= 4 and 0.0 for the
-    deterministic rules.
-    """
+    """Normalized spherical mean of f on the rule's sphere nodes; exact for
+    polynomials of degree up to rule.sphere_exactness()."""
     pts, wts = rule.sphere_rule()
-    vals = np.asarray(f(pts), dtype=float)
-    value = float(np.sum(vals * wts))
-    if rule.dim >= 4:
-        err = float(np.std(vals, ddof=1) / math.sqrt(len(vals)))
-    else:
-        err = 0.0
-    return value, err
+    return float(np.sum(np.asarray(f(pts), dtype=float) * wts))
 
 
 def integrate_ball(f, weight_exponent, rule):

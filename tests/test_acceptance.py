@@ -20,7 +20,6 @@ from bergbesov.operators import (
 )
 from bergbesov.probe import boundary_suite, default_ratio_family, finiteness_probe, ratio_probe
 from bergbesov.quadrature import (
-    DEFAULT_LEVELS,
     BallQuadrature,
     normalization_V,
     radial_power_log_ladder,
@@ -399,10 +398,9 @@ def test_criterion_8_probe_agreement():
             ratio_bad.append((par, target))
     rate = (len(suite) - len(ratio_bad)) / len(suite)
     unresolved = []
-    deeper = DEFAULT_LEVELS + (1024.0, 2048.0)
     for par, target in ratio_bad:
         fam = default_ratio_family(par, deltas=(0.2, 0.1, 0.05, 0.025, 0.0125, 0.00625))
-        if not ratio_probe(par, family=fam, target=target, levels=deeper).agree:
+        if not ratio_probe(par, family=fam, target=target).agree:
             unresolved.append((par, target))
     elapsed = time.perf_counter() - t0
     ok = (not finiteness_bad and rate >= 0.9 and not unresolved

@@ -184,6 +184,29 @@ def test_apply_constant_function():
     assert abs(out["value"] - 1.0) < 1e-8
 
 
+def test_apply_accepts_bare_array_expansion_json():
+    # the bare record array is the from_json form without "dim"; apart from
+    # the echoed f, the output equals that of the {"dim", "terms"} form
+    bare = run_json(*APPLY, "--f", '[{"k":1,"y":[0.5,0],"c":1}]', "--x", "0.3,0.1")
+    full = run_json(*APPLY, "--f", ONE_TERM, "--x", "0.3,0.1")
+    assert bare.pop("f") != full.pop("f")
+    assert bare == full
+
+
+@pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
+def test_removed_sampling_flags_are_rejected(flag):
+    proc = run_cli(*APPLY, "--f", "const1", "--x", "0.1,0", flag, "3")
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+
+
+def test_norm_source_space_just_inside_the_boundary():
+    # alpha + p u = -0.99: finite, 606 030 100 up to the binary rounding of u
+    out = run_json("norm", "--f", "fuv:-0.99,-3", "--p", "1", "--alpha", "0")
+    assert out["finite"] is True
+    assert out["value"] == pytest.approx(606030099.99999785, rel=1e-12)
+
+
 def test_norm_source_space_fixture():
     out = run_json("norm", "--f", "const1", "--p", "2", "--alpha", "0.5")
     assert out["mode"] == "source-space"

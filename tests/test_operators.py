@@ -12,6 +12,7 @@ from bergbesov import operators
 from bergbesov.classifier import OperatorParams
 from bergbesov.expansion import HarmonicExpansion, apply_D, evaluate
 from bergbesov.kernel import (
+    MAX_DEGREE,
     KernelSpec,
     gamma_coef,
     gamma_coefs,
@@ -163,7 +164,7 @@ def test_apply_T_at_origin_is_the_ball_integral(dim):
     # R_c(0, y) = 1, so the one-point evaluator at x = 0 is the plain
     # weighted integral of f over the same nodes
     f = lambda pts: np.cos(pts[:, 0]) + pts[:, -1] ** 2 - 0.3 * pts[:, 1]
-    base = BallQuadrature(dim, radial_nodes=24, sphere_nodes=32, mc_samples=256)
+    base = BallQuadrature(dim, radial_nodes=24, sphere_nodes=32)
     for b in (0.0, 0.5, -1.5):
         # the evaluator folds b > -1 into the radial nodes; below -1 it
         # applies the weight at the nodes, as integrate_ball does
@@ -202,7 +203,7 @@ def test_image_polar_caps_degree_at_sphere_exactness(monkeypatch):
 
     # without the cap the evaluator sums the full certified series, which
     # on four circle nodes aliases the dropped degrees back in
-    monkeypatch.setattr(BallQuadrature, "sphere_exactness", lambda self: None)
+    monkeypatch.setattr(BallQuadrature, "sphere_exactness", lambda self: MAX_DEGREE)
     uncapped = _image_at_point(f, x, spec, coarse)
     full = integrate_ball(lambda pts: kernel_eval_batch(spec, x, pts) * f(pts), 0.0, coarse)
     assert uncapped == pytest.approx(full, rel=1e-12)
@@ -415,6 +416,20 @@ def test_test_function_lp_norm_values():
     assert fuv_lp_norm(Fuv(0.0, 0.0), 3.0, 0.7, 3) == pytest.approx(
         1.0, rel=1e-9
     )
+    # alpha + p u = -0.99 is just inside the space: the w-integrand is
+    # (1+w)^3 e^{-w/100}, whose integral is 606 030 100 for the decimal u
+    # (mpmath, 30 digits, at the binary u = -0.99)
+    assert fuv_lp_norm(Fuv(-0.99, -3.0), 1.0, 0.0, 2) == pytest.approx(
+        606030099.99999785, rel=1e-12
+    )
+
+
+def test_projection_dim4_degree_two_is_exact():
+    # x1 x2 is harmonic, so Q reproduces it; the dim-4 sphere rule is exact
+    # to degree 23, and a Monte Carlo sphere average missed by 9.8e-3 here
+    x = 0.5 * np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
+    got = projection_Q(0.0, lambda pts: pts[:, 0] * pts[:, 1], x)
+    assert abs(got - 0.125) < 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Quadrature layer: ball/sphere product rules, normalization constants,
 weighted norms, and the radial log-weight integrals with their ladders."""
 
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from scipy.special import beta as sbeta
 
 from bergbesov.quadrature import (
     BallQuadrature,
+    gauss_jacobi,
     integrate_ball,
     integrate_sphere,
     lp_norm,
@@ -75,19 +78,14 @@ def test_sphere_rule_weights_and_moments():
         assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
         mean = wts @ pts
         second = wts @ (pts[:, 0] ** 2)
-        if dim <= 3:
-            assert np.max(np.abs(mean)) < 1e-13
-            assert second == pytest.approx(1.0 / dim, rel=1e-12)
-        else:
-            assert np.max(np.abs(mean)) < 0.05
-            assert second == pytest.approx(1.0 / dim, abs=0.02)
+        assert np.max(np.abs(mean)) < 1e-13
+        assert second == pytest.approx(1.0 / dim, rel=1e-12)
 
 
 def test_circle_rule_trig_exactness():
     rule = BallQuadrature(dim=2, sphere_nodes=64)
     for k in (1, 5, 31):
-        val, err = integrate_sphere(lambda pts: np.cos(k * np.arctan2(pts[:, 1], pts[:, 0]) + 0.3), rule)
-        assert err == 0.0
+        val = integrate_sphere(lambda pts: np.cos(k * np.arctan2(pts[:, 1], pts[:, 0]) + 0.3), rule)
         assert abs(val) < 1e-14
 
 
@@ -97,14 +95,87 @@ def test_sphere_exactness_thresholds():
     assert BallQuadrature(dim=3, sphere_nodes=48).sphere_exactness() == 23
     assert BallQuadrature(dim=3).sphere_exactness() == 127
     assert BallQuadrature(dim=3, sphere_nodes=16).sphere_exactness() == 7
-    assert BallQuadrature(dim=4).sphere_exactness() is None
+    # dim >= 4: the polar count drops from 64 until the rule fits 4 096 nodes
+    for dim, nodes, exactness in ((4, 3456, 23), (5, 2592, 11), (6, 2048, 7),
+                                  (7, 1458, 5), (8, 256, 3)):
+        rule = BallQuadrature(dim=dim)
+        assert rule.sphere_exactness() == exactness
+        assert len(rule.sphere_rule()[1]) == nodes <= 4096
+    assert BallQuadrature(dim=4, sphere_nodes=32).sphere_exactness() == 15
+    # the polar count stops at 2 even past the budget
+    assert BallQuadrature(dim=13).sphere_exactness() == 3
+
+
+def _sphere_monomial_mean(a):
+    """Exact normalized mean of prod x_i^{a_i} over S^{n-1}:
+    prod Gamma((a_i+1)/2) Gamma(n/2) / (pi^{n/2} Gamma((n+sum a)/2)), which for
+    even a_i = 2 b_i is prod (2 b_i - 1)!! / prod_{j < sum b} (n + 2j)."""
+    if any(k % 2 for k in a):
+        return 0.0
+    num = math.prod(math.prod(range(1, k, 2)) for k in a)
+    return float(Fraction(num, math.prod(len(a) + 2 * j for j in range(sum(a) // 2))))
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6])
+def test_sphere_rule_is_exact_to_its_degree(dim):
+    # every monomial of degree <= E, against its closed-form sphere mean
+    rule = BallQuadrature(dim=dim)
+    top = rule.sphere_exactness()
+    pts, wts = rule.sphere_rule()
+    powers = pts.T[:, None, :] ** np.arange(top + 1)[None, :, None]
+    count = 0
+    for a in itertools.product(range(top + 1), repeat=dim):
+        if sum(a) > top:
+            continue
+        vals = np.prod(powers[np.arange(dim), a], axis=0)
+        assert abs(float(vals @ wts) - _sphere_monomial_mean(a)) < 1e-15, a
+        count += 1
+    assert count == math.comb(top + dim, dim)
+    # one degree past E the rule is no longer exact
+    past = integrate_sphere(lambda p: p[:, 0] ** (top + 1), rule)
+    assert abs(past - _sphere_monomial_mean((top + 1,) + (0,) * (dim - 1))) > 1e-12
+
+
+# Frozen from the Gauss-Legendre x trapezoid dim-3 rule and the dim-2 circle
+# rule as they were before the recursive rule replaced them: (sphere_nodes,
+# node index, node, weight).
+_FROZEN_DIM3_NODES = (
+    (256, 0, (0.03727510645815235, 0.0, -0.9993050417357722), 6.965940319126702e-06),
+    (256, 777, (0.2919556681169249, 0.13808474714112198, -0.9464113748584029), 6.142980654697157e-05),
+    (256, 4096, (0.9997034876638201, 0.0, 0.024350292663424478), 0.00019019905081695188),
+    (256, 8191, (0.03723020695996665, -0.0018290027842084585, 0.9993050417357722), 6.965940319126683e-06),
+    (48, 5, (0.049473530458328877, 0.18463772930028977, -0.9815606342467192), 0.0009828195080523298),
+    (48, 100, (0.4649462303172142, 0.8053104936970359, -0.36783149899818024), 0.004864427844549059),
+)
+
+
+@pytest.mark.parametrize("sphere_nodes", [16, 32, 48, 64, 128, 256])
+def test_dim2_and_dim3_rules_are_unchanged(sphere_nodes):
+    # the circle trapezoid rule and the Gauss-Legendre (polar) x trapezoid
+    # (azimuth) product, built as they were before the recursion, bit for bit
+    theta = 2.0 * np.pi * np.arange(sphere_nodes) / sphere_nodes
+    pts, wts = BallQuadrature(dim=2, sphere_nodes=sphere_nodes).sphere_rule()
+    assert np.array_equal(pts, np.column_stack([np.cos(theta), np.sin(theta)]))
+    assert np.array_equal(wts, np.full(sphere_nodes, 1.0 / sphere_nodes))
+    polar, azim = max(sphere_nodes // 4, 8), max(sphere_nodes // 2, 8)
+    mu, v = gauss_jacobi(polar, 0.0, 0.0)
+    theta = 2.0 * np.pi * np.arange(azim) / azim
+    sin_phi = np.sqrt(1.0 - mu**2)
+    pts, wts = BallQuadrature(dim=3, sphere_nodes=sphere_nodes).sphere_rule()
+    assert np.array_equal(pts[:, 0], (sin_phi[:, None] * np.cos(theta)[None, :]).ravel())
+    assert np.array_equal(pts[:, 1], (sin_phi[:, None] * np.sin(theta)[None, :]).ravel())
+    assert np.array_equal(pts[:, 2], np.repeat(mu, azim))
+    assert np.array_equal(wts, np.repeat(0.5 * v / azim, azim))
+    for nodes, i, node, weight in _FROZEN_DIM3_NODES:
+        if nodes == sphere_nodes:
+            assert tuple(pts[i]) == node and wts[i] == weight
 
 
 def test_circle_rule_aliases_at_node_count():
     # one past the exactness threshold the mean-zero mode folds onto the
     # constant: cos(N * 2*pi*j/N) = 1 at every node
     rule = BallQuadrature(dim=2, sphere_nodes=64)
-    val, _ = integrate_sphere(lambda pts: np.cos(64 * np.arctan2(pts[:, 1], pts[:, 0])), rule)
+    val = integrate_sphere(lambda pts: np.cos(64 * np.arctan2(pts[:, 1], pts[:, 0])), rule)
     assert val == pytest.approx(1.0, abs=1e-12)
 
 
@@ -112,26 +183,9 @@ def test_sphere_rule_refinement_consistency_dim3():
     def f(pts):
         return (0.3 + pts[:, 0]) ** 2 * pts[:, 2] ** 2
 
-    coarse, _ = integrate_sphere(f, BallQuadrature(dim=3, sphere_nodes=128))
-    fine, _ = integrate_sphere(f, BallQuadrature(dim=3, sphere_nodes=256))
+    coarse = integrate_sphere(f, BallQuadrature(dim=3, sphere_nodes=128))
+    fine = integrate_sphere(f, BallQuadrature(dim=3, sphere_nodes=256))
     assert coarse == pytest.approx(fine, rel=1e-12)
-
-
-def test_monte_carlo_sphere_determinism_and_stderr():
-    rule = BallQuadrature(dim=4, mc_samples=4096, seed=11)
-
-    def f(pts):
-        return pts[:, 0] ** 2
-
-    v1, e1 = integrate_sphere(f, rule)
-    v2, e2 = integrate_sphere(f, rule)
-    assert v1 == v2 and e1 == e2
-    assert e1 > 0.0
-    v3, _ = integrate_sphere(f, BallQuadrature(dim=4, mc_samples=4096, seed=12))
-    assert v3 != v1
-    _, e4 = integrate_sphere(f, BallQuadrature(dim=4, mc_samples=4 * 4096, seed=11))
-    # 1/sqrt(m) scaling: quadrupled samples halve the standard error
-    assert 0.3 < e4 / e1 < 0.8
 
 
 def test_integrate_ball_constant():
@@ -310,12 +364,14 @@ def test_rule_validation_and_updates():
         BallQuadrature(dim=2, radial_nodes=0)
     with pytest.raises(ValueError):
         BallQuadrature(dim=2, sphere_nodes=3)
-    with pytest.raises(ValueError):
-        BallQuadrature(dim=4, mc_samples=1)
+    with pytest.raises(TypeError):
+        BallQuadrature(dim=4, mc_samples=4096)
     with pytest.raises(ValueError):
         BallQuadrature(dim=2, jacobi_exponent=-1.0)
     rule = BallQuadrature(dim=3)
     assert rule.with_jacobi_exponent(0.5).jacobi_exponent == 0.5
     assert rule.with_radial_nodes(32).radial_nodes == 32
     assert "mc_samples" not in rule.describe()
-    assert "mc_samples" in BallQuadrature(dim=5).describe()
+    described = BallQuadrature(dim=5).describe()
+    assert set(described) == {"dim", "radial_nodes", "sphere_nodes", "jacobi_exponent"}
+    assert "mc_samples" not in described and "seed" not in described

@@ -1,7 +1,8 @@
 """Tooling guards: every program function the benchmark's tracer wraps still
 exists, so a rename or a deletion fails here instead of crashing a traced
-benchmark run with AttributeError; and every private module-level function
-and constant of the package is still used somewhere in it."""
+benchmark run with AttributeError; every private module-level function
+and constant of the package is still used somewhere in it; and no module
+draws random numbers."""
 
 import ast
 import importlib
@@ -73,3 +74,28 @@ def test_every_private_module_name_is_used_in_src():
             if not any(name in used for _, other, used in stmts if other is not stmt):
                 unused.append(f"{fname}:{stmt.lineno} {name}")
     assert not unused, unused
+
+
+def test_no_module_draws_random_numbers():
+    # every rule is deterministic: no import of random, and no read of
+    # np.random or numpy.random
+    found = []
+    for fname in sorted(os.listdir(SRC)):
+        if not fname.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=fname)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                mods = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module}.{alias.name}" for alias in node.names]
+            elif (isinstance(node, ast.Attribute) and node.attr == "random"
+                  and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                mods = ["numpy.random"]
+            else:
+                continue
+            if any(m == "random" or m.startswith("random.") or m.startswith("numpy.random")
+                   for m in mods):
+                found.append(f"{fname}:{node.lineno}")
+    assert not found, found
