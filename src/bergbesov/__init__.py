@@ -11,97 +11,66 @@ radial test family, and smoothness norms on top; `classifier` is the pure
 inequality system deciding boundedness of T_{b,c} between weighted spaces;
 `probe` cross-checks those verdicts against observed numerics; `cli` exposes
 everything as subcommands.
+
+Each public name is imported from its submodule on first access (PEP 562),
+so `import bergbesov` loads no submodule and the classifier runs without
+NumPy.
 """
 
-from .classifier import (
-    ExtExponent,
-    Inequality,
-    OperatorParams,
-    Target,
-    Verdict,
-    classify,
-    conjugate,
-    reduce_to_unweighted,
-)
-from .expansion import HarmonicExpansion, apply_D, apply_I, evaluate, evaluate_many
-from .expansion import from_json as expansion_from_json
-from .expansion import to_json as expansion_to_json
-from .kernel import (
-    MAX_DEGREE,
-    KernelDivergenceError,
-    KernelSpec,
-    TruncationLimitError,
-    gamma_coef,
-    gamma_coefs,
-    harmonic_dim,
-    kernel_eval,
-    kernel_eval_batch,
-    truncation_degree,
-    zonal_harmonic,
-)
-from .operators import (
-    NormResult,
-    TestFunction,
-    TransformReport,
-    apply_T,
-    apply_T_derivative,
-    apply_T_report,
-    as_ball_function,
-    besov_norm,
-    besov_smoothing_order,
-    bloch_norm,
-    bloch_smoothing_order,
-    lp_membership,
-    lp_membership_analytic,
-    projection_Q,
-    sup_membership,
-    test_function_eval,
-    test_function_lp_norm,
-    transform_finite_analytic,
-)
-from .probe import (
-    ProbeEvidence,
-    ProbeReport,
-    boundary_suite,
-    default_ratio_family,
-    finiteness_probe,
-    kernel_floor_probe,
-    ratio_probe,
-)
-from .quadrature import (
-    BallQuadrature,
-    ConvergenceError,
-    LadderResult,
-    integrate_ball,
-    integrate_sphere,
-    lp_norm,
-    normalization_V,
-    radial_power_log_ladder,
-    weighted_sup_ladder,
-)
-from .specfun import PoleError, log_gamma, log_pochhammer, pochhammer
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ExtExponent", "Inequality", "OperatorParams", "Target", "Verdict",
-    "classify", "conjugate", "reduce_to_unweighted",
-    "HarmonicExpansion", "apply_D", "apply_I", "evaluate", "evaluate_many",
-    "expansion_from_json", "expansion_to_json",
-    "MAX_DEGREE", "KernelDivergenceError", "KernelSpec", "TruncationLimitError",
-    "gamma_coef", "gamma_coefs", "harmonic_dim", "kernel_eval", "kernel_eval_batch",
-    "truncation_degree", "zonal_harmonic",
-    "NormResult", "TestFunction", "TransformReport", "apply_T",
-    "apply_T_derivative", "apply_T_report", "as_ball_function", "besov_norm",
-    "besov_smoothing_order", "bloch_norm", "bloch_smoothing_order",
-    "lp_membership", "lp_membership_analytic", "projection_Q",
-    "sup_membership", "test_function_eval", "test_function_lp_norm",
-    "transform_finite_analytic",
-    "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",
-    "finiteness_probe", "kernel_floor_probe", "ratio_probe",
-    "BallQuadrature", "ConvergenceError", "LadderResult", "integrate_ball",
-    "integrate_sphere", "lp_norm", "normalization_V",
-    "radial_power_log_ladder", "weighted_sup_ladder",
-    "PoleError", "log_gamma", "log_pochhammer", "pochhammer",
-    "__version__",
-]
+# Every public name by the submodule it comes from.
+_EXPORTS = {
+    "classifier": (
+        "ExtExponent", "Inequality", "OperatorParams", "Target", "Verdict",
+        "classify", "conjugate", "reduce_to_unweighted",
+    ),
+    "expansion": (
+        "HarmonicExpansion", "apply_D", "apply_I", "evaluate", "evaluate_many",
+        "expansion_from_json", "expansion_to_json",
+    ),
+    "kernel": (
+        "MAX_DEGREE", "KernelDivergenceError", "KernelSpec", "TruncationLimitError",
+        "gamma_coef", "gamma_coefs", "harmonic_dim", "kernel_eval", "kernel_eval_batch",
+        "truncation_degree", "zonal_harmonic",
+    ),
+    "operators": (
+        "NormResult", "TestFunction", "TransformReport", "apply_T",
+        "apply_T_derivative", "apply_T_report", "as_ball_function", "besov_norm",
+        "besov_smoothing_order", "bloch_norm", "bloch_smoothing_order",
+        "lp_membership", "lp_membership_analytic", "projection_Q",
+        "sup_membership", "test_function_eval", "test_function_lp_norm",
+        "transform_finite_analytic",
+    ),
+    "probe": (
+        "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",
+        "finiteness_probe", "kernel_floor_probe", "ratio_probe",
+    ),
+    "quadrature": (
+        "BallQuadrature", "ConvergenceError", "LadderResult", "integrate_ball",
+        "integrate_sphere", "lp_norm", "normalization_V",
+        "radial_power_log_ladder", "weighted_sup_ladder",
+    ),
+    "specfun": ("PoleError", "log_gamma", "log_pochhammer", "pochhammer"),
+}
+# Public names that differ from the submodule's own name.
+_RENAMED = {"expansion_from_json": "from_json", "expansion_to_json": "to_json"}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), _RENAMED.get(name, name))
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))
+
+
+__all__ = [*_ORIGIN, "__version__"]

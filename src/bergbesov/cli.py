@@ -15,21 +15,13 @@ import argparse
 import itertools
 import json
 import math
+import numbers
 import sys
 
-import numpy as np
-
+# Only the classifier and the errors load here: classify and sweep never
+# import NumPy, and every other command imports its numerics when it runs.
 from .classifier import ExtExponent, OperatorParams, Target, classify
-from .kernel import KernelDivergenceError, KernelSpec, TruncationLimitError, kernel_eval_degree
-from .operators import apply_T_report, as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
-from .probe import finiteness_probe, kernel_floor_probe, ratio_probe
-from .quadrature import (
-    DEFAULT_RADIAL_NODES,
-    DEFAULT_SPHERE_NODES,
-    BallQuadrature,
-    ConvergenceError,
-    lp_norm,
-)
+from .errors import ConvergenceError, KernelDivergenceError, TruncationLimitError
 
 __all__ = ["main"]
 
@@ -59,9 +51,9 @@ def _emit(obj, indent=0):
         return "[\n" + ",\n".join(rows) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, numbers.Integral):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, numbers.Real):
         return _jfloat(float(obj))
     if obj is None:
         return "null"
@@ -73,6 +65,8 @@ def _print_json(obj):
 
 
 def _parse_point(text):
+    import numpy as np
+
     try:
         vals = [float(s) for s in str(text).split(",") if s.strip() != ""]
     except ValueError:
@@ -82,6 +76,23 @@ def _parse_point(text):
     if len(vals) < 2:
         raise ValueError(f"points need at least 2 coordinates, got {text!r}")
     return np.asarray(vals, dtype=float)
+
+
+def _linspace(start, stop, count):
+    """np.linspace(start, stop, count).tolist() in Python floats, bit for bit:
+    start + i*step (i/div*delta when step underflows to 0), the last value
+    set to stop."""
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0.0:
+        vals = [i / div * delta + start for i in range(count)]
+    else:
+        vals = [i * step + start for i in range(count)]
+    vals[-1] = stop
+    return vals
 
 
 def _parse_values(spec, allow_inf=False):
@@ -97,7 +108,7 @@ def _parse_values(spec, allow_inf=False):
             count = int(parts[2])
             if count < 1:
                 raise ValueError(f"range count must be >= 1 in {item!r}")
-            vals.extend(np.linspace(float(parts[0]), float(parts[1]), count).tolist())
+            vals.extend(_linspace(float(parts[0]), float(parts[1]), count))
         elif allow_inf and item.lower() in ("inf", "infinity", "oo"):
             vals.append(math.inf)
         else:
@@ -114,8 +125,10 @@ def _build_params(args):
 
 
 def _build_rule(args, dim):
-    return BallQuadrature(dim, radial_nodes=args.radial_nodes,
-                          sphere_nodes=args.sphere_nodes)
+    from .quadrature import BallQuadrature
+
+    given = {"radial_nodes": args.radial_nodes, "sphere_nodes": args.sphere_nodes}
+    return BallQuadrature(dim, **{k: v for k, v in given.items() if v is not None})
 
 
 def _add_param_flags(sp):
@@ -128,7 +141,9 @@ def _add_param_flags(sp):
     sp.add_argument("--dim", type=int, default=2)
 
 
-def _add_rule_flags(sp, radial=DEFAULT_RADIAL_NODES, sphere=DEFAULT_SPHERE_NODES):
+def _add_rule_flags(sp, radial=None, sphere=None):
+    # None keeps BallQuadrature's own default, so building the parser
+    # imports no numerics
     sp.add_argument("--radial-nodes", type=int, default=radial)
     sp.add_argument("--sphere-nodes", type=int, default=sphere)
 
@@ -145,6 +160,8 @@ def _cmd_classify(args):
 
 
 def _cmd_kernel(args):
+    from .kernel import KernelSpec, kernel_eval_degree
+
     x = _parse_point(args.x)
     y = _parse_point(args.y)
     if x.size != y.size:
@@ -158,6 +175,8 @@ def _cmd_kernel(args):
 
 
 def _cmd_apply(args):
+    from .operators import apply_T_report
+
     x = _parse_point(args.x)
     rule = _build_rule(args, x.size)
     report = apply_T_report(args.b, args.c, args.f, x, rule=rule)
@@ -169,6 +188,9 @@ def _cmd_apply(args):
 
 
 def _cmd_norm(args):
+    from .operators import as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
+    from .quadrature import lp_norm
+
     dim = args.dim
     if (args.b is None) != (args.c is None):
         raise ValueError("--b and --c must be given together (transform-image mode)")
@@ -214,6 +236,8 @@ def _cmd_norm(args):
 
 
 def _cmd_probe(args):
+    from .probe import finiteness_probe, kernel_floor_probe, ratio_probe
+
     if args.kind == "floor":
         eps = kernel_floor_probe(args.alpha, args.dim)
         _print_json({"command": "probe", "kind": "floor", "alpha": args.alpha,
@@ -233,27 +257,20 @@ def _cmd_probe(args):
 
 def _cmd_sweep(args):
     target = Target.parse(args.target)
-    grids = [
-        _parse_values(args.b),
-        _parse_values(args.c),
-        _parse_values(args.alpha),
-        _parse_values(args.beta),
-        [ExtExponent.parse(v) for v in _parse_values(args.p, allow_inf=True)],
-        [ExtExponent.parse(v) for v in _parse_values(args.q, allow_inf=True)],
-    ]
+    # each grid value as (value, its CSV field), formatted once
+    grids = [[(v, "%.17g" % v) for v in _parse_values(spec)]
+             for spec in (args.b, args.c, args.alpha, args.beta)]
+    for spec in (args.p, args.q):
+        exps = [ExtExponent.parse(v) for v in _parse_values(spec, allow_inf=True)]
+        grids.append([(e, str(e)) for e in exps])
+    fixed = f"{target.value},{args.dim}"
     lines = [CSV_HEADER]
-    for b, c, al, be, p, q in itertools.product(*grids):
+    for (b, bs), (c, cs), (al, als), (be, bes), (p, ps), (q, qs) in itertools.product(*grids):
         params = OperatorParams(b=b, c=c, alpha=al, beta=be, p=p, q=q, dim=args.dim)
         verdict = classify(params, target)
-        fields = ["%.17g" % v for v in (b, c, al, be)]
-        fields.append(str(params.p))
-        fields.append(str(params.q))
-        fields.append(target.value)
-        fields.append(str(params.dim))
-        fields.append("true" if verdict.bounded else "false")
-        fields.append(verdict.part)
-        fields.append("%.17g" % verdict.binding_slack)
-        lines.append(",".join(fields))
+        lines.append(f"{bs},{cs},{als},{bes},{ps},{qs},{fixed},"
+                     f"{'true' if verdict.bounded else 'false'},{verdict.part},"
+                     f"{'%.17g' % verdict.binding_slack}")
     text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)

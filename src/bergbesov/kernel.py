@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
+from .errors import KernelDivergenceError, TruncationLimitError
 
 __all__ = [
     "KernelSpec",
@@ -35,14 +36,6 @@ __all__ = [
 
 # Hard ceiling on series degree; reached only for |x||y| extremely close to 1.
 MAX_DEGREE = 200_000
-
-
-class KernelDivergenceError(ArithmeticError):
-    """Kernel series evaluated with both arguments on the unit sphere."""
-
-
-class TruncationLimitError(RuntimeError):
-    """Certified tail bound still above tol at MAX_DEGREE (|x||y| too close to 1)."""
 
 
 @dataclass(frozen=True)
@@ -146,7 +139,7 @@ def _harmonic_dims(ks, dim):
     return out
 
 
-def truncation_degree(spec, rx, ry):
+def truncation_degree(spec, rx, ry, cap=None):
     """Smallest K whose certified tail bound falls below spec.tol.
 
     The tail sum_{j>K} gamma_j h_j t^j (t = rx*ry < 1) is dominated by the
@@ -154,6 +147,10 @@ def truncation_degree(spec, rx, ry):
     minimal with respect to that certificate.  Monotone: nondecreasing in
     rx*ry, nonincreasing in tol.  Degrees are scanned in doubling vectorized
     blocks so near-boundary products (K in the tens of thousands) stay cheap.
+
+    A caller that sums no further than degree cap passes it: the scan stops
+    there and returns min(K, cap), so a K past MAX_DEGREE raises
+    TruncationLimitError only when cap is None or not below MAX_DEGREE.
     """
     if rx < 0.0 or ry < 0.0:
         raise ValueError("radii must be non-negative")
@@ -167,11 +164,12 @@ def truncation_degree(spec, rx, ry):
     factorial_branch = _uses_factorial_branch(alpha, dim)
     big_a = 1.0 - (n2 + alpha)
     a = 1.0 + n2 + alpha
+    last = MAX_DEGREE if cap is None else min(int(cap), MAX_DEGREE)
     gam_prev = 1.0
     lo = 1
     block = 512
-    while lo <= MAX_DEGREE:
-        hi = min(lo + block - 1, MAX_DEGREE)
+    while lo <= last:
+        hi = min(lo + block - 1, last)
         ks = np.arange(lo, hi + 1, dtype=float)
         km1 = ks - 1.0
         if factorial_branch:
@@ -190,6 +188,8 @@ def truncation_degree(spec, rx, ry):
         gam_prev = float(gam[-1])
         lo = hi + 1
         block = min(2 * block, 65536)
+    if last < MAX_DEGREE:
+        return last
     raise TruncationLimitError(
         f"tail bound did not reach tol={tol} within {MAX_DEGREE} terms (t={t})"
     )

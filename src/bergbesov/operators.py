@@ -239,6 +239,11 @@ def _kernel_spec(c, dim, spec):
     return KernelSpec(c, dim, tol)
 
 
+def _inner_rule(b, rule):
+    """The rule with a weight exponent b > -1 folded into its radial nodes."""
+    return rule.with_jacobi_exponent(b if b > -1.0 else 0.0)
+
+
 def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
@@ -252,11 +257,12 @@ def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     sum_k gamma_k r^k S_k.  Each direction therefore costs one zonal table
     over the inner sphere rule instead of one series per quadrature node.
     The truncation degree is certified at the largest radius pair and
-    shared, then capped at the sphere rule's exactness: degrees the rule
-    cannot integrate would alias onto lower ones, so they are dropped.
+    shared, capped at the sphere rule's exactness: degrees the rule cannot
+    integrate would alias onto lower ones, so they are dropped, and the
+    certificate is not searched past the cap.
     """
     b = float(b)
-    inner = rule.with_jacobi_exponent(b if b > -1.0 else 0.0)
+    inner = _inner_rule(b, rule)
     r_in, wr_in = inner.radial_rule()
     zeta_in, ws_in = inner.sphere_rule()
     leftover = b - inner.jacobi_exponent
@@ -265,8 +271,8 @@ def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     rest_w = np.asarray(fvec(pts), dtype=float).reshape(len(r_in), len(ws_in))
     rest_w = rest_w * ws_in[None, :]
     r_out = np.asarray(r_out, dtype=float)
-    kmax = min(truncation_degree(kspec, float(r_out.max()), float(r_in.max())),
-               inner.sphere_exactness())
+    kmax = truncation_degree(kspec, float(r_out.max()), float(r_in.max()),
+                             cap=inner.sphere_exactness())
     gam = gamma_coefs(kmax, kspec.alpha, kspec.dim)
     ks = np.arange(kmax + 1, dtype=float)
     in_pow = np.power(r_in[None, :], ks[:, None])
@@ -281,8 +287,15 @@ def _image_polar(b, fvec, r_out, dirs, kspec, rule):
 
 def _image_at(b, fvec, x, kspec, rule):
     """Transform value at the single point x: _image_polar on the 1x1 grid
-    of radius |x| and direction x/|x| (any unit vector when x = 0)."""
+    of radius |x| and direction x/|x| (any unit vector when x = 0).
+
+    x is input, so a point too close to the sphere for the kernel series
+    to be certified within MAX_DEGREE terms is refused with
+    TruncationLimitError, although the sum stops at the sphere rule's
+    exactness.
+    """
     r = float(np.linalg.norm(x))
+    truncation_degree(kspec, r, float(_inner_rule(b, rule).radial_rule()[0].max()))
     zeta = x / r if r > 0.0 else np.eye(x.size)[0]
     return float(_image_polar(b, fvec, [r], zeta[None, :], kspec, rule)[0, 0])
 

@@ -33,6 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import ConvergenceError
+
 __all__ = [
     "BallQuadrature",
     "ConvergenceError",
@@ -79,10 +81,6 @@ _DE_MAX_LEVEL = 10
 _DE_RTOL = 1e-14
 # w-grid for sup-type norms, w = log 1/(1-r^2); e^-16 boundary clearance.
 _SUP_GRID = np.linspace(0.0, 16.0, 97)
-
-
-class ConvergenceError(RuntimeError):
-    """A double-exponential integral missed its tolerance at the deepest level."""
 
 
 @dataclass(frozen=True)

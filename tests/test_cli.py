@@ -1,6 +1,7 @@
 """Command-line front end: JSON/CSV output contracts, exit codes, and
 fixture values, exercised through real subprocess invocations."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -373,19 +374,123 @@ SCIPY_FREE_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("args", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS.keys())
-def test_every_command_runs_with_scipy_unimportable(args):
+def _main_with_unimportable(module, *args):
+    """cli.main(args) in a fresh interpreter in which importing module fails."""
     code = ("import sys\n"
-            "sys.modules['scipy'] = None  # any scipy import now raises ImportError\n"
+            f"sys.modules[{module!r}] = None  # importing it now raises ImportError\n"
             "import bergbesov.cli as cli\n"
             f"sys.exit(cli.main({list(args)!r}))\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize("args", SCIPY_FREE_COMMANDS.values(), ids=SCIPY_FREE_COMMANDS.keys())
+def test_every_command_runs_with_scipy_unimportable(args):
+    proc = _main_with_unimportable("scipy", *args)
     assert proc.returncode == 0, proc.stderr
     out = json.loads(proc.stdout)
     assert out["command"] == args[0]
     if args == SCIPY_FREE_COMMANDS["norm-dim2"]:
         # ||f_{0.5,0}||_{L^2_{0.5}} in dim 2 is (V_1.5 / V_0.5)^{1/2} = sqrt(0.6)
         assert abs(out["value"] / math.sqrt(0.6) - 1.0) <= 1e-12
+
+
+def test_import_does_not_load_numpy():
+    code = ("import sys, bergbesov, bergbesov.cli\n"
+            "print('numpy' in sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+NUMPY_FREE_COMMANDS = {
+    "classify-besov": ("classify", "--b", "0", "--c", "0", "--alpha", "0", "--q", "2",
+                       "--target", "besov"),
+    "classify-lebesgue": ("classify", "--b", "0", "--c", "0", "--alpha", "0", "--beta", "-2",
+                          "--target", "lebesgue"),
+    "classify-bloch": ("classify", "--b", "1", "--c", "-4", "--alpha", "0", "--p", "oo",
+                       "--q", "inf", "--target", "bloch"),
+    "classify-hinf": ("classify", "--b", "0.5", "--c", "-1", "--alpha", "0.3", "--p", "inf",
+                      "--q", "inf", "--target", "hinf", "--dim", "3"),
+    "classify-wlinf": ("classify", "--b", "0.5", "--c", "0.1", "--alpha", "0.3", "--p", "2",
+                       "--q", "inf", "--target", "wlinf", "--dim", "4"),
+    "sweep": ("sweep", "--b=-1:1:3,-1", "--c=0.5:-0.5:3", "--alpha", "0", "--p", "1,oo",
+              "--q", "2", "--target", "besov"),
+}
+
+
+@pytest.mark.parametrize("args", NUMPY_FREE_COMMANDS.values(), ids=NUMPY_FREE_COMMANDS.keys())
+def test_classifier_commands_run_with_numpy_unimportable(args):
+    want = run_cli(*args)
+    got = _main_with_unimportable("numpy", *args)
+    assert want.returncode == 0 and want.stdout
+    assert (got.returncode, got.stdout, got.stderr) == (0, want.stdout, "")
+
+
+def test_sweep_to_file_with_numpy_unimportable(tmp_path):
+    args = NUMPY_FREE_COMMANDS["sweep"]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert run_cli(*args, "--out", str(want)).returncode == 0
+    proc = _main_with_unimportable("numpy", *args, "--out", str(got))
+    assert proc.returncode == 0, proc.stderr
+    assert got.read_bytes() == want.read_bytes()
+
+
+@pytest.mark.parametrize("args", [
+    ("classify", "--b", "0", "--c", "0", "--alpha", "0", "--p", "half", "--target", "besov"),
+    ("sweep", "--b", "0:1", "--c", "0", "--alpha", "0", "--target", "besov"),
+], ids=["classify", "sweep"])
+def test_malformed_classifier_commands_exit_2_with_numpy_unimportable(args):
+    proc = _main_with_unimportable("numpy", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_sweep_csv_is_frozen(tmp_path):
+    # negative and repeated grid values, a range with a negative step, and
+    # inf in three spellings; the digest is that of the CSV the per-row
+    # formatting wrote before each value was formatted once
+    args = ("sweep", "--b=-1:1:3,-1", "--c=0.5:-0.5:3", "--alpha=0,-0.75", "--beta=-1.5,0.25",
+            "--p=1,oo,2,inf", "--q=inf,Infinity", "--target", "bloch", "--dim", "3")
+    proc = run_cli(*args)
+    assert proc.returncode == 0, proc.stderr
+    dest = tmp_path / "grid.csv"
+    assert run_cli(*args, "--out", str(dest)).returncode == 0
+    assert dest.read_bytes() == proc.stdout.encode()
+    assert len(proc.stdout.splitlines()) == 1 + 4 * 3 * 2 * 2 * 4 * 2
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == (
+        "2327d7c5c4bfa88c2ce5507f619ffca52d16a517b36ebc3869105ad92c3dd10c")
+
+
+RANGE_GRID = [-2.5, -1.0, -1e-300, 0.0, 0.3, 1.0, 7.25]
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, 7, 10, 101])
+def test_range_expansion_equals_linspace(count):
+    import numpy as np
+
+    from bergbesov import cli
+
+    pairs = list(itertools.product(RANGE_GRID, repeat=2))  # a == b and negative steps
+    pairs += [(0.0, 5e-324), (-1e-320, 1e-320), (1e308, -1e308), (0.0, math.inf)]
+    for a, b in pairs:
+        with np.errstate(all="ignore"):
+            want = np.linspace(a, b, count).tolist()
+        got = cli._parse_values(f"{a!r}:{b!r}:{count}")
+        assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, count)
+
+
+def test_emit_prints_numpy_scalars_as_before():
+    import numpy as np
+
+    from bergbesov import cli
+
+    assert cli._emit(np.int64(-7)) == "-7"
+    assert cli._emit(np.uint8(200)) == "200"
+    assert cli._emit(np.float64(0.1)) == "0.10000000000000001"
+    assert cli._emit(np.float32(0.1)) == "0.10000000149011612"
+    assert cli._emit(np.float64(-np.inf)) == "-Infinity"
+    assert cli._emit(np.float64(np.nan)) == "NaN"
+    assert cli._emit({"k": [np.int64(3), np.float64(2.0)]}) == '{\n  "k": [\n    3,\n    2\n  ]\n}'
+    assert cli._emit(True) == "true" and cli._emit(np.bool_(True)) == '"True"'
 
 
 def test_unconverged_radial_integral_exits_2(monkeypatch, capsys):

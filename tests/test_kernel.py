@@ -197,6 +197,23 @@ def test_truncation_gives_up_past_max_degree():
     assert MAX_DEGREE == 200_000
 
 
+def test_truncation_degree_cap_stops_the_search():
+    # with a cap the result is min(K, cap), bit for bit, and no certificate
+    # is needed above the cap
+    for alpha, dim in [(0.0, 2), (0.5, 3), (-4.5, 4), (1.2, 5)]:
+        spec = KernelSpec(alpha=alpha, dim=dim)
+        for rx, ry in [(0.3, 0.5), (0.9, 0.95), (0.99, 0.999)]:
+            k = truncation_degree(spec, rx, ry)
+            for cap in (0, 3, 23, k - 1, k, k + 1, 600, 513, MAX_DEGREE):
+                assert truncation_degree(spec, rx, ry, cap=cap) == min(k, cap), (alpha, dim, rx, cap)
+    spec = KernelSpec(alpha=0.0, dim=2)
+    assert truncation_degree(spec, 0.99999, 0.99999, cap=23) == 23
+    with pytest.raises(TruncationLimitError):
+        truncation_degree(spec, 0.99999, 0.99999, cap=MAX_DEGREE)
+    with pytest.raises(KernelDivergenceError):
+        truncation_degree(spec, 1.0, 1.0, cap=23)
+
+
 def test_kernel_normalization_at_origin():
     for dim in (2, 3):
         for alpha in (-5.0, -1.0, 0.0, 1.7):

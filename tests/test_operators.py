@@ -539,6 +539,22 @@ def test_bloch_norm_divergent_input():
     assert res.divergent and res.value == math.inf
 
 
+def test_bloch_norm_dim4_needs_no_certificate_past_the_cap():
+    # the sup grid reaches |x| = 1 - 6e-8, where the dim-4 kernel series has
+    # no certificate within MAX_DEGREE terms; the image sums only up to the
+    # inner sphere rule's exactness E = 23, so no certificate past E is needed
+    f = lambda pts: pts[:, 0] * pts[:, 1]
+    res = bloch_norm((0.0, 0.0, f), 1.0, dim=4)
+    assert not res.divergent
+    # Q reproduces x1 x2, so the value is the sup of (1 - r^2) r^2 |zeta_1 zeta_2|
+    # over the same grid; the 1.6e-3 left is degrees 22 and 23 aliasing
+    # (k + deg f > E), which ROADMAP item 1 removes
+    r = np.sqrt(-np.expm1(-operators._SUP_GRID))
+    zeta, _ = operators._default_outer(operators._default_inner(4)).sphere_rule()
+    want = np.max((1.0 - r * r)[:, None] * r[:, None] ** 2 * np.abs(zeta[:, 0] * zeta[:, 1]))
+    assert res.value == pytest.approx(want, rel=2e-3)
+
+
 def test_bloch_norm_generic_refinement_plateau():
     tf = Fuv(0.2, 0.0)
     wrapped = lambda pts: fuv_eval(tf, pts)

@@ -1,13 +1,20 @@
 """Tooling guards: every program function the benchmark's tracer wraps still
 exists, so a rename or a deletion fails here instead of crashing a traced
 benchmark run with AttributeError; every private module-level function
-and constant of the package is still used somewhere in it; and no module
-draws random numbers."""
+and constant of the package is still used somewhere in it; no module
+draws random numbers; and the package's lazy namespace resolves every
+public name to its submodule's own object."""
 
 import ast
 import importlib
 import importlib.util
 import os
+import subprocess
+import sys
+
+import pytest
+
+import bergbesov
 
 TRACING = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                        "perfbench", "tracing.py")
@@ -99,3 +106,35 @@ def test_no_module_draws_random_numbers():
                    for m in mods):
                 found.append(f"{fname}:{node.lineno}")
     assert not found, found
+
+
+SUBMODULES = ("classifier", "errors", "expansion", "kernel", "operators", "probe",
+              "quadrature", "specfun")
+# public names that differ from the submodule's own name
+RENAMED = {"expansion_from_json": "from_json", "expansion_to_json": "to_json"}
+
+
+def test_every_public_name_is_the_submodules_own_object():
+    modules = [importlib.import_module(f"bergbesov.{m}") for m in SUBMODULES]
+    for name in (n for n in bergbesov.__all__ if n != "__version__"):
+        attr = RENAMED.get(name, name)
+        holders = [m for m in modules if hasattr(m, attr)]
+        assert holders, name
+        value = getattr(bergbesov, name)
+        assert all(getattr(m, attr) is value for m in holders), name
+
+
+def test_namespace_rejects_unknown_names_and_keeps_star_and_submodule_imports():
+    assert bergbesov.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no attribute 'kernel_evaluate'"):
+        bergbesov.kernel_evaluate
+    assert not hasattr(bergbesov, "_accel_table")
+    # in a fresh interpreter, dir() lists every public name before any is loaded
+    code = ("import bergbesov\n"
+            "listed = set(bergbesov.__all__) <= set(dir(bergbesov))\n"
+            "from bergbesov import *\n"
+            "from bergbesov import kernel\n"
+            "missing = [n for n in bergbesov.__all__ if n not in globals()]\n"
+            "print(listed, missing, kernel.__name__, kernel_eval is kernel.kernel_eval)\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "[]", "bergbesov.kernel", "True"]
