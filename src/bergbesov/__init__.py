@@ -5,7 +5,8 @@ The pieces fit together like this: `kernel` evaluates the weighted zonal
 series R_alpha(x, y) with a certified truncation bound; `expansion` holds
 finite zonal-anchored harmonic expansions and their exact fractional
 derivative/integral maps; `quadrature` supplies product rules on the ball
-plus the log-space refinement ladders that decide integral finiteness;
+plus the radial integrals, whose finiteness an exact dichotomy decides and
+the refinement ladders only observe;
 `operators` builds the weighted transform T_{b,c}, the projection, the
 radial test family, and smoothness norms on top; `classifier` is the pure
 inequality system deciding boundedness of T_{b,c} between weighted spaces;
@@ -40,9 +41,8 @@ _EXPORTS = {
         "NormResult", "TestFunction", "TransformReport", "apply_T",
         "apply_T_derivative", "apply_T_report", "as_ball_function", "besov_norm",
         "besov_smoothing_order", "bloch_norm", "bloch_smoothing_order",
-        "lp_membership", "lp_membership_analytic", "projection_Q",
-        "sup_membership", "test_function_eval", "test_function_lp_norm",
-        "transform_finite_analytic",
+        "lp_membership_analytic", "projection_Q", "test_function_eval",
+        "test_function_lp_norm", "transform_finite_analytic",
     ),
     "probe": (
         "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",

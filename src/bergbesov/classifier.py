@@ -112,10 +112,11 @@ class OperatorParams:
     dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "b", float(self.b))
-        object.__setattr__(self, "c", float(self.c))
-        object.__setattr__(self, "alpha", float(self.alpha))
-        object.__setattr__(self, "beta", float(self.beta))
+        for name in ("b", "c", "alpha", "beta"):
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "p", _as_ext(self.p))
         object.__setattr__(self, "q", _as_ext(self.q))
         if int(self.dim) != self.dim or self.dim < 2:

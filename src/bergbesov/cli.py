@@ -221,7 +221,7 @@ def _cmd_norm(args):
     fvec, tf = as_ball_function(args.f, dim)
     if tf is not None:
         value = test_function_lp_norm(tf, p_raw, args.alpha, dim)
-        method = "radial-adaptive"
+        method = "closed-form" if p.is_inf else "radial-adaptive"
         rule_echo = None
     else:
         rule = _build_rule(args, dim)

@@ -46,6 +46,7 @@ from .quadrature import (
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
     BallQuadrature,
+    _radial_integral_finite,
     _v_or_one,
     normalization_V,
     radial_power_log_ladder,
@@ -70,8 +71,6 @@ __all__ = [
     "bloch_smoothing_order",
     "transform_finite_analytic",
     "lp_membership_analytic",
-    "lp_membership",
-    "sup_membership",
     "test_function_lp_norm",
 ]
 
@@ -179,8 +178,7 @@ class TransformReport:
 def transform_finite_analytic(b, tf):
     """Exact finiteness of the transform of f_{u,v} under weight b: finite
     iff b+u > -1, or b+u = -1 and v > 1."""
-    e = float(b) + tf.u
-    return e > -1.0 or (e == -1.0 and tf.v > 1.0)
+    return _radial_integral_finite(float(b) + tf.u, tf.v)
 
 
 def lp_membership_analytic(tf, p, alpha):
@@ -189,32 +187,22 @@ def lp_membership_analytic(tf, p, alpha):
     (alpha + u = 0 with v >= 0)."""
     alpha = float(alpha)
     if p == math.inf:
-        e = alpha + tf.u
-        return e > 0.0 or (e == 0.0 and tf.v >= 0.0)
-    s = alpha + p * tf.u
-    return s > -1.0 or (s == -1.0 and p * tf.v > 1.0)
-
-
-def lp_membership(tf, p, alpha, dim):
-    """Numeric refinement-ladder verdict for int_B |f_uv|^p (1-|x|^2)^alpha dnu."""
-    if not p >= 1.0 or p == math.inf:
-        raise ValueError(f"finite p >= 1 required, got {p}")
-    return radial_power_log_ladder(float(alpha) + p * tf.u, p * tf.v, dim=dim)
-
-
-def sup_membership(tf, alpha):
-    """Numeric sup-ladder verdict for sup_B (1-|x|^2)^alpha f_uv."""
-    return weighted_sup_ladder(float(alpha) + tf.u, tf.v)
+        return weighted_sup_ladder(alpha + tf.u, tf.v).finite
+    return _radial_integral_finite(alpha + p * tf.u, p * tf.v)
 
 
 def test_function_lp_norm(tf, p, alpha, dim):
-    """Numeric norm of f_{u,v} in the alpha-weighted p-space: the
+    """Norm of f_{u,v} in the alpha-weighted p-space.  For finite p, the
     full-interval double-exponential integral, inf exactly on the divergent
     side (alpha + pu < -1, or = -1 with pv <= 1); weight normalization uses
-    V_alpha, or 1 for alpha <= -1."""
+    V_alpha, or 1 for alpha <= -1.  For p = inf, the closed-form sup
+    weighted_sup_ladder(alpha + u, v).  alpha must be finite."""
+    alpha = float(alpha)
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if p == math.inf:
-        return sup_membership(tf, alpha).value
-    raw = radial_power_log_value(float(alpha) + p * tf.u, p * tf.v, dim=dim)
+        return weighted_sup_ladder(alpha + tf.u, tf.v).value
+    raw = radial_power_log_value(alpha + p * tf.u, p * tf.v, dim=dim)
     return (raw / _v_or_one(alpha, dim)) ** (1.0 / p)
 
 

@@ -37,7 +37,7 @@ from .operators import (
     test_function_lp_norm,
     transform_finite_analytic,
 )
-from .quadrature import DEFAULT_LEVELS, radial_power_log_ladder, radial_power_log_value
+from .quadrature import radial_power_log_ladder, radial_power_log_value
 
 __all__ = [
     "ProbeEvidence",
@@ -123,19 +123,19 @@ def _regime_test_function(params):
     return TestFunction(-(1.0 + al) / p.raw, 1.0)
 
 
-def finiteness_probe(params, target=None, levels=DEFAULT_LEVELS):
+def finiteness_probe(params, target=None):
     """Observe transform finiteness for the regime-matched family member.
 
     Evidence agreement is the implication: an observed divergence must be
     accompanied by failure (or boundary contact) of the strict first
     inequality.  Within BOUNDARY_BAND of b+u = -1 the observation is tagged
-    boundary-band and not scored.  Deepening `levels` is the refinement knob.
+    boundary-band and not scored.
     """
     target = _infer_target(params, target)
     verdict = classify(params, target)
     tf = _regime_test_function(params)
     bexp = params.b + tf.u
-    ladder = radial_power_log_ladder(bexp, tf.v, dim=params.dim, levels=levels)
+    ladder = radial_power_log_ladder(bexp, tf.v, dim=params.dim)
     strict = _first_condition_strict(params)
     exempt = abs(bexp + 1.0) < BOUNDARY_BAND
     if exempt:

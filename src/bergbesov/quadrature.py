@@ -14,11 +14,11 @@ Every rule integrates spherical harmonics exactly up to a known degree,
 BallQuadrature.sphere_exactness().
 
 Radial profiles with boundary weight (1-r^2)^B (1 + log 1/(1-r^2))^{-V} get a
-dedicated 1-D treatment in the variable w = log 1/(1-r^2): a double-exponential
-rule over [0, L] with the cutoff L doubling along a refinement ladder.  Divergence
-is declared on value growth beyond a fixed factor across two ladder doublings
-(or a hard cap); this log-space frontier advances geometrically, which is what
-makes slowly divergent boundary exponents detectable at all.
+dedicated 1-D treatment in the variable w = log 1/(1-r^2).  Their integral is
+finite iff B > -1, or B = -1 and V > 1, and their weighted sup has a closed
+form.  A refinement ladder, a double-exponential rule over [0, L] with the
+cutoff L doubling, observes the integral numerically: divergence is declared on
+value growth beyond a fixed factor across two doublings (or a hard cap).
 
 Everything here runs on numpy and the math module.  The Gauss rules come from
 gauss_jacobi (Golub & Welsch, Math. Comp. 23 (1969): eigenvalues of the Jacobi
@@ -306,6 +306,8 @@ def lp_norm(f, p, alpha, rule):
     """
     if p != math.inf and not p >= 1.0:
         raise ValueError(f"p must be in [1, inf], got {p}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if p == math.inf:
         r = np.sqrt(-np.expm1(-_SUP_GRID))
         zeta, _ = rule.sphere_rule()
@@ -416,36 +418,37 @@ def _log_peek(coef, bexp, v, w):
     return math.log(coef) - bexp * w - v * math.log1p(w)
 
 
-def radial_power_log_ladder(bexp_minus_1, v, dim=None, levels=DEFAULT_LEVELS,
-                            growth=GROWTH_FACTOR, cap=DIVERGENCE_CAP):
+def _radial_integral_finite(bexp_minus_1, v):
+    """Whether int_0^1 (1-t^2)^B (1 + log 1/(1-t^2))^{-V} t^{n-1} dt is finite
+    (in every dim n, and for the plain interval): iff B > -1, or B = -1 and
+    V > 1.  NaN has no answer, so it raises ValueError."""
+    if math.isnan(bexp_minus_1) or math.isnan(v):
+        raise ValueError(f"radial exponents must not be NaN, got B={bexp_minus_1}, V={v}")
+    return bexp_minus_1 > -1.0 or (bexp_minus_1 == -1.0 and v > 1.0)
+
+
+def radial_power_log_ladder(bexp_minus_1, v, dim=None):
     """Cutoff ladder for radial integrals with weight (1-t^2)^B (1+log 1/(1-t^2))^{-V}.
 
     With dim set, computes n int_0^{t_L} t^{n-1} (1-t^2)^B ... dt (the radial
     factor of a ball integral of a radial profile, normalized measure); with
     dim None, the plain interval integral int_0^{t_L} (1-t^2)^B ... dt.
-    Cutoffs t_L = sqrt(1 - e^-L) for L in levels.  Divergence is flagged when
-    the value exceeds the cap (checked in log space before evaluating a piece,
-    so nothing overflows) or grows by more than `growth` across the final two
-    ladder doublings.
+    Cutoffs t_L = sqrt(1 - e^-L) for L in DEFAULT_LEVELS.  Divergence is
+    flagged when the value exceeds DIVERGENCE_CAP (checked in log space
+    before evaluating a piece, so nothing overflows) or grows by more than
+    GROWTH_FACTOR across the final two ladder doublings.  This observes
+    finiteness numerically; _radial_integral_finite decides it.
     """
-    bexp = float(bexp_minus_1) + 1.0
+    bexp, v = float(bexp_minus_1) + 1.0, float(v)
     coef, expo = _radial_coefs(dim)
     rungs = []
     total = 0.0
-    prev = 0.0
-    divergent = False
-    for lo, hi in zip((0.0,) + tuple(levels[:-1]), levels):
-        if _log_peek(coef, bexp, float(v), hi) > 500.0 or total > cap:
-            divergent = True
-            break
-        total = prev + _wspace_piece(coef, expo, bexp, float(v), lo, hi)
+    for lo, hi in zip((0.0,) + DEFAULT_LEVELS[:-1], DEFAULT_LEVELS):
+        if _log_peek(coef, bexp, v, hi) > 500.0 or total > DIVERGENCE_CAP:
+            return LadderResult(False, math.inf, tuple(rungs))
+        total += _wspace_piece(coef, expo, bexp, v, lo, hi)
         rungs.append((hi, total))
-        prev = total
-    if divergent:
-        return LadderResult(False, math.inf, tuple(rungs))
-    if total > cap:
-        return LadderResult(False, math.inf, tuple(rungs))
-    if len(rungs) >= 3 and rungs[-3][1] > 0.0 and rungs[-1][1] / rungs[-3][1] > growth:
+    if total > DIVERGENCE_CAP or (rungs[-3][1] > 0.0 and rungs[-1][1] / rungs[-3][1] > GROWTH_FACTOR):
         return LadderResult(False, math.inf, tuple(rungs))
     return LadderResult(True, total, tuple(rungs))
 
@@ -455,36 +458,32 @@ def radial_power_log_value(bexp_minus_1, v, dim=None):
     the z-substitution plus an exp-sinh tail on [1, inf).  Complements
     radial_power_log_ladder, whose finite cutoffs leave percent-level
     truncation for boundary-marginal exponents.  The integrand is positive,
-    so an analytically divergent case (B < -1, or B = -1 with V <= 1) is inf.
+    so a divergent case (_radial_integral_finite false) is inf.
     """
-    bexp = float(bexp_minus_1) + 1.0
-    v = float(v)
-    if bexp < 0.0 or (bexp == 0.0 and v <= 1.0):
+    b, v = float(bexp_minus_1), float(v)
+    if not _radial_integral_finite(b, v):
         return math.inf
+    bexp = b + 1.0
     coef, expo = _radial_coefs(dim)
     head = _wspace_piece(coef, expo, bexp, v, 0.0, 1.0)
     tail = _wspace_tail(coef, expo, bexp, v)
     return head + tail
 
 
-def weighted_sup_ladder(eexp, v, levels=(16.0, 32.0, 64.0, 128.0, 256.0),
-                        growth=GROWTH_FACTOR, cap=DIVERGENCE_CAP):
-    """Sup ladder for sup_{r < t_L} (1-r^2)^E (1+log 1/(1-r^2))^{-V}.
+def weighted_sup_ladder(eexp, v):
+    """Exact sup over 0 <= r < 1 of (1-r^2)^E (1 + log 1/(1-r^2))^{-V}.
 
-    Tracked in log space on a uniform w-grid per rung; divergence when the
-    log-sup exceeds log(cap) or gains more than log(growth) across the final
-    two doublings.  The finite value is exp of the last log-sup (a grid lower
-    estimate, exact at the interior maximum for smooth profiles).
+    In w = log 1/(1-r^2) this is the sup over w >= 0 of exp(-E w - V log(1+w)):
+    1 when E >= 0 and V >= 0 (at w = 0); the value at the stationary point
+    w* = max(0, -V/E - 1) when E > 0 and V < 0; inf when E < 0, or E = 0 and
+    V < 0.  E and V must be finite.  rungs is empty: there is no ladder.
     """
-    e = float(eexp)
-    v = float(v)
-    sups = []
-    for hi in levels:
-        w = np.linspace(0.0, hi, 1025)
-        sups.append(float(np.max(-e * w - v * np.log1p(w))))
-    rungs = tuple(zip(levels, sups))
-    if sups[-1] > math.log(cap):
-        return LadderResult(False, math.inf, rungs)
-    if len(sups) >= 3 and sups[-1] - sups[-3] > math.log(growth):
-        return LadderResult(False, math.inf, rungs)
-    return LadderResult(True, math.exp(sups[-1]), rungs)
+    e, v = float(eexp), float(v)
+    if not (math.isfinite(e) and math.isfinite(v)):
+        raise ValueError(f"sup exponents must be finite, got E={e}, V={v}")
+    if e < 0.0 or (e == 0.0 and v < 0.0):
+        return LadderResult(False, math.inf, ())
+    if v >= 0.0:
+        return LadderResult(True, 1.0, ())
+    w = max(0.0, -v / e - 1.0)
+    return LadderResult(True, math.exp(-e * w - v * math.log1p(w)), ())

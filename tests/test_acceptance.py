@@ -13,7 +13,6 @@ from bergbesov.kernel import KernelSpec, gamma_coefs, kernel_eval, truncation_de
 from bergbesov.operators import (
     TestFunction as Fuv,
     _image_polar,
-    lp_membership,
     lp_membership_analytic,
     projection_Q,
     transform_finite_analytic,
@@ -200,7 +199,7 @@ def test_criterion_4_lemma_dichotomies():
                 for v in (0.0, 1.0):
                     tf = Fuv((-1.0 + slack - alpha) / p, v)
                     pred = lp_membership_analytic(tf, p, alpha)
-                    obs = lp_membership(tf, p, alpha, 2).finite
+                    obs = radial_power_log_ladder(alpha + p * tf.u, p * tf.v, dim=2).finite
                     if pred != obs:
                         mismatches.append(("membership", p, alpha, slack, v))
     for b in (0.0, 0.5):

@@ -76,6 +76,11 @@ def test_params_validation_and_dict():
     assert par.p.is_inf and par.q.raw == 2.0
     d = par.to_dict()
     assert d["p"] == INF and d["q"] == 2.0 and d["dim"] == 3
+    # the operator parameters must be finite; only the exponents take inf
+    for name in ("b", "c", "alpha", "beta"):
+        for bad in (math.nan, INF, -INF):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                make(**{name: bad})
 
 
 def test_target_q_consistency_errors():

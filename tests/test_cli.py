@@ -105,6 +105,22 @@ MALFORMED = {
                                    "--x", "0.1,0"), "integer"),
     "json-fractional-dim": (APPLY + ("--f", '{"dim":2.5,"terms":[{"k":1,"y":[0.5,0],"c":1}]}',
                                      "--x", "0.1,0"), "integer"),
+    # non-finite operator parameters and weights get no verdict and no value
+    "classify-b-nan": (("classify", "--b", "nan", "--c", "0", "--alpha", "0", "--target", "besov"),
+                       "b must be finite"),
+    "classify-b-inf": (("classify", "--b", "inf", "--c", "0", "--alpha", "0", "--target", "besov"),
+                       "b must be finite"),
+    "sweep-c-infinite-range": (("sweep", "--c=-inf:inf:2", "--target", "besov"), "c must be finite"),
+    "apply-fuv-b-nan": (("apply", "--b", "nan", "--c", "0", "--f", "fuv:0.3,1", "--x", "0.1,0"),
+                        "must not be NaN"),
+    "norm-inf-alpha-nan": (("norm", "--f", "fuv:0.3,-2", "--p", "inf", "--alpha", "nan"),
+                           "alpha must be finite"),
+    "norm-inf-alpha-inf": (("norm", "--f", "fuv:0.3,-2", "--p", "inf", "--alpha", "inf"),
+                           "alpha must be finite"),
+    "norm-2-alpha-nan": (("norm", "--f", "fuv:0.3,-2", "--p", "2", "--alpha", "nan"),
+                         "alpha must be finite"),
+    "norm-expansion-inf-alpha-nan": (("norm", "--f", ONE_TERM, "--p", "inf", "--alpha", "nan"),
+                                     "alpha must be finite"),
 }
 
 
@@ -216,6 +232,18 @@ def test_norm_source_space_fixture():
     assert abs(out["value"] - 1.0) < 1e-9
 
 
+@pytest.mark.parametrize("f, want", [
+    # 40-digit mpmath maxima of (1-r^2)^u (1 + log 1/(1-r^2))^{-v}
+    ("fuv:0.7,-1", 1.05831174383102554),
+    ("fuv:0.05,-7", 1.01053090608465158e12),
+])
+def test_norm_source_space_sup_is_the_closed_form(f, want):
+    out = run_json("norm", "--f", f, "--p", "inf", "--alpha", "0")
+    assert out["method"] == "closed-form"
+    assert out["finite"] is True
+    assert out["value"] == pytest.approx(want, rel=1e-14)
+
+
 def test_norm_requires_mode_flags():
     proc = run_cli("norm", "--f", "const1")
     assert proc.returncode == 2
@@ -307,6 +335,14 @@ def test_sweep_parses_each_exponent_once(tmp_path, monkeypatch, capsys):
     assert cli.main(argv + ["--out", str(dest)]) == 0
     assert dest.read_bytes() == want.encode()
     assert len(parsed) == 10
+
+
+def test_rejected_sweep_writes_no_file(tmp_path):
+    dest = tmp_path / "grid.csv"
+    proc = run_cli("sweep", "--c=-inf:inf:2", "--target", "besov", "--out", str(dest))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+    assert not dest.exists()
 
 
 def test_sweep_rejects_malformed_range():

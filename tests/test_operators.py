@@ -33,16 +33,14 @@ from bergbesov.operators import (
     besov_smoothing_order,
     bloch_norm,
     bloch_smoothing_order,
-    lp_membership,
     lp_membership_analytic,
     projection_Q,
-    sup_membership,
     test_function_eval as fuv_eval,
     test_function_lp_norm as fuv_lp_norm,
     transform_finite_analytic,
 )
 from bergbesov.probe import ratio_probe
-from bergbesov.quadrature import BallQuadrature, integrate_ball, normalization_V
+from bergbesov.quadrature import BallQuadrature, integrate_ball, normalization_V, radial_power_log_ladder
 
 RNG = np.random.default_rng(61)
 SMALL_RULE_2 = BallQuadrature(dim=2, radial_nodes=64, sphere_nodes=64)
@@ -378,7 +376,7 @@ def test_lp_membership_straddles_boundary():
             for s, expect in ((-0.9, True), (-1.1, False)):
                 u = (s - alpha) / p
                 tf = Fuv(u, 0.3)
-                assert lp_membership(tf, p, alpha, 2).finite == expect
+                assert radial_power_log_ladder(alpha + p * tf.u, p * tf.v, dim=2).finite == expect
                 assert lp_membership_analytic(tf, p, alpha) == expect
 
 
@@ -388,20 +386,22 @@ def test_lp_membership_marginal_secondary_condition():
     u = -0.5
     assert lp_membership_analytic(Fuv(u, 1.0), p, alpha)  # pv = 2
     assert not lp_membership_analytic(Fuv(u, 0.25), p, alpha)  # pv = 0.5
-    with pytest.raises(ValueError):
-        lp_membership(Fuv(u, 1.0), math.inf, alpha, 2)
+
+
+def _sup_norm_finite(tf, alpha):
+    return math.isfinite(fuv_lp_norm(tf, math.inf, alpha, 2))
 
 
 def test_sup_membership_straddles_boundary():
     for alpha in (0.0, 2.0):
-        assert sup_membership(Fuv(0.05 - alpha, 0.5), alpha).finite
-        assert not sup_membership(Fuv(-0.05 - alpha, 0.5), alpha).finite
+        assert _sup_norm_finite(Fuv(0.05 - alpha, 0.5), alpha)
+        assert not _sup_norm_finite(Fuv(-0.05 - alpha, 0.5), alpha)
     # u = -alpha marginal: decided by the sign of v
     assert lp_membership_analytic(Fuv(-1.0, 0.0), math.inf, 1.0)
     assert lp_membership_analytic(Fuv(-1.0, 0.5), math.inf, 1.0)
     assert not lp_membership_analytic(Fuv(-1.0, -0.5), math.inf, 1.0)
-    assert not sup_membership(Fuv(-1.0, -2.0), 1.0).finite
-    assert sup_membership(Fuv(-1.0, 0.5), 1.0).finite
+    assert not _sup_norm_finite(Fuv(-1.0, -2.0), 1.0)
+    assert _sup_norm_finite(Fuv(-1.0, 0.5), 1.0)
 
 
 def test_test_function_lp_norm_values():
@@ -422,6 +422,13 @@ def test_test_function_lp_norm_values():
     assert fuv_lp_norm(Fuv(-0.99, -3.0), 1.0, 0.0, 2) == pytest.approx(
         606030099.99999785, rel=1e-12
     )
+
+
+@pytest.mark.parametrize("p", [2.0, math.inf])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_test_function_lp_norm_rejects_a_non_finite_weight(p, alpha):
+    with pytest.raises(ValueError, match="alpha must be finite"):
+        fuv_lp_norm(Fuv(0.3, -2.0), p, alpha, 2)
 
 
 def test_projection_dim4_degree_two_is_exact():

@@ -5,6 +5,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -12,6 +13,7 @@ from scipy.special import beta as sbeta
 
 from bergbesov.quadrature import (
     BallQuadrature,
+    LadderResult,
     gauss_jacobi,
     integrate_ball,
     integrate_sphere,
@@ -262,6 +264,9 @@ def test_lp_norm_validation():
         lp_norm(ones, 0.5, 0.0, rule)
     with pytest.raises(ValueError):
         lp_norm(ones, 2.0, -1.0, rule)
+    for p, alpha in itertools.product((2.0, math.inf), (math.nan, math.inf, -math.inf)):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            lp_norm(ones, p, alpha, rule)
 
 
 def test_radial_log_integral_dichotomy():
@@ -347,14 +352,42 @@ def test_ladder_overflow_guard():
     assert len(res.rungs) == 0
 
 
+SUP_ES = (0.05, 0.1, 0.3, 0.7, 1.2, 3.0)
+SUP_VS = (-7.0, -3.0, -1.0, -0.5, -0.1, 0.0, 0.5, 2.0)
+
+
+def _mp_weighted_sup(e, v):
+    """40-digit max over w >= 0 of exp(-e w - v log(1+w)) for e > 0: the
+    exponent's derivative -e - v/(1+w) decreases, so the max sits at its
+    root when the derivative is positive at w = 0, and at w = 0 otherwise."""
+    with mpmath.workdps(40):
+        e, v = mpmath.mpf(e), mpmath.mpf(v)
+        w = mpmath.mpf(0)
+        if -e - v > 0:
+            w = mpmath.findroot(lambda w: -e - v / (1 + w), (0, 1e4), solver="anderson")
+        return mpmath.exp(-e * w - v * mpmath.log1p(w))
+
+
 def test_weighted_sup_ladder():
-    finite_one = weighted_sup_ladder(0.05, 0.0)
-    assert finite_one.finite and finite_one.value == pytest.approx(1.0, rel=1e-12)
-    assert weighted_sup_ladder(0.0, 2.0).value == pytest.approx(1.0, rel=1e-12)
-    assert weighted_sup_ladder(1.2, 1.0).value == pytest.approx(1.0, rel=1e-12)
-    assert not weighted_sup_ladder(-0.05, 0.0).finite
-    assert not weighted_sup_ladder(0.0, -3.0).finite
-    assert not weighted_sup_ladder(-2.0, 4.0).finite
+    # exp turns the log-sup's rounding into a relative error of about
+    # |log-sup| eps; the grid's log-sups reach 27.6, and its worst error is 5.3e-15
+    worst = 0.0
+    for e, v in itertools.product(SUP_ES, SUP_VS):
+        got = weighted_sup_ladder(e, v)
+        want = _mp_weighted_sup(e, v)
+        assert got.finite and got.rungs == ()
+        worst = max(worst, float(abs(got.value - want) / want))
+    assert worst <= 1e-14
+    assert weighted_sup_ladder(0.05, -7.0).value == pytest.approx(1.01053090608465158e12, rel=1e-14)
+    for v in (0.0, 0.5, 2.0):
+        assert weighted_sup_ladder(0.0, v) == LadderResult(True, 1.0, ())
+    for e, v in itertools.product((-0.05, -2.0), SUP_VS + (4.0,)):
+        assert weighted_sup_ladder(e, v) == LadderResult(False, math.inf, ())
+    for v in (-7.0, -3.0, -0.1):
+        assert weighted_sup_ladder(0.0, v) == LadderResult(False, math.inf, ())
+    for e, v in ((math.nan, 0.0), (0.5, math.nan), (math.inf, -1.0), (0.5, -math.inf)):
+        with pytest.raises(ValueError, match="finite"):
+            weighted_sup_ladder(e, v)
 
 
 def test_rule_validation_and_updates():

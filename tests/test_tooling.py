@@ -2,8 +2,9 @@
 exists, so a rename or a deletion fails here instead of crashing a traced
 benchmark run with AttributeError; every private module-level function
 and constant of the package is still used somewhere in it; no module
-draws random numbers; and the package's lazy namespace resolves every
-public name to its submodule's own object."""
+draws random numbers; every name in a submodule's __all__ exists there;
+and the package's lazy namespace resolves every public name to its
+submodule's own object."""
 
 import ast
 import importlib
@@ -112,6 +113,14 @@ SUBMODULES = ("classifier", "errors", "expansion", "kernel", "operators", "probe
               "quadrature", "specfun")
 # public names that differ from the submodule's own name
 RENAMED = {"expansion_from_json": "from_json", "expansion_to_json": "to_json"}
+
+
+@pytest.mark.parametrize("name", SUBMODULES + ("cli",))
+def test_every_name_in_a_submodules_all_exists(name):
+    # a deleted function whose __all__ entry stays behind breaks star imports
+    module = importlib.import_module(f"bergbesov.{name}")
+    assert module.__all__
+    assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
 def test_every_public_name_is_the_submodules_own_object():
