@@ -188,7 +188,8 @@ def _cmd_apply(args):
 
 
 def _cmd_norm(args):
-    from .operators import as_ball_function, besov_norm, bloch_norm, test_function_lp_norm
+    from .operators import (as_ball_function, besov_norm, bloch_norm, lp_membership_analytic,
+                            test_function_lp_norm)
     from .quadrature import lp_norm
 
     dim = args.dim
@@ -228,10 +229,12 @@ def _cmd_norm(args):
         value = lp_norm(fvec, p_raw, args.alpha, rule)
         method = "quadrature"
         rule_echo = rule.describe()
+    # a TestFunction's sup may be finite past the largest double, so ask its dichotomy
+    finite = math.isfinite(value) if tf is None else lp_membership_analytic(tf, p_raw, args.alpha)
     _print_json({"command": "norm", "mode": "source-space", "f": args.f,
                  "p": math.inf if p.is_inf else p.raw, "alpha": args.alpha,
                  "dim": dim, "method": method, "rule": rule_echo,
-                 "value": value, "finite": bool(math.isfinite(value))})
+                 "value": value, "finite": bool(finite)})
     return 0
 
 

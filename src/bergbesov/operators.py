@@ -47,6 +47,7 @@ from .quadrature import (
     GROWTH_FACTOR,
     BallQuadrature,
     _radial_integral_finite,
+    _sup_finite,
     _v_or_one,
     normalization_V,
     radial_power_log_ladder,
@@ -187,7 +188,7 @@ def lp_membership_analytic(tf, p, alpha):
     (alpha + u = 0 with v >= 0)."""
     alpha = float(alpha)
     if p == math.inf:
-        return weighted_sup_ladder(alpha + tf.u, tf.v).finite
+        return _sup_finite(alpha + tf.u, tf.v)
     return _radial_integral_finite(alpha + p * tf.u, p * tf.v)
 
 
@@ -210,13 +211,17 @@ def test_function_lp_norm(tf, p, alpha, dim):
 # Transform evaluation.
 
 
-def _setup_point(x):
+def _setup_point(x, rule):
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValueError(f"points must have dimension >= 2, got shape {x.shape}")
     if not float(x @ x) < 1.0:  # also rejects nan
         raise ValueError("evaluation point must lie in the open unit ball")
-    return x
+    if rule is None:
+        return x, BallQuadrature(x.size)
+    if rule.dim != x.size:
+        raise ValueError(f"rule dim {rule.dim} != point dim {x.size}")
+    return x, rule
 
 
 def _kernel_spec(c, dim, spec):
@@ -296,16 +301,11 @@ def apply_T(b, c, f, x, spec=None, rule=None):
     divergent); every other input is integrated by the product quadrature
     rule as given.  Convergence diagnostics live in apply_T_report.
     """
-    x = _setup_point(x)
-    dim = x.size
-    if rule is None:
-        rule = BallQuadrature(dim)
-    elif rule.dim != dim:
-        raise ValueError(f"rule dim {rule.dim} != point dim {dim}")
-    fvec, tf = as_ball_function(f, dim)
+    x, rule = _setup_point(x, rule)
+    fvec, tf = as_ball_function(f, x.size)
     if tf is not None:
-        return radial_power_log_value(float(b) + tf.u, tf.v, dim=dim)
-    kspec = _kernel_spec(c, dim, spec)
+        return radial_power_log_value(float(b) + tf.u, tf.v, dim=x.size)
+    kspec = _kernel_spec(c, x.size, spec)
     return _image_at(b, fvec, x, kspec, rule)
 
 
@@ -320,19 +320,14 @@ def apply_T_report(b, c, f, x, spec=None, rule=None):
     GROWTH_FACTOR across the two doublings, exceeds DIVERGENCE_CAP, or
     becomes non-finite.
     """
-    x = _setup_point(x)
-    dim = x.size
-    if rule is None:
-        rule = BallQuadrature(dim)
-    elif rule.dim != dim:
-        raise ValueError(f"rule dim {rule.dim} != point dim {dim}")
-    fvec, tf = as_ball_function(f, dim)
+    x, rule = _setup_point(x, rule)
+    fvec, tf = as_ball_function(f, x.size)
     if tf is not None:
         bexp = float(b) + tf.u
-        value = radial_power_log_value(bexp, tf.v, dim=dim)
-        rungs = radial_power_log_ladder(bexp, tf.v, dim=dim).rungs
+        value = radial_power_log_value(bexp, tf.v, dim=x.size)
+        rungs = radial_power_log_ladder(bexp, tf.v, dim=x.size).rungs
         return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
-    kspec = _kernel_spec(c, dim, spec)
+    kspec = _kernel_spec(c, x.size, spec)
     refinements = []
     for mult in (1, 2, 4):
         nodes = rule.radial_nodes * mult

@@ -427,6 +427,13 @@ def _radial_integral_finite(bexp_minus_1, v):
     return bexp_minus_1 > -1.0 or (bexp_minus_1 == -1.0 and v > 1.0)
 
 
+def _sup_finite(eexp, v):
+    """Whether sup_{w >= 0} exp(-E w - V log(1+w)) is finite: iff E > 0, or E = 0 and V >= 0."""
+    if not (math.isfinite(eexp) and math.isfinite(v)):
+        raise ValueError(f"sup exponents must be finite, got E={eexp}, V={v}")
+    return eexp > 0.0 or (eexp == 0.0 and v >= 0.0)
+
+
 def radial_power_log_ladder(bexp_minus_1, v, dim=None):
     """Cutoff ladder for radial integrals with weight (1-t^2)^B (1+log 1/(1-t^2))^{-V}.
 
@@ -476,14 +483,20 @@ def weighted_sup_ladder(eexp, v):
     In w = log 1/(1-r^2) this is the sup over w >= 0 of exp(-E w - V log(1+w)):
     1 when E >= 0 and V >= 0 (at w = 0); the value at the stationary point
     w* = max(0, -V/E - 1) when E > 0 and V < 0; inf when E < 0, or E = 0 and
-    V < 0.  E and V must be finite.  rungs is empty: there is no ladder.
+    V < 0.  E and V must be finite.  A finite sup above the largest double
+    has value inf with finite True.  rungs is empty: there is no ladder.
     """
     e, v = float(eexp), float(v)
-    if not (math.isfinite(e) and math.isfinite(v)):
-        raise ValueError(f"sup exponents must be finite, got E={e}, V={v}")
-    if e < 0.0 or (e == 0.0 and v < 0.0):
+    if not _sup_finite(e, v):
         return LadderResult(False, math.inf, ())
     if v >= 0.0:
         return LadderResult(True, 1.0, ())
     w = max(0.0, -v / e - 1.0)
-    return LadderResult(True, math.exp(-e * w - v * math.log1p(w)), ())
+    if w < math.inf:
+        log_sup = -e * w - v * math.log1p(w)
+    else:  # -V/E overflowed: E w* = -V - E and log1p(w*) = log(-V/E)
+        log_sup = e + v - v * (math.log(-v) - math.log(e))
+    try:
+        return LadderResult(True, math.exp(log_sup), ())
+    except OverflowError:
+        return LadderResult(True, math.inf, ())

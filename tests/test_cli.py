@@ -244,6 +244,17 @@ def test_norm_source_space_sup_is_the_closed_form(f, want):
     assert out["value"] == pytest.approx(want, rel=1e-14)
 
 
+@pytest.mark.parametrize("f", ["fuv:1,-200", "fuv:1e-50,-7"])
+def test_norm_source_space_sup_past_the_double_range(f):
+    # a finite sup above the largest double prints Infinity, and finite
+    # reports membership, not the overflowed value
+    proc = run_cli("norm", "--f", f, "--p", "inf", "--alpha", "0")
+    assert proc.returncode == 0 and "Traceback" not in proc.stderr, proc.stderr
+    out = json.loads(proc.stdout)
+    assert out["value"] == math.inf and out["finite"] is True
+    assert out["method"] == "closed-form"
+
+
 def test_norm_requires_mode_flags():
     proc = run_cli("norm", "--f", "const1")
     assert proc.returncode == 2

@@ -404,6 +404,16 @@ def test_sup_membership_straddles_boundary():
     assert _sup_norm_finite(Fuv(-1.0, 0.5), 1.0)
 
 
+def test_sup_membership_needs_no_representable_sup():
+    # the sup of f_{1,-200} is about e^860.7, past the largest double: the
+    # verdict is exact and the norm reads inf, with no OverflowError
+    assert lp_membership_analytic(Fuv(1.0, -200.0), math.inf, 0.0)
+    assert lp_membership_analytic(Fuv(1e-50, -7.0), math.inf, 0.0)
+    assert fuv_lp_norm(Fuv(1.0, -200.0), math.inf, 0.0, 2) == math.inf
+    with pytest.raises(ValueError, match="finite"):
+        lp_membership_analytic(Fuv(1.0, -2.0), math.inf, math.nan)
+
+
 def test_test_function_lp_norm_values():
     # exact 1: p u = -1 against alpha = 0 with p v = 2 makes the w-integrand (1+w)^-2
     got = fuv_lp_norm(Fuv(-0.5, 1.0), 2.0, 0.0, 2)

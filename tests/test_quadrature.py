@@ -390,6 +390,20 @@ def test_weighted_sup_ladder():
             weighted_sup_ladder(e, v)
 
 
+def test_weighted_sup_ladder_past_the_double_range():
+    # finite sups above the largest double are inf with finite True, not an
+    # OverflowError: log-sups 860.7 (e = 1, v = -200) and 816 (e = 1e-50, v = -7)
+    for e, v in ((1.0, -200.0), (1e-50, -7.0), (1e-320, -1.0)):
+        assert weighted_sup_ladder(e, v) == LadderResult(True, math.inf, ())
+    # -v/e overflows a double while the sup is near 1: the exact stationary point
+    with mpmath.workdps(40):
+        e, v = mpmath.mpf(5e-324), mpmath.mpf(-1e-10)
+        w = -v / e - 1
+        want = mpmath.exp(-e * w - v * mpmath.log1p(w))
+    got = weighted_sup_ladder(5e-324, -1e-10)
+    assert got.finite and got.value == pytest.approx(float(want), rel=1e-14)
+
+
 def test_rule_validation_and_updates():
     with pytest.raises(ValueError):
         BallQuadrature(dim=1)
