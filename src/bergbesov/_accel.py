@@ -1,8 +1,9 @@
 """Hot loops for zonal series evaluation.
 
 The zonal recurrence exists in two forms.  `series_point` runs it on Python
-floats at one node, which is what every `kernel_eval` call passes: NumPy
-calls on one-element arrays cost 8 to 14 us per degree.  `series_disk`
+floats at one node, which is what `kernel_eval` passes at an order without a
+closed form (the closed-form orders sum no series): NumPy calls on
+one-element arrays cost 8 to 14 us per degree.  `series_disk`
 (dimension 2) and `series_ball` (dimension >= 3) are its one-node entry
 points.  `zonal_table` runs it on node arrays as a degree-by-node table, and
 `zonal_series` sums such tables, times a coefficient and a power of |x||y|

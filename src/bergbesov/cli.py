@@ -160,7 +160,7 @@ def _cmd_classify(args):
 
 
 def _cmd_kernel(args):
-    from .kernel import KernelSpec, kernel_eval_degree
+    from .kernel import KernelSpec, has_closed_form, kernel_eval_degree
 
     x = _parse_point(args.x)
     y = _parse_point(args.y)
@@ -168,9 +168,11 @@ def _cmd_kernel(args):
         raise ValueError(f"x has dim {x.size} but y has dim {y.size}")
     spec = KernelSpec(args.alpha, x.size, args.tol)
     value, degree = kernel_eval_degree(spec, x, y)
+    # at degree 0 the value is the series' first term, 1, for every order
+    method = "closed-form" if degree > 0 and has_closed_form(spec) else "series"
     _print_json({"command": "kernel", "alpha": spec.alpha, "dim": spec.dim,
                  "tol": spec.tol, "x": x.tolist(), "y": y.tolist(),
-                 "value": value, "truncation_degree": degree})
+                 "value": value, "truncation_degree": degree, "method": method})
     return 0
 
 

@@ -10,6 +10,14 @@ alpha > -(1 + n/2), factorial-compensated branch below).  Evaluation truncates
 the series at a degree K backed by a certified tail bound built from the sup
 estimate |Z_k(x, y)| <= h_k (|x||y|)^k, h_k the dimension of the degree-k
 spherical harmonic space.
+
+Three families have elementary closed forms (Axler, Bourdon & Ramey,
+Harmonic Function Theory, ch. 8), and kernel_eval and kernel_eval_batch
+evaluate them instead of summing the series: alpha = -1, the extended
+Poisson kernel, and alpha = 0, the harmonic Bergman kernel, in every
+dimension, and every alpha > -2 in the disc (has_closed_form).  The
+truncation degree is still certified for them, so both entry points raise
+the same errors and report the same degree whichever way they evaluate.
 """
 
 import math
@@ -29,6 +37,7 @@ __all__ = [
     "harmonic_dim",
     "zonal_harmonic",
     "truncation_degree",
+    "has_closed_form",
     "kernel_eval",
     "kernel_eval_degree",
     "kernel_eval_batch",
@@ -40,13 +49,16 @@ MAX_DEGREE = 200_000
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel parameter set: series parameter alpha, dimension, tail tolerance."""
+    """Kernel parameter set: series parameter alpha (finite), dimension, tail
+    tolerance."""
 
     alpha: float
     dim: int
     tol: float = 1e-10
 
     def __post_init__(self):
+        if not math.isfinite(float(self.alpha)):
+            raise ValueError(f"alpha must be finite, got {self.alpha}")
         if int(self.dim) != self.dim or self.dim < 2:
             raise ValueError(f"dim must be an integer >= 2, got {self.dim}")
         if not self.tol > 0.0:
@@ -201,18 +213,58 @@ def _series(gam, rho, cost, dim):
     return _accel.series_ball(gam, rho, cost, dim)
 
 
+def has_closed_form(spec):
+    """Whether kernel_eval and kernel_eval_batch evaluate R_alpha in closed
+    form: alpha = -1 or alpha = 0 in every dimension, and alpha > -2 in the
+    disc.  Every other order sums the zonal series."""
+    return spec.alpha in (-1.0, 0.0) or (spec.dim == 2 and spec.alpha > -2.0)
+
+
+def _closed_form(spec, x, pts):
+    """R_alpha(x, y_j) for the rows y_j of pts, for an order has_closed_form
+    accepts.  With s = |x|^2|y|^2 and d = 1 - 2 x.y + s:
+
+        alpha = -1:         (1 - s) / d^{n/2}
+        alpha = 0:          ((1 - s)^2 - (4/n) s d) / d^{1+n/2}
+        n = 2, alpha > -2:  2 Re (1 - z)^{-(2+alpha)} - 1,  z = x conj(y).
+
+    d is formed as the squared norm | |y| x - y/|y| |^2, which keeps its
+    relative accuracy where 1 - 2 x.y + s cancels.  A row y = 0 gives
+    exactly 1.
+    """
+    n, alpha = spec.dim, spec.alpha
+    if alpha not in (-1.0, 0.0):
+        # the disc: 1 - z = (1 - x.y) + i (x_1 y_2 - x_2 y_1)
+        one_minus_z = (1.0 - pts @ x) + 1j * (x[0] * pts[:, 1] - x[1] * pts[:, 0])
+        return 2.0 * np.power(one_minus_z, -(2.0 + alpha)).real - 1.0
+    ry_sq = np.einsum("ij,ij->i", pts, pts)
+    ry = np.sqrt(ry_sq)
+    zero = ry == 0.0
+    w = ry[:, None] * x - pts / np.where(zero, 1.0, ry)[:, None]
+    d = np.einsum("ij,ij->i", w, w)
+    d[zero] = 1.0
+    s = float(x @ x) * ry_sq
+    if alpha == -1.0:
+        return (1.0 - s) / d ** (0.5 * n)
+    return ((1.0 - s) ** 2 - (4.0 / n) * s * d) / d ** (1.0 + 0.5 * n)
+
+
 def kernel_eval(spec, x, y):
     """Evaluate R_alpha(x, y); truncation error below spec.tol.
 
     Either argument may lie on the unit sphere, but not both (the series has
     no convergent truncation there and KernelDivergenceError is raised).
+    Orders with a closed form (has_closed_form) are evaluated by it; the
+    truncation degree is certified for them all the same.
     """
     return kernel_eval_degree(spec, x, y)[0]
 
 
 def kernel_eval_degree(spec, x, y):
     """(R_alpha(x, y), K): kernel_eval's value and the degree K at which
-    truncation_degree cut its series (0 when x or y is 0)."""
+    truncation_degree cut its series (0 when x or y is 0).  Where K is 0 the
+    value is gamma_0 = 1; otherwise a closed-form order takes its closed
+    form and every other order the series summed to degree K."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
@@ -224,6 +276,8 @@ def kernel_eval_degree(spec, x, y):
     kmax = truncation_degree(spec, rx, ry)
     if kmax == 0:
         return 1.0, 0
+    if has_closed_form(spec):
+        return float(_closed_form(spec, x, y[None, :])[0]), kmax
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     t = float(np.dot(x, y)) / (rx * ry)
     t = min(1.0, max(-1.0, t))
@@ -236,9 +290,11 @@ def kernel_eval_batch(spec, x, pts):
     """Evaluate R_alpha(x, y_j) for a fixed x against rows y_j of pts.
 
     The truncation degree is certified for the largest |x||y_j| and shared
-    across the batch; smaller products only gain accuracy.  The series is
-    summed by _accel.zonal_series, so it agrees with kernel_eval to rounding,
-    not bit for bit.
+    across the batch; smaller products only gain accuracy.  Orders with a
+    closed form (has_closed_form) are evaluated by it, row by row, once the
+    degree is certified; every other order is summed by _accel.zonal_series.
+    Either way the batch agrees with kernel_eval to rounding, not bit for
+    bit, except where the certified degree is 0 and both return 1.
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -252,6 +308,8 @@ def kernel_eval_batch(spec, x, pts):
     kmax = truncation_degree(spec, rx, ry_max)
     if kmax == 0:
         return np.ones(pts.shape[0])
+    if has_closed_form(spec):
+        return _closed_form(spec, x, pts)
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     safe = np.where(ry == 0.0, 1.0, ry)
     cost = (pts @ x) / (rx * safe)

@@ -224,6 +224,15 @@ def _setup_point(x, rule):
     return x, rule
 
 
+def _finite_orders(b, c):
+    """(b, c) as floats; a transform has no value at a non-finite order."""
+    b, c = float(b), float(c)
+    for name, value in (("b", b), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+    return b, c
+
+
 def _kernel_spec(c, dim, spec):
     c = float(c)
     if spec is not None and spec.alpha == c and spec.dim == dim:
@@ -299,12 +308,14 @@ def apply_T(b, c, f, x, spec=None, rule=None):
     f may be anything as_ball_function accepts.  A TestFunction f_{u,v} has
     the constant image radial_power_log_value(b + u, v) at every x (inf when
     divergent); every other input is integrated by the product quadrature
-    rule as given.  Convergence diagnostics live in apply_T_report.
+    rule as given.  Convergence diagnostics live in apply_T_report.  b and c
+    must be finite.
     """
+    b, c = _finite_orders(b, c)
     x, rule = _setup_point(x, rule)
     fvec, tf = as_ball_function(f, x.size)
     if tf is not None:
-        return radial_power_log_value(float(b) + tf.u, tf.v, dim=x.size)
+        return radial_power_log_value(b + tf.u, tf.v, dim=x.size)
     kspec = _kernel_spec(c, x.size, spec)
     return _image_at(b, fvec, x, kspec, rule)
 
@@ -318,12 +329,13 @@ def apply_T_report(b, c, f, x, spec=None, rule=None):
     evaluated at 1x, 2x, and 4x the rule's radial nodes and flagged
     divergent when the magnitude grows beyond
     GROWTH_FACTOR across the two doublings, exceeds DIVERGENCE_CAP, or
-    becomes non-finite.
+    becomes non-finite.  b and c must be finite.
     """
+    b, c = _finite_orders(b, c)
     x, rule = _setup_point(x, rule)
     fvec, tf = as_ball_function(f, x.size)
     if tf is not None:
-        bexp = float(b) + tf.u
+        bexp = b + tf.u
         value = radial_power_log_value(bexp, tf.v, dim=x.size)
         rungs = radial_power_log_ladder(bexp, tf.v, dim=x.size).rungs
         return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
@@ -437,9 +449,10 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
     other inputs evaluate the transform on a reduced outer grid, so expect
     desk-scale accuracy only.
     rule is the inner quadrature for the transform; outer_rule overrides the
-    norm grid.
+    norm grid.  b and c must be finite.
     """
     b, c, f = g
+    b, c = _finite_orders(b, c)
     q = float(q)
     if not 1.0 <= q < math.inf:
         raise ValueError(f"q must be in [1, inf), got {q}")
@@ -451,9 +464,9 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
     t = int(t)
     n = _resolve_dim(f, rule, dim)
     fvec, tf = as_ball_function(f, n)
-    s = float(c)
+    s = c
     if tf is not None:
-        const = radial_power_log_value(float(b) + tf.u, tf.v, dim=n)
+        const = radial_power_log_value(b + tf.u, tf.v, dim=n)
         if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
         return NormResult(_constant_besov_norm(const, q, beta, t, n), s, t, False)
@@ -480,9 +493,11 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
     of the true supremum).  Any admissible non-negative integer t may be
     forced instead.  A TestFunction f_{u,v} has the constant image
     radial_power_log_value(b + u, v), so the sup is its absolute value: the
-    weight (1-|x|^2)^{beta+t} peaks at 1 at the origin.
+    weight (1-|x|^2)^{beta+t} peaks at 1 at the origin.  b and c must be
+    finite.
     """
     b, c, f = g
+    b, c = _finite_orders(b, c)
     beta = float(beta)
     if t is None:
         t = bloch_smoothing_order(beta)
@@ -491,9 +506,9 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
     t = int(t)
     n = _resolve_dim(f, rule, dim)
     fvec, tf = as_ball_function(f, n)
-    s = float(c)
+    s = c
     if tf is not None:
-        const = radial_power_log_value(float(b) + tf.u, tf.v, dim=n)
+        const = radial_power_log_value(b + tf.u, tf.v, dim=n)
         if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
         return NormResult(abs(const), s, t, False)

@@ -63,7 +63,22 @@ def test_kernel_at_origin_is_one():
     out = run_json("kernel", "--alpha", "0.7", "--x", "0.3,0.1", "--y", "0,0")
     assert out["value"] == 1.0
     assert out["truncation_degree"] == 0
-    assert set(out) == {"command", "alpha", "dim", "tol", "x", "y", "value", "truncation_degree"}
+    # degree 0 is the series' first term, even at an order with a closed form
+    assert out["method"] == "series"
+    assert set(out) == {"command", "alpha", "dim", "tol", "x", "y", "value", "truncation_degree",
+                        "method"}
+
+
+@pytest.mark.parametrize("alpha, dim, method", [
+    ("0", 3, "closed-form"), ("-1", 5, "closed-form"), ("1.7", 2, "closed-form"),
+    ("0.4", 3, "series"), ("-2", 2, "series"), ("-4.5", 4, "series"),
+])
+def test_kernel_reports_its_method(alpha, dim, method):
+    x = ",".join(["0.3"] + ["0.1"] * (dim - 1))
+    y = ",".join(["0.5"] + ["-0.2"] * (dim - 1))
+    out = run_json("kernel", "--alpha", alpha, "--x", x, "--y", y)
+    assert out["method"] == method
+    assert out["truncation_degree"] > 0
 
 
 def test_kernel_dimension_mismatch():
@@ -112,7 +127,25 @@ MALFORMED = {
                        "b must be finite"),
     "sweep-c-infinite-range": (("sweep", "--c=-inf:inf:2", "--target", "besov"), "c must be finite"),
     "apply-fuv-b-nan": (("apply", "--b", "nan", "--c", "0", "--f", "fuv:0.3,1", "--x", "0.1,0"),
-                        "must not be NaN"),
+                        "b must be finite"),
+    "apply-fuv-c-nan": (("apply", "--b", "0", "--c", "nan", "--f", "fuv:0.3,1", "--x", "0.1,0"),
+                        "c must be finite"),
+    "apply-b-nan": (("apply", "--b", "nan", "--c", "0", "--f", ONE_TERM, "--x", "0.1,0"),
+                    "b must be finite"),
+    "apply-c-nan": (("apply", "--b", "0", "--c", "nan", "--f", ONE_TERM, "--x", "0.1,0"),
+                    "c must be finite"),
+    "apply-b-inf": (("apply", "--b", "inf", "--c", "0", "--f", ONE_TERM, "--x", "0.1,0"),
+                    "b must be finite"),
+    "norm-besov-c-nan": (("norm", "--b", "0", "--c", "nan", "--q", "2", "--f", ONE_TERM),
+                         "c must be finite"),
+    "norm-besov-b-inf": (("norm", "--b=-inf", "--c", "0", "--q", "2", "--f", ONE_TERM),
+                         "b must be finite"),
+    "norm-bloch-c-inf": (("norm", "--b", "0", "--c", "inf", "--target", "bloch", "--f", ONE_TERM),
+                         "c must be finite"),
+    "kernel-alpha-nan": (("kernel", "--alpha", "nan", "--x", "0.1,0", "--y", "0.2,0"),
+                         "alpha must be finite"),
+    "kernel-alpha-inf": (("kernel", "--alpha=-inf", "--x", "0.1,0", "--y", "0.2,0"),
+                         "alpha must be finite"),
     "norm-inf-alpha-nan": (("norm", "--f", "fuv:0.3,-2", "--p", "inf", "--alpha", "nan"),
                            "alpha must be finite"),
     "norm-inf-alpha-inf": (("norm", "--f", "fuv:0.3,-2", "--p", "inf", "--alpha", "inf"),
@@ -146,8 +179,9 @@ KERNEL_STDOUT = {
     0.5,
     -0.20000000000000001
   ],
-  "value": 1.688394513618994,
-  "truncation_degree": 16
+  "value": 1.6883945136348038,
+  "truncation_degree": 16,
+  "method": "closed-form"
 }
 """,
     ("--alpha", "-4.5", "--x", "0.5,0.2,-0.3,0.6", "--y", "0.1,0.7,0.4,-0.5", "--tol", "1e-12"): """{
@@ -168,7 +202,8 @@ KERNEL_STDOUT = {
     -0.5
   ],
   "value": 0.84193330500457197,
-  "truncation_degree": 118
+  "truncation_degree": 118,
+  "method": "series"
 }
 """,
 }

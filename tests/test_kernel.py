@@ -1,6 +1,7 @@
 """Kernel layer: gamma coefficients, zonal harmonics, truncation certificate,
-series evaluation, the single-pair series against a node-array loop, and the
-batch (zonal table and Horner) against the single-pair series."""
+series evaluation, the single-pair series against a node-array loop, the
+batch (zonal table and Horner) against the single-pair series, and the
+closed-form orders against 40-digit references and against the series."""
 
 import math
 import os
@@ -23,6 +24,7 @@ from bergbesov.kernel import (
     gamma_coef,
     gamma_coefs,
     harmonic_dim,
+    has_closed_form,
     kernel_eval,
     kernel_eval_batch,
     kernel_eval_degree,
@@ -282,6 +284,22 @@ def test_kernel_spec_validation():
         KernelSpec(alpha=0.0, dim=1)
     with pytest.raises(ValueError):
         KernelSpec(alpha=0.0, dim=2, tol=0.0)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            KernelSpec(alpha=alpha, dim=2)
+
+
+def test_has_closed_form_orders():
+    for dim in (2, 3, 4, 7):
+        assert has_closed_form(KernelSpec(-1.0, dim))
+        assert has_closed_form(KernelSpec(0.0, dim))
+        assert not has_closed_form(KernelSpec(-2.0, dim))
+    for alpha in (-1.999, -1.5, 0.7, 3.0, 40.0):
+        assert has_closed_form(KernelSpec(alpha, 2))
+        assert not has_closed_form(KernelSpec(alpha, 3))
+    # the reproducing branch of the disc starts above -2
+    assert not has_closed_form(KernelSpec(-2.0, 2))
+    assert not has_closed_form(KernelSpec(-4.5, 2))
 
 
 @given(
@@ -469,22 +487,30 @@ def _disk_series_mp(alpha, xi, yi, kmax):
     return total
 
 
-def test_disk_batch_is_as_accurate_as_kernel_eval_near_the_boundary():
+def test_disk_zonal_series_is_as_accurate_as_series_point_near_the_boundary():
     # |x||y| = 1010/1024.  The dim-2 zonal table runs the Chebyshev
     # recurrence on u itself; a table built from cos(k arccos u) moves u by
     # about an ulp for every degree at once, and near the boundary the batch
-    # then drifts from the series by up to 1800 times kernel_eval's error
+    # sum then drifts from the single-node sum by up to 1800 times the
+    # latter's error.  Both sums take the geometry kernel_eval and
+    # kernel_eval_batch form for an order without a closed form.
     xi = np.array([31, 7])
     for alpha in (0.0, 1.7, 3.0):
         spec = KernelSpec(alpha=alpha, dim=2)
         for yi in (np.array([7, 31]), np.array([-7, 31]), np.array([31, -7])):
             x, y = xi / 32.0, yi / 32.0
-            value, kmax = kernel_eval_degree(spec, x, y)
+            rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+            kmax = truncation_degree(spec, rx, ry)
+            gam = gamma_coefs(kmax, alpha, 2)
+            t = min(1.0, max(-1.0, float(np.dot(x, y)) / (rx * ry)))
+            point = _accel.series_point(gam, rx * ry, t, 2)
+            cost = np.clip((y[None, :] @ x) / (rx * ry), -1.0, 1.0)
+            batch = _accel.zonal_series(gam, np.array([rx * ry]), cost, 2)[0]
             with mpmath.workdps(40):
                 want = float(_disk_series_mp(alpha, xi, yi, kmax))
-            err_eval = abs(value - want)
-            err_batch = abs(kernel_eval_batch(spec, x, y[None, :])[0] - want)
-            assert err_batch <= 4.0 * err_eval + 64.0 * np.finfo(float).eps * abs(want)
+            err_point = abs(point - want)
+            err_batch = abs(batch - want)
+            assert err_batch <= 4.0 * err_point + 64.0 * np.finfo(float).eps * abs(want)
 
 
 def test_batch_tables_stay_within_the_entry_budget(monkeypatch):
@@ -499,7 +525,8 @@ def test_batch_tables_stay_within_the_entry_budget(monkeypatch):
     m = 1_000_003
     pts = np.random.default_rng(5).uniform(-0.3, 0.3, size=(m, 3))
     x = np.array([0.9, 0.0, 0.0])
-    spec = KernelSpec(alpha=0.0, dim=3)
+    # an order without a closed form, so the batch sums zonal tables
+    spec = KernelSpec(alpha=0.4, dim=3)
     values = kernel_eval_batch(spec, x, pts)
     kmax = truncation_degree(spec, 0.9, float(np.linalg.norm(pts, axis=1).max()))
     assert kmax > 20
@@ -514,6 +541,177 @@ def test_batch_tables_stay_within_the_entry_budget(monkeypatch):
     evaluate_many(exp, pts)
     assert sizes and max(sizes) <= _accel.TABLE_ENTRIES
     assert sum(sizes) == 41 * m
+
+
+# ---------------------------------------------------------------------------
+# Closed-form orders: alpha = -1 and alpha = 0 in every dimension, and every
+# alpha > -2 in the disc.
+
+CLOSED_FORM_ORDERS = ([(alpha, dim) for alpha in (-1.0, 0.0) for dim in (2, 3, 4, 5, 6)]
+                      + [(alpha, 2) for alpha in (-1.5, 0.7, 1.7, 3.0)])
+
+
+def _mp_point(v):
+    return [mpmath.mpf(float(c)) for c in v]
+
+
+def _mp_closed_form(alpha, x, y):
+    """R_alpha(x, y) at the float inputs taken exactly, in the working
+    precision: the Poisson kernel, the harmonic Bergman kernel with the
+    numerator expanded in s and x.y as in Axler, Bourdon & Ramey (ch. 8),
+    and the complex form in the disc."""
+    xs, ys = _mp_point(x), _mp_point(y)
+    n = len(xs)
+    s = mpmath.fsum(v * v for v in xs) * mpmath.fsum(v * v for v in ys)
+    t = mpmath.fsum(a * b for a, b in zip(xs, ys))
+    d = 1 - 2 * t + s
+    if alpha == -1.0:
+        return (1 - s) / d ** (mpmath.mpf(n) / 2)
+    if alpha == 0.0:
+        num = (n - 4) * s * s + (8 * t - 2 * n - 4) * s + n
+        return num / (n * d ** (1 + mpmath.mpf(n) / 2))
+    z = mpmath.mpc(xs[0], xs[1]) * mpmath.mpc(ys[0], -ys[1])
+    return 2 * mpmath.re((1 - z) ** (-(2 + mpmath.mpf(alpha)))) - 1
+
+
+def _mp_zonal_series(alpha, x, y, kmax):
+    """sum_{k <= kmax} gamma_k (|x||y|)^k Z_k at the float inputs taken
+    exactly, with the reproducing-branch coefficient recurrence and the
+    Chebyshev (dim 2) or Gegenbauer recurrence for Z_k."""
+    xs, ys = _mp_point(x), _mp_point(y)
+    n = len(xs)
+    rho = mpmath.sqrt(mpmath.fsum(v * v for v in xs) * mpmath.fsum(v * v for v in ys))
+    t = mpmath.fsum(a * b for a, b in zip(xs, ys)) / rho
+    a, half = 1 + mpmath.mpf(n) / 2 + alpha, mpmath.mpf(n) / 2
+    lam = half - 1
+    gam, total = mpmath.mpf(1), mpmath.mpf(1)
+    cm1, c = mpmath.mpf(1), (t if n == 2 else 2 * lam * t)
+    for k in range(1, kmax + 1):
+        if k >= 2:
+            if n == 2:
+                cm1, c = c, 2 * t * c - cm1
+            else:
+                cm1, c = c, (2 * t * (k + lam - 1) * c - (k + 2 * lam - 2) * cm1) / k
+        gam *= (a + k - 1) / (half + k - 1)
+        z = 2 * c if n == 2 else (n + 2 * k - 2) / mpmath.mpf(n - 2) * c
+        total += gam * rho**k * z
+    return total
+
+
+def _closed_form_bound(alpha, x, y, want):
+    """64 eps times the condition factor of the closed form at (x, y).
+
+    The factor is the magnitude of the parts the closed form adds (the two
+    numerator terms of the Bergman kernel, the 2 |1 - z|^{-(2+alpha)} and
+    the 1 of the disc), times the relative error that rounding the inputs
+    puts into 1 - s (about eps / (1 - s)) and into d and |1 - z| (about
+    eps / sqrt(d)), the latter raised to the kernel's power of d."""
+    n = len(x)
+    s = float(x @ x) * float(y @ y)
+    d = float(np.sum((np.linalg.norm(y) * x - y / np.linalg.norm(y)) ** 2))
+    if alpha == -1.0:
+        parts = abs(want)
+    elif alpha == 0.0:
+        parts = ((1.0 - s) ** 2 + 4.0 / n * s * d) / d ** (1.0 + 0.5 * n)
+    else:
+        parts = 2.0 * d ** (-0.5 * (2.0 + alpha)) + 1.0
+    factor = 1.0 / (1.0 - s) + (0.5 * n + abs(alpha) + 2.0) / math.sqrt(d)
+    return 64.0 * np.finfo(float).eps * parts * factor
+
+
+def _closed_form_pairs(dim):
+    # x = y, x = -y and generic directions, |x||y| from 0.5 to 1 - 2^-10,
+    # split unevenly between the two points
+    pairs = []
+    for rho in (0.5, 0.9, 1.0 - 2.0**-10):
+        u = _ball_point(dim, 1.0)
+        v = _ball_point(dim, 1.0)
+        share = RNG.uniform(0.35, 0.65)
+        rx, ry = rho**share, rho ** (1.0 - share)
+        pairs += [(rx * u, ry * u), (rx * u, -ry * u), (rx * u, ry * v)]
+    return pairs
+
+
+@pytest.mark.parametrize("alpha, dim", CLOSED_FORM_ORDERS)
+def test_mpmath_closed_forms_are_the_zonal_series(alpha, dim):
+    # the references below are the kernels: at |x||y| = 0.6 the 40-digit
+    # series to degree 260 has a tail far below 1e-25
+    for _ in range(3):
+        x, y = _ball_point(dim, 0.8), _ball_point(dim, 0.75)
+        for y in (y, x * (0.75 / 0.8), -x * (0.75 / 0.8)):
+            with mpmath.workdps(40):
+                series = _mp_zonal_series(alpha, x, y, 260)
+                closed = _mp_closed_form(alpha, x, y)
+                assert abs(series - closed) <= 1e-25 * max(1, abs(closed))
+
+
+@pytest.mark.parametrize("alpha, dim", CLOSED_FORM_ORDERS)
+def test_closed_forms_match_mpmath(alpha, dim):
+    spec = KernelSpec(alpha, dim)
+    assert has_closed_form(spec)
+    pairs = _closed_form_pairs(dim)
+    for x, y in pairs:
+        with mpmath.workdps(40):
+            want = float(_mp_closed_form(alpha, x, y))
+        bound = _closed_form_bound(alpha, x, y, want)
+        value, kmax = kernel_eval_degree(spec, x, y)
+        assert kmax == truncation_degree(spec, float(np.linalg.norm(x)), float(np.linalg.norm(y)))
+        assert abs(value - want) <= bound, (x, y, value, want)
+        batch = kernel_eval_batch(spec, x, np.vstack([y, np.zeros(dim), y]))
+        assert abs(batch[0] - want) <= bound and batch[2] == batch[0]
+        assert batch[1] == 1.0
+
+
+def test_near_sphere_antipodal_pairs_take_the_closed_form():
+    # the series summed to its certified degree was 1.25e-5 off in the
+    # first case and 1.6e-8 in the second: rounding, not truncation
+    x2 = np.array([0.999, 0.0])
+    x4 = np.array([15.0, 5.0, 2.0, 1.0]) / 16.0
+    for spec, x, y in ((KernelSpec(3.0, 2), x2, -x2), (KernelSpec(0.0, 4), x4, -x4)):
+        value, kmax = kernel_eval_degree(spec, x, y)
+        assert kmax == truncation_degree(spec, float(np.linalg.norm(x)), float(np.linalg.norm(y)))
+        with mpmath.workdps(40):
+            want = float(_mp_closed_form(spec.alpha, x, y))
+        assert abs(value - want) <= _closed_form_bound(spec.alpha, x, y, want)
+        assert kernel_eval_batch(spec, x, y[None, :])[0] == pytest.approx(want, rel=1e-14)
+    assert kernel_eval(KernelSpec(3.0, 2), x2, -x2) == pytest.approx(-0.93718672, abs=5e-9)
+
+
+def _geometry_rounding(spec, rho, kmax):
+    # the series sees x and y only through the rounded |x||y| and cosine,
+    # each off by about 2 eps.  sum_k k gamma_k h_k rho^k bounds rho dR/drho
+    # and, with k(k+n-2)/(n-1) = Z_k'(1)/h_k in place of k, dR/dcos: near
+    # x = +-y a cosine one ulp from +-1 moves degree k by about k^2 ulps
+    n = spec.dim
+    ks = np.arange(kmax + 1.0)
+    h = np.array([harmonic_dim(k, n) for k in range(kmax + 1)])
+    terms = gamma_coefs(kmax, spec.alpha, n) * h * rho**ks
+    return 2.0 * np.finfo(float).eps * float(np.sum((ks + ks * (ks + n - 2.0) / (n - 1.0)) * terms))
+
+
+@pytest.mark.parametrize("alpha, dim", [(-1.0, 2), (0.0, 2), (-1.5, 2), (3.0, 2), (-1.0, 3),
+                                        (0.0, 4), (0.0, 5), (-1.0, 6)])
+def test_series_point_agrees_with_the_closed_form(alpha, dim):
+    # the series path still serves every other order: summed to the
+    # certified degree it is within tol, its summation rounding and the
+    # rounding of its geometry of the closed form
+    spec = KernelSpec(alpha, dim)
+    edge = _near_boundary(dim)
+    pairs = [(edge, -edge), (edge, edge[::-1])]
+    for _ in range(4):
+        x = _dyadic_point(dim)
+        pairs += [(x, _dyadic_point(dim)), (x, x), (x, -x)]
+    for x, y in pairs:
+        rx, ry = float(np.linalg.norm(x)), float(np.linalg.norm(y))
+        kmax = truncation_degree(spec, rx, ry)
+        if kmax == 0:
+            continue
+        gam = gamma_coefs(kmax, alpha, dim)
+        t = min(1.0, max(-1.0, float(np.dot(x, y)) / (rx * ry)))
+        series = _accel.series_point(gam, rx * ry, t, dim)
+        closed = kernel_eval(spec, x, y)
+        bound = spec.tol + _rounding_bound(spec, rx * ry, kmax) + _geometry_rounding(spec, rx * ry, kmax)
+        assert abs(series - closed) <= bound
 
 
 def test_kernel_eval_same_value_in_fresh_process():

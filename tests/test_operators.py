@@ -441,6 +441,21 @@ def test_test_function_lp_norm_rejects_a_non_finite_weight(p, alpha):
         fuv_lp_norm(Fuv(0.3, -2.0), p, alpha, 2)
 
 
+@pytest.mark.parametrize("f", [Fuv(0.3, 1.0), HarmonicExpansion.from_terms(2, [(1, [0.5, 0.0], 1.0)])],
+                         ids=["radial", "expansion"])
+@pytest.mark.parametrize("b, c", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0),
+                                  (0.0, -math.inf)])
+def test_transforms_reject_a_non_finite_order(f, b, c):
+    x = np.array([0.1, 0.0])
+    name = "b" if not math.isfinite(b) else "c"
+    calls = [lambda: apply_T(b, c, f, x), lambda: apply_T_report(b, c, f, x),
+             lambda: besov_norm((b, c, f), 2.0, 0.0, dim=2),
+             lambda: bloch_norm((b, c, f), 1.0, dim=2)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            call()
+
+
 def test_projection_dim4_degree_two_is_exact():
     # x1 x2 is harmonic, so Q reproduces it; the dim-4 sphere rule is exact
     # to degree 23, and a Monte Carlo sphere average missed by 9.8e-3 here

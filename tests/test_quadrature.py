@@ -280,6 +280,10 @@ def test_radial_log_integral_dichotomy():
     assert math.isinf(radial_power_log_value(-1.0, 0.0))
     assert math.isinf(radial_power_log_value(-2.0, 5.0))
     assert radial_power_log_value(-1.0, 0.0) == math.inf
+    # NaN has no side: the dichotomy raises instead of calling it divergent
+    for u, v in ((math.nan, 1.0), (-1.0, math.nan)):
+        with pytest.raises(ValueError, match="must not be NaN"):
+            radial_power_log_value(u, v)
 
 
 def test_radial_log_integral_oracle_values():
