@@ -17,4 +17,6 @@ class KernelDivergenceError(ArithmeticError):
 
 
 class TruncationLimitError(RuntimeError):
-    """Certified tail bound still above tol at MAX_DEGREE (|x||y| too close to 1)."""
+    """Kernel series with no certified truncation degree: the tail bound is
+    still above tol at MAX_DEGREE (|x||y| too close to 1), or the coefficient
+    at the first omitted degree overflows a double."""

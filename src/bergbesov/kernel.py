@@ -9,7 +9,10 @@ two-branch Pochhammer-ratio formula (reproducing-kernel branch for
 alpha > -(1 + n/2), factorial-compensated branch below).  Evaluation truncates
 the series at a degree K backed by a certified tail bound built from the sup
 estimate |Z_k(x, y)| <= h_k (|x||y|)^k, h_k the dimension of the degree-k
-spherical harmonic space.
+spherical harmonic space.  The certificate is monotone in the degree, so
+truncation_degree finds K by a galloping and bisecting search over single
+degrees, each checked in closed form from log-gamma values: a few dozen
+scalar evaluations, however large K is.
 
 Three families have elementary closed forms (Axler, Bourdon & Ramey,
 Harmonic Function Theory, ch. 8), and kernel_eval and kernel_eval_batch
@@ -21,6 +24,7 @@ the same errors and report the same degree whichever way they evaluate.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +49,8 @@ __all__ = [
 
 # Hard ceiling on series degree; reached only for |x||y| extremely close to 1.
 MAX_DEGREE = 200_000
+# log of the largest finite double: a coefficient above it overflows
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -136,33 +142,115 @@ def zonal_harmonic(k, x, y, dim):
     ry = float(np.linalg.norm(y))
     if rx == 0.0 or ry == 0.0:
         return 0.0
-    t = float(np.dot(x, y)) / (rx * ry)
-    t = min(1.0, max(-1.0, t))
-    return rx**k * ry**k * float(_accel.zonal_table(k, np.array([t]), dim)[k, 0])
+    t = _cosines(x, rx, y[None, :], np.array([ry]))
+    return rx**k * ry**k * float(_accel.zonal_table(k, t, dim)[k, 0])
 
 
-def _harmonic_dims(ks, dim):
-    """harmonic_dim over a float array of degrees >= 1."""
+def _cosines(x, rx, pts, ry):
+    """Cosines of the angles between x (norm rx > 0) and the rows of pts
+    (norms ry).
+
+    With u = x/|x| and v = y/|y| the cosine is 1 - |u - v|^2/2 where
+    x.y >= 0 and |u + v|^2/2 - 1 elsewhere, so it never leaves [-1, 1] by
+    more than rounding.  Near x = +-y that keeps the distance to +-1 to its
+    relative accuracy, and parallel points give +-1 exactly, where
+    x.y/(|x||y|) would round an ulp off; the zonal recurrences amplify that
+    ulp by about k^2 at degree k.  A zero row gets 1/2, which its product
+    |x||y| = 0 removes from every degree above 0.
+    """
+    sign = np.where(pts @ x >= 0.0, 1.0, -1.0)
+    w = x / rx - sign[:, None] * (pts / np.where(ry == 0.0, 1.0, ry)[:, None])
+    return sign * (1.0 - 0.5 * np.einsum("ij,ij->i", w, w))
+
+
+def _log_rising(x, k):
+    """log (x)_k = log Gamma(x + k) - log Gamma(x) for x > 0 and k >= 0.
+
+    Below x = 1000 it is the difference of two math.lgamma values.  Above,
+    that difference loses about eps x log x to cancellation, so it is the
+    difference of the two Stirling series instead, whose leading terms
+    cancel in closed form; the first omitted term is below 1e-18 there.
+    """
+    if x < 1000.0:
+        return math.lgamma(x + k) - math.lgamma(x)
+    y = x + k
+    return ((x - 0.5) * math.log1p(k / x) + k * math.log(y) - k
+            + (1.0 / y - 1.0 / x) / 12.0 - (y**-3 - x**-3) / 360.0 + (y**-5 - x**-5) / 1260.0)
+
+
+def _tail_ratio(k, t, alpha, dim):
+    """rho_k = t g_k h_{k+1}/h_k, the certified ratio of the tail past
+    degree k >= 1: g_k = (k+1)/(k+n/2) on the factorial branch and
+    max(1, (a+k)/(n/2+k)) on the reproducing branch (a = 1 + n/2 + alpha)
+    bound every later coefficient ratio gamma_{j+1}/gamma_j, and h_{k+1}/h_k
+    every later ratio of harmonic dimensions.  Each factor, and so rho_k,
+    is nonincreasing in k."""
+    n2 = 0.5 * dim
+    # h_k = (2k+n-2) (k+n-3)! / (k! (n-2)!)
+    hr = (2.0 * k + dim) * (k + dim - 2.0) / ((2.0 * k + dim - 2.0) * (k + 1.0))
+    if _uses_factorial_branch(alpha, dim):
+        g = (k + 1.0) / (k + n2)
+    else:
+        g = max(1.0, (1.0 + n2 + alpha + k) / (n2 + k))
+    return t * g * hr
+
+
+def _log_gamma_coef(k, alpha, dim):
+    """log gamma_k(alpha), from the Pochhammer ratios that define it."""
+    n2 = 0.5 * dim
+    if _uses_factorial_branch(alpha, dim):
+        return 2.0 * math.lgamma(k + 1.0) - _log_rising(1.0 - (n2 + alpha), k) - _log_rising(n2, k)
+    return _log_rising(1.0 + n2 + alpha, k) - _log_rising(n2, k)
+
+
+def _certifies(k, t, log_t, log_tol, alpha, dim):
+    """The truncation certificate at first omitted degree k >= 1:
+
+        rho_k < 1  and  gamma_k h_k t^k <= tol (1 - rho_k),
+
+    rho_k the tail ratio of _tail_ratio.  The first omitted term is
+    compared in logs, from log-gamma values, so no coefficient is formed.
+    """
+    rho = _tail_ratio(k, t, alpha, dim)
+    if not rho < 1.0:
+        return False
     if dim == 2:
-        return np.full(ks.shape, 2.0)
-    out = (2.0 * ks + dim - 2.0) / math.factorial(dim - 2)
-    for j in range(1, dim - 2):
-        out = out * (ks + j)
-    return out
+        log_h = math.log(2.0)
+    else:
+        log_h = math.log(2.0 * k + dim - 2.0) + _log_rising(k + 1.0, dim - 3.0) - math.lgamma(dim - 1.0)
+    return _log_gamma_coef(k, alpha, dim) + log_h + k * log_t <= log_tol + math.log(1.0 - rho)
 
 
 def truncation_degree(spec, rx, ry, cap=None):
     """Smallest K whose certified tail bound falls below spec.tol.
 
     The tail sum_{j>K} gamma_j h_j t^j (t = rx*ry < 1) is dominated by the
-    first omitted term times a geometric series with certified ratio; K is
-    minimal with respect to that certificate.  Monotone: nondecreasing in
-    rx*ry, nonincreasing in tol.  Degrees are scanned in doubling vectorized
-    blocks so near-boundary products (K in the tens of thousands) stay cheap.
+    first omitted term times a geometric series with certified ratio rho;
+    K is one less than the first degree k >= 1 at which
 
-    A caller that sums no further than degree cap passes it: the scan stops
-    there and returns min(K, cap), so a K past MAX_DEGREE raises
+        rho_k < 1  and  gamma_k h_k t^k <= tol (1 - rho_k),
+
+    so K is minimal with respect to that certificate.  Monotone:
+    nondecreasing in rx*ry, nonincreasing in tol.
+
+    The certificate holds at every degree past the first that meets it:
+    rho_k is nonincreasing in k (each of its factors is), and the next term
+    is at most rho_k times this one, so gamma_{k+1} h_{k+1} t^{k+1} <=
+    tol rho_k (1 - rho_k) <= tol (1 - rho_{k+1}).  So the first degree is
+    found by a search that evaluates the certificate at single degrees in
+    closed form, from log-gamma values: galloping from log(tol)/log(t),
+    doubling or halving the degree, then bisecting.  That takes at most
+    2 ceil(log2 MAX_DEGREE) + 4 evaluations and builds no per-degree array.
+    The log-space bound is rounded by about eps times the magnitude of the
+    logs it adds (k log k at degree k), so K can differ from an exact
+    evaluation only where the first omitted term lies within that relative
+    distance of tol (1 - rho).
+
+    A caller that sums no further than degree cap passes it: the search
+    stops there and returns min(K, cap), so a K past MAX_DEGREE raises
     TruncationLimitError only when cap is None or not below MAX_DEGREE.
+    TruncationLimitError is raised as well, at once, when the coefficient
+    gamma_{K+1} at the first omitted degree is not a finite double.
     """
     if rx < 0.0 or ry < 0.0:
         raise ValueError("radii must be non-negative")
@@ -172,34 +260,31 @@ def truncation_degree(spec, rx, ry, cap=None):
     if t == 0.0:
         return 0
     alpha, dim, tol = spec.alpha, spec.dim, spec.tol
-    n2 = 0.5 * dim
-    factorial_branch = _uses_factorial_branch(alpha, dim)
-    big_a = 1.0 - (n2 + alpha)
-    a = 1.0 + n2 + alpha
     last = MAX_DEGREE if cap is None else min(int(cap), MAX_DEGREE)
-    gam_prev = 1.0
-    lo = 1
-    block = 512
-    while lo <= last:
-        hi = min(lo + block - 1, last)
-        ks = np.arange(lo, hi + 1, dtype=float)
-        km1 = ks - 1.0
-        if factorial_branch:
-            factors = ks * ks / ((big_a + km1) * (n2 + km1))
-            g = (ks + 1.0) / (ks + n2)
+    log_t, log_tol = math.log(t), math.log(tol)
+    # the first certifying degree lies in (fail, hit]: fail = 0 while no
+    # failing degree is known, hit = last + 1 while no certifying one is.
+    # Double from a failing guess, halve from a certifying one, then bisect
+    fail, hit = 0, last + 1
+    k = min(last, max(1, math.ceil(log_tol / log_t)))
+    while hit - fail > 1:
+        if _certifies(k, t, log_t, log_tol, alpha, dim):
+            hit = k
         else:
-            factors = (a + km1) / (n2 + km1)
-            g = np.maximum(1.0, (a + ks) / (n2 + ks))
-        gam = gam_prev * np.cumprod(factors)
-        h = _harmonic_dims(ks, dim)
-        first_omitted = gam * h * np.power(t, ks)
-        rho = t * g * (_harmonic_dims(ks + 1.0, dim) / h)
-        hit = np.flatnonzero((rho < 1.0) & (first_omitted <= tol * (1.0 - rho)))
-        if hit.size:
-            return lo + int(hit[0]) - 1
-        gam_prev = float(gam[-1])
-        lo = hi + 1
-        block = min(2 * block, 65536)
+            fail = k
+        if hit > last:
+            k = min(2 * fail, last)
+        elif fail == 0:
+            k = hit // 2
+        else:
+            k = (fail + hit) // 2
+    if hit <= last:
+        if _log_gamma_coef(hit, alpha, dim) >= _LOG_MAX_FLOAT:
+            raise TruncationLimitError(
+                f"coefficient gamma_{hit}({alpha}) at the first omitted degree overflows a "
+                f"double: the kernel series cannot be certified in floating point (t={t})"
+            )
+        return hit - 1
     if last < MAX_DEGREE:
         return last
     raise TruncationLimitError(
@@ -279,11 +364,8 @@ def kernel_eval_degree(spec, x, y):
     if has_closed_form(spec):
         return float(_closed_form(spec, x, y[None, :])[0]), kmax
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
-    t = float(np.dot(x, y)) / (rx * ry)
-    t = min(1.0, max(-1.0, t))
-    rho = np.array([rx * ry])
-    cost = np.array([t])
-    return float(_series(gam, rho, cost, spec.dim)[0]), kmax
+    cost = _cosines(x, rx, y[None, :], np.array([ry]))
+    return float(_series(gam, np.array([rx * ry]), cost, spec.dim)[0]), kmax
 
 
 def kernel_eval_batch(spec, x, pts):
@@ -311,7 +393,4 @@ def kernel_eval_batch(spec, x, pts):
     if has_closed_form(spec):
         return _closed_form(spec, x, pts)
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
-    safe = np.where(ry == 0.0, 1.0, ry)
-    cost = (pts @ x) / (rx * safe)
-    cost = np.where(ry == 0.0, 0.0, np.clip(cost, -1.0, 1.0))
-    return _accel.zonal_series(gam, rx * ry, cost, spec.dim)
+    return _accel.zonal_series(gam, rx * ry, _cosines(x, rx, pts, ry), spec.dim)

@@ -7,6 +7,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -90,6 +91,29 @@ def test_kernel_past_max_degree_is_input_error():
     proc = run_cli("kernel", "--alpha", "0", "--x", "0.9999,0", "--y", "0.99995,0")
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("x, y, code", [
+    # gamma_k(300) overflows a double before the dim-5 tail bound is met
+    ("0.7,0,0,0,0", "0.1,0.7,0,0,0", 2),
+    # in the disc it is met at K = 1025, where gamma_1026 is still finite
+    ("0.7,0", "0.7,0", 0),
+])
+def test_kernel_coefficient_overflow_fails_fast_and_says_so(x, y, code, capsys):
+    from bergbesov import cli
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert cli.main(["kernel", "--alpha", "300", "--x", x, "--y", y]) == code
+    assert caught == []
+    captured = capsys.readouterr()
+    if code:
+        assert captured.err.startswith("error:") and "overflows a double" in captured.err
+        assert captured.out == ""
+    else:
+        out = json.loads(captured.out)
+        assert out["truncation_degree"] == 1025 and out["method"] == "closed-form"
+        assert math.isfinite(out["value"]) and captured.err == ""
 
 
 def test_kernel_both_points_on_sphere_is_input_error():

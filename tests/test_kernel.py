@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergbesov import _accel
+from bergbesov import _accel, kernel
 from bergbesov.expansion import HarmonicExpansion, evaluate_many
 from bergbesov.kernel import (
     MAX_DEGREE,
@@ -32,6 +32,7 @@ from bergbesov.kernel import (
     zonal_harmonic,
 )
 from bergbesov.specfun import pochhammer
+from truncation_reference import _harmonic_dims, scan_truncation_degree
 
 RNG = np.random.default_rng(31)
 
@@ -159,18 +160,36 @@ def test_zonal_coincident_boundary_value_is_harmonic_dim():
             )
 
 
-def test_truncation_certificate_tail_below_tol():
-    for dim in (2, 3):
-        for alpha in (-4.0, -1.0, 0.0, 1.7):
-            spec = KernelSpec(alpha=alpha, dim=dim)
-            for rx, ry in [(0.3, 0.4), (0.7, 0.7), (0.95, 0.6)]:
-                K = truncation_degree(spec, rx, ry)
-                table = gamma_coefs(K + 2000, alpha, dim)
-                t = rx * ry
-                tail = sum(
-                    table[k] * harmonic_dim(k, dim) * t**k for k in range(K + 1, K + 2001)
-                )
-                assert tail <= spec.tol
+def _certified_ratio(spec, t, k):
+    # the tail ratio past degree k: t times bounds on every later
+    # coefficient ratio and every later ratio h_{j+1}/h_j
+    n2 = 0.5 * spec.dim
+    if spec.alpha <= -(1.0 + n2):
+        g = (k + 1.0) / (k + n2)
+    else:
+        g = max(1.0, (1.0 + n2 + spec.alpha + k) / (n2 + k))
+    ks = np.array([k, k + 1])
+    h = _harmonic_dims(ks, spec.dim)
+    return t * g * h[1] / h[0]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_truncation_certificate_tail_below_tol(dim):
+    # the tail past K summed directly for max(2000, 20/(1-t)) terms, plus
+    # the geometric remainder of the last term at its certified ratio
+    for alpha in (-9.0, -4.0, -1.0, 0.0, 1.7):
+        spec = KernelSpec(alpha=alpha, dim=dim)
+        pairs = [(0.3, 0.4), (0.7, 0.7), (0.95, 0.6), (math.sqrt(0.99),) * 2, (math.sqrt(0.999),) * 2]
+        for rx, ry in pairs:
+            K = truncation_degree(spec, rx, ry)
+            t = rx * ry
+            last = K + max(2000, math.ceil(20.0 / (1.0 - t)))
+            ks = np.arange(K + 1, last + 1)
+            terms = gamma_coefs(last, alpha, dim)[K + 1:] * _harmonic_dims(ks, dim) * t**ks
+            rho = _certified_ratio(spec, t, last)
+            assert rho < 1.0
+            tail = math.fsum(terms) + terms[-1] * rho / (1.0 - rho)
+            assert tail <= spec.tol, (alpha, t, K, tail)
 
 
 def test_truncation_degree_monotone():
@@ -214,6 +233,119 @@ def test_truncation_degree_cap_stops_the_search():
         truncation_degree(spec, 0.99999, 0.99999, cap=MAX_DEGREE)
     with pytest.raises(KernelDivergenceError):
         truncation_degree(spec, 1.0, 1.0, cap=23)
+
+
+def _outcome(certify, spec, rx, ry, cap=None):
+    # the degree, or the type of the error raised
+    try:
+        return certify(spec, rx, ry, cap=cap)
+    except (KernelDivergenceError, TruncationLimitError) as exc:
+        return type(exc)
+
+
+def _mp_certifies(spec, t, k):
+    """The certificate at first omitted degree k in 40 digits, at the float
+    t taken exactly: rho_k < 1 and gamma_k h_k t^k <= tol (1 - rho_k)."""
+    n, alpha = spec.dim, spec.alpha
+    with mpmath.workdps(40):
+        t, half = mpmath.mpf(t), mpmath.mpf(n) / 2
+        if alpha <= -(1.0 + 0.5 * n):
+            big_a = 1 - (half + mpmath.mpf(alpha))
+            gamma = mpmath.factorial(k) ** 2 / (mpmath.rf(big_a, k) * mpmath.rf(half, k))
+            g = (k + 1) / (k + half)
+        else:
+            a = 1 + half + mpmath.mpf(alpha)
+            gamma = mpmath.rf(a, k) / mpmath.rf(half, k)
+            g = max(mpmath.mpf(1), (a + k) / (half + k))
+        h, h_next = harmonic_dim(k, n), harmonic_dim(k + 1, n)
+        rho = t * g * h_next / h
+        return bool(rho < 1 and gamma * h * t**k <= spec.tol * (1 - rho))
+
+
+def _assert_matches_the_scan(spec, rx, ry, cap=None):
+    """truncation_degree against the block scan it replaced: the same degree
+    or the same error type.  They may differ only where the scan's float
+    product gamma_k h_k t^k, at the first degree where the verdicts part, is
+    inf, NaN or 0; there the search's K must be the exact certificate's,
+    decided in 40 digits."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        want = _outcome(scan_truncation_degree, spec, rx, ry, cap)
+    got = _outcome(truncation_degree, spec, rx, ry, cap)
+    if got == want:
+        return want
+    case = (spec, rx, ry, cap, want, got)
+    assert isinstance(got, int), case
+    t = rx * ry
+    first = min(got, want if isinstance(want, int) else MAX_DEGREE) + 1
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        product = gamma_coefs(first, spec.alpha, spec.dim)[-1] * harmonic_dim(first, spec.dim) * t**first
+    assert not 0.0 < product < math.inf, case
+    assert _mp_certifies(spec, t, got + 1), case
+    assert got == 0 or not _mp_certifies(spec, t, got), case
+    return got
+
+
+def _caps(k):
+    return (0, 3, 23, MAX_DEGREE) + ((k - 1, k, k + 1) if isinstance(k, int) else ())
+
+
+ORACLE_TS = (0.01, 0.3, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-5)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
+def test_truncation_degree_matches_the_block_scan(dim):
+    # both branches, the branch point alpha = -(1 + n/2) itself, large
+    # orders whose coefficients overflow, three tolerances, t to 1 - 1e-5
+    orders = (-9.0, -(1.0 + 0.5 * dim), -(1.0 + 0.5 * dim) + 1e-9, -1.0, 0.0, 1.7, 50.0, 300.0, 1000.0)
+    for alpha in orders:
+        for tol in (1e-6, 1e-10, 1e-13):
+            spec = KernelSpec(alpha, dim, tol)
+            for t in ORACLE_TS:
+                r = math.sqrt(t)
+                k = _assert_matches_the_scan(spec, r, r)
+                for cap in _caps(k):
+                    _assert_matches_the_scan(spec, r, r, cap)
+
+
+def test_truncation_degree_matches_the_block_scan_at_the_degree_limit():
+    # dim 2, alpha 0: K crosses MAX_DEGREE near t = 0.99982 (tol 1e-6),
+    # 0.99978 (1e-10) and 0.99974 (1e-13)
+    outcomes = set()
+    for tol in (1e-6, 1e-10, 1e-13):
+        spec = KernelSpec(0.0, 2, tol)
+        for t in np.linspace(0.99974, 0.9999, 14):
+            r = math.sqrt(t)
+            k = _assert_matches_the_scan(spec, r, r)
+            outcomes.add(k if k is TruncationLimitError else "degree")
+            for cap in (MAX_DEGREE - 1, MAX_DEGREE) + ((k, k + 1) if isinstance(k, int) else ()):
+                _assert_matches_the_scan(spec, r, r, cap)
+    assert outcomes == {TruncationLimitError, "degree"}
+
+
+def test_truncation_degree_matches_the_block_scan_at_huge_orders():
+    # coefficients of orders up to 1e15 at products small enough to
+    # certify: log-gamma differences there cancel all their digits
+    for alpha, t in ((1e6, 1e-8), (1e9, 1e-11), (1e12, 1e-14), (1e15, 1e-17), (-1e12, 0.5), (-1e6, 0.99)):
+        for dim in (2, 3, 5):
+            spec = KernelSpec(alpha, dim)
+            r = math.sqrt(t)
+            assert isinstance(_assert_matches_the_scan(spec, r, r), int)
+
+
+@given(
+    k=st.integers(min_value=1, max_value=MAX_DEGREE),
+    alpha=st.floats(min_value=-40.0, max_value=1000.0),
+    dim=st.integers(min_value=2, max_value=12),
+    t=st.floats(min_value=1e-6, max_value=1.0 - 1e-9),
+)
+@settings(max_examples=300, deadline=None)
+def test_tail_ratio_is_nonincreasing(k, alpha, dim, t):
+    # the search relies on it: with rho_k nonincreasing, every degree past
+    # the first that certifies also certifies.  Both branches: the
+    # factorial one for alpha <= -(1 + n/2)
+    rho = [kernel._tail_ratio(j, t, alpha, dim) for j in (k, k + 1, 2 * k)]
+    assert rho[1] <= rho[0] * (1.0 + 4.0 * np.finfo(float).eps)
+    assert rho[2] <= rho[0] * (1.0 + 4.0 * np.finfo(float).eps)
 
 
 def test_kernel_normalization_at_origin():
@@ -712,6 +844,32 @@ def test_series_point_agrees_with_the_closed_form(alpha, dim):
         closed = kernel_eval(spec, x, y)
         bound = spec.tol + _rounding_bound(spec, rx * ry, kmax) + _geometry_rounding(spec, rx * ry, kmax)
         assert abs(series - closed) <= bound
+
+
+def test_series_at_x_equal_y_near_the_sphere_takes_the_exact_cosine():
+    # x.y/(|x||y|) rounds to 1 - 2^-53 here, and the Gegenbauer rows amplify
+    # that ulp by about k^2 at degree k (K = 146 383): the value was 8.6e-9
+    # relative off.  At x = y, Z_k(x, x) = h_k |x|^{2k} = (2k+1) s^k in
+    # dim 3, and (2k+1) = (3/2)_k/(1/2)_k, so the 40-digit series
+    # sum_k gamma_k (2k+1) s^k is 2F1(a, 1; 1/2; s) with a = 1 + 3/2 + alpha;
+    # its tail past K is below tol, 1e-26 of the value
+    spec = KernelSpec(1.7, 3)
+    x = np.array([0.6, 0.7, math.sqrt(0.9995 - 0.85)])
+    rx = float(np.linalg.norm(x))
+    assert float(np.dot(x, x)) / (rx * rx) == 1.0 - 2.0**-53
+    value, kmax = kernel_eval_degree(spec, x, x)
+    assert kmax == 146_383
+    with mpmath.workdps(40):
+        s = mpmath.fsum(mpmath.mpf(float(c)) ** 2 for c in x)
+        a = 1 + mpmath.mpf(3) / 2 + mpmath.mpf(1.7)
+        want = mpmath.hyp2f1(a, 1, mpmath.mpf(1) / 2, s)
+        # the identity, against the series summed at a product it reaches
+        series = mpmath.fsum(mpmath.rf(a, k) / mpmath.rf(1.5, k) * (2 * k + 1) * mpmath.mpf(0.5) ** k
+                             for k in range(200))
+        assert abs(series - mpmath.hyp2f1(a, 1, mpmath.mpf(1) / 2, 0.5)) <= 1e-30 * series
+        assert abs(value - want) <= 1e-11 * want
+    assert kernel_eval_batch(spec, x, x[None, :])[0] == pytest.approx(float(want), rel=1e-11)
+    assert zonal_harmonic(40, x, x, 3) == pytest.approx(81 * rx ** 80, rel=1e-13)
 
 
 def test_kernel_eval_same_value_in_fresh_process():

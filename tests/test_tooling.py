@@ -3,12 +3,14 @@ exists, so a rename or a deletion fails here instead of crashing a traced
 benchmark run with AttributeError; every private module-level function
 and constant of the package is still used somewhere in it; no module
 draws random numbers; every name in a submodule's __all__ exists there;
-and the package's lazy namespace resolves every public name to its
-submodule's own object."""
+the package's lazy namespace resolves every public name to its
+submodule's own object; and the truncation certificate stays a
+logarithmic search, not a scan over degrees."""
 
 import ast
 import importlib
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -147,3 +149,27 @@ def test_namespace_rejects_unknown_names_and_keeps_star_and_submodule_imports():
             "print(listed, missing, kernel.__name__, kernel_eval is kernel.kernel_eval)\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["True", "[]", "bergbesov.kernel", "True"]
+
+
+@pytest.mark.parametrize("dim, t, want", [(5, 0.999, 72_716), (2, 0.99999, None)])
+def test_truncation_degree_evaluates_logarithmically_many_degrees(dim, t, want, monkeypatch):
+    # dim 5 at t = 0.999 certifies K = 72 716; dim 2 at t = 0.99999 raises
+    # at MAX_DEGREE.  A scan over degrees would evaluate the certificate
+    # tens of thousands of times
+    kernel = importlib.import_module("bergbesov.kernel")
+    degrees = []
+    certifies = kernel._certifies
+
+    def counted(k, *args):
+        degrees.append(k)
+        return certifies(k, *args)
+
+    monkeypatch.setattr(kernel, "_certifies", counted)
+    spec, r = kernel.KernelSpec(0.0, dim), math.sqrt(t)
+    if want is None:
+        with pytest.raises(kernel.TruncationLimitError):
+            kernel.truncation_degree(spec, r, r)
+    else:
+        assert kernel.truncation_degree(spec, r, r) == want
+    assert 0 < len(degrees) <= 2 * math.ceil(math.log2(kernel.MAX_DEGREE)) + 4
+    assert max(degrees) <= kernel.MAX_DEGREE
