@@ -163,19 +163,32 @@ def _cosines(x, rx, pts, ry):
     return sign * (1.0 - 0.5 * np.einsum("ij,ij->i", w, w))
 
 
-def _log_rising(x, k):
-    """log (x)_k = log Gamma(x + k) - log Gamma(x) for x > 0 and k >= 0.
+def _log_rising(x, d):
+    """log Gamma(x + d) - log Gamma(x) for x > 0 and x + d > 0.
 
-    Below x = 1000 it is the difference of two math.lgamma values.  Above,
-    that difference loses about eps x log x to cancellation, so it is the
-    difference of the two Stirling series instead, whose leading terms
-    cancel in closed form; the first omitted term is below 1e-18 there.
+    Where x or x + d is below 1000 it is the difference of two math.lgamma
+    values.  Where both are above, that difference would lose about eps
+    x log x to cancellation, so it is the difference of the two Stirling
+    series instead, whose leading terms cancel in closed form; the first
+    omitted term is below 1e-18 there.
     """
-    if x < 1000.0:
-        return math.lgamma(x + k) - math.lgamma(x)
-    y = x + k
-    return ((x - 0.5) * math.log1p(k / x) + k * math.log(y) - k
+    y = x + d
+    if min(x, y) < 1000.0:
+        return math.lgamma(y) - math.lgamma(x)
+    return ((x - 0.5) * math.log1p(d / x) + d * math.log(y) - d
             + (1.0 / y - 1.0 / x) / 12.0 - (y**-3 - x**-3) / 360.0 + (y**-5 - x**-5) / 1260.0)
+
+
+def _log_pochhammer_ratio(p, q, k):
+    """log((p)_k / (q)_k) for p, q > 0.
+
+    Both of its forms as differences of _log_rising are exact; the one
+    taken keeps every term small.  Where |p - q| <= k it pairs the Gamma
+    values at p + k and q + k, which are large and close, instead of
+    subtracting log (q)_k, of size k log k, from log (p)_k."""
+    if abs(p - q) <= k:
+        return _log_rising(q + k, p - q) - _log_rising(q, p - q)
+    return _log_rising(p, k) - _log_rising(q, k)
 
 
 def _tail_ratio(k, t, alpha, dim):
@@ -199,8 +212,8 @@ def _log_gamma_coef(k, alpha, dim):
     """log gamma_k(alpha), from the Pochhammer ratios that define it."""
     n2 = 0.5 * dim
     if _uses_factorial_branch(alpha, dim):
-        return 2.0 * math.lgamma(k + 1.0) - _log_rising(1.0 - (n2 + alpha), k) - _log_rising(n2, k)
-    return _log_rising(1.0 + n2 + alpha, k) - _log_rising(n2, k)
+        return _log_pochhammer_ratio(1.0, 1.0 - (n2 + alpha), k) + _log_pochhammer_ratio(1.0, n2, k)
+    return _log_pochhammer_ratio(1.0 + n2 + alpha, n2, k)
 
 
 def _certifies(k, t, log_t, log_tol, alpha, dim):
@@ -214,10 +227,8 @@ def _certifies(k, t, log_t, log_tol, alpha, dim):
     rho = _tail_ratio(k, t, alpha, dim)
     if not rho < 1.0:
         return False
-    if dim == 2:
-        log_h = math.log(2.0)
-    else:
-        log_h = math.log(2.0 * k + dim - 2.0) + _log_rising(k + 1.0, dim - 3.0) - math.lgamma(dim - 1.0)
+    # h_k = (2k+n-2) (k+1)_{n-3} / (n-2)!
+    log_h = math.log(2.0 * k + dim - 2.0) + _log_rising(k + 1.0, dim - 3.0) - math.lgamma(dim - 1.0)
     return _log_gamma_coef(k, alpha, dim) + log_h + k * log_t <= log_tol + math.log(1.0 - rho)
 
 
@@ -242,9 +253,10 @@ def truncation_degree(spec, rx, ry, cap=None):
     doubling or halving the degree, then bisecting.  That takes at most
     2 ceil(log2 MAX_DEGREE) + 4 evaluations and builds no per-degree array.
     The log-space bound is rounded by about eps times the magnitude of the
-    logs it adds (k log k at degree k), so K can differ from an exact
-    evaluation only where the first omitted term lies within that relative
-    distance of tol (1 - rho).
+    logs it adds, log gamma_k, log h_k and k log t (the Pochhammer ratios
+    are paired so that no log of size k log k cancels), so K can differ
+    from an exact evaluation only where the first omitted term lies within
+    that relative distance of tol (1 - rho).
 
     A caller that sums no further than degree cap passes it: the search
     stops there and returns min(K, cap), so a K past MAX_DEGREE raises

@@ -3,6 +3,7 @@ series evaluation, the single-pair series against a node-array loop, the
 batch (zonal table and Horner) against the single-pair series, and the
 closed-form orders against 40-digit references and against the series."""
 
+import itertools
 import math
 import os
 import subprocess
@@ -173,11 +174,10 @@ def _certified_ratio(spec, t, k):
     return t * g * h[1] / h[0]
 
 
-@pytest.mark.parametrize("dim", [2, 3, 4, 5])
-def test_truncation_certificate_tail_below_tol(dim):
+def test_truncation_certificate_tail_below_tol():
     # the tail past K summed directly for max(2000, 20/(1-t)) terms, plus
     # the geometric remainder of the last term at its certified ratio
-    for alpha in (-9.0, -4.0, -1.0, 0.0, 1.7):
+    for dim, alpha in itertools.product((2, 3, 4, 5), (-9.0, -4.0, -1.0, 0.0, 1.7)):
         spec = KernelSpec(alpha=alpha, dim=dim)
         pairs = [(0.3, 0.4), (0.7, 0.7), (0.95, 0.6), (math.sqrt(0.99),) * 2, (math.sqrt(0.999),) * 2]
         for rx, ry in pairs:
@@ -320,6 +320,17 @@ def test_truncation_degree_matches_the_block_scan_at_the_degree_limit():
             for cap in (MAX_DEGREE - 1, MAX_DEGREE) + ((k, k + 1) if isinstance(k, int) else ()):
                 _assert_matches_the_scan(spec, r, r, cap)
     assert outcomes == {TruncationLimitError, "degree"}
+    # the last product below 0.99978 that certifies within MAX_DEGREE at
+    # tol 1e-10: the term at degree MAX_DEGREE is 1e-11 below its bound.
+    # Log-gamma differences that subtract logs of size k log k (2.4e6 here)
+    # round by 5e-10 and raised TruncationLimitError
+    spec = KernelSpec(0.0, 2, 1e-10)
+    r = math.sqrt(0.9997782161950791)
+    assert truncation_degree(spec, r, r) == MAX_DEGREE - 1 == scan_truncation_degree(spec, r, r)
+    assert _mp_certifies(spec, r * r, MAX_DEGREE) and not _mp_certifies(spec, r * r, MAX_DEGREE - 1)
+    r = math.nextafter(r, 1.0)
+    assert _outcome(truncation_degree, spec, r, r) is TruncationLimitError
+    assert not _mp_certifies(spec, r * r, MAX_DEGREE)
 
 
 def test_truncation_degree_matches_the_block_scan_at_huge_orders():
