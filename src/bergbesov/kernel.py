@@ -11,8 +11,9 @@ the series at a degree K backed by a certified tail bound built from the sup
 estimate |Z_k(x, y)| <= h_k (|x||y|)^k, h_k the dimension of the degree-k
 spherical harmonic space.  The certificate is monotone in the degree, so
 truncation_degree finds K by a galloping and bisecting search over single
-degrees, each checked in closed form from log-gamma values: a few dozen
-scalar evaluations, however large K is.
+degrees, each checked in closed form from log-gamma values, from a
+Newton estimate of K: usually two checks, and at most a few dozen, however
+large K is.
 
 Three families have elementary closed forms (Axler, Bourdon & Ramey,
 Harmonic Function Theory, ch. 8), and kernel_eval and kernel_eval_batch
@@ -170,13 +171,13 @@ def _log_rising(x, d):
     values.  Where both are above, that difference would lose about eps
     x log x to cancellation, so it is the difference of the two Stirling
     series instead, whose leading terms cancel in closed form; the first
-    omitted term is below 1e-18 there.
+    omitted term, (y^-5 - x^-5)/1260, is below 1e-18 there.
     """
     y = x + d
     if min(x, y) < 1000.0:
         return math.lgamma(y) - math.lgamma(x)
     return ((x - 0.5) * math.log1p(d / x) + d * math.log(y) - d
-            + (1.0 / y - 1.0 / x) / 12.0 - (y**-3 - x**-3) / 360.0 + (y**-5 - x**-5) / 1260.0)
+            + (1.0 / y - 1.0 / x) / 12.0 - (y**-3 - x**-3) / 360.0)
 
 
 def _log_pochhammer_ratio(p, q, k):
@@ -232,6 +233,38 @@ def _certifies(k, t, log_t, log_tol, alpha, dim):
     return _log_gamma_coef(k, alpha, dim) + log_h + k * log_t <= log_tol + math.log(1.0 - rho)
 
 
+def _degree_estimate(t, log_t, log_tol, alpha, dim):
+    """A starting degree for the search: where the first omitted term
+    meets tol (1 - rho_k) with gamma_k h_k replaced by its large-k form
+    C k^E, by Newton steps from log(tol)/log(t), each doubling the degree
+    instead while the terms still grow, until a step is below 1/2 (at most
+    eight)."""
+    n2 = 0.5 * dim
+    k = max(1.0, log_tol / log_t)
+    try:
+        if _uses_factorial_branch(alpha, dim):
+            big_a = 1.0 - (n2 + alpha)
+            expo, const = 2.0 - big_a - n2, math.lgamma(big_a) + math.lgamma(n2)
+        else:
+            a = 1.0 + n2 + alpha
+            expo, const = a - n2, math.lgamma(n2) - math.lgamma(a)
+    except OverflowError:  # |alpha| above about 2.5e305
+        return k
+    # h_k ~ 2 k^{n-2} / (n-2)!
+    expo, const = expo + dim - 2.0, const + math.log(2.0) - math.lgamma(dim - 1.0)
+    for _ in range(8):
+        rho = _tail_ratio(k, t, alpha, dim)
+        slope = log_t + expo / k
+        if rho < 1.0 and slope < 0.0:
+            step = (expo * math.log(k) + const + k * log_t - log_tol - math.log(1.0 - rho)) / slope
+        else:
+            step = -k
+        k = min(float(MAX_DEGREE), max(1.0, k - step))
+        if abs(step) < 0.5:
+            break
+    return k
+
+
 def truncation_degree(spec, rx, ry, cap=None):
     """Smallest K whose certified tail bound falls below spec.tol.
 
@@ -249,9 +282,11 @@ def truncation_degree(spec, rx, ry, cap=None):
     is at most rho_k times this one, so gamma_{k+1} h_{k+1} t^{k+1} <=
     tol rho_k (1 - rho_k) <= tol (1 - rho_{k+1}).  So the first degree is
     found by a search that evaluates the certificate at single degrees in
-    closed form, from log-gamma values: galloping from log(tol)/log(t),
-    doubling or halving the degree, then bisecting.  That takes at most
-    2 ceil(log2 MAX_DEGREE) + 4 evaluations and builds no per-degree array.
+    closed form, from log-gamma values: galloping by doubling steps from
+    _degree_estimate, then bisecting.  The estimate is usually within one
+    degree, so two evaluations settle most calls; from any start the search
+    takes at most 2 ceil(log2 MAX_DEGREE) + 4, and it builds no per-degree
+    array.
     The log-space bound is rounded by about eps times the magnitude of the
     logs it adds, log gamma_k, log h_k and k log t (the Pochhammer ratios
     are paired so that no log of size k log k cancels), so K can differ
@@ -276,20 +311,22 @@ def truncation_degree(spec, rx, ry, cap=None):
     log_t, log_tol = math.log(t), math.log(tol)
     # the first certifying degree lies in (fail, hit]: fail = 0 while no
     # failing degree is known, hit = last + 1 while no certifying one is.
-    # Double from a failing guess, halve from a certifying one, then bisect
+    # Gallop from the estimate by doubling steps, then bisect
     fail, hit = 0, last + 1
-    k = min(last, max(1, math.ceil(log_tol / log_t)))
+    k = min(last, math.ceil(_degree_estimate(t, log_t, log_tol, alpha, dim)))
+    step = 1
     while hit - fail > 1:
         if _certifies(k, t, log_t, log_tol, alpha, dim):
             hit = k
         else:
             fail = k
         if hit > last:
-            k = min(2 * fail, last)
+            k = min(fail + step, last)
         elif fail == 0:
-            k = hit // 2
+            k = max(1, hit - step)
         else:
             k = (fail + hit) // 2
+        step *= 2
     if hit <= last:
         if _log_gamma_coef(hit, alpha, dim) >= _LOG_MAX_FLOAT:
             raise TruncationLimitError(
