@@ -151,11 +151,17 @@ def test_namespace_rejects_unknown_names_and_keeps_star_and_submodule_imports():
     assert out.stdout.split() == ["True", "[]", "bergbesov.kernel", "True"]
 
 
-@pytest.mark.parametrize("dim, t, want", [(5, 0.999, 72_716), (2, 0.99999, None)])
-def test_truncation_degree_evaluates_logarithmically_many_degrees(dim, t, want, monkeypatch):
+@pytest.mark.parametrize("dim, alpha, t, want, checked", [
+    (5, 0.0, 0.999, 72_716, [72_717, 72_716]),
+    (2, 0.0, 0.99999, None, None),
+    (6, -9.0, 0.99999, 199_998, None),
+])
+def test_truncation_degree_evaluates_logarithmically_many_degrees(dim, alpha, t, want, checked, monkeypatch):
     # dim 5 at t = 0.999 certifies K = 72 716; dim 2 at t = 0.99999 raises
     # at MAX_DEGREE.  A scan over degrees would evaluate the certificate
-    # tens of thousands of times
+    # tens of thousands of times.  From its Newton estimate the search
+    # settles the first case in two evaluations; in the third the estimate
+    # (128) is far off, and the gallop and the bisection do the work
     kernel = importlib.import_module("bergbesov.kernel")
     degrees = []
     certifies = kernel._certifies
@@ -165,11 +171,12 @@ def test_truncation_degree_evaluates_logarithmically_many_degrees(dim, t, want, 
         return certifies(k, *args)
 
     monkeypatch.setattr(kernel, "_certifies", counted)
-    spec, r = kernel.KernelSpec(0.0, dim), math.sqrt(t)
+    spec, r = kernel.KernelSpec(alpha, dim), math.sqrt(t)
     if want is None:
         with pytest.raises(kernel.TruncationLimitError):
             kernel.truncation_degree(spec, r, r)
     else:
         assert kernel.truncation_degree(spec, r, r) == want
+    assert checked is None or degrees == checked
     assert 0 < len(degrees) <= 2 * math.ceil(math.log2(kernel.MAX_DEGREE)) + 4
     assert max(degrees) <= kernel.MAX_DEGREE
