@@ -3,12 +3,13 @@
 The zonal recurrence exists in two forms.  `series_point` runs it on Python
 floats at one node, which is what `kernel_eval` passes at an order without a
 closed form (the closed-form orders sum no series): NumPy calls on
-one-element arrays cost 8 to 14 us per degree.  `series_disk`
-(dimension 2) and `series_ball` (dimension >= 3) are its one-node entry
-points.  `zonal_table` runs it on node arrays as a degree-by-node table, and
-`zonal_series` sums such tables, times a coefficient and a power of |x||y|
-per degree, by Horner's rule over column blocks of at most TABLE_ENTRIES
-entries.
+one-element arrays cost 8 to 14 us per degree.  `kernel_eval` forms that
+node's |x||y| and cosine on Python floats too, and reaches `series_point`
+once per call through `series_disk` (dimension 2) or `series_ball`
+(dimension >= 3), its one-node entry points.  `zonal_table` runs the
+recurrence on node arrays as a degree-by-node table, and `zonal_series` sums
+such tables, times a coefficient and a power of |x||y| per degree, by
+Horner's rule over column blocks of at most TABLE_ENTRIES entries.
 """
 
 import numpy as np

@@ -22,6 +22,16 @@ Poisson kernel, and alpha = 0, the harmonic Bergman kernel, in every
 dimension, and every alpha > -2 in the disc (has_closed_form).  The
 truncation degree is still certified for them, so both entry points raise
 the same errors and report the same degree whichever way they evaluate.
+
+A single pair (kernel_eval, zonal_harmonic) is evaluated on Python floats:
+once the shape is checked the points become lists, and the norms, the
+cosine and the closed forms are formed on them, since NumPy calls on
+one-row arrays would cost more than the rest of a closed-form evaluation.
+kernel_eval_batch forms the same quantities on arrays.  The float and the
+array geometry steps feed one final formula each, written once for both:
+_cosine and _closed_form.  NumPy is left to the coefficient tables: the
+series of an order without a closed form runs in _accel.series_point, and
+zonal_harmonic reads a one-column zonal table.
 """
 
 import math
@@ -137,31 +147,52 @@ def zonal_harmonic(k, x, y, dim):
     k = int(k)
     if k == 0:
         return 1.0
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rx = float(np.linalg.norm(x))
-    ry = float(np.linalg.norm(y))
+    x = np.asarray(x, dtype=float).tolist()
+    y = np.asarray(y, dtype=float).tolist()
+    rx = math.sqrt(_dot(x, x))
+    ry = math.sqrt(_dot(y, y))
     if rx == 0.0 or ry == 0.0:
         return 0.0
-    t = _cosines(x, rx, y[None, :], np.array([ry]))
-    return rx**k * ry**k * float(_accel.zonal_table(k, t, dim)[k, 0])
+    t = _pair_cosine(x, rx, y, ry)
+    return rx**k * ry**k * float(_accel.zonal_table(k, np.array([t]), dim)[k, 0])
 
 
 def _cosines(x, rx, pts, ry):
     """Cosines of the angles between x (norm rx > 0) and the rows of pts
-    (norms ry).
-
-    With u = x/|x| and v = y/|y| the cosine is 1 - |u - v|^2/2 where
-    x.y >= 0 and |u + v|^2/2 - 1 elsewhere, so it never leaves [-1, 1] by
-    more than rounding.  Near x = +-y that keeps the distance to +-1 to its
-    relative accuracy, and parallel points give +-1 exactly, where
-    x.y/(|x||y|) would round an ulp off; the zonal recurrences amplify that
-    ulp by about k^2 at degree k.  A zero row gets 1/2, which its product
-    |x||y| = 0 removes from every degree above 0.
-    """
+    (norms ry), by _cosine; a zero row gets 1/2, which its product
+    |x||y| = 0 removes from every degree above 0."""
     sign = np.where(pts @ x >= 0.0, 1.0, -1.0)
     w = x / rx - sign[:, None] * (pts / np.where(ry == 0.0, 1.0, ry)[:, None])
-    return sign * (1.0 - 0.5 * np.einsum("ij,ij->i", w, w))
+    return _cosine(sign, np.einsum("ij,ij->i", w, w))
+
+
+def _pair_cosine(x, rx, y, ry):
+    """_cosines for one pair: x and y lists of floats with norms rx, ry > 0."""
+    sign = 1.0 if _dot(x, y) >= 0.0 else -1.0
+    w = [a / rx - sign * (b / ry) for a, b in zip(x, y)]
+    return _cosine(sign, _dot(w, w))
+
+
+def _cosine(sign, w_sq):
+    """The cosine of the angle between x and y, from sign = +-1, the sign
+    of x.y, and w_sq = |u - sign v|^2 for the unit vectors u = x/|x| and
+    v = y/|y|, on floats or arrays.
+
+    It is 1 - |u - v|^2/2 where x.y >= 0 and |u + v|^2/2 - 1 elsewhere, so
+    it never leaves [-1, 1] by more than rounding.  Near x = +-y that keeps
+    the distance to +-1 to its relative accuracy, and parallel points give
+    +-1 exactly, where x.y/(|x||y|) would round an ulp off; the zonal
+    recurrences amplify that ulp by about k^2 at degree k.
+    """
+    return sign * (1.0 - 0.5 * w_sq)
+
+
+def _dot(a, b):
+    """a.b for two lists of floats, summed in order."""
+    acc = 0.0
+    for p, q in zip(a, b):
+        acc += p * q
+    return acc
 
 
 def _log_rising(x, d):
@@ -297,11 +328,15 @@ def truncation_degree(spec, rx, ry, cap=None):
     stops there and returns min(K, cap), so a K past MAX_DEGREE raises
     TruncationLimitError only when cap is None or not below MAX_DEGREE.
     TruncationLimitError is raised as well, at once, when the coefficient
-    gamma_{K+1} at the first omitted degree is not a finite double.
+    gamma_{K+1} at the first omitted degree is not a finite double, or, when
+    the search stops at the cap, when gamma_cap is not.  NaN radii, or the
+    NaN product inf * 0, raise ValueError before any degree is checked.
     """
+    t = rx * ry
+    if math.isnan(t):
+        raise ValueError(f"radii must be numbers, got |x| = {rx}, |y| = {ry}")
     if rx < 0.0 or ry < 0.0:
         raise ValueError("radii must be non-negative")
-    t = rx * ry
     if t >= 1.0:
         raise KernelDivergenceError(f"|x||y| = {t} >= 1: series does not converge")
     if t == 0.0:
@@ -335,6 +370,11 @@ def truncation_degree(spec, rx, ry, cap=None):
             )
         return hit - 1
     if last < MAX_DEGREE:
+        if last > 0 and _log_gamma_coef(last, alpha, dim) >= _LOG_MAX_FLOAT:
+            raise TruncationLimitError(
+                f"coefficient gamma_{last}({alpha}) at the cap overflows a double: the "
+                f"capped kernel series cannot be summed in floating point (t={t})"
+            )
         return last
     raise TruncationLimitError(
         f"tail bound did not reach tol={tol} within {MAX_DEGREE} terms (t={t})"
@@ -354,33 +394,60 @@ def has_closed_form(spec):
     return spec.alpha in (-1.0, 0.0) or (spec.dim == 2 and spec.alpha > -2.0)
 
 
-def _closed_form(spec, x, pts):
-    """R_alpha(x, y_j) for the rows y_j of pts, for an order has_closed_form
-    accepts.  With s = |x|^2|y|^2 and d = 1 - 2 x.y + s:
+def _closed_form(spec, s, d, one_minus_z):
+    """R_alpha for an order has_closed_form accepts, on floats for one pair
+    or on arrays for rows, from s = |x|^2|y|^2 and d = 1 - 2 x.y + s, or in
+    the disc from 1 - z:
 
         alpha = -1:         (1 - s) / d^{n/2}
         alpha = 0:          ((1 - s)^2 - (4/n) s d) / d^{1+n/2}
         n = 2, alpha > -2:  2 Re (1 - z)^{-(2+alpha)} - 1,  z = x conj(y).
 
-    d is formed as the squared norm | |y| x - y/|y| |^2, which keeps its
-    relative accuracy where 1 - 2 x.y + s cancels.  A row y = 0 gives
-    exactly 1.
+    Only the arguments its order reads are needed; _closed_form_rows and
+    _pair_closed_form form them.
     """
     n, alpha = spec.dim, spec.alpha
-    if alpha not in (-1.0, 0.0):
-        # the disc: 1 - z = (1 - x.y) + i (x_1 y_2 - x_2 y_1)
-        one_minus_z = (1.0 - pts @ x) + 1j * (x[0] * pts[:, 1] - x[1] * pts[:, 0])
-        return 2.0 * np.power(one_minus_z, -(2.0 + alpha)).real - 1.0
+    if alpha == -1.0:
+        return (1.0 - s) / d ** (0.5 * n)
+    if alpha == 0.0:
+        return ((1.0 - s) ** 2 - (4.0 / n) * s * d) / d ** (1.0 + 0.5 * n)
+    return 2.0 * (one_minus_z ** -(2.0 + alpha)).real - 1.0
+
+
+def _closed_form_rows(spec, x, pts):
+    """_closed_form at x and each row y_j of pts.  d is formed as the
+    squared norm | |y| x - y/|y| |^2, which keeps its relative accuracy
+    where 1 - 2 x.y + s cancels, and 1 - z as (1 - x.y) + i (x_1 y_2 -
+    x_2 y_1).  A row y = 0 gives exactly 1.
+    """
+    if spec.alpha not in (-1.0, 0.0):
+        return _closed_form(spec, None, None,
+                            (1.0 - pts @ x) + 1j * (x[0] * pts[:, 1] - x[1] * pts[:, 0]))
     ry_sq = np.einsum("ij,ij->i", pts, pts)
     ry = np.sqrt(ry_sq)
     zero = ry == 0.0
     w = ry[:, None] * x - pts / np.where(zero, 1.0, ry)[:, None]
     d = np.einsum("ij,ij->i", w, w)
     d[zero] = 1.0
-    s = float(x @ x) * ry_sq
-    if alpha == -1.0:
-        return (1.0 - s) / d ** (0.5 * n)
-    return ((1.0 - s) ** 2 - (4.0 / n) * s * d) / d ** (1.0 + 0.5 * n)
+    return _closed_form(spec, float(x @ x) * ry_sq, d, None)
+
+
+def _pair_closed_form(spec, x, rx_sq, y, ry_sq):
+    """_closed_form at one pair, x and y lists of floats with squared norms
+    rx_sq and ry_sq > 0, with the geometry of _closed_form_rows."""
+    if spec.alpha not in (-1.0, 0.0):
+        geometry = (None, None, complex(1.0 - _dot(x, y), x[0] * y[1] - x[1] * y[0]))
+    else:
+        ry = math.sqrt(ry_sq)
+        w = [ry * a - b / ry for a, b in zip(x, y)]
+        geometry = (rx_sq * ry_sq, _dot(w, w), None)
+    try:
+        return _closed_form(spec, *geometry)
+    except (OverflowError, ZeroDivisionError):
+        # a Python power past the double range raises, or underflows to a
+        # zero divisor; NumPy's gives inf or 0, as in the batch (d^{1+n/2}
+        # overflows in high dimensions)
+        return float(_closed_form(spec, *(g if g is None else np.asarray(g) for g in geometry)))
 
 
 def kernel_eval(spec, x, y):
@@ -398,23 +465,32 @@ def kernel_eval_degree(spec, x, y):
     """(R_alpha(x, y), K): kernel_eval's value and the degree K at which
     truncation_degree cut its series (0 when x or y is 0).  Where K is 0 the
     value is gamma_0 = 1; otherwise a closed-form order takes its closed
-    form and every other order the series summed to degree K."""
+    form and every other order the series summed to degree K.
+
+    After the shape check, x and y are lists of Python floats: the norms,
+    x.y, and either the closed form's s, d or 1 - z (_pair_closed_form) or
+    the series' cosine (_pair_cosine) are formed on them, with the
+    formulas of kernel_eval_batch but sums taken in coordinate order, so a
+    value can differ from the batch's in the last bits.  The series itself
+    goes through _accel.series_disk or series_ball, which run
+    series_point on the floats."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
         raise ValueError(f"points must have shape ({spec.dim},)")
-    rx = float(np.linalg.norm(x))
-    ry = float(np.linalg.norm(y))
+    x, y = x.tolist(), y.tolist()
+    rx_sq, ry_sq = _dot(x, x), _dot(y, y)
+    rx, ry = math.sqrt(rx_sq), math.sqrt(ry_sq)
     if rx * ry == 0.0:
         return 1.0, 0
     kmax = truncation_degree(spec, rx, ry)
     if kmax == 0:
         return 1.0, 0
     if has_closed_form(spec):
-        return float(_closed_form(spec, x, y[None, :])[0]), kmax
+        return _pair_closed_form(spec, x, rx_sq, y, ry_sq), kmax
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
-    cost = _cosines(x, rx, y[None, :], np.array([ry]))
-    return float(_series(gam, np.array([rx * ry]), cost, spec.dim)[0]), kmax
+    t = _pair_cosine(x, rx, y, ry)
+    return float(_series(gam, np.array([rx * ry]), np.array([t]), spec.dim)[0]), kmax
 
 
 def kernel_eval_batch(spec, x, pts):
@@ -440,6 +516,6 @@ def kernel_eval_batch(spec, x, pts):
     if kmax == 0:
         return np.ones(pts.shape[0])
     if has_closed_form(spec):
-        return _closed_form(spec, x, pts)
+        return _closed_form_rows(spec, x, pts)
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     return _accel.zonal_series(gam, rx * ry, _cosines(x, rx, pts, ry), spec.dim)

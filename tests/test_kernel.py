@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import mpmath
 import numpy as np
@@ -235,6 +236,21 @@ def test_truncation_degree_cap_stops_the_search():
         truncation_degree(spec, 1.0, 1.0, cap=23)
 
 
+def test_truncation_degree_cap_with_an_overflowing_coefficient_raises():
+    # the search stops at the cap, 600, short of the first certifying
+    # degree; gamma_600(1000) in dim 3 is about e^1052, so a caller summing
+    # to the cap would form inf.  It raises before any table is built
+    spec = KernelSpec(alpha=1000.0, dim=3)
+    r = math.sqrt(0.5)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(TruncationLimitError, match=r"gamma_600\(1000.0\) at the cap overflows"):
+            truncation_degree(spec, r, r, cap=600)
+    assert caught == []
+    # a cap whose coefficient is a finite double is returned as before
+    assert truncation_degree(spec, r, r, cap=100) == 100
+
+
 def _outcome(certify, spec, rx, ry, cap=None):
     # the degree, or the type of the error raised
     try:
@@ -432,6 +448,29 @@ def test_kernel_spec_validation():
             KernelSpec(alpha=alpha, dim=2)
 
 
+def test_nan_radii_are_rejected_before_the_search(monkeypatch):
+    # a NaN coordinate, or |x||y| = inf * 0, used to gallop through every
+    # degree to MAX_DEGREE and raise TruncationLimitError at t = nan
+    checked = []
+    certifies = kernel._certifies
+    monkeypatch.setattr(kernel, "_certifies", lambda k, *a: checked.append(k) or certifies(k, *a))
+    spec = KernelSpec(alpha=0.5, dim=3)
+    nan_point = np.array([0.1, math.nan, 0.2])
+    point = np.array([0.3, 0.2, 0.1])
+    inf_point, zero = np.array([math.inf, 0.0, 0.0]), np.zeros(3)
+    for x, y in ((nan_point, point), (point, nan_point), (inf_point, zero), (zero, inf_point)):
+        with pytest.raises(ValueError, match="radii must be numbers"):
+            kernel_eval(spec, x, y)
+    # the batch at x = 0 returns 1 without a certificate
+    for x, y in ((nan_point, point), (point, nan_point), (inf_point, zero)):
+        with pytest.raises(ValueError, match="radii must be numbers"):
+            kernel_eval_batch(spec, x, y[None, :])
+    for rx, ry in ((math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="radii must be numbers"):
+            truncation_degree(spec, rx, ry)
+    assert checked == []
+
+
 def test_has_closed_form_orders():
     for dim in (2, 3, 4, 7):
         assert has_closed_form(KernelSpec(-1.0, dim))
@@ -616,6 +655,45 @@ def test_kernel_eval_matches_batch_to_rounding(dim):
             kmax = truncation_degree(spec, rx, ry)
             got = kernel_eval_batch(spec, x, y[None, :])[0]
             assert abs(kernel_eval(spec, x, y) - got) <= _rounding_bound(spec, rx * ry, kmax)
+
+
+def _ulps_off(v, ulps):
+    # v with every coordinate moved by `ulps` units in the last place, in
+    # random directions
+    return v + ulps * np.spacing(v) * RNG.choice([-1.0, 1.0], size=v.shape)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_float_pair_matches_batch_to_rounding_on_random_pairs(dim):
+    # kernel_eval forms the geometry on Python floats, summed in coordinate
+    # order, and the batch on arrays: at random (non-dyadic) points the two
+    # round |x|, |y|, x.y and the cosine differently.  Per product |x||y|
+    # and order: x = y, x = -y, y a few ulps off +-x, and generic angles,
+    # with x in the batch at |x| = sqrt(|x||y|); then generic angles with
+    # |x||y| split unevenly.  Each group is one batch, whose rows share
+    # the certified degree of their single pairs
+    for rho in (0.5, 0.9, 0.999):
+        u = _ball_point(dim, 1.0)
+        share = RNG.uniform(0.35, 0.65)
+        x_even = math.sqrt(rho) * u
+        x_split = rho**share * u
+        groups = [
+            (x_even, [x_even, -x_even, _ulps_off(x_even, 3), _ulps_off(-x_even, 2),
+                      _ball_point(dim, math.sqrt(rho)), _ball_point(dim, math.sqrt(rho))]),
+            (x_split, [_ball_point(dim, rho ** (1.0 - share)) for _ in range(3)]),
+        ]
+        for alpha in (-4.5, -1.0, 0.0, 1.7):
+            spec = KernelSpec(alpha=alpha, dim=dim)
+            for x, ys in groups:
+                pts = np.array(ys)
+                rx = float(np.linalg.norm(x))
+                kmax = truncation_degree(spec, rx, float(np.linalg.norm(pts, axis=1).max()))
+                bound = _rounding_bound(spec, rho, kmax)
+                batch = kernel_eval_batch(spec, x, pts)
+                for y, want in zip(ys, batch.tolist()):
+                    value, degree = kernel_eval_degree(spec, x, y)
+                    assert degree == kmax, (alpha, dim, rho)
+                    assert abs(value - want) <= bound, (alpha, dim, rho, x, y, value, want)
 
 
 def _disk_series_mp(alpha, xi, yi, kmax):
@@ -803,6 +881,21 @@ def test_closed_forms_match_mpmath(alpha, dim):
         batch = kernel_eval_batch(spec, x, np.vstack([y, np.zeros(dim), y]))
         assert abs(batch[0] - want) <= bound and batch[2] == batch[0]
         assert batch[1] == 1.0
+
+
+def test_closed_form_past_the_double_range_gives_the_batch_value():
+    # dim 1300, x = -y, |x||y| = 0.81: d^{1+n/2} and d^{n/2} overflow a
+    # double.  Python's float power raises there; the single pair then
+    # takes NumPy's IEEE result, as the batch does, and the kernel
+    # underflows to 0 instead of failing with OverflowError
+    x = np.zeros(1300)
+    x[0] = 0.9
+    for alpha in (-1.0, 0.0):
+        spec = KernelSpec(alpha, 1300)
+        with np.errstate(over="ignore"):
+            value, kmax = kernel_eval_degree(spec, x, -x)
+            assert value == kernel_eval_batch(spec, x, -x[None, :])[0] == 0.0
+        assert kmax > 0
 
 
 def test_near_sphere_antipodal_pairs_take_the_closed_form():

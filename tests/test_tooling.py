@@ -4,8 +4,10 @@ benchmark run with AttributeError; every private module-level function
 and constant of the package is still used somewhere in it; no module
 draws random numbers; every name in a submodule's __all__ exists there;
 the package's lazy namespace resolves every public name to its
-submodule's own object; and the truncation certificate stays a
-logarithmic search, not a scan over degrees."""
+submodule's own object; the truncation certificate stays a
+logarithmic search, not a scan over degrees; and a single kernel pair
+takes no array geometry step, with one traced series call per series
+order."""
 
 import ast
 import importlib
@@ -180,3 +182,38 @@ def test_truncation_degree_evaluates_logarithmically_many_degrees(dim, alpha, t,
     assert checked is None or degrees == checked
     assert 0 < len(degrees) <= 2 * math.ceil(math.log2(kernel.MAX_DEGREE)) + 4
     assert max(degrees) <= kernel.MAX_DEGREE
+
+
+@pytest.mark.parametrize("alpha, dim", [(-1.0, 3), (0.0, 3), (0.0, 5), (0.7, 2), (-4.5, 2), (1.7, 3), (-4.5, 4)])
+def test_single_pair_takes_the_float_geometry_and_one_series_call(alpha, dim, monkeypatch):
+    # kernel_eval forms its geometry on Python floats: the array steps of
+    # kernel_eval_batch must not run for a single pair.  An order without a
+    # closed form goes through _accel.series_disk or series_ball exactly
+    # once, since the benchmark's tracer counts the accel.series layer there;
+    # a closed-form order sums no series
+    kernel = importlib.import_module("bergbesov.kernel")
+    accel = importlib.import_module("bergbesov._accel")
+
+    def forbidden(*args):
+        raise AssertionError("array geometry step called for a single pair")
+
+    series_calls = []
+
+    def counted(original):
+        def wrapper(*args):
+            series_calls.append(original.__name__)
+            return original(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "_cosines", forbidden)
+    monkeypatch.setattr(kernel, "_closed_form_rows", forbidden)
+    monkeypatch.setattr(accel, "series_disk", counted(accel.series_disk))
+    monkeypatch.setattr(accel, "series_ball", counted(accel.series_ball))
+    spec = kernel.KernelSpec(alpha, dim)
+    x = [0.3, -0.2, 0.25, 0.1, -0.15][:dim]
+    y = [0.4, 0.35, -0.3, 0.2, 0.1][:dim]
+    value, degree = kernel.kernel_eval_degree(spec, x, y)
+    assert degree > 0 and math.isfinite(value)
+    assert kernel.zonal_harmonic(5, x, y, dim) != 0.0
+    want = [] if kernel.has_closed_form(spec) else ["series_disk" if dim == 2 else "series_ball"]
+    assert series_calls == want
