@@ -182,8 +182,9 @@ def _cmd_apply(args):
     x = _parse_point(args.x)
     rule = _build_rule(args, x.size)
     report = apply_T_report(args.b, args.c, args.f, x, rule=rule)
-    out = {"command": "apply", "b": args.b, "c": args.c, "f": args.f,
-           "x": x.tolist(), "rule": rule.describe()}
+    # an expansion is transformed by its multipliers, with no rule
+    out = {"command": "apply", "b": args.b, "c": args.c, "f": args.f, "x": x.tolist(),
+           "rule": None if report.method == "spectral" else rule.describe()}
     out.update(report.to_dict())
     _print_json(out)
     return 0

@@ -1,10 +1,13 @@
-"""Finite zonal-harmonic expansions and the diagonal radial operators on them.
+"""Finite zonal-harmonic expansions and the diagonal operators on them.
 
 An expansion is a finite sum  f(x) = sum_i c_i Z_{k_i}(x, y_i)  with anchors
 y_i in the closed unit ball.  Such sums are exactly harmonic, so they serve as
 the concrete function representation on which the coefficient-diagonal
 operators act: the parameterized family D (coefficient multipliers
-gamma_k(s+t)/gamma_k(s)) and its boundary-weighted variant I.
+gamma_k(s+t)/gamma_k(s)), its boundary-weighted variant I, and the weighted
+kernel transform T_{b,c} (multipliers gamma_k(c) (n/2) B(n/2+k, b+1)).
+Weighted square integrals over the ball are finite sums too, since the
+degrees are orthogonal on every centered sphere.
 """
 
 import json
@@ -14,6 +17,7 @@ import numpy as np
 
 from . import _accel
 from .kernel import gamma_coefs
+from .quadrature import normalization_V
 
 __all__ = [
     "HarmonicExpansion",
@@ -21,6 +25,8 @@ __all__ = [
     "evaluate_many",
     "apply_D",
     "apply_I",
+    "transform",
+    "square_integral",
     "to_json",
     "from_json",
 ]
@@ -55,6 +61,8 @@ class HarmonicExpansion:
             raise ValueError("degrees must be non-negative")
         if self.anchors.shape != (len(self.degrees), self.dim):
             raise ValueError("anchor shape mismatch")
+        if not (np.all(np.isfinite(self.coefs)) and np.all(np.isfinite(self.anchors))):
+            raise ValueError("coefficients and anchor coordinates must be finite")
         norms = np.linalg.norm(self.anchors, axis=1)
         if np.any(norms > 1.0 + 1e-12):
             raise ValueError("anchors must lie in the closed unit ball")
@@ -120,6 +128,79 @@ def apply_I(s, t, exp, x):
     x = np.asarray(x, dtype=float)
     r2 = float(np.dot(x, x))
     return (1.0 - r2) ** float(t) * evaluate(apply_D(s, t, exp), x)
+
+
+def _radial_ratios(kmax, w, dim):
+    """R_k(w) = prod_{j<k} (n/2+j)/(n/2+j+w+1) for k = 0..kmax, w > -1.
+
+    (n/2) B(n/2+k, w+1) = V_w R_k(w) is int_B |x|^{2k} (1-|x|^2)^w dnu, so
+    R_k(w) is the degree-k radial moment relative to the degree-0 one.  The
+    product is a ratio recurrence like gamma_coefs: no difference of
+    log-gamma values that could cancel.
+    """
+    n2 = 0.5 * dim
+    ks = np.arange(kmax, dtype=float)
+    out = np.empty(kmax + 1)
+    out[0] = 1.0
+    np.cumprod((n2 + ks) / (n2 + ks + (w + 1.0)), out=out[1:])
+    return out
+
+
+def transform(b, c, exp):
+    """Image of exp under the weighted kernel transform T_{b,c}, as an
+    expansion, or None where the transform diverges.
+
+    T_{b,c} is diagonal on zonal harmonics (Axler, Bourdon & Ramey, Harmonic
+    Function Theory, ch. 5): for b > -1 it maps Z_k(., a) to
+    m_k Z_k(., a) with m_k = gamma_k(c) (n/2) B(n/2+k, b+1), formed as
+    gamma_k(c) V_b R_k(b) (_radial_ratios), so the degree-k coefficient is
+    scaled by m_k.  For b <= -1 the integral diverges on every nonzero term,
+    so the image is None, or the zero expansion when every term is zero: a
+    term is zero when its coefficient is 0, or when k >= 1 and its anchor is
+    0 (Z_k(., 0) = 0 for k >= 1).  A multiplier that is not a finite double
+    (c not finite, or gamma_k(c) past the double range) raises ValueError.
+    """
+    b, c = float(b), float(c)
+    if b <= -1.0:
+        nonzero = (exp.coefs != 0.0) & ((exp.degrees == 0) | np.any(exp.anchors != 0.0, axis=1))
+        if np.any(nonzero):
+            return None
+        return HarmonicExpansion(exp.dim, exp.degrees.copy(), exp.anchors.copy(),
+                                 np.zeros(len(exp)))
+    if len(exp) == 0:
+        return HarmonicExpansion.from_terms(exp.dim, [])
+    kmax = int(exp.degrees.max())
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        mult = gamma_coefs(kmax, c, exp.dim) * (normalization_V(b, exp.dim)
+                                                * _radial_ratios(kmax, b, exp.dim))
+        coefs = exp.coefs * mult[exp.degrees]
+    if not np.all(np.isfinite(coefs)):
+        raise ValueError(f"a multiplier of T_(b={b}, c={c}) up to degree {kmax} "
+                         "is not a finite double")
+    return HarmonicExpansion(exp.dim, exp.degrees.copy(), exp.anchors.copy(), coefs)
+
+
+def square_integral(exp, w):
+    """int_B f^2 (1-|x|^2)^w dnu for w > -1, as a finite sum.
+
+    Write F_k = sum_i c_i Z_k(., a_i) for the degree-k part.  Degrees are
+    orthogonal on every centered sphere, and by the reproducing property of
+    Z_k the sphere mean of F_k(r .)^2 is r^{2k} G_k with
+    G_k = sum_{i,i'} c_i c_i' Z_k(a_i, a_i').  So the integral is
+    V_w sum_k R_k(w) G_k (_radial_ratios); G_k is F_k at its own anchors,
+    by evaluate_many, dotted with its coefficients.  A sum that rounds below
+    0 returns 0.
+    """
+    w = float(w)
+    if len(exp) == 0:
+        return 0.0
+    ratios = _radial_ratios(int(exp.degrees.max()), w, exp.dim)
+    total = 0.0
+    for k in np.unique(exp.degrees):
+        mine = exp.degrees == k
+        part = HarmonicExpansion(exp.dim, exp.degrees[mine], exp.anchors[mine], exp.coefs[mine])
+        total += float(ratios[k]) * float(part.coefs @ evaluate_many(part, part.anchors))
+    return normalization_V(w, exp.dim) * max(total, 0.0)
 
 
 def to_json(exp):

@@ -501,7 +501,9 @@ def kernel_eval_batch(spec, x, pts):
     closed form (has_closed_form) are evaluated by it, row by row, once the
     degree is certified; every other order is summed by _accel.zonal_series.
     Either way the batch agrees with kernel_eval to rounding, not bit for
-    bit, except where the certified degree is 0 and both return 1.
+    bit, except where the certified degree is 0 and both return 1.  The
+    certificate sees every row, x = 0 included, so a NaN or infinite row
+    raises as kernel_eval does (ValueError where |x||y_j| is NaN).
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
@@ -509,8 +511,6 @@ def kernel_eval_batch(spec, x, pts):
         raise ValueError(f"pts must have shape (m, {spec.dim})")
     rx = float(np.linalg.norm(x))
     ry = np.linalg.norm(pts, axis=1)
-    if rx == 0.0:
-        return np.ones(pts.shape[0])
     ry_max = float(ry.max()) if ry.size else 0.0
     kmax = truncation_degree(spec, rx, ry_max)
     if kmax == 0:

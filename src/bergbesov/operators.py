@@ -6,24 +6,34 @@ volume measure:
 
     (T f)(x) = int_B R_c(x, y) f(y) (1 - |y|^2)^b dnu(y).
 
-Radial inputs collapse: the spherical mean of R_c(x, .) over a centered
-sphere equals R_c(x, 0) = 1, so T sends every radial function to the
-constant int_B f (1 - |y|^2)^b dnu, independent of both c and x.  Every
-input of the radial test family
+Each kind of input has one exact or one numerical route:
 
-    f_{u,v}(x) = (1 - |x|^2)^u (1 + log(1/(1 - |x|^2)))^{-v}
+- Radial inputs collapse: the spherical mean of R_c(x, .) over a centered
+  sphere equals R_c(x, 0) = 1, so T sends every radial function to the
+  constant int_B f (1 - |y|^2)^b dnu, independent of both c and x.  Every
+  input of the radial test family
 
-is therefore answered by quadrature.radial_power_log_value(b + u, v), at
-every x and in every norm of the image: the full-interval 1-D integral,
-inf exactly when b+u < -1, or b+u = -1 with v <= 1.  apply_T_report adds
-the cutoff-ladder rungs of the same integral.  Every other input goes
-through one evaluator, _image_polar, whether the caller wants the
-transform at a single point (apply_T, apply_T_report, projection_Q) or on
-the outer grid of an image norm: the full product rule, with the kernel's
-zonal series split into the evaluation radius and a zonal table over the
-sphere rule, and the series capped at the sphere rule's exactness degree
-(unresolved degrees alias, so they are dropped).  apply_T_report flags
-such inputs divergent on value growth under radial node doubling.
+      f_{u,v}(x) = (1 - |x|^2)^u (1 + log(1/(1 - |x|^2)))^{-v}
+
+  is therefore answered by quadrature.radial_power_log_value(b + u, v), at
+  every x and in every norm of the image: the full-interval 1-D integral,
+  inf exactly when b+u < -1, or b+u = -1 with v <= 1.  apply_T_report adds
+  the cutoff-ladder rungs of the same integral.
+- Harmonic expansions are transformed exactly: T is diagonal on zonal
+  harmonics, and expansion.transform scales each degree-k coefficient by
+  its multiplier (inf and divergent for b <= -1 on any nonzero term).  A
+  point value is the image expansion evaluated at x, a q = 2 Besov norm is
+  the finite sum expansion.square_integral, and the other norms read the
+  image from evaluate_many on their outer grids.  No kernel series and no
+  inner quadrature is involved, so spec and the inner rule go unused.
+- Every other input (a callable) goes through one evaluator, _image_polar,
+  whether the caller wants the transform at a single point (apply_T,
+  apply_T_report, projection_Q) or on the outer grid of an image norm: the
+  full product rule, with the kernel's zonal series split into the
+  evaluation radius and a zonal table over the sphere rule, and the series
+  capped at the sphere rule's exactness degree (unresolved degrees alias,
+  so they are dropped).  apply_T_report flags such inputs divergent on
+  value growth under radial node doubling.
 
 Weighted-space norms of transform images use the exact shift identity
 D_c^t (T_{b,c} f) = T_{b,c+t} f, so no derivative is ever formed
@@ -38,7 +48,7 @@ import numpy as np
 
 from . import _accel
 from .classifier import OperatorParams
-from .expansion import HarmonicExpansion, evaluate_many
+from .expansion import HarmonicExpansion, evaluate, evaluate_many, square_integral, transform
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, truncation_degree
 from .quadrature import (
@@ -113,15 +123,10 @@ def test_function_eval(tf, x):
     return float(vals[0]) if scalar else vals
 
 
-def as_ball_function(f, dim):
-    """Coerce f to (vectorized callable on (m, dim) points, TestFunction or None).
-
-    Accepts TestFunction, HarmonicExpansion, a callable mapping an (m, dim)
-    array to m values, or the string forms "const1", "fuv:u,v", and
-    serialized-expansion JSON text (an object or a bare record array).  The
-    returned TestFunction, when present, selects the exact radial route
-    (radial_power_log_value).
-    """
+def _ball_input(f, dim):
+    """f as a TestFunction, a HarmonicExpansion of dimension dim, or a
+    vectorized callable whose output shape is checked; accepts what
+    as_ball_function accepts."""
     if isinstance(f, str):
         s = f.strip()
         if s == "const1":
@@ -137,13 +142,11 @@ def as_ball_function(f, dim):
             raise ValueError(f"unknown function spec {f!r}; "
                              "use 'const1', 'fuv:u,v', or expansion JSON")
     if isinstance(f, TestFunction):
-        tf = f
-        return (lambda pts: test_function_eval(tf, pts)), tf
+        return f
     if isinstance(f, HarmonicExpansion):
         if f.dim != dim:
             raise ValueError(f"expansion dim {f.dim} != requested dim {dim}")
-        exp = f
-        return (lambda pts: evaluate_many(exp, pts)), None
+        return f
     if callable(f):
         raw = f
 
@@ -153,8 +156,25 @@ def as_ball_function(f, dim):
                 raise ValueError("callable must map an (m, dim) array to m values")
             return vals
 
-        return fun, None
+        return fun
     raise TypeError(f"cannot interpret {type(f).__name__} as a ball function")
+
+
+def as_ball_function(f, dim):
+    """Coerce f to (vectorized callable on (m, dim) points, TestFunction or None).
+
+    Accepts TestFunction, HarmonicExpansion, a callable mapping an (m, dim)
+    array to m values, or the string forms "const1", "fuv:u,v", and
+    serialized-expansion JSON text (an object or a bare record array).  The
+    returned TestFunction, when present, selects the exact radial route
+    (radial_power_log_value).
+    """
+    g = _ball_input(f, dim)
+    if isinstance(g, TestFunction):
+        return (lambda pts: test_function_eval(g, pts)), g
+    if isinstance(g, HarmonicExpansion):
+        return (lambda pts: evaluate_many(g, pts)), None
+    return g, None
 
 
 @dataclass(frozen=True)
@@ -162,7 +182,8 @@ class TransformReport:
     """Transform value plus divergence analysis.
 
     refinements lists (resolution, value) pairs: ladder cutoffs for the
-    radial path, radial node counts for the node-doubling path.
+    radial path, radial node counts for the node-doubling path; the exact
+    spectral path of expansions has none.
     """
 
     value: float
@@ -249,9 +270,10 @@ def _inner_rule(b, rule):
 def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
-    This is the one evaluator behind every input that is not a TestFunction:
-    the norms use their outer grids, and apply_T, apply_T_report and
-    projection_Q use a 1x1 grid (_image_at).  A weight exponent b > -1 is
+    This is the one evaluator behind every callable input (expansions are
+    transformed exactly by expansion.transform, TestFunctions by their 1-D
+    integral): the norms use their outer grids, and apply_T, apply_T_report
+    and projection_Q use a 1x1 grid (_image_at).  A weight exponent b > -1 is
     folded into the inner radial nodes; below -1 the weight is applied at
     the nodes.  The zonal series separates the evaluation radius from
     everything else: with S_k the degree-k moment of the inner integrand
@@ -302,22 +324,33 @@ def _image_at(b, fvec, x, kspec, rule):
     return float(_image_polar(b, fvec, [r], zeta[None, :], kspec, rule)[0, 0])
 
 
+def _spectral_value(b, c, exp, x):
+    """T_{b,c} exp at x, exactly: the image expansion at x, or inf where
+    expansion.transform finds the transform divergent."""
+    image = transform(b, c, exp)
+    return math.inf if image is None else evaluate(image, x)
+
+
 def apply_T(b, c, f, x, spec=None, rule=None):
     """Transform value at x: int_B R_c(x,y) f(y) (1-|y|^2)^b dnu(y).
 
     f may be anything as_ball_function accepts.  A TestFunction f_{u,v} has
     the constant image radial_power_log_value(b + u, v) at every x (inf when
-    divergent); every other input is integrated by the product quadrature
-    rule as given.  Convergence diagnostics live in apply_T_report.  b and c
-    must be finite.
+    divergent).  A HarmonicExpansion (an object or JSON text) is transformed
+    exactly by its multipliers (expansion.transform) and evaluated at x; it
+    is inf for b <= -1 unless every term is zero, and spec and rule are
+    unused.  Every other input is integrated by the product quadrature rule
+    as given.  Convergence diagnostics live in apply_T_report.  b and c must
+    be finite.
     """
     b, c = _finite_orders(b, c)
     x, rule = _setup_point(x, rule)
-    fvec, tf = as_ball_function(f, x.size)
-    if tf is not None:
-        return radial_power_log_value(b + tf.u, tf.v, dim=x.size)
-    kspec = _kernel_spec(c, x.size, spec)
-    return _image_at(b, fvec, x, kspec, rule)
+    g = _ball_input(f, x.size)
+    if isinstance(g, TestFunction):
+        return radial_power_log_value(b + g.u, g.v, dim=x.size)
+    if isinstance(g, HarmonicExpansion):
+        return _spectral_value(b, c, g, x)
+    return _image_at(b, g, x, _kernel_spec(c, x.size, spec), rule)
 
 
 def apply_T_report(b, c, f, x, spec=None, rule=None):
@@ -325,25 +358,31 @@ def apply_T_report(b, c, f, x, spec=None, rule=None):
 
     TestFunction inputs (radial, so the transform is the same constant at
     every x) get radial_power_log_value, divergent exactly when it is inf,
-    plus the cutoff-ladder rungs of the same integral.  Other inputs are
-    evaluated at 1x, 2x, and 4x the rule's radial nodes and flagged
-    divergent when the magnitude grows beyond
-    GROWTH_FACTOR across the two doublings, exceeds DIVERGENCE_CAP, or
-    becomes non-finite.  b and c must be finite.
+    plus the cutoff-ladder rungs of the same integral (method
+    "radial-ladder").  HarmonicExpansion inputs get apply_T's exact value,
+    divergent exactly when it is inf (b <= -1 and some term nonzero), with
+    no refinements (method "spectral"; spec and rule are unused).  Other
+    inputs are evaluated at 1x, 2x, and 4x the rule's radial nodes and
+    flagged divergent when the magnitude grows beyond GROWTH_FACTOR across
+    the two doublings, exceeds DIVERGENCE_CAP, or becomes non-finite
+    (method "node-doubling").  b and c must be finite.
     """
     b, c = _finite_orders(b, c)
     x, rule = _setup_point(x, rule)
-    fvec, tf = as_ball_function(f, x.size)
-    if tf is not None:
-        bexp = b + tf.u
-        value = radial_power_log_value(bexp, tf.v, dim=x.size)
-        rungs = radial_power_log_ladder(bexp, tf.v, dim=x.size).rungs
+    g = _ball_input(f, x.size)
+    if isinstance(g, TestFunction):
+        bexp = b + g.u
+        value = radial_power_log_value(bexp, g.v, dim=x.size)
+        rungs = radial_power_log_ladder(bexp, g.v, dim=x.size).rungs
         return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
+    if isinstance(g, HarmonicExpansion):
+        value = _spectral_value(b, c, g, x)
+        return TransformReport(value, not math.isfinite(value), (), "spectral")
     kspec = _kernel_spec(c, x.size, spec)
     refinements = []
     for mult in (1, 2, 4):
         nodes = rule.radial_nodes * mult
-        val = _image_at(b, fvec, x, kspec, rule.with_radial_nodes(nodes))
+        val = _image_at(b, g, x, kspec, rule.with_radial_nodes(nodes))
         refinements.append((nodes, val))
     value = refinements[-1][1]
     first, last = abs(refinements[0][1]), abs(value)
@@ -362,7 +401,9 @@ def projection_Q(alpha, f, x, spec=None, rule=None):
     """Weighted projection: (1/V_alpha) times the (alpha, alpha) transform.
 
     Reproduces harmonic inputs and maps anything integrable to a harmonic
-    function; requires alpha > -1.
+    function; requires alpha > -1.  A HarmonicExpansion is reproduced to
+    rounding, since its multipliers over V_alpha are 1 up to a few ulps
+    (spec and rule are unused for it).
     """
     alpha = float(alpha)
     if not alpha > -1.0:
@@ -434,6 +475,12 @@ def _default_outer(inner):
                    sphere_nodes=max(min(inner.sphere_nodes, _OUTER_SPHERE), 4))
 
 
+def _polar_values(exp, r, dirs):
+    """The expansion exp on the polar grid r x dirs, as a (radii, dirs) array."""
+    pts = (np.asarray(r, dtype=float)[:, None, None] * dirs[None, :, :]).reshape(-1, exp.dim)
+    return evaluate_many(exp, pts).reshape(len(r), len(dirs))
+
+
 def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None):
     """q-integral smoothness norm of the transform image g = (b, c, f).
 
@@ -445,11 +492,15 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
     using V_beta = 1 when beta <= -1.  Any admissible non-negative integer t
     may be forced instead (all choices give equivalent norms).  A TestFunction
     f_{u,v} has the constant image radial_power_log_value(b + u, v), whose
-    norm is exactly its absolute value times (V_{beta+qt} / V_beta)^{1/q};
-    other inputs evaluate the transform on a reduced outer grid, so expect
-    desk-scale accuracy only.
-    rule is the inner quadrature for the transform; outer_rule overrides the
-    norm grid.  b and c must be finite.
+    norm is exactly its absolute value times (V_{beta+qt} / V_beta)^{1/q}.
+    A HarmonicExpansion's image T_{b,c+t} f is exact (expansion.transform;
+    inf and divergent for b <= -1 unless every term is zero): for q = 2 the
+    norm is the finite sum expansion.square_integral, and for other q the
+    exact image is integrated on the outer grid.  Other inputs evaluate the
+    transform on a reduced outer grid, so expect desk-scale accuracy only.
+    rule is the inner quadrature for the transform, and sets the default
+    outer grid; outer_rule overrides the norm grid.  An expansion uses
+    neither spec nor the inner rule.  b and c must be finite.
     """
     b, c, f = g
     b, c = _finite_orders(b, c)
@@ -463,21 +514,30 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
         raise ValueError(f"t must be a non-negative integer with beta + q t > -1, got {t}")
     t = int(t)
     n = _resolve_dim(f, rule, dim)
-    fvec, tf = as_ball_function(f, n)
+    g = _ball_input(f, n)
     s = c
-    if tf is not None:
-        const = radial_power_log_value(b + tf.u, tf.v, dim=n)
+    if isinstance(g, TestFunction):
+        const = radial_power_log_value(b + g.u, g.v, dim=n)
         if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
         return NormResult(_constant_besov_norm(const, q, beta, t, n), s, t, False)
-    kspec = _kernel_spec(s + t, n, spec)
-    inner = rule if rule is not None else _default_inner(n)
-    outer = outer_rule if outer_rule is not None else _default_outer(inner)
-    outer = outer.with_jacobi_exponent(beta + q * t)
-    r_out, wr_out = outer.radial_rule()
-    zeta_out, ws_out = outer.sphere_rule()
-    img = _image_polar(b, fvec, r_out, zeta_out, kspec, inner)
-    raw = float((np.abs(img) ** q @ ws_out) @ wr_out)
+    if isinstance(g, HarmonicExpansion):
+        image = transform(b, s + t, g)
+        if image is None:
+            return NormResult(math.inf, s, t, True)
+    if isinstance(g, HarmonicExpansion) and q == 2.0:
+        raw = square_integral(image, beta + 2.0 * t)
+    else:
+        inner = rule if rule is not None else _default_inner(n)
+        outer = outer_rule if outer_rule is not None else _default_outer(inner)
+        outer = outer.with_jacobi_exponent(beta + q * t)
+        r_out, wr_out = outer.radial_rule()
+        zeta_out, ws_out = outer.sphere_rule()
+        if isinstance(g, HarmonicExpansion):
+            img = _polar_values(image, r_out, zeta_out)
+        else:
+            img = _image_polar(b, g, r_out, zeta_out, _kernel_spec(s + t, n, spec), inner)
+        raw = float((np.abs(img) ** q @ ws_out) @ wr_out)
     if not math.isfinite(raw):
         return NormResult(math.inf, s, t, True)
     value = (raw / _v_or_one(beta, n)) ** (1.0 / q)
@@ -493,8 +553,11 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
     of the true supremum).  Any admissible non-negative integer t may be
     forced instead.  A TestFunction f_{u,v} has the constant image
     radial_power_log_value(b + u, v), so the sup is its absolute value: the
-    weight (1-|x|^2)^{beta+t} peaks at 1 at the origin.  b and c must be
-    finite.
+    weight (1-|x|^2)^{beta+t} peaks at 1 at the origin.  A HarmonicExpansion's
+    image is exact (expansion.transform; inf and divergent for b <= -1
+    unless every term is zero) and evaluated on the grid by evaluate_many,
+    without spec or an inner rule.  rule sets the default outer grid, which
+    outer_rule overrides.  b and c must be finite.
     """
     b, c, f = g
     b, c = _finite_orders(b, c)
@@ -505,19 +568,24 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
         raise ValueError(f"t must be a non-negative integer with beta + t > 0, got {t}")
     t = int(t)
     n = _resolve_dim(f, rule, dim)
-    fvec, tf = as_ball_function(f, n)
+    g = _ball_input(f, n)
     s = c
-    if tf is not None:
-        const = radial_power_log_value(b + tf.u, tf.v, dim=n)
+    if isinstance(g, TestFunction):
+        const = radial_power_log_value(b + g.u, g.v, dim=n)
         if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
         return NormResult(abs(const), s, t, False)
-    kspec = _kernel_spec(s + t, n, spec)
     inner = rule if rule is not None else _default_inner(n)
     outer = outer_rule if outer_rule is not None else _default_outer(inner)
     r = np.sqrt(-np.expm1(-_SUP_GRID))
     zeta, _ = outer.sphere_rule()
-    img = _image_polar(b, fvec, r, zeta, kspec, inner)
+    if isinstance(g, HarmonicExpansion):
+        image = transform(b, s + t, g)
+        if image is None:
+            return NormResult(math.inf, s, t, True)
+        img = _polar_values(image, r, zeta)
+    else:
+        img = _image_polar(b, g, r, zeta, _kernel_spec(s + t, n, spec), inner)
     weighted = (1.0 - r * r)[:, None] ** (beta + t) * np.abs(img)
     value = float(np.max(weighted))
     if not math.isfinite(value):

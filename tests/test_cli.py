@@ -127,7 +127,8 @@ APPLY = ("apply", "--b", "0", "--c", "0")
 # id: (arguments, a fragment the error line must hold)
 MALFORMED = {
     # a kernel series that cannot be certified below MAX_DEGREE
-    "apply-uncertifiable": (APPLY + ("--f", ONE_TERM, "--x", "0.99999999,0"), "200000 terms"),
+    "kernel-uncertifiable": (("kernel", "--alpha", "0", "--x", "0.99999999,0", "--y", "0.9999,0"),
+                             "200000 terms"),
     "apply-x-nan": (APPLY + ("--f", ONE_TERM, "--x", "nan,0"), "finite"),
     "kernel-y-inf": (("kernel", "--alpha", "0", "--x", "0.1,0", "--y", "0,inf"), "finite"),
     "fuv-nan": (APPLY + ("--f", "fuv:nan,0", "--x", "0.1,0"), "finite"),
@@ -144,6 +145,13 @@ MALFORMED = {
                                    "--x", "0.1,0"), "integer"),
     "json-fractional-dim": (APPLY + ("--f", '{"dim":2.5,"terms":[{"k":1,"y":[0.5,0],"c":1}]}',
                                      "--x", "0.1,0"), "integer"),
+    # json.loads accepts NaN and Infinity; an expansion does not
+    "json-c-nan": (APPLY + ("--f", '{"dim":2,"terms":[{"k":1,"y":[0.5,0],"c":NaN}]}',
+                            "--x", "0.1,0"), "finite"),
+    "json-c-inf": (APPLY + ("--f", '{"dim":2,"terms":[{"k":1,"y":[0.5,0],"c":Infinity}]}',
+                            "--x", "0.1,0"), "finite"),
+    "json-y-nan": (APPLY + ("--f", '{"dim":2,"terms":[{"k":1,"y":[NaN,0],"c":1}]}',
+                            "--x", "0.1,0"), "finite"),
     # non-finite operator parameters and weights get no verdict and no value
     "classify-b-nan": (("classify", "--b", "nan", "--c", "0", "--alpha", "0", "--target", "besov"),
                        "b must be finite"),
@@ -267,6 +275,18 @@ def test_apply_accepts_bare_array_expansion_json():
     full = run_json(*APPLY, "--f", ONE_TERM, "--x", "0.3,0.1")
     assert bare.pop("f") != full.pop("f")
     assert bare == full
+
+
+def test_apply_of_an_expansion_near_the_sphere_is_its_exact_multiple():
+    # T_{0,0} Z_1(., a) = gamma_1(0) (n/2) B(n/2+1, 1) Z_1(., a), and in the
+    # disc gamma_1(0) = 2 and (n/2) B(2, 1) = 1/2: the image is Z_1(x, a)
+    # = 2 x.a itself, with no kernel series to certify at |x| = 0.99999999
+    x = 0.99999999
+    out = run_json(*APPLY, "--f", ONE_TERM, "--x", f"{x},0")
+    assert out["value"] == pytest.approx(2.0 * x * 0.5, rel=1e-15)
+    assert out["divergent"] is False and out["refinements"] == []
+    assert out["method"] == "spectral" and out["rule"] is None
+    assert run_json(*APPLY, "--f", "const1", "--x", f"{x},0")["rule"]["dim"] == 2
 
 
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])

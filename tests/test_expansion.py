@@ -2,7 +2,9 @@
 differential operators acting on them."""
 
 import json
+import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from bergbesov.expansion import (
     evaluate,
     evaluate_many,
     from_json,
+    square_integral,
     to_json,
+    transform,
 )
 from bergbesov.kernel import KernelSpec, gamma_coefs, kernel_eval, truncation_degree, zonal_harmonic
 
@@ -244,3 +248,54 @@ def test_validation_errors():
         HarmonicExpansion.from_terms(3, [(0, np.array([1.5, 0.0, 0.0]), 1.0)])
     with pytest.raises(ValueError):
         HarmonicExpansion.from_terms(1, [])
+    # NaN or infinite coefficients and anchor coordinates
+    for k, y, c in ((1, [0.5, 0.0], math.nan), (1, [0.5, 0.0], math.inf), (1, [0.5, 0.0], -math.inf),
+                    (1, [math.nan, 0.0], 1.0), (0, [0.0, math.inf], 1.0)):
+        with pytest.raises(ValueError, match="must be finite"):
+            HarmonicExpansion.from_terms(2, [(0, [0.1, 0.2], 1.0), (k, y, c)])
+    for text in ('{"dim":2,"terms":[{"k":1,"y":[0.5,0],"c":NaN}]}',
+                 '{"dim":2,"terms":[{"k":1,"y":[0.5,0],"c":Infinity}]}',
+                 '[{"k":1,"y":[NaN,0],"c":1}]'):
+        with pytest.raises(ValueError, match="must be finite"):
+            from_json(text)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5, 8])
+def test_transform_scales_each_degree_by_its_multiplier(dim):
+    # m_k = gamma_k(c) (n/2) B(n/2+k, b+1), against mpmath at 30 digits, on
+    # both coefficient branches and up to degree 60.  The ratio recurrences
+    # lose a few ulps per degree; V_b = (n/2) B(n/2, b+1) comes from
+    # log-gamma values, so it is good to eps times their size
+    degrees = (0, 1, 2, 7, 20, 60)
+    exp = HarmonicExpansion.from_terms(dim, [(k, _ball_point(dim, 0.5), 1.0 + k) for k in degrees])
+    mpmath.mp.dps = 30
+    for b, c in ((0.0, 0.0), (0.5, 0.25), (-0.9, 2.3), (3.0, -0.5 * dim - 2.7), (-0.5, -40.0)):
+        image = transform(b, c, exp)
+        logs = sum(abs(math.lgamma(v)) for v in (dim / 2 + 1, b + 1, dim / 2 + b + 1))
+        assert np.array_equal(image.degrees, exp.degrees) and np.array_equal(image.anchors, exp.anchors)
+        for k, coef, got in zip(degrees, exp.coefs, image.coefs):
+            want = coef * mpmath.mpf(gamma_coefs(k, c, dim)[-1]) * dim / 2 * mpmath.beta(dim / 2 + k, b + 1)
+            assert abs(got - want) <= (4 * (k + 2) + 2 * logs) * 2.0**-52 * abs(want)
+    # for b <= -1 a nonzero term diverges; zero terms map to zero
+    assert transform(-1.0, 0.0, exp) is None
+    zero = HarmonicExpansion.from_terms(dim, [(0, _ball_point(dim, 0.5), 0.0), (3, np.zeros(dim), 2.0)])
+    assert transform(-1.5, 0.0, zero).coefs.tolist() == [0.0, 0.0]
+    assert transform(-1.0, 0.0, HarmonicExpansion.from_terms(dim, [(0, np.zeros(dim), 1.0)])) is None
+    assert len(transform(0.5, 0.0, HarmonicExpansion.from_terms(dim, []))) == 0
+    with pytest.raises(ValueError, match="not a finite double"):
+        transform(0.0, 1000.0, HarmonicExpansion.from_terms(dim, [(400, _ball_point(dim, 0.5), 1.0)]))
+
+
+def test_square_integral_is_the_gram_sum_of_each_degree():
+    # two terms of one degree and one of another: degrees are orthogonal, and
+    # within a degree the sphere mean of the product is c c' Z_k(a, a')
+    dim, w = 3, 0.4
+    a1, a2, a3 = _ball_point(dim, 0.7), _ball_point(dim, 0.9), _ball_point(dim, 1.0)
+    exp = HarmonicExpansion.from_terms(dim, [(2, a1, 1.5), (2, a2, -0.5), (1, a3, 2.0)])
+    gram2 = (1.5**2 * zonal_harmonic(2, a1, a1, dim) + 0.5**2 * zonal_harmonic(2, a2, a2, dim)
+             - 2 * 1.5 * 0.5 * zonal_harmonic(2, a1, a2, dim))
+    gram1 = 2.0**2 * zonal_harmonic(1, a3, a3, dim)
+    radial = [dim / 2 * float(mpmath.beta(dim / 2 + k, w + 1)) for k in (1, 2)]
+    want = radial[0] * gram1 + radial[1] * gram2
+    assert square_integral(exp, w) == pytest.approx(want, rel=1e-14)
+    assert square_integral(HarmonicExpansion.from_terms(dim, []), w) == 0.0

@@ -461,14 +461,31 @@ def test_nan_radii_are_rejected_before_the_search(monkeypatch):
     for x, y in ((nan_point, point), (point, nan_point), (inf_point, zero), (zero, inf_point)):
         with pytest.raises(ValueError, match="radii must be numbers"):
             kernel_eval(spec, x, y)
-    # the batch at x = 0 returns 1 without a certificate
-    for x, y in ((nan_point, point), (point, nan_point), (inf_point, zero)):
+    for x, y in ((nan_point, point), (point, nan_point), (inf_point, zero), (zero, inf_point)):
         with pytest.raises(ValueError, match="radii must be numbers"):
             kernel_eval_batch(spec, x, y[None, :])
     for rx, ry in ((math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0), (0.0, math.inf)):
         with pytest.raises(ValueError, match="radii must be numbers"):
             truncation_degree(spec, rx, ry)
     assert checked == []
+
+
+def test_batch_at_the_origin_checks_every_row():
+    # x = 0 used to return ones before the rows were looked at, so NaN and
+    # infinite rows passed where kernel_eval raises
+    spec = KernelSpec(alpha=0.5, dim=3)
+    zero = np.zeros(3)
+    for bad in ([math.inf, 0.0, 0.0], [0.0, math.nan, 0.0], [0.2, -math.inf, 0.1]):
+        with pytest.raises(ValueError, match="radii must be numbers") as batch:
+            kernel_eval_batch(spec, zero, [[0.3, 0.1, 0.0], bad])
+        with pytest.raises(ValueError, match="radii must be numbers") as pair:
+            kernel_eval(spec, zero, bad)
+        assert str(batch.value) == str(pair.value)
+    # finite rows, on the sphere or past it included, still give gamma_0 = 1
+    rows = [[0.3, 0.1, 0.0], [0.0, 0.0, 0.0], [0.6, 0.8, 0.0], [2.0, 0.0, 0.0]]
+    for alpha in (-4.5, -1.0, 0.0, 1.7):
+        assert kernel_eval_batch(KernelSpec(alpha, 3), zero, rows).tolist() == [1.0] * 4
+    assert kernel_eval_batch(spec, zero, np.zeros((0, 3))).shape == (0,)
 
 
 def test_has_closed_form_orders():

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy.special import beta as sbeta
+from scipy.special import eval_chebyt, eval_gegenbauer
 
 from bergbesov import operators
 from bergbesov.classifier import OperatorParams
-from bergbesov.expansion import HarmonicExpansion, apply_D, evaluate
+from bergbesov.expansion import HarmonicExpansion, apply_D, evaluate, to_json
 from bergbesov.kernel import (
     MAX_DEGREE,
     KernelSpec,
@@ -221,7 +222,121 @@ def test_apply_T_single_zonal_term_closed_form():
         want = gamma_coef(k, c, dim) * (dim / 2) * sbeta(dim / 2 + k, b + 1) * zonal_harmonic(
             k, x, y0, dim
         )
-        assert got == pytest.approx(want, rel=1e-6, abs=1e-9)
+        assert got == pytest.approx(want, rel=1e-13, abs=1e-15)
+
+
+def _zonal_ref(k, pts, a, dim):
+    """Z_k(x, a) on the rows x of pts, from scipy's Chebyshev (dim 2) and
+    Gegenbauer polynomials."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    if k == 0:
+        return np.ones(len(pts))
+    prod = np.linalg.norm(pts, axis=1) * np.linalg.norm(a)
+    u = np.clip((pts @ a) / np.where(prod > 0.0, prod, 1.0), -1.0, 1.0)
+    if dim == 2:
+        angular = 2.0 * eval_chebyt(k, u)
+    else:
+        angular = (dim + 2.0 * k - 2.0) / (dim - 2.0) * eval_gegenbauer(k, 0.5 * (dim - 2), u)
+    return prod**k * angular
+
+
+def _multi_term_expansion(dim, degrees):
+    terms = [(k, _ball_point(dim, RNG.uniform(0.3, 1.0)), float(RNG.uniform(0.5, 2.0) * RNG.choice((-1, 1))))
+             for k in degrees]
+    return terms, HarmonicExpansion.from_terms(dim, terms)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_projection_reproduces_multi_term_expansions(dim):
+    # Q_alpha's multiplier on degree k is gamma_k(alpha) R_k(alpha) = 1 up
+    # to a few ulps, so Q reproduces an expansion to rel 1e-13 of the sum of
+    # its terms' magnitudes (the scale of the value's own rounding)
+    for alpha in (0.0, 1.0, 2.5):
+        terms, exp = _multi_term_expansion(dim, (0, 1, 2, 3, 5, 8, 8))
+        for r in (0.0, 0.3, 0.7, 0.99, 0.999):
+            x = _ball_point(dim, r)
+            want = evaluate(exp, x)
+            size = sum(abs(cf * _zonal_ref(k, x, a, dim)[0]) for k, a, cf in terms)
+            for f in (exp, to_json(exp)):
+                assert abs(projection_Q(alpha, f, x) - want) <= 1e-13 * size
+
+
+def test_projection_dim4_two_term_expansion_is_exact():
+    # quadrature took 116 ms here and was 5.3e-4 off relative
+    exp = HarmonicExpansion.from_terms(4, [(2, [0.3, -0.5, 0.2, 0.4], 1.5), (3, [0.0, 0.6, 0.6, 0.1], -0.8)])
+    x = 0.7 * np.array([0.5, 0.5, 0.5, 0.5])
+    assert projection_Q(0.0, exp, x) == pytest.approx(evaluate(exp, x), rel=1e-13)
+
+
+@pytest.mark.parametrize("b", [-1.0, -1.5, -3.0])
+def test_expansion_transforms_diverge_for_b_at_most_minus_one(b):
+    x = np.array([0.3, 0.1])
+    z1 = HarmonicExpansion.from_terms(2, [(1, [0.6, 0.3], 1.0)])
+    for f in (z1, to_json(z1)):
+        assert apply_T(b, 0.25, f, x) == math.inf
+        assert apply_T_derivative(b, 0.25, 1.0, f, x) == math.inf
+        assert apply_T_report(b, 0.25, f, x) == TransformReport(math.inf, True, (), "spectral")
+        for q in (2.0, 3.0):
+            assert besov_norm((b, 0.25, f), q, -2.0, dim=2) == NormResult(math.inf, 0.25, 1, True)
+        assert bloch_norm((b, 0.25, f), 0.5, dim=2) == NormResult(math.inf, 0.25, 0, True)
+    # zero terms are a zero coefficient, or degree k >= 1 anchored at 0: the
+    # image of such terms is 0, and beside a nonzero term they change nothing
+    zero = HarmonicExpansion.from_terms(3, [(0, [0.2, 0.1, 0.0], 0.0), (2, [0.0, 0.0, 0.0], 3.0)])
+    x3 = np.array([0.3, 0.1, -0.4])
+    assert apply_T(b, 0.25, zero, x3) == 0.0
+    assert apply_T_report(b, 0.25, zero, x3) == TransformReport(0.0, False, (), "spectral")
+    assert besov_norm((b, 0.25, zero), 2.0, 0.0) == NormResult(0.0, 0.25, 0, False)
+    assert bloch_norm((b, 0.25, zero), 0.5) == NormResult(0.0, 0.25, 0, False)
+    mixed = HarmonicExpansion.from_terms(3, [*zero.terms(), (1, [0.1, 0.5, 0.2], 1.0)])
+    assert apply_T_report(b, 0.25, mixed, x3).divergent
+    assert apply_T(0.5, 0.25, mixed, x3) == apply_T(0.5, 0.25, HarmonicExpansion.from_terms(
+        3, [(1, [0.1, 0.5, 0.2], 1.0)]), x3)
+    # just above -1 the transform is finite, however large
+    assert math.isfinite(apply_T(-1.0 + 1e-9, 0.25, z1, x))
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_besov_q2_norm_of_an_expansion_equals_a_fine_quadrature_of_its_image(dim):
+    # the finite sum against the product rule on the image built from scipy's
+    # beta function and Gegenbauer polynomials: the rule is exact for the
+    # squared image when 2 max degree <= sphere exactness.  In dims 2-5 the
+    # top degree is past what the norm's own outer grid integrates exactly
+    rule = BallQuadrature(dim)
+    top = min(12, rule.sphere_exactness() // 2)
+    terms, exp = _multi_term_expansion(dim, [min(k, top) for k in (0, 1, 2, 2, 3, top)])
+    for b, c, beta in [(0.5, 0.25, 0.0), (-0.4, 1.3, -2.0), (2.0, -0.5 * dim - 1.5, 0.7),
+                       (0.0, 0.0, -1.0)]:
+        t = besov_smoothing_order(beta, 2.0)
+        w = beta + 2.0 * t
+
+        def image(pts):
+            return sum(cf * gamma_coef(k, c + t, dim) * (dim / 2) * sbeta(dim / 2 + k, b + 1.0)
+                       * _zonal_ref(k, pts, a, dim) for k, a, cf in terms)
+
+        raw = integrate_ball(lambda pts: image(pts) ** 2, w, rule.with_jacobi_exponent(w))
+        want = math.sqrt(raw / _ball_V(beta, dim))
+        res = besov_norm((b, c, exp), 2.0, beta)
+        assert res.t == t and not res.divergent
+        assert res.value == pytest.approx(want, rel=1e-10)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_bloch_norm_of_a_zonal_term_is_below_its_exact_sup(dim):
+    # the sphere sup of |Z_k(r zeta, a)| is h_k (r |a|)^k, at zeta = a/|a|,
+    # and r^k (1-r^2)^w peaks at r^2 = k/(k+2w).  The grid estimate falls
+    # short where no outer direction is a/|a| (by up to 15 % on the coarse
+    # dim-3 and dim-4 grids), but it never exceeds the sup, as the
+    # quadrature of the image did
+    a = 0.67 * np.eye(dim)[0]
+    for k, b, c, beta in [(1, 0.5, 0.25, 0.5), (3, 0.5, 0.25, 0.5), (2, -0.3, 1.5, -1.2)]:
+        t = bloch_smoothing_order(beta)
+        w = beta + t
+        mult = gamma_coef(k, c + t, dim) * (dim / 2) * sbeta(dim / 2 + k, b + 1.0)
+        r2 = k / (k + 2.0 * w)
+        sup = mult * zonal_harmonic(k, a / 0.67, a, dim) * r2 ** (0.5 * k) * (1.0 - r2) ** w
+        res = bloch_norm((b, c, HarmonicExpansion.from_terms(dim, [(k, a, 1.0)])), beta)
+        assert res.t == t and not res.divergent
+        assert 0.8 * sup <= res.value <= sup * (1.0 + 1e-12)
 
 
 def test_apply_T_point_validation():

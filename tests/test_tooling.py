@@ -7,7 +7,7 @@ the package's lazy namespace resolves every public name to its
 submodule's own object; the truncation certificate stays a
 logarithmic search, not a scan over degrees; and a single kernel pair
 takes no array geometry step, with one traced series call per series
-order."""
+order; and no harmonic expansion reaches the kernel quadrature."""
 
 import ast
 import importlib
@@ -217,3 +217,32 @@ def test_single_pair_takes_the_float_geometry_and_one_series_call(alpha, dim, mo
     assert kernel.zonal_harmonic(5, x, y, dim) != 0.0
     want = [] if kernel.has_closed_form(spec) else ["series_disk" if dim == 2 else "series_ball"]
     assert series_calls == want
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_expansions_never_reach_the_kernel_quadrature(dim, monkeypatch):
+    # every entry point transforms an expansion, object or JSON text, by its
+    # multipliers; only callables go through operators._image_polar
+    import numpy as np
+
+    operators = importlib.import_module("bergbesov.operators")
+    expansion = importlib.import_module("bergbesov.expansion")
+
+    def forbidden(*args):
+        raise AssertionError("an expansion reached _image_polar")
+
+    monkeypatch.setattr(operators, "_image_polar", forbidden)
+    anchor = np.linspace(0.1, 0.5, dim) / dim
+    exp = expansion.HarmonicExpansion.from_terms(dim, [(0, anchor, 0.5), (1, anchor[::-1], -1.0),
+                                                       (3, anchor, 2.0)])
+    x = np.full(dim, 0.9 / math.sqrt(dim))
+    for f in (exp, expansion.to_json(exp)):
+        values = [operators.apply_T(0.5, 0.25, f, x),
+                  operators.apply_T_report(0.5, 0.25, f, x).value,
+                  operators.apply_T_derivative(0.5, -0.75, 1.0, f, x),
+                  operators.projection_Q(1.0, f, x),
+                  operators.besov_norm((0.5, 0.25, f), 2.0, -2.0, dim=dim).value,
+                  operators.besov_norm((0.5, 0.25, f), 3.0, -2.0, dim=dim).value,
+                  operators.bloch_norm((0.5, 0.25, f), -0.5, dim=dim).value]
+        assert all(math.isfinite(v) and v != 0.0 for v in values)
+        assert values[0] == values[1] == values[2]
