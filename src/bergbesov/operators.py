@@ -514,18 +514,18 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
         raise ValueError(f"t must be a non-negative integer with beta + q t > -1, got {t}")
     t = int(t)
     n = _resolve_dim(f, rule, dim)
-    g = _ball_input(f, n)
+    h = _ball_input(f, n)
     s = c
-    if isinstance(g, TestFunction):
-        const = radial_power_log_value(b + g.u, g.v, dim=n)
+    if isinstance(h, TestFunction):
+        const = radial_power_log_value(b + h.u, h.v, dim=n)
         if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
         return NormResult(_constant_besov_norm(const, q, beta, t, n), s, t, False)
-    if isinstance(g, HarmonicExpansion):
-        image = transform(b, s + t, g)
+    if isinstance(h, HarmonicExpansion):
+        image = transform(b, s + t, h)
         if image is None:
             return NormResult(math.inf, s, t, True)
-    if isinstance(g, HarmonicExpansion) and q == 2.0:
+    if isinstance(h, HarmonicExpansion) and q == 2.0:
         raw = square_integral(image, beta + 2.0 * t)
     else:
         inner = rule if rule is not None else _default_inner(n)
@@ -533,10 +533,10 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
         outer = outer.with_jacobi_exponent(beta + q * t)
         r_out, wr_out = outer.radial_rule()
         zeta_out, ws_out = outer.sphere_rule()
-        if isinstance(g, HarmonicExpansion):
+        if isinstance(h, HarmonicExpansion):
             img = _polar_values(image, r_out, zeta_out)
         else:
-            img = _image_polar(b, g, r_out, zeta_out, _kernel_spec(s + t, n, spec), inner)
+            img = _image_polar(b, h, r_out, zeta_out, _kernel_spec(s + t, n, spec), inner)
         raw = float((np.abs(img) ** q @ ws_out) @ wr_out)
     if not math.isfinite(raw):
         return NormResult(math.inf, s, t, True)
@@ -568,10 +568,10 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
         raise ValueError(f"t must be a non-negative integer with beta + t > 0, got {t}")
     t = int(t)
     n = _resolve_dim(f, rule, dim)
-    g = _ball_input(f, n)
+    h = _ball_input(f, n)
     s = c
-    if isinstance(g, TestFunction):
-        const = radial_power_log_value(b + g.u, g.v, dim=n)
+    if isinstance(h, TestFunction):
+        const = radial_power_log_value(b + h.u, h.v, dim=n)
         if not math.isfinite(const):
             return NormResult(math.inf, s, t, True)
         return NormResult(abs(const), s, t, False)
@@ -579,13 +579,13 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
     outer = outer_rule if outer_rule is not None else _default_outer(inner)
     r = np.sqrt(-np.expm1(-_SUP_GRID))
     zeta, _ = outer.sphere_rule()
-    if isinstance(g, HarmonicExpansion):
-        image = transform(b, s + t, g)
+    if isinstance(h, HarmonicExpansion):
+        image = transform(b, s + t, h)
         if image is None:
             return NormResult(math.inf, s, t, True)
         img = _polar_values(image, r, zeta)
     else:
-        img = _image_polar(b, g, r, zeta, _kernel_spec(s + t, n, spec), inner)
+        img = _image_polar(b, h, r, zeta, _kernel_spec(s + t, n, spec), inner)
     weighted = (1.0 - r * r)[:, None] ** (beta + t) * np.abs(img)
     value = float(np.max(weighted))
     if not math.isfinite(value):
