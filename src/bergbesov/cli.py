@@ -191,17 +191,18 @@ def _cmd_apply(args):
 
 
 def _cmd_norm(args):
-    from .operators import (as_ball_function, besov_norm, bloch_norm, lp_membership_analytic,
-                            test_function_lp_norm)
+    from .operators import (_parse_text, as_ball_function, besov_norm, bloch_norm,
+                            lp_membership_analytic, test_function_lp_norm)
     from .quadrature import lp_norm
 
-    dim = args.dim
     if (args.b is None) != (args.c is None):
         raise ValueError("--b and --c must be given together (transform-image mode)")
+    f = _parse_text(args.f)
+    dim = args.dim if args.dim is not None else getattr(f, "dim", 2)
     if args.b is not None:
         rule = _build_rule(args, dim)
         target = args.target or ("besov" if args.q is not None else "bloch")
-        g = (args.b, args.c, args.f)
+        g = (args.b, args.c, f)
         if target == "besov":
             if args.q is None:
                 raise ValueError("besov norm needs --q")
@@ -222,7 +223,7 @@ def _cmd_norm(args):
         raise ValueError("source-space mode needs --p (or give --b/--c)")
     p = ExtExponent.parse(args.p)
     p_raw = math.inf if p.is_inf else p.raw
-    fvec, tf = as_ball_function(args.f, dim)
+    fvec, tf = as_ball_function(f, dim)
     if tf is not None:
         value = test_function_lp_norm(tf, p_raw, args.alpha, dim)
         method = "closed-form" if p.is_inf else "radial-adaptive"
@@ -326,7 +327,8 @@ def _build_parser():
     sp.add_argument("--q", type=float, default=None)
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--target", default=None, help="besov | bloch (image mode)")
-    sp.add_argument("--dim", type=int, default=2)
+    sp.add_argument("--dim", type=int, default=None,
+                    help="default: the dim of expansion JSON, else 2")
     _add_rule_flags(sp, radial=48, sphere=48)
     sp.set_defaults(func=_cmd_norm)
 

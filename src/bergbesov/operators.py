@@ -6,34 +6,35 @@ volume measure:
 
     (T f)(x) = int_B R_c(x, y) f(y) (1 - |y|^2)^b dnu(y).
 
-Each kind of input has one exact or one numerical route:
+T is diagonal on zonal harmonics (Axler, Bourdon & Ramey, Harmonic Function
+Theory, ch. 5), so two kinds of input have an exact image, formed in one
+place, _exact_image, as an expansion (None where the transform diverges):
 
-- Radial inputs collapse: the spherical mean of R_c(x, .) over a centered
-  sphere equals R_c(x, 0) = 1, so T sends every radial function to the
-  constant int_B f (1 - |y|^2)^b dnu, independent of both c and x.  Every
-  input of the radial test family
+- A harmonic expansion is scaled degree by degree by its multipliers
+  (expansion.transform; divergent for b <= -1 on any nonzero term).
+- A radial input lies in degree 0: the spherical mean of R_c(x, .) over a
+  centered sphere is R_c(x, 0) = 1, so T sends every radial function to the
+  constant int_B f (1 - |y|^2)^b dnu, independent of c and x.  For the test
+  family f_{u,v}(x) = (1 - |x|^2)^u (1 + log(1/(1 - |x|^2)))^{-v} that
+  constant is quadrature.radial_power_log_value(b + u, v), divergent exactly
+  when b+u < -1, or b+u = -1 with v <= 1.
 
-      f_{u,v}(x) = (1 - |x|^2)^u (1 + log(1/(1 - |x|^2)))^{-v}
+Every answer for such an input is read from its image, with no kernel
+series and no inner quadrature.  An image of degree 0 is a constant c: its
+value at every x is c, its Besov norm |c| (V_{beta+qt} / V_beta)^{1/q} and
+its Bloch norm |c|.  Otherwise a point value is the image at x, a q = 2
+Besov norm the finite sum expansion.square_integral, and the other norms
+read the image on their outer grids.  apply_T_report adds the cutoff-ladder
+rungs of the radial integral as the evidence for a radial input.
 
-  is therefore answered by quadrature.radial_power_log_value(b + u, v), at
-  every x and in every norm of the image: the full-interval 1-D integral,
-  inf exactly when b+u < -1, or b+u = -1 with v <= 1.  apply_T_report adds
-  the cutoff-ladder rungs of the same integral.
-- Harmonic expansions are transformed exactly: T is diagonal on zonal
-  harmonics, and expansion.transform scales each degree-k coefficient by
-  its multiplier (inf and divergent for b <= -1 on any nonzero term).  A
-  point value is the image expansion evaluated at x, a q = 2 Besov norm is
-  the finite sum expansion.square_integral, and the other norms read the
-  image from evaluate_many on their outer grids.  No kernel series and no
-  inner quadrature is involved, so spec and the inner rule go unused.
-- Every other input (a callable) goes through one evaluator, _image_polar,
-  whether the caller wants the transform at a single point (apply_T,
-  apply_T_report, projection_Q) or on the outer grid of an image norm: the
-  full product rule, with the kernel's zonal series split into the
-  evaluation radius and a zonal table over the sphere rule, and the series
-  capped at the sphere rule's exactness degree (unresolved degrees alias,
-  so they are dropped).  apply_T_report flags such inputs divergent on
-  value growth under radial node doubling.
+Every other input (a callable) goes through one evaluator, _image_polar,
+whether the caller wants the transform at a single point (apply_T,
+apply_T_report, projection_Q) or on the outer grid of an image norm: the
+full product rule, with the kernel's zonal series split into the
+evaluation radius and a zonal table over the sphere rule, and the series
+capped at the sphere rule's exactness degree (unresolved degrees alias, so
+they are dropped).  apply_T_report flags such inputs divergent on value
+growth under radial node doubling.
 
 Weighted-space norms of transform images use the exact shift identity
 D_c^t (T_{b,c} f) = T_{b,c+t} f, so no derivative is ever formed
@@ -43,6 +44,7 @@ exponents a <= -1 (the weighted measure is no longer finite there).
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -52,10 +54,11 @@ from .expansion import HarmonicExpansion, evaluate, evaluate_many, square_integr
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, truncation_degree
 from .quadrature import (
-    _SUP_GRID,
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
     BallQuadrature,
+    _grid_sup,
+    _on_polar_grid,
     _radial_integral_finite,
     _sup_finite,
     _v_or_one,
@@ -123,29 +126,37 @@ def test_function_eval(tf, x):
     return float(vals[0]) if scalar else vals
 
 
+# Inputs with an exact image; _ball_input wraps every other callable.
+_EXACT_INPUTS = (TestFunction, HarmonicExpansion)
+
+
+def _parse_text(f):
+    """The string forms "const1", "fuv:u,v" and expansion JSON text as a
+    TestFunction or a HarmonicExpansion; any other f is returned as is."""
+    if not isinstance(f, str):
+        return f
+    s = f.strip()
+    if s == "const1":
+        return TestFunction(0.0, 0.0)
+    if s.startswith("fuv:"):
+        parts = s[len("fuv:"):].split(",")
+        if len(parts) != 2:
+            raise ValueError(f"expected 'fuv:u,v', got {f!r}")
+        return TestFunction(float(parts[0]), float(parts[1]))
+    if s.startswith(("{", "[")):
+        return expansion_from_json(s)
+    raise ValueError(f"unknown function spec {f!r}; "
+                     "use 'const1', 'fuv:u,v', or expansion JSON")
+
+
 def _ball_input(f, dim):
     """f as a TestFunction, a HarmonicExpansion of dimension dim, or a
     vectorized callable whose output shape is checked; accepts what
     as_ball_function accepts."""
-    if isinstance(f, str):
-        s = f.strip()
-        if s == "const1":
-            f = TestFunction(0.0, 0.0)
-        elif s.startswith("fuv:"):
-            parts = s[len("fuv:"):].split(",")
-            if len(parts) != 2:
-                raise ValueError(f"expected 'fuv:u,v', got {f!r}")
-            f = TestFunction(float(parts[0]), float(parts[1]))
-        elif s.startswith(("{", "[")):
-            f = expansion_from_json(s)
-        else:
-            raise ValueError(f"unknown function spec {f!r}; "
-                             "use 'const1', 'fuv:u,v', or expansion JSON")
-    if isinstance(f, TestFunction):
-        return f
-    if isinstance(f, HarmonicExpansion):
-        if f.dim != dim:
-            raise ValueError(f"expansion dim {f.dim} != requested dim {dim}")
+    f = _parse_text(f)
+    if isinstance(f, HarmonicExpansion) and f.dim != dim:
+        raise ValueError(f"expansion dim {f.dim} != requested dim {dim}")
+    if isinstance(f, _EXACT_INPUTS):
         return f
     if callable(f):
         raw = f
@@ -232,6 +243,34 @@ def test_function_lp_norm(tf, p, alpha, dim):
 # Transform evaluation.
 
 
+def _exact_image(b, c, h, n):
+    """The image under T_{b,c} in dimension n of h, one of _EXACT_INPUTS, as
+    an expansion, or None where the transform diverges: expansion.transform
+    of an expansion, and for f_{u,v} the degree-0 expansion with coefficient
+    radial_power_log_value(b + u, v, dim=n), built unvalidated."""
+    if isinstance(h, TestFunction):
+        value = radial_power_log_value(b + h.u, h.v, dim=n)
+        if not math.isfinite(value):
+            return None
+        return HarmonicExpansion(n, np.zeros(1, dtype=np.int64), np.zeros((1, n)),
+                                 np.array([value]))
+    return transform(b, c, h)
+
+
+def _constant(image):
+    """The value of an image of degree 0 (0 for the zero expansion), or None
+    when some term has a higher degree."""
+    return None if np.any(image.degrees) else float(np.sum(image.coefs))
+
+
+def _image_value(image, x):
+    """T f at x from its exact image: inf where there is none, else its value."""
+    if image is None:
+        return math.inf
+    const = _constant(image)
+    return evaluate(image, x) if const is None else const
+
+
 def _setup_point(x, rule):
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
@@ -254,14 +293,6 @@ def _finite_orders(b, c):
     return b, c
 
 
-def _kernel_spec(c, dim, spec):
-    c = float(c)
-    if spec is not None and spec.alpha == c and spec.dim == dim:
-        return spec
-    tol = spec.tol if spec is not None else 1e-10
-    return KernelSpec(c, dim, tol)
-
-
 def _inner_rule(b, rule):
     """The rule with a weight exponent b > -1 folded into its radial nodes."""
     return rule.with_jacobi_exponent(b if b > -1.0 else 0.0)
@@ -270,20 +301,19 @@ def _inner_rule(b, rule):
 def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
-    This is the one evaluator behind every callable input (expansions are
-    transformed exactly by expansion.transform, TestFunctions by their 1-D
-    integral): the norms use their outer grids, and apply_T, apply_T_report
-    and projection_Q use a 1x1 grid (_image_at).  A weight exponent b > -1 is
-    folded into the inner radial nodes; below -1 the weight is applied at
-    the nodes.  The zonal series separates the evaluation radius from
-    everything else: with S_k the degree-k moment of the inner integrand
-    against one outer direction, the image at radius r is
-    sum_k gamma_k r^k S_k.  Each direction therefore costs one zonal table
-    over the inner sphere rule instead of one series per quadrature node.
-    The truncation degree is certified at the largest radius pair and
-    shared, capped at the sphere rule's exactness: degrees the rule cannot
-    integrate would alias onto lower ones, so they are dropped, and the
-    certificate is not searched past the cap.
+    This is the one evaluator behind every callable input (the inputs with
+    an exact image take _exact_image): the norms use their outer grids, and
+    apply_T, apply_T_report and projection_Q use a 1x1 grid (_image_at).  A
+    weight exponent b > -1 is folded into the inner radial nodes; below -1
+    the weight is applied at the nodes.  The zonal series separates the
+    evaluation radius from everything else: with S_k the degree-k moment of
+    the inner integrand against one outer direction, the image at radius r
+    is sum_k gamma_k r^k S_k.  Each direction therefore costs one zonal
+    table over the inner sphere rule instead of one series per quadrature
+    node.  The truncation degree is certified at the largest radius pair
+    and shared, capped at the sphere rule's exactness: degrees the rule
+    cannot integrate would alias onto lower ones, so they are dropped, and
+    the certificate is not searched past the cap.
     """
     b = float(b)
     inner = _inner_rule(b, rule)
@@ -291,9 +321,7 @@ def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     zeta_in, ws_in = inner.sphere_rule()
     leftover = b - inner.jacobi_exponent
     wr = wr_in * (1.0 - r_in**2) ** leftover if leftover != 0.0 else wr_in
-    pts = (r_in[:, None, None] * zeta_in[None, :, :]).reshape(-1, kspec.dim)
-    rest_w = np.asarray(fvec(pts), dtype=float).reshape(len(r_in), len(ws_in))
-    rest_w = rest_w * ws_in[None, :]
+    rest_w = _on_polar_grid(fvec, r_in, zeta_in) * ws_in[None, :]
     r_out = np.asarray(r_out, dtype=float)
     kmax = truncation_degree(kspec, float(r_out.max()), float(r_in.max()),
                              cap=inner.sphere_exactness())
@@ -324,61 +352,47 @@ def _image_at(b, fvec, x, kspec, rule):
     return float(_image_polar(b, fvec, [r], zeta[None, :], kspec, rule)[0, 0])
 
 
-def _spectral_value(b, c, exp, x):
-    """T_{b,c} exp at x, exactly: the image expansion at x, or inf where
-    expansion.transform finds the transform divergent."""
-    image = transform(b, c, exp)
-    return math.inf if image is None else evaluate(image, x)
-
-
-def apply_T(b, c, f, x, spec=None, rule=None):
+def apply_T(b, c, f, x, rule=None):
     """Transform value at x: int_B R_c(x,y) f(y) (1-|y|^2)^b dnu(y).
 
-    f may be anything as_ball_function accepts.  A TestFunction f_{u,v} has
-    the constant image radial_power_log_value(b + u, v) at every x (inf when
-    divergent).  A HarmonicExpansion (an object or JSON text) is transformed
-    exactly by its multipliers (expansion.transform) and evaluated at x; it
-    is inf for b <= -1 unless every term is zero, and spec and rule are
-    unused.  Every other input is integrated by the product quadrature rule
-    as given.  Convergence diagnostics live in apply_T_report.  b and c must
-    be finite.
+    f may be anything as_ball_function accepts.  A TestFunction or a
+    HarmonicExpansion (an object or text) is answered from its exact image
+    (_exact_image): inf where the transform diverges, the constant of a
+    degree-0 image, and the image evaluated at x otherwise; rule is unused.
+    Every other input is integrated by the product quadrature rule as given,
+    with the order-c kernel at KernelSpec's default tolerance.  Convergence
+    diagnostics live in apply_T_report.  b and c must be finite.
     """
     b, c = _finite_orders(b, c)
     x, rule = _setup_point(x, rule)
     g = _ball_input(f, x.size)
-    if isinstance(g, TestFunction):
-        return radial_power_log_value(b + g.u, g.v, dim=x.size)
-    if isinstance(g, HarmonicExpansion):
-        return _spectral_value(b, c, g, x)
-    return _image_at(b, g, x, _kernel_spec(c, x.size, spec), rule)
+    if isinstance(g, _EXACT_INPUTS):
+        return _image_value(_exact_image(b, c, g, x.size), x)
+    return _image_at(b, g, x, KernelSpec(c, x.size), rule)
 
 
-def apply_T_report(b, c, f, x, spec=None, rule=None):
+def apply_T_report(b, c, f, x, rule=None):
     """Transform value with a divergence verdict.
 
-    TestFunction inputs (radial, so the transform is the same constant at
-    every x) get radial_power_log_value, divergent exactly when it is inf,
-    plus the cutoff-ladder rungs of the same integral (method
-    "radial-ladder").  HarmonicExpansion inputs get apply_T's exact value,
-    divergent exactly when it is inf (b <= -1 and some term nonzero), with
-    no refinements (method "spectral"; spec and rule are unused).  Other
-    inputs are evaluated at 1x, 2x, and 4x the rule's radial nodes and
-    flagged divergent when the magnitude grows beyond GROWTH_FACTOR across
-    the two doublings, exceeds DIVERGENCE_CAP, or becomes non-finite
-    (method "node-doubling").  b and c must be finite.
+    An input with an exact image gets apply_T's value, divergent exactly
+    when it is inf, and rule is unused.  A TestFunction reports the
+    cutoff-ladder rungs of its radial integral (method "radial-ladder"); a
+    HarmonicExpansion has no refinements (method "spectral").  Other inputs
+    are evaluated at 1x, 2x, and 4x the rule's radial nodes and flagged
+    divergent when the magnitude grows beyond GROWTH_FACTOR across the two
+    doublings, exceeds DIVERGENCE_CAP, or becomes non-finite (method
+    "node-doubling").  b and c must be finite.
     """
     b, c = _finite_orders(b, c)
     x, rule = _setup_point(x, rule)
     g = _ball_input(f, x.size)
-    if isinstance(g, TestFunction):
-        bexp = b + g.u
-        value = radial_power_log_value(bexp, g.v, dim=x.size)
-        rungs = radial_power_log_ladder(bexp, g.v, dim=x.size).rungs
-        return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
-    if isinstance(g, HarmonicExpansion):
-        value = _spectral_value(b, c, g, x)
+    if isinstance(g, _EXACT_INPUTS):
+        value = _image_value(_exact_image(b, c, g, x.size), x)
+        if isinstance(g, TestFunction):
+            rungs = radial_power_log_ladder(b + g.u, g.v, dim=x.size).rungs
+            return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
         return TransformReport(value, not math.isfinite(value), (), "spectral")
-    kspec = _kernel_spec(c, x.size, spec)
+    kspec = KernelSpec(c, x.size)
     refinements = []
     for mult in (1, 2, 4):
         nodes = rule.radial_nodes * mult
@@ -391,25 +405,25 @@ def apply_T_report(b, c, f, x, spec=None, rule=None):
     return TransformReport(value, divergent, tuple(refinements), "node-doubling")
 
 
-def apply_T_derivative(b, c, t, f, x, spec=None, rule=None):
+def apply_T_derivative(b, c, t, f, x, rule=None):
     """Order-t derivative of the transform at base c, via the exact shift
     identity: equals the (b, c+t) transform at x."""
-    return apply_T(b, float(c) + float(t), f, x, spec=spec, rule=rule)
+    return apply_T(b, float(c) + float(t), f, x, rule=rule)
 
 
-def projection_Q(alpha, f, x, spec=None, rule=None):
+def projection_Q(alpha, f, x, rule=None):
     """Weighted projection: (1/V_alpha) times the (alpha, alpha) transform.
 
     Reproduces harmonic inputs and maps anything integrable to a harmonic
     function; requires alpha > -1.  A HarmonicExpansion is reproduced to
     rounding, since its multipliers over V_alpha are 1 up to a few ulps
-    (spec and rule are unused for it).
+    (rule is unused for it).
     """
     alpha = float(alpha)
     if not alpha > -1.0:
         raise ValueError(f"projection requires alpha > -1, got {alpha}")
     x = np.asarray(x, dtype=float).ravel()
-    return apply_T(alpha, alpha, f, x, spec=spec, rule=rule) / normalization_V(alpha, x.size)
+    return apply_T(alpha, alpha, f, x, rule=rule) / normalization_V(alpha, x.size)
 
 
 # ---------------------------------------------------------------------------
@@ -448,21 +462,19 @@ def bloch_smoothing_order(beta):
     return t
 
 
-def _constant_besov_norm(const, q, beta, t, dim):
-    """q-integral smoothness norm of the constant function const: every
-    derivative D_s^t of a constant is the constant itself, so the norm is
-    |const| (V_{beta+qt} / V_beta)^{1/q}, with V_beta = 1 when beta <= -1."""
-    return abs(const) * (normalization_V(beta + q * t, dim) / _v_or_one(beta, dim)) ** (1.0 / q)
-
-
-def _resolve_dim(f, rule, dim):
+def _norm_input(f, rule, dim):
+    """(f as _ball_input gives it, the ambient dimension n): rule's, else
+    dim, else the dimension of an expansion f (JSON text is parsed for it)."""
+    f = _parse_text(f)
     if rule is not None:
-        return rule.dim
-    if isinstance(f, HarmonicExpansion):
-        return f.dim
-    if dim is not None:
-        return int(dim)
-    raise ValueError("pass rule= or dim= to fix the ambient dimension")
+        n = rule.dim
+    elif dim is not None:
+        n = int(dim)
+    elif isinstance(f, HarmonicExpansion):
+        n = f.dim
+    else:
+        raise ValueError("pass rule= or dim= to fix the ambient dimension")
+    return _ball_input(f, n), n
 
 
 def _default_inner(dim):
@@ -475,13 +487,16 @@ def _default_outer(inner):
                    sphere_nodes=max(min(inner.sphere_nodes, _OUTER_SPHERE), 4))
 
 
-def _polar_values(exp, r, dirs):
-    """The expansion exp on the polar grid r x dirs, as a (radii, dirs) array."""
-    pts = (np.asarray(r, dtype=float)[:, None, None] * dirs[None, :, :]).reshape(-1, exp.dim)
-    return evaluate_many(exp, pts).reshape(len(r), len(dirs))
+def _outer_integral(polar, q, w, inner):
+    """int_B |image|^q (1-|x|^2)^w dnu on the outer grid of the inner rule,
+    with polar(r, dirs) the image on a polar grid as a (radii, dirs) array."""
+    outer = _default_outer(inner).with_jacobi_exponent(w)
+    r_out, wr_out = outer.radial_rule()
+    zeta_out, ws_out = outer.sphere_rule()
+    return float((np.abs(polar(r_out, zeta_out)) ** q @ ws_out) @ wr_out)
 
 
-def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None):
+def besov_norm(g, q, beta, rule=None, dim=None, t=None):
     """q-integral smoothness norm of the transform image g = (b, c, f).
 
     With t the smallest non-negative integer making beta + q t > -1 and the
@@ -490,17 +505,15 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
         ((1/V_beta) int_B |T_{b,c+t} f|^q (1-|x|^2)^{beta+qt} dnu)^{1/q},
 
     using V_beta = 1 when beta <= -1.  Any admissible non-negative integer t
-    may be forced instead (all choices give equivalent norms).  A TestFunction
-    f_{u,v} has the constant image radial_power_log_value(b + u, v), whose
-    norm is exactly its absolute value times (V_{beta+qt} / V_beta)^{1/q}.
-    A HarmonicExpansion's image T_{b,c+t} f is exact (expansion.transform;
-    inf and divergent for b <= -1 unless every term is zero): for q = 2 the
-    norm is the finite sum expansion.square_integral, and for other q the
-    exact image is integrated on the outer grid.  Other inputs evaluate the
-    transform on a reduced outer grid, so expect desk-scale accuracy only.
-    rule is the inner quadrature for the transform, and sets the default
-    outer grid; outer_rule overrides the norm grid.  An expansion uses
-    neither spec nor the inner rule.  b and c must be finite.
+    may be forced instead (all choices give equivalent norms).  An exact
+    image T_{b,c+t} f (_exact_image) gives inf and divergent where the
+    transform diverges, |c| (V_{beta+qt} / V_beta)^{1/q} when it is a
+    constant c, the finite sum expansion.square_integral for q = 2, and
+    otherwise its integral on the outer grid.  A callable's transform is
+    evaluated on a reduced outer grid, so expect desk-scale accuracy only;
+    rule is its inner quadrature and sets the outer grid.  The dimension is
+    rule's, else dim, else an expansion's own (JSON text is parsed for it).
+    b and c must be finite.
     """
     b, c, f = g
     b, c = _finite_orders(b, c)
@@ -513,51 +526,42 @@ def besov_norm(g, q, beta, spec=None, rule=None, outer_rule=None, dim=None, t=No
     elif t != int(t) or t < 0 or not beta + q * t > -1.0:
         raise ValueError(f"t must be a non-negative integer with beta + q t > -1, got {t}")
     t = int(t)
-    n = _resolve_dim(f, rule, dim)
-    h = _ball_input(f, n)
+    h, n = _norm_input(f, rule, dim)
     s = c
-    if isinstance(h, TestFunction):
-        const = radial_power_log_value(b + h.u, h.v, dim=n)
-        if not math.isfinite(const):
-            return NormResult(math.inf, s, t, True)
-        return NormResult(_constant_besov_norm(const, q, beta, t, n), s, t, False)
-    if isinstance(h, HarmonicExpansion):
-        image = transform(b, s + t, h)
+    inner = rule if rule is not None else _default_inner(n)
+    if isinstance(h, _EXACT_INPUTS):
+        image = _exact_image(b, s + t, h, n)
         if image is None:
             return NormResult(math.inf, s, t, True)
-    if isinstance(h, HarmonicExpansion) and q == 2.0:
-        raw = square_integral(image, beta + 2.0 * t)
-    else:
-        inner = rule if rule is not None else _default_inner(n)
-        outer = outer_rule if outer_rule is not None else _default_outer(inner)
-        outer = outer.with_jacobi_exponent(beta + q * t)
-        r_out, wr_out = outer.radial_rule()
-        zeta_out, ws_out = outer.sphere_rule()
-        if isinstance(h, HarmonicExpansion):
-            img = _polar_values(image, r_out, zeta_out)
+        const = _constant(image)
+        if const is not None:
+            ratio = normalization_V(beta + q * t, n) / _v_or_one(beta, n)
+            return NormResult(abs(const) * ratio ** (1.0 / q), s, t, False)
+        if q == 2.0:
+            raw = square_integral(image, beta + 2.0 * t)
         else:
-            img = _image_polar(b, h, r_out, zeta_out, _kernel_spec(s + t, n, spec), inner)
-        raw = float((np.abs(img) ** q @ ws_out) @ wr_out)
+            polar = partial(_on_polar_grid, partial(evaluate_many, image))
+            raw = _outer_integral(polar, q, beta + q * t, inner)
+    else:
+        polar = partial(_image_polar, b, h, kspec=KernelSpec(s + t, n), rule=inner)
+        raw = _outer_integral(polar, q, beta + q * t, inner)
     if not math.isfinite(raw):
         return NormResult(math.inf, s, t, True)
     value = (raw / _v_or_one(beta, n)) ** (1.0 / q)
     return NormResult(float(value), s, t, False)
 
 
-def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None):
+def bloch_norm(g, beta, rule=None, dim=None, t=None):
     """Weighted sup-type norm of the transform image g = (b, c, f).
 
     With t the smallest non-negative integer making beta + t > 0 and base
     s = c, returns sup (1-|x|^2)^{beta+t} |T_{b,c+t} f| over a log-spaced
     radial grid times the outer rule's sphere directions (a lower estimate
     of the true supremum).  Any admissible non-negative integer t may be
-    forced instead.  A TestFunction f_{u,v} has the constant image
-    radial_power_log_value(b + u, v), so the sup is its absolute value: the
-    weight (1-|x|^2)^{beta+t} peaks at 1 at the origin.  A HarmonicExpansion's
-    image is exact (expansion.transform; inf and divergent for b <= -1
-    unless every term is zero) and evaluated on the grid by evaluate_many,
-    without spec or an inner rule.  rule sets the default outer grid, which
-    outer_rule overrides.  b and c must be finite.
+    forced instead.  An exact image (_exact_image) gives inf and divergent
+    where the transform diverges, |c| when it is a constant c (the weight
+    peaks at 1 at the origin), and otherwise its sup on the grid.  rule and
+    the dimension are as in besov_norm.  b and c must be finite.
     """
     b, c, f = g
     b, c = _finite_orders(b, c)
@@ -567,27 +571,20 @@ def bloch_norm(g, beta, spec=None, rule=None, outer_rule=None, dim=None, t=None)
     elif t != int(t) or t < 0 or not beta + t > 0.0:
         raise ValueError(f"t must be a non-negative integer with beta + t > 0, got {t}")
     t = int(t)
-    n = _resolve_dim(f, rule, dim)
-    h = _ball_input(f, n)
+    h, n = _norm_input(f, rule, dim)
     s = c
-    if isinstance(h, TestFunction):
-        const = radial_power_log_value(b + h.u, h.v, dim=n)
-        if not math.isfinite(const):
-            return NormResult(math.inf, s, t, True)
-        return NormResult(abs(const), s, t, False)
     inner = rule if rule is not None else _default_inner(n)
-    outer = outer_rule if outer_rule is not None else _default_outer(inner)
-    r = np.sqrt(-np.expm1(-_SUP_GRID))
-    zeta, _ = outer.sphere_rule()
-    if isinstance(h, HarmonicExpansion):
-        image = transform(b, s + t, h)
+    if isinstance(h, _EXACT_INPUTS):
+        image = _exact_image(b, s + t, h, n)
         if image is None:
             return NormResult(math.inf, s, t, True)
-        img = _polar_values(image, r, zeta)
+        const = _constant(image)
+        if const is not None:
+            return NormResult(abs(const), s, t, False)
+        polar = partial(_on_polar_grid, partial(evaluate_many, image))
     else:
-        img = _image_polar(b, h, r, zeta, _kernel_spec(s + t, n, spec), inner)
-    weighted = (1.0 - r * r)[:, None] ** (beta + t) * np.abs(img)
-    value = float(np.max(weighted))
+        polar = partial(_image_polar, b, h, kspec=KernelSpec(s + t, n), rule=inner)
+    value = _grid_sup(polar, beta + t, _default_outer(inner).sphere_rule()[0])
     if not math.isfinite(value):
         return NormResult(math.inf, s, t, True)
     return NormResult(value, s, t, False)

@@ -5,21 +5,20 @@ Probes never override a verdict: the inequality systems are ground truth,
 and the probes test whether the numerics (and hence the implementation of
 the transform, quadrature, and norms) behave as those systems predict.
 
-Two facts shape the probe designs:
+The probes use the radial family f_{u,v}, whose images under T_{b,c} are
+constants (see the operators module), finite exactly when b+u > -1 or
+(b+u = -1 and v > 1).  Two facts shape the probe designs:
 
-* The transform of the radial family f_{u,v} with weight b is a constant
-  (the spherical mean of the kernel collapses), finite exactly when
-  b+u > -1 or (b+u = -1 and v > 1).  finiteness_probe picks the family
-  member matched to the source regime so this dichotomy aligns with the
-  strict first inequality of the verdict.
+* finiteness_probe picks the family member matched to the source regime so
+  this dichotomy aligns with the strict first inequality of the verdict.
 
-* Because those images are constants, radial families can only witness
-  failures of the first inequality (or a weight obstruction): a verdict
-  that is unbounded purely through the c-inequality still produces bounded
-  ratios on every radial family.  ratio_probe therefore predicts growth
-  only for first-inequality failures and weight obstructions, and tags the
-  c-only cases as c-blind in its evidence instead of reporting spurious
-  disagreement.
+* A constant image does not depend on c, so radial families can only
+  witness failures of the first inequality (or a weight obstruction): a
+  verdict that is unbounded purely through the c-inequality still produces
+  bounded ratios on every radial family.  ratio_probe, which reads its
+  target norms from operators.besov_norm and bloch_norm, therefore predicts
+  growth only for first-inequality failures and weight obstructions, and
+  tags the c-only cases as c-blind instead of reporting disagreement.
 """
 
 import math
@@ -31,13 +30,13 @@ from .classifier import OperatorParams, Target, classify
 from .kernel import KernelSpec, kernel_eval_batch
 from .operators import (
     TestFunction,
-    _constant_besov_norm,
-    besov_smoothing_order,
+    besov_norm,
+    bloch_norm,
     lp_membership_analytic,
     test_function_lp_norm,
     transform_finite_analytic,
 )
-from .quadrature import radial_power_log_ladder, radial_power_log_value
+from .quadrature import radial_power_log_ladder
 
 __all__ = [
     "ProbeEvidence",
@@ -163,25 +162,22 @@ def default_ratio_family(params, deltas=_DELTAS):
     return [TestFunction(base + d, 1.0) for d in deltas]
 
 
-def _constant_target_norm(cval, target, params):
-    """Target-space norm of the constant function with value cval."""
-    if math.isinf(cval):
-        return math.inf
-    a = abs(cval)
-    be = params.beta
+def _target_norm(tf, target, params):
+    """Target-space norm of T tf: besov_norm, at t = 0 (the weighted L^q
+    norm) for a Lebesgue target, and bloch_norm, the size of a radial
+    input's constant image, for the sup-type targets.  A Lebesgue target
+    with beta <= -1 or a weighted-sup target with beta < 0 holds no nonzero
+    harmonic function, so there every nonzero image has infinite norm."""
+    g = (params.b, params.c, tf)
+    be, n = params.beta, params.dim
     if target is Target.BESOV:
-        q = params.q.raw
-        return _constant_besov_norm(cval, q, be, besov_smoothing_order(be, q), params.dim)
-    if target is Target.LEBESGUE:
-        if be <= -1.0:
-            return math.inf if a > 0.0 else 0.0
-        return a
-    if target is Target.WLINF:
-        if be < 0.0:
-            return math.inf if a > 0.0 else 0.0
-        return a
-    # bloch (the smoothing order makes the sup weight peak at 1) and hinf
-    return a
+        return besov_norm(g, params.q.raw, be, dim=n).value
+    if target is Target.LEBESGUE and be > -1.0:
+        return besov_norm(g, params.q.raw, be, dim=n, t=0).value
+    size = bloch_norm(g, be, dim=n).value
+    if target is Target.LEBESGUE or (target is Target.WLINF and be < 0.0):
+        return math.inf if size > 0.0 else 0.0
+    return size
 
 
 def ratio_probe(params, family=None, target=None):
@@ -209,8 +205,7 @@ def ratio_probe(params, family=None, target=None):
     ratios = []
     for tf in family:
         src = test_function_lp_norm(tf, p_raw, params.alpha, params.dim)
-        image = radial_power_log_value(params.b + tf.u, tf.v, dim=params.dim)
-        tnorm = _constant_target_norm(image, target, params)
+        tnorm = _target_norm(tf, target, params)
         if math.isinf(tnorm):
             ratios.append(math.inf)
         elif not math.isfinite(src) or src <= 0.0:
@@ -246,13 +241,14 @@ def ratio_probe(params, family=None, target=None):
 
 
 _FLOOR_RADII = (0.0, 0.5, 0.9, 0.99, 0.999)
+_FLOOR_LEVELS = 20
 
 
-def kernel_floor_probe(alpha, dim, max_level=20):
+def kernel_floor_probe(alpha, dim):
     """Largest dyadic eps with min kernel value >= 1/2 for |x| <= eps.
 
     Samples |x| in {eps, eps/2}, |y| across _FLOOR_RADII, and 41 relative
-    angles; scans eps = 2^-1 down to 2^-max_level and returns the first
+    angles; scans eps = 2^-1 down to 2^-_FLOOR_LEVELS and returns the first
     (largest) passing eps, or 0.0 if even the finest fails (which would
     flag a kernel evaluation bug, since the value at x = 0 is exactly 1).
     """
@@ -266,7 +262,7 @@ def kernel_floor_probe(alpha, dim, max_level=20):
             pts[row, 0] = ry * t
             pts[row, 1] = ry * s
             row += 1
-    for level in range(1, max_level + 1):
+    for level in range(1, _FLOOR_LEVELS + 1):
         eps = 2.0 ** -level
         ok = True
         for rx in (eps, 0.5 * eps):

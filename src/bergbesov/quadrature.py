@@ -29,7 +29,7 @@ raise ConvergenceError when they do not.
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -79,8 +79,8 @@ DEFAULT_LEVELS = (32.0, 64.0, 128.0, 256.0, 512.0)
 _DE_T = 5.0
 _DE_MAX_LEVEL = 10
 _DE_RTOL = 1e-14
-# w-grid for sup-type norms, w = log 1/(1-r^2); e^-16 boundary clearance.
-_SUP_GRID = np.linspace(0.0, 16.0, 97)
+# Radii of the sup-norm grid: w = log 1/(1-r^2) on 97 points of [0, 16].
+_SUP_RADII = np.sqrt(-np.expm1(-np.linspace(0.0, 16.0, 97)))
 
 
 @dataclass(frozen=True)
@@ -260,6 +260,14 @@ def integrate_sphere(f, rule):
     return float(np.sum(np.asarray(f(pts), dtype=float) * wts))
 
 
+def _on_polar_grid(f, r, dirs):
+    """f on the polar grid r x dirs as a (radii, dirs) array; f maps an
+    (m, dim) array of points to m values."""
+    r = np.asarray(r, dtype=float)
+    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
+    return np.asarray(f(pts), dtype=float).reshape(len(r), len(dirs))
+
+
 def integrate_ball(f, weight_exponent, rule):
     """Approximate int_B f(x) (1-|x|^2)^weight_exponent dnu(x).
 
@@ -271,8 +279,7 @@ def integrate_ball(f, weight_exponent, rule):
     """
     r, wr = rule.radial_rule()
     zeta, ws = rule.sphere_rule()
-    pts = (r[:, None, None] * zeta[None, :, :]).reshape(-1, rule.dim)
-    vals = np.asarray(f(pts), dtype=float).reshape(len(r), len(ws))
+    vals = _on_polar_grid(f, r, zeta)
     leftover = float(weight_exponent) - rule.jacobi_exponent
     if leftover != 0.0:
         vals = vals * (1.0 - r**2)[:, None] ** leftover
@@ -292,6 +299,15 @@ def normalization_V(alpha, dim):
     return math.exp(math.lgamma(n2 + 1.0) + math.lgamma(alpha + 1.0) - math.lgamma(n2 + alpha + 1.0))
 
 
+def _grid_sup(polar, alpha, dirs):
+    """Max of (1-|x|^2)^alpha |g| over the sup grid's radii times the unit
+    vectors dirs, with polar(r, dirs) the values of g on that polar grid as
+    a (radii, dirs) array: a lower estimate of the weighted sup of g."""
+    r = _SUP_RADII
+    weighted = (1.0 - r * r)[:, None] ** alpha * np.abs(polar(r, dirs))
+    return float(np.max(weighted))
+
+
 def _v_or_one(alpha, dim):
     """normalization_V(alpha, dim), or 1 under the alpha <= -1 convention."""
     return normalization_V(alpha, dim) if alpha > -1.0 else 1.0
@@ -309,12 +325,7 @@ def lp_norm(f, p, alpha, rule):
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if p == math.inf:
-        r = np.sqrt(-np.expm1(-_SUP_GRID))
-        zeta, _ = rule.sphere_rule()
-        pts = (r[:, None, None] * zeta[None, :, :]).reshape(-1, rule.dim)
-        vals = np.abs(np.asarray(f(pts), dtype=float)).reshape(len(r), -1)
-        weighted = (1.0 - r**2)[:, None] ** float(alpha) * vals
-        return float(weighted.max())
+        return _grid_sup(partial(_on_polar_grid, f), float(alpha), rule.sphere_rule()[0])
     if not alpha > -1.0:
         raise ValueError(f"finite-p norm requires alpha > -1, got {alpha}")
     v = normalization_V(alpha, rule.dim)
@@ -406,13 +417,6 @@ def _wspace_tail(coef, expo, bexp, v):
     return tail
 
 
-def _radial_coefs(dim):
-    """(coef, expo) of the w-space integrand: dim None is the plain interval."""
-    if dim is None:
-        return 0.5, -0.5
-    return 0.5 * dim, 0.5 * dim - 1.0
-
-
 def _log_peek(coef, bexp, v, w):
     """log of the integrand magnitude at w, ignoring the bounded (1-e^-w) part."""
     return math.log(coef) - bexp * w - v * math.log1p(w)
@@ -420,8 +424,8 @@ def _log_peek(coef, bexp, v, w):
 
 def _radial_integral_finite(bexp_minus_1, v):
     """Whether int_0^1 (1-t^2)^B (1 + log 1/(1-t^2))^{-V} t^{n-1} dt is finite
-    (in every dim n, and for the plain interval): iff B > -1, or B = -1 and
-    V > 1.  NaN has no answer, so it raises ValueError."""
+    (in every dim n >= 1): iff B > -1, or B = -1 and V > 1.  NaN has no
+    answer, so it raises ValueError."""
     if math.isnan(bexp_minus_1) or math.isnan(v):
         raise ValueError(f"radial exponents must not be NaN, got B={bexp_minus_1}, V={v}")
     return bexp_minus_1 > -1.0 or (bexp_minus_1 == -1.0 and v > 1.0)
@@ -434,12 +438,12 @@ def _sup_finite(eexp, v):
     return eexp > 0.0 or (eexp == 0.0 and v >= 0.0)
 
 
-def radial_power_log_ladder(bexp_minus_1, v, dim=None):
+def radial_power_log_ladder(bexp_minus_1, v, dim=1):
     """Cutoff ladder for radial integrals with weight (1-t^2)^B (1+log 1/(1-t^2))^{-V}.
 
-    With dim set, computes n int_0^{t_L} t^{n-1} (1-t^2)^B ... dt (the radial
-    factor of a ball integral of a radial profile, normalized measure); with
-    dim None, the plain interval integral int_0^{t_L} (1-t^2)^B ... dt.
+    Computes n int_0^{t_L} t^{n-1} (1-t^2)^B ... dt with n = dim (the radial
+    factor of a ball integral of a radial profile, normalized measure); the
+    default dim 1 is the plain interval integral int_0^{t_L} (1-t^2)^B ... dt.
     Cutoffs t_L = sqrt(1 - e^-L) for L in DEFAULT_LEVELS.  Divergence is
     flagged when the value exceeds DIVERGENCE_CAP (checked in log space
     before evaluating a piece, so nothing overflows) or grows by more than
@@ -447,7 +451,7 @@ def radial_power_log_ladder(bexp_minus_1, v, dim=None):
     finiteness numerically; _radial_integral_finite decides it.
     """
     bexp, v = float(bexp_minus_1) + 1.0, float(v)
-    coef, expo = _radial_coefs(dim)
+    coef, expo = 0.5 * dim, 0.5 * dim - 1.0
     rungs = []
     total = 0.0
     for lo, hi in zip((0.0,) + DEFAULT_LEVELS[:-1], DEFAULT_LEVELS):
@@ -460,7 +464,7 @@ def radial_power_log_ladder(bexp_minus_1, v, dim=None):
     return LadderResult(True, total, tuple(rungs))
 
 
-def radial_power_log_value(bexp_minus_1, v, dim=None):
+def radial_power_log_value(bexp_minus_1, v, dim=1):
     """Full-interval value of the ladder integrand: the [0, 1] head piece via
     the z-substitution plus an exp-sinh tail on [1, inf).  Complements
     radial_power_log_ladder, whose finite cutoffs leave percent-level
@@ -471,7 +475,7 @@ def radial_power_log_value(bexp_minus_1, v, dim=None):
     if not _radial_integral_finite(b, v):
         return math.inf
     bexp = b + 1.0
-    coef, expo = _radial_coefs(dim)
+    coef, expo = 0.5 * dim, 0.5 * dim - 1.0
     head = _wspace_piece(coef, expo, bexp, v, 0.0, 1.0)
     tail = _wspace_tail(coef, expo, bexp, v)
     return head + tail

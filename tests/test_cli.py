@@ -334,6 +334,26 @@ def test_norm_source_space_sup_past_the_double_range(f):
     assert out["method"] == "closed-form"
 
 
+THREE_DIM = '{"dim":3,"terms":[{"k":1,"y":[0.5,0,0],"c":1}]}'
+
+
+@pytest.mark.parametrize("mode", [("--b", "0.5", "--c", "0.25", "--q", "2"), ("--p", "2")],
+                         ids=["image", "source"])
+def test_norm_takes_the_dimension_of_expansion_json(mode):
+    # Z_1(x, e_1/2) = 1.5 x_1 in dim 3
+    from bergbesov.expansion import from_json, square_integral, transform
+
+    exp = from_json(THREE_DIM)
+    out = run_json("norm", "--f", THREE_DIM, *mode)
+    assert out["dim"] == 3 and out["rule"]["dim"] == 3
+    image = transform(0.5, 0.25, exp) if mode[0] == "--b" else exp
+    assert out["value"] == pytest.approx(math.sqrt(square_integral(image, 0.0)), rel=1e-13)
+    for dim in ("2", "4"):
+        proc = run_cli("norm", "--f", THREE_DIM, "--dim", dim, *mode)
+        assert proc.returncode == 2 and "Traceback" not in proc.stderr
+        assert f"expansion dim 3 != requested dim {dim}" in proc.stderr
+
+
 def test_norm_requires_mode_flags():
     proc = run_cli("norm", "--f", "const1")
     assert proc.returncode == 2

@@ -9,9 +9,10 @@ import pytest
 from scipy.special import beta as sbeta
 from scipy.special import eval_chebyt, eval_gegenbauer
 
-from bergbesov import operators
+from bergbesov import operators, quadrature
 from bergbesov.classifier import OperatorParams
-from bergbesov.expansion import HarmonicExpansion, apply_D, evaluate, to_json
+from bergbesov.expansion import (HarmonicExpansion, apply_D, evaluate, square_integral, to_json,
+                                 transform)
 from bergbesov.kernel import (
     MAX_DEGREE,
     KernelSpec,
@@ -699,7 +700,7 @@ def test_bloch_norm_dim4_needs_no_certificate_past_the_cap():
     # Q reproduces x1 x2, so the value is the sup of (1 - r^2) r^2 |zeta_1 zeta_2|
     # over the same grid; the 1.6e-3 left is degrees 22 and 23 aliasing
     # (k + deg f > E), which ROADMAP item 1 removes
-    r = np.sqrt(-np.expm1(-operators._SUP_GRID))
+    r = quadrature._SUP_RADII
     zeta, _ = operators._default_outer(operators._default_inner(4)).sphere_rule()
     want = np.max((1.0 - r * r)[:, None] * r[:, None] ** 2 * np.abs(zeta[:, 0] * zeta[:, 1]))
     assert res.value == pytest.approx(want, rel=2e-3)
@@ -716,3 +717,40 @@ def test_bloch_norm_generic_refinement_plateau():
     assert a.value == pytest.approx(b.value, rel=2e-2)
     # the image of a radial function is the constant V_{b+u}, sup weight peaks at 0
     assert b.value == pytest.approx(normalization_V(0.7, 2), rel=1e-2)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_const1_and_its_degree0_expansion_have_one_image(dim):
+    # f = 1 as a radial input and as two degree-0 terms whose coefficients
+    # sum to 1: both images are the constant V_b, so every value and norm
+    # agrees between the two routes
+    a = np.linspace(0.1, 0.6, dim) / dim
+    one = HarmonicExpansion.from_terms(dim, [(0, a, 0.25), (0, -a[::-1], 0.75)])
+    x = np.full(dim, 0.6 / math.sqrt(dim))
+    b, c = 0.4, 1.3
+    pairs = [(apply_T(b, c, "const1", x), apply_T(b, c, one, x))]
+    for q in (1.5, 2.0, 3.0):
+        pairs.append((besov_norm((b, c, "const1"), q, -1.5, dim=dim).value,
+                      besov_norm((b, c, one), q, -1.5).value))
+    for beta in (-0.5, 0.0, 1.0):
+        pairs.append((bloch_norm((b, c, "const1"), beta, dim=dim).value,
+                      bloch_norm((b, c, one), beta).value))
+    for radial, exact in pairs:
+        assert radial == pytest.approx(exact, rel=1e-13, abs=0.0)
+    assert pairs[0][1] == pytest.approx(normalization_V(b, dim), rel=1e-13, abs=0.0)
+    # the closed form of the q = 2 norm (t = 1, V_beta = 1) against the finite sum
+    image = transform(b, c + 1.0, one)
+    assert pairs[2][1] == pytest.approx(math.sqrt(square_integral(image, 0.5)), rel=1e-13, abs=0.0)
+
+
+def test_image_norms_take_the_dimension_of_expansion_json():
+    text = '{"dim":3,"terms":[{"k":1,"y":[0.5,0,0],"c":1},{"k":2,"y":[0,0.4,0.3],"c":-2}]}'
+    exp = HarmonicExpansion.from_terms(3, [(1, [0.5, 0, 0], 1.0), (2, [0, 0.4, 0.3], -2.0)])
+    for q in (2.0, 3.0):
+        assert besov_norm((0.5, 0.25, text), q, 0.0) == besov_norm((0.5, 0.25, exp), q, 0.0)
+    assert bloch_norm((0.5, 0.25, text), 0.5) == bloch_norm((0.5, 0.25, exp), 0.5)
+    for dim in (2, 4):
+        with pytest.raises(ValueError, match=f"expansion dim 3 != requested dim {dim}"):
+            besov_norm((0.5, 0.25, text), 2.0, 0.0, dim=dim)
+        with pytest.raises(ValueError, match=f"expansion dim 3 != requested dim {dim}"):
+            bloch_norm((0.5, 0.25, text), 0.5, rule=BallQuadrature(dim))

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from bergbesov import operators, probe
 from bergbesov.classifier import OperatorParams, Target, classify
 from bergbesov.operators import TestFunction as Fuv
 from bergbesov.probe import (
@@ -172,6 +173,33 @@ def test_finiteness_probe_agrees_across_suite():
         assert rep.agree, (par, target)
         exempt += rep.evidence[0].detail["exempt"]
     assert exempt == 0
+
+
+@pytest.mark.parametrize("target, beta, q", [
+    (Target.BESOV, 0.5, 3.0), (Target.BESOV, -2.0, 1.5), (Target.LEBESGUE, 0.5, 2.0),
+    (Target.LEBESGUE, -1.5, 2.0), (Target.BLOCH, 0.7, INF), (Target.HINF, 0.0, INF),
+    (Target.WLINF, 0.3, INF), (Target.WLINF, -0.5, INF),
+])
+def test_ratio_probe_reads_its_target_norms_from_the_operators(target, beta, q, monkeypatch):
+    results = []
+
+    def spy(original):
+        def wrapper(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+        return wrapper
+
+    monkeypatch.setattr(probe, "besov_norm", spy(operators.besov_norm))
+    monkeypatch.setattr(probe, "bloch_norm", spy(operators.bloch_norm))
+    params = make(b=1.0, c=0.5, alpha=0.3, beta=beta, p=2.0, q=q, dim=3)
+    family = default_ratio_family(params)
+    ratios = ratio_probe(params, target=target).evidence[0].detail["ratios"]
+    assert len(results) == len(family)
+    obstructed = len(classify(params, target).inequalities) == 1
+    for ratio, tf, res in zip(ratios, family, results):
+        src = operators.test_function_lp_norm(tf, 2.0, 0.3, 3)
+        assert res.s == 0.5 and not res.divergent
+        assert ratio == (INF if obstructed else res.value / src)
 
 
 def test_ratio_probe_agrees_across_suite():

@@ -296,7 +296,7 @@ def test_radial_log_integral_oracle_values():
 @pytest.mark.parametrize("v", [0.0, 0.5, 1.5, 3.0])
 def test_radial_log_integral_is_the_interval_ladder_value(u, v):
     # the interval integral int_0^1 (1-t^2)^u (1 + log 1/(1-t^2))^{-v} dt is
-    # the ladder value with dim None: inf where it diverges, and at v = 0 the
+    # the ladder value with dim 1: inf where it diverges, and at v = 0 the
     # beta integral B(1/2, u+1)/2
     got = radial_power_log_value(u, v)
     if u == -1.0 and v <= 1.0:
@@ -319,7 +319,7 @@ def test_radial_power_log_value_matches_normalization():
 
 
 def test_ladder_dichotomy_off_boundary():
-    for dim in (None, 2, 3):
+    for dim in (1, 2, 3):
         for b in (-0.9, -0.95, -1.05, -1.5, -3.0):
             for v in (0.0, 1.0, 2.5):
                 res = radial_power_log_ladder(b, v, dim=dim)
@@ -327,7 +327,7 @@ def test_ladder_dichotomy_off_boundary():
 
 
 def test_ladder_value_close_to_full_integral_away_from_boundary():
-    for dim in (None, 2, 3):
+    for dim in (1, 2, 3):
         res = radial_power_log_ladder(0.3, 1.0, dim=dim)
         want = radial_power_log_value(0.3, 1.0, dim=dim)
         assert res.finite

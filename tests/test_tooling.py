@@ -222,14 +222,15 @@ def test_single_pair_takes_the_float_geometry_and_one_series_call(alpha, dim, mo
 @pytest.mark.parametrize("dim", range(2, 9))
 def test_expansions_never_reach_the_kernel_quadrature(dim, monkeypatch):
     # every entry point transforms an expansion, object or JSON text, by its
-    # multipliers; only callables go through operators._image_polar
+    # multipliers, and a radial input, object or string, to its constant
+    # image; only callables go through operators._image_polar
     import numpy as np
 
     operators = importlib.import_module("bergbesov.operators")
     expansion = importlib.import_module("bergbesov.expansion")
 
     def forbidden(*args):
-        raise AssertionError("an expansion reached _image_polar")
+        raise AssertionError("an input with an exact image reached _image_polar")
 
     monkeypatch.setattr(operators, "_image_polar", forbidden)
     anchor = np.linspace(0.1, 0.5, dim) / dim
@@ -246,3 +247,14 @@ def test_expansions_never_reach_the_kernel_quadrature(dim, monkeypatch):
                   operators.bloch_norm((0.5, 0.25, f), -0.5, dim=dim).value]
         assert all(math.isfinite(v) and v != 0.0 for v in values)
         assert values[0] == values[1] == values[2]
+    for f in (operators.TestFunction(0.3, 0.5), "fuv:0.3,0.5", "const1"):
+        values = [operators.apply_T(0.5, 0.25, f, x),
+                  operators.apply_T_report(0.5, 0.25, f, x).value,
+                  operators.apply_T_derivative(0.5, -0.75, 1.0, f, x),
+                  operators.bloch_norm((0.5, 0.25, f), -0.5, dim=dim).value,
+                  operators.besov_norm((0.5, 0.25, f), 2.0, -2.0, dim=dim).value,
+                  operators.besov_norm((0.5, 0.25, f), 3.0, -2.0, dim=dim).value]
+        assert all(math.isfinite(v) and v > 0.0 for v in values)
+        # the image is a constant, so the Bloch norm is its value
+        assert values[0] == values[1] == values[2] == values[3]
+        assert operators.projection_Q(1.0, f, x) > 0.0
