@@ -3,13 +3,15 @@
 The zonal recurrence exists in two forms.  `series_point` runs it on Python
 floats at one node, which is what `kernel_eval` passes at an order without a
 closed form (the closed-form orders sum no series): NumPy calls on
-one-element arrays cost 8 to 14 us per degree.  `kernel_eval` forms that
-node's |x||y| and cosine on Python floats too, and reaches `series_point`
-once per call through `series_disk` (dimension 2) or `series_ball`
-(dimension >= 3), its one-node entry points.  `zonal_table` runs the
-recurrence on node arrays as a degree-by-node table, and `zonal_series` sums
-such tables, times a coefficient and a power of |x||y| per degree, by
-Horner's rule over column blocks of at most TABLE_ENTRIES entries.
+one-element arrays cost 8 to 14 us per degree.  `kernel_eval` reaches
+`series_point` once per call through `series_disk` (dimension 2) or
+`series_ball` (dimension >= 3), its one-node entry points.  `zonal_table`
+runs the recurrence on node arrays as a degree-by-node table, and
+`zonal_series` sums such tables, times a coefficient and a power of |x||y|
+per degree, by Horner's rule over column blocks of at most TABLE_ENTRIES
+entries; `kernel_eval_batch` makes one such call over its rows.  Every
+node's |x||y| and cosine come from the kernel module's float geometry, the
+same for a pair and for a batch row.
 """
 
 import numpy as np

@@ -127,8 +127,7 @@ def _build_params(args):
 def _build_rule(args, dim):
     from .quadrature import BallQuadrature
 
-    given = {"radial_nodes": args.radial_nodes, "sphere_nodes": args.sphere_nodes}
-    return BallQuadrature(dim, **{k: v for k, v in given.items() if v is not None})
+    return BallQuadrature(dim, radial_nodes=args.radial_nodes, sphere_nodes=args.sphere_nodes)
 
 
 def _add_param_flags(sp):
@@ -139,13 +138,6 @@ def _add_param_flags(sp):
     sp.add_argument("--p", default="2")
     sp.add_argument("--q", default="2")
     sp.add_argument("--dim", type=int, default=2)
-
-
-def _add_rule_flags(sp, radial=None, sphere=None):
-    # None keeps BallQuadrature's own default, so building the parser
-    # imports no numerics
-    sp.add_argument("--radial-nodes", type=int, default=radial)
-    sp.add_argument("--sphere-nodes", type=int, default=sphere)
 
 
 def _cmd_classify(args):
@@ -180,11 +172,10 @@ def _cmd_apply(args):
     from .operators import apply_T_report
 
     x = _parse_point(args.x)
-    rule = _build_rule(args, x.size)
-    report = apply_T_report(args.b, args.c, args.f, x, rule=rule)
-    # an expansion is transformed by its multipliers, with no rule
+    # every --f the command accepts has an exact image, so no rule is used
+    report = apply_T_report(args.b, args.c, args.f, x)
     out = {"command": "apply", "b": args.b, "c": args.c, "f": args.f, "x": x.tolist(),
-           "rule": None if report.method == "spectral" else rule.describe()}
+           "rule": None}
     out.update(report.to_dict())
     _print_json(out)
     return 0
@@ -314,7 +305,6 @@ def _build_parser():
     sp.add_argument("--f", required=True,
                     help="const1 | fuv:u,v | expansion JSON text")
     sp.add_argument("--x", required=True)
-    _add_rule_flags(sp)
     sp.set_defaults(func=_cmd_apply)
 
     sp = sub.add_parser("norm", help="source-space norm of f, or a smoothness "
@@ -329,7 +319,8 @@ def _build_parser():
     sp.add_argument("--target", default=None, help="besov | bloch (image mode)")
     sp.add_argument("--dim", type=int, default=None,
                     help="default: the dim of expansion JSON, else 2")
-    _add_rule_flags(sp, radial=48, sphere=48)
+    sp.add_argument("--radial-nodes", type=int, default=48)
+    sp.add_argument("--sphere-nodes", type=int, default=48)
     sp.set_defaults(func=_cmd_norm)
 
     sp = sub.add_parser("probe", help="finiteness / ratio / kernel-floor probes")

@@ -23,15 +23,16 @@ dimension, and every alpha > -2 in the disc (has_closed_form).  The
 truncation degree is still certified for them, so both entry points raise
 the same errors and report the same degree whichever way they evaluate.
 
-A single pair (kernel_eval, zonal_harmonic) is evaluated on Python floats:
-once the shape is checked the points become lists, and the norms, the
-cosine and the closed forms are formed on them, since NumPy calls on
-one-row arrays would cost more than the rest of a closed-form evaluation.
-kernel_eval_batch forms the same quantities on arrays.  The float and the
-array geometry steps feed one final formula each, written once for both:
-_cosine and _closed_form.  NumPy is left to the coefficient tables: the
-series of an order without a closed form runs in _accel.series_point, and
-zonal_harmonic reads a one-column zonal table.
+Every pair is evaluated on Python floats, one at a time or as a row of
+kernel_eval_batch: once the shapes are checked the points become lists, and
+the norms, the cosine and the closed forms are formed on them by _dot,
+_pair_cosine and _pair_closed_form, since NumPy calls on one-row arrays
+would cost more than the rest of a closed-form evaluation.  So at a
+closed-form order the batch returns kernel_eval's value bit for bit
+wherever the pair's own certified degree is positive.  NumPy is left to the
+coefficient tables and the series: a single pair's series runs in
+_accel.series_point, a batch's in one _accel.zonal_series call over its
+rows' cosines, and zonal_harmonic reads a one-column zonal table.
 """
 
 import math
@@ -157,34 +158,20 @@ def zonal_harmonic(k, x, y, dim):
     return rx**k * ry**k * float(_accel.zonal_table(k, np.array([t]), dim)[k, 0])
 
 
-def _cosines(x, rx, pts, ry):
-    """Cosines of the angles between x (norm rx > 0) and the rows of pts
-    (norms ry), by _cosine; a zero row gets 1/2, which its product
-    |x||y| = 0 removes from every degree above 0."""
-    sign = np.where(pts @ x >= 0.0, 1.0, -1.0)
-    w = x / rx - sign[:, None] * (pts / np.where(ry == 0.0, 1.0, ry)[:, None])
-    return _cosine(sign, np.einsum("ij,ij->i", w, w))
-
-
 def _pair_cosine(x, rx, y, ry):
-    """_cosines for one pair: x and y lists of floats with norms rx, ry > 0."""
+    """The cosine of the angle between x and y, lists of floats with norms
+    rx, ry > 0.
+
+    It is 1 - |u - v|^2/2 where x.y >= 0 and |u + v|^2/2 - 1 elsewhere, for
+    the unit vectors u = x/|x| and v = y/|y|, so it never leaves [-1, 1] by
+    more than rounding.  Near x = +-y that keeps the distance to +-1 to its
+    relative accuracy, and parallel points give +-1 exactly, where
+    x.y/(|x||y|) would round an ulp off; the zonal recurrences amplify that
+    ulp by about k^2 at degree k.
+    """
     sign = 1.0 if _dot(x, y) >= 0.0 else -1.0
     w = [a / rx - sign * (b / ry) for a, b in zip(x, y)]
-    return _cosine(sign, _dot(w, w))
-
-
-def _cosine(sign, w_sq):
-    """The cosine of the angle between x and y, from sign = +-1, the sign
-    of x.y, and w_sq = |u - sign v|^2 for the unit vectors u = x/|x| and
-    v = y/|y|, on floats or arrays.
-
-    It is 1 - |u - v|^2/2 where x.y >= 0 and |u + v|^2/2 - 1 elsewhere, so
-    it never leaves [-1, 1] by more than rounding.  Near x = +-y that keeps
-    the distance to +-1 to its relative accuracy, and parallel points give
-    +-1 exactly, where x.y/(|x||y|) would round an ulp off; the zonal
-    recurrences amplify that ulp by about k^2 at degree k.
-    """
-    return sign * (1.0 - 0.5 * w_sq)
+    return sign * (1.0 - 0.5 * _dot(w, w))
 
 
 def _dot(a, b):
@@ -395,16 +382,16 @@ def has_closed_form(spec):
 
 
 def _closed_form(spec, s, d, one_minus_z):
-    """R_alpha for an order has_closed_form accepts, on floats for one pair
-    or on arrays for rows, from s = |x|^2|y|^2 and d = 1 - 2 x.y + s, or in
-    the disc from 1 - z:
+    """R_alpha for an order has_closed_form accepts, from s = |x|^2|y|^2 and
+    d = 1 - 2 x.y + s, or in the disc from 1 - z:
 
         alpha = -1:         (1 - s) / d^{n/2}
         alpha = 0:          ((1 - s)^2 - (4/n) s d) / d^{1+n/2}
         n = 2, alpha > -2:  2 Re (1 - z)^{-(2+alpha)} - 1,  z = x conj(y).
 
-    Only the arguments its order reads are needed; _closed_form_rows and
-    _pair_closed_form form them.
+    Only the arguments its order reads are needed.  _pair_closed_form forms
+    them on Python floats, or on NumPy scalars where a Python power would
+    leave the double range.
     """
     n, alpha = spec.dim, spec.alpha
     if alpha == -1.0:
@@ -414,27 +401,11 @@ def _closed_form(spec, s, d, one_minus_z):
     return 2.0 * (one_minus_z ** -(2.0 + alpha)).real - 1.0
 
 
-def _closed_form_rows(spec, x, pts):
-    """_closed_form at x and each row y_j of pts.  d is formed as the
-    squared norm | |y| x - y/|y| |^2, which keeps its relative accuracy
-    where 1 - 2 x.y + s cancels, and 1 - z as (1 - x.y) + i (x_1 y_2 -
-    x_2 y_1).  A row y = 0 gives exactly 1.
-    """
-    if spec.alpha not in (-1.0, 0.0):
-        return _closed_form(spec, None, None,
-                            (1.0 - pts @ x) + 1j * (x[0] * pts[:, 1] - x[1] * pts[:, 0]))
-    ry_sq = np.einsum("ij,ij->i", pts, pts)
-    ry = np.sqrt(ry_sq)
-    zero = ry == 0.0
-    w = ry[:, None] * x - pts / np.where(zero, 1.0, ry)[:, None]
-    d = np.einsum("ij,ij->i", w, w)
-    d[zero] = 1.0
-    return _closed_form(spec, float(x @ x) * ry_sq, d, None)
-
-
 def _pair_closed_form(spec, x, rx_sq, y, ry_sq):
     """_closed_form at one pair, x and y lists of floats with squared norms
-    rx_sq and ry_sq > 0, with the geometry of _closed_form_rows."""
+    rx_sq and ry_sq > 0.  d is formed as the squared norm | |y| x - y/|y| |^2,
+    which keeps its relative accuracy where 1 - 2 x.y + s cancels, and 1 - z
+    as (1 - x.y) + i (x_1 y_2 - x_2 y_1)."""
     if spec.alpha not in (-1.0, 0.0):
         geometry = (None, None, complex(1.0 - _dot(x, y), x[0] * y[1] - x[1] * y[0]))
     else:
@@ -445,8 +416,8 @@ def _pair_closed_form(spec, x, rx_sq, y, ry_sq):
         return _closed_form(spec, *geometry)
     except (OverflowError, ZeroDivisionError):
         # a Python power past the double range raises, or underflows to a
-        # zero divisor; NumPy's gives inf or 0, as in the batch (d^{1+n/2}
-        # overflows in high dimensions)
+        # zero divisor; NumPy's gives inf or 0 (d^{1+n/2} overflows in high
+        # dimensions)
         return float(_closed_form(spec, *(g if g is None else np.asarray(g) for g in geometry)))
 
 
@@ -469,11 +440,9 @@ def kernel_eval_degree(spec, x, y):
 
     After the shape check, x and y are lists of Python floats: the norms,
     x.y, and either the closed form's s, d or 1 - z (_pair_closed_form) or
-    the series' cosine (_pair_cosine) are formed on them, with the
-    formulas of kernel_eval_batch but sums taken in coordinate order, so a
-    value can differ from the batch's in the last bits.  The series itself
-    goes through _accel.series_disk or series_ball, which run
-    series_point on the floats."""
+    the series' cosine (_pair_cosine) are formed on them, sums taken in
+    coordinate order.  The series itself goes through _accel.series_disk or
+    series_ball, which run series_point on the floats."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != (spec.dim,) or y.shape != (spec.dim,):
@@ -496,26 +465,39 @@ def kernel_eval_degree(spec, x, y):
 def kernel_eval_batch(spec, x, pts):
     """Evaluate R_alpha(x, y_j) for a fixed x against rows y_j of pts.
 
-    The truncation degree is certified for the largest |x||y_j| and shared
-    across the batch; smaller products only gain accuracy.  Orders with a
-    closed form (has_closed_form) are evaluated by it, row by row, once the
-    degree is certified; every other order is summed by _accel.zonal_series.
-    Either way the batch agrees with kernel_eval to rounding, not bit for
-    bit, except where the certified degree is 0 and both return 1.  The
-    certificate sees every row, x = 0 included, so a NaN or infinite row
-    raises as kernel_eval does (ValueError where |x||y_j| is NaN).
+    Each row's norm, cosine and closed-form arguments are formed as
+    kernel_eval forms them, on Python floats.  The truncation degree is
+    certified once, for the largest |x||y_j|, and shared across the batch;
+    smaller products only gain accuracy.  Orders with a closed form
+    (has_closed_form) are evaluated by it row by row once the degree is
+    certified, so a row equals kernel_eval's value for its pair bit for bit,
+    except where that pair's own certified degree is 0 and kernel_eval
+    returns gamma_0 = 1 (a zero row gives 1 here too).  Every other order
+    is summed by one _accel.zonal_series call over the rows' cosines, which
+    agrees with kernel_eval to rounding and the difference of the degrees.
+    The certificate sees every row, x = 0 included, and its largest norm is
+    taken with np.max, which keeps a NaN, so a NaN or infinite row raises
+    as kernel_eval does (ValueError where |x||y_j| is NaN).
     """
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"points must have shape ({spec.dim},)")
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise ValueError(f"pts must have shape (m, {spec.dim})")
-    rx = float(np.linalg.norm(x))
-    ry = np.linalg.norm(pts, axis=1)
-    ry_max = float(ry.max()) if ry.size else 0.0
-    kmax = truncation_degree(spec, rx, ry_max)
+    x, rows = x.tolist(), pts.tolist()
+    rx_sq = _dot(x, x)
+    rx = math.sqrt(rx_sq)
+    ry_sq = [_dot(y, y) for y in rows]
+    ry = [math.sqrt(s) for s in ry_sq]
+    kmax = truncation_degree(spec, rx, float(np.max(ry, initial=0.0)))
     if kmax == 0:
-        return np.ones(pts.shape[0])
+        return np.ones(len(rows))
     if has_closed_form(spec):
-        return _closed_form_rows(spec, x, pts)
+        return np.array([1.0 if rx * r == 0.0 else _pair_closed_form(spec, x, rx_sq, y, s)
+                         for y, s, r in zip(rows, ry_sq, ry)])
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
-    return _accel.zonal_series(gam, rx * ry, _cosines(x, rx, pts, ry), spec.dim)
+    # a zero row takes its cosine at norm 1: its product |x||y| = 0 removes
+    # it from every degree above 0
+    cosines = [_pair_cosine(x, rx, y, r or 1.0) for y, r in zip(rows, ry)]
+    return _accel.zonal_series(gam, rx * np.array(ry), np.array(cosines), spec.dim)

@@ -62,6 +62,7 @@ from .quadrature import (
     _radial_integral_finite,
     _sup_finite,
     _v_or_one,
+    _weighted_radial_rule,
     normalization_V,
     radial_power_log_ladder,
     radial_power_log_value,
@@ -293,38 +294,30 @@ def _finite_orders(b, c):
     return b, c
 
 
-def _inner_rule(b, rule):
-    """The rule with a weight exponent b > -1 folded into its radial nodes."""
-    return rule.with_jacobi_exponent(b if b > -1.0 else 0.0)
-
-
 def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
     This is the one evaluator behind every callable input (the inputs with
     an exact image take _exact_image): the norms use their outer grids, and
-    apply_T, apply_T_report and projection_Q use a 1x1 grid (_image_at).  A
-    weight exponent b > -1 is folded into the inner radial nodes; below -1
-    the weight is applied at the nodes.  The zonal series separates the
-    evaluation radius from everything else: with S_k the degree-k moment of
-    the inner integrand against one outer direction, the image at radius r
-    is sum_k gamma_k r^k S_k.  Each direction therefore costs one zonal
-    table over the inner sphere rule instead of one series per quadrature
-    node.  The truncation degree is certified at the largest radius pair
-    and shared, capped at the sphere rule's exactness: degrees the rule
-    cannot integrate would alias onto lower ones, so they are dropped, and
-    the certificate is not searched past the cap.
+    apply_T, apply_T_report and projection_Q use a 1x1 grid (_image_at).
+    The inner radial nodes are _weighted_radial_rule's for the weight
+    exponent b: folded into them for b > -1, applied at them below.  The
+    zonal series separates the evaluation radius from everything else: with
+    S_k the degree-k moment of the inner integrand against one outer
+    direction, the image at radius r is sum_k gamma_k r^k S_k.  Each
+    direction therefore costs one zonal table over the inner sphere rule
+    instead of one series per quadrature node.  The truncation degree is
+    certified at the largest radius pair and shared, capped at the sphere
+    rule's exactness: degrees the rule cannot integrate would alias onto
+    lower ones, so they are dropped, and the certificate is not searched
+    past the cap.
     """
-    b = float(b)
-    inner = _inner_rule(b, rule)
-    r_in, wr_in = inner.radial_rule()
-    zeta_in, ws_in = inner.sphere_rule()
-    leftover = b - inner.jacobi_exponent
-    wr = wr_in * (1.0 - r_in**2) ** leftover if leftover != 0.0 else wr_in
+    r_in, wr = _weighted_radial_rule(rule, b)
+    zeta_in, ws_in = rule.sphere_rule()
     rest_w = _on_polar_grid(fvec, r_in, zeta_in) * ws_in[None, :]
     r_out = np.asarray(r_out, dtype=float)
     kmax = truncation_degree(kspec, float(r_out.max()), float(r_in.max()),
-                             cap=inner.sphere_exactness())
+                             cap=rule.sphere_exactness())
     gam = gamma_coefs(kmax, kspec.alpha, kspec.dim)
     ks = np.arange(kmax + 1, dtype=float)
     in_pow = np.power(r_in[None, :], ks[:, None])
@@ -347,7 +340,7 @@ def _image_at(b, fvec, x, kspec, rule):
     exactness.
     """
     r = float(np.linalg.norm(x))
-    truncation_degree(kspec, r, float(_inner_rule(b, rule).radial_rule()[0].max()))
+    truncation_degree(kspec, r, float(_weighted_radial_rule(rule, b)[0].max()))
     zeta = x / r if r > 0.0 else np.eye(x.size)[0]
     return float(_image_polar(b, fvec, [r], zeta[None, :], kspec, rule)[0, 0])
 
@@ -490,8 +483,8 @@ def _default_outer(inner):
 def _outer_integral(polar, q, w, inner):
     """int_B |image|^q (1-|x|^2)^w dnu on the outer grid of the inner rule,
     with polar(r, dirs) the image on a polar grid as a (radii, dirs) array."""
-    outer = _default_outer(inner).with_jacobi_exponent(w)
-    r_out, wr_out = outer.radial_rule()
+    outer = _default_outer(inner)
+    r_out, wr_out = _weighted_radial_rule(outer, w)
     zeta_out, ws_out = outer.sphere_rule()
     return float((np.abs(polar(r_out, zeta_out)) ** q @ ws_out) @ wr_out)
 

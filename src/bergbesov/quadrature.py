@@ -91,16 +91,13 @@ class BallQuadrature:
     sphere_nodes//4 polar by sphere_nodes//2 azimuth product (each at least
     8).  In dim >= 4 every polar factor starts from dim 3's count, with twice
     as many azimuth points, and the polar count drops until the rule has at
-    most 4 096 nodes (but stays >= 2).  jacobi_exponent is the radial weight
-    folded into node generation; integrate_ball applies any difference
-    between the requested weight and this exponent as an explicit factor at
-    the nodes.
+    most 4 096 nodes (but stays >= 2).  The rule carries no weight: each
+    integral takes its own (1-|x|^2)^w through _weighted_radial_rule.
     """
 
     dim: int
     radial_nodes: int = DEFAULT_RADIAL_NODES
     sphere_nodes: int = DEFAULT_SPHERE_NODES
-    jacobi_exponent: float = 0.0
 
     def __post_init__(self):
         if int(self.dim) != self.dim or self.dim < 2:
@@ -109,21 +106,15 @@ class BallQuadrature:
             raise ValueError("radial_nodes must be >= 1")
         if self.sphere_nodes < 4:
             raise ValueError("sphere_nodes must be >= 4")
-        if not self.jacobi_exponent > -1.0:
-            raise ValueError("jacobi_exponent must exceed -1")
         object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "jacobi_exponent", float(self.jacobi_exponent))
-
-    def with_jacobi_exponent(self, e):
-        return replace(self, jacobi_exponent=float(e))
 
     def with_radial_nodes(self, m):
         return replace(self, radial_nodes=int(m))
 
     def radial_rule(self):
         """(radii, weights): sum_i w_i g(r_i) approximates the radial factor of
-        int_B g(|x|) (1-|x|^2)^jacobi_exponent dnu."""
-        return _radial_rule(self.dim, self.radial_nodes, self.jacobi_exponent)
+        int_B g(|x|) dnu."""
+        return _radial_rule(self.dim, self.radial_nodes, 0.0)
 
     def sphere_rule(self):
         """(unit vectors (S, dim), weights (S,)): weights sum to 1."""
@@ -144,7 +135,6 @@ class BallQuadrature:
             "dim": self.dim,
             "radial_nodes": self.radial_nodes,
             "sphere_nodes": self.sphere_nodes,
-            "jacobi_exponent": self.jacobi_exponent,
         }
 
 
@@ -217,6 +207,20 @@ def _radial_rule(dim, m, exponent):
     return r, scale * w
 
 
+def _weighted_radial_rule(rule, w):
+    """(radii, weights) of the radial factor of int_B g(|x|) (1-|x|^2)^w dnu
+    on rule's radial node count, as radial_rule gives them for w = 0.  A
+    weight w > -1 is folded into the Gauss-Jacobi nodes, so an integrable
+    boundary singularity is absorbed rather than sampled; any other w is
+    applied at the nodes of the unweighted rule, which is what makes value
+    growth under refinement observable for a non-integrable weight."""
+    w = float(w)
+    if w > -1.0:
+        return _radial_rule(rule.dim, rule.radial_nodes, w)
+    r, wr = rule.radial_rule()
+    return r, wr * (1.0 - r**2) ** w
+
+
 def _sphere_counts(dim, sphere_nodes):
     """(polar, azimuth) node counts of the sphere rule; dim 2 has no polar
     factor.  In dim >= 4 the polar count starts from dim 3's and drops until
@@ -271,18 +275,14 @@ def _on_polar_grid(f, r, dirs):
 def integrate_ball(f, weight_exponent, rule):
     """Approximate int_B f(x) (1-|x|^2)^weight_exponent dnu(x).
 
-    f maps an (m, dim) array of points to m values.  The part of the weight
-    matching rule.jacobi_exponent lives in the nodes; the leftover exponent is
-    applied as an explicit factor, which is also what makes value growth under
-    refinement observable for non-integrable weights.  Non-finite node values
+    f maps an (m, dim) array of points to m values.  The weight takes the
+    radial nodes of _weighted_radial_rule: folded into them for
+    weight_exponent > -1, applied at them otherwise.  Non-finite node values
     propagate into the result.
     """
-    r, wr = rule.radial_rule()
+    r, wr = _weighted_radial_rule(rule, weight_exponent)
     zeta, ws = rule.sphere_rule()
     vals = _on_polar_grid(f, r, zeta)
-    leftover = float(weight_exponent) - rule.jacobi_exponent
-    if leftover != 0.0:
-        vals = vals * (1.0 - r**2)[:, None] ** leftover
     return float(np.sum(np.sum(vals * ws[None, :], axis=1) * wr))
 
 
@@ -329,7 +329,7 @@ def lp_norm(f, p, alpha, rule):
     if not alpha > -1.0:
         raise ValueError(f"finite-p norm requires alpha > -1, got {alpha}")
     v = normalization_V(alpha, rule.dim)
-    raw = integrate_ball(lambda pts: np.abs(f(pts)) ** p, alpha, rule.with_jacobi_exponent(alpha))
+    raw = integrate_ball(lambda pts: np.abs(f(pts)) ** p, alpha, rule)
     return float((raw / v) ** (1.0 / p))
 
 

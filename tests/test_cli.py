@@ -262,8 +262,7 @@ def test_kernel_certifies_once_and_prints_the_fixture(args, monkeypatch, capsys)
 
 
 def test_apply_constant_function():
-    out = run_json("apply", "--b", "0", "--c", "0", "--f", "const1",
-                   "--x", "0.4,0.2", "--radial-nodes", "32", "--sphere-nodes", "32")
+    out = run_json("apply", "--b", "0", "--c", "0", "--f", "const1", "--x", "0.4,0.2")
     assert out["divergent"] is False
     assert abs(out["value"] - 1.0) < 1e-8
 
@@ -286,7 +285,19 @@ def test_apply_of_an_expansion_near_the_sphere_is_its_exact_multiple():
     assert out["value"] == pytest.approx(2.0 * x * 0.5, rel=1e-15)
     assert out["divergent"] is False and out["refinements"] == []
     assert out["method"] == "spectral" and out["rule"] is None
-    assert run_json(*APPLY, "--f", "const1", "--x", f"{x},0")["rule"]["dim"] == 2
+    # a radial input has an exact image too, and no rule either
+    for f in ("const1", "fuv:0.3,0.5"):
+        assert run_json(*APPLY, "--f", f, "--x", f"{x},0")["rule"] is None
+
+
+@pytest.mark.parametrize("flag", ["--radial-nodes", "--sphere-nodes"])
+def test_apply_takes_no_rule_flags(flag):
+    # every --f apply accepts has an exact image, so a rule size would be
+    # a knob that changes nothing; norm keeps both flags
+    proc = run_cli(*APPLY, "--f", "const1", "--x", "0.1,0", flag, "32")
+    assert proc.returncode == 2
+    assert "unrecognized arguments" in proc.stderr
+    assert run_json("norm", "--f", "const1", "--p", "2", flag, "32")["value"] == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])

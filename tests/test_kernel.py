@@ -438,6 +438,33 @@ def test_kernel_batch_matches_scalar():
         assert abs(batch[j] - kernel_eval(spec, x, pts[j])) <= 2.0 * spec.tol
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_batch_rows_equal_kernel_eval_on_random_pairs(dim):
+    # every row of a batch forms its norm, cosine and closed-form arguments
+    # as kernel_eval does, on Python floats, so at every closed-form order
+    # each row is kernel_eval's value bit for bit, zero rows included.  At
+    # a series order the batch shares the degree of its largest product and
+    # sums by Horner's rule, so the two agree to 2 tol
+    rng = np.random.default_rng(1700 + dim)
+    closed = [-1.0, 0.0] + ([-1.5, -0.3, 0.7, 1.7, 2.5] if dim == 2 else [])
+    for alpha in closed + ([-4.5, -2.5] if dim == 2 else [-4.5, 1.7]):
+        spec = KernelSpec(alpha, dim)
+        assert has_closed_form(spec) == (alpha in closed)
+        for _ in range(6):
+            x = rng.normal(size=dim)
+            x *= rng.uniform(0.05, 0.95) / np.linalg.norm(x)
+            pts = rng.normal(size=(12, dim))
+            pts *= (rng.uniform(0.05, 0.95, size=12) / np.linalg.norm(pts, axis=1))[:, None]
+            pts[rng.integers(12)] = 0.0
+            batch = kernel_eval_batch(spec, x, pts)
+            for y, got in zip(pts, batch.tolist()):
+                want = kernel_eval(spec, x, y)
+                if alpha in closed:
+                    assert got == want, (alpha, x, y)
+                else:
+                    assert abs(got - want) <= 2.0 * spec.tol, (alpha, x, y)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(alpha=0.0, dim=1)

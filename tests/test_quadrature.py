@@ -14,6 +14,7 @@ from scipy.special import beta as sbeta
 from bergbesov.quadrature import (
     BallQuadrature,
     LadderResult,
+    _weighted_radial_rule,
     gauss_jacobi,
     integrate_ball,
     integrate_sphere,
@@ -61,8 +62,10 @@ def test_radial_rule_gauss_jacobi_exactness():
     # sum_i w_i r_i^(2j) must equal (n/2) B(n/2+j, e+1) to Gaussian exactness
     for dim in (2, 3):
         for e in (0.0, 1.5, -0.5):
-            rule = BallQuadrature(dim=dim, radial_nodes=16, jacobi_exponent=e)
-            r, w = rule.radial_rule()
+            rule = BallQuadrature(dim=dim, radial_nodes=16)
+            r, w = _weighted_radial_rule(rule, e)
+            if e == 0.0:
+                assert all(np.array_equal(a, b) for a, b in zip((r, w), rule.radial_rule()))
             assert np.all((r > 0.0) & (r < 1.0))
             assert np.all(w > 0.0)
             for j in range(7):
@@ -199,15 +202,22 @@ def test_integrate_ball_constant():
 
 
 def test_integrate_ball_weight_absorbed_vs_sampled():
+    # a weight w > -1 is folded into the radial nodes; w <= -1 is applied at
+    # the unweighted nodes.  (1-|x|^2)^3 against w = -1.5 samples the
+    # weight (1-|x|^2)^1.5, which 16 unweighted nodes resolve only to a
+    # few 1e-7, and against w = -1 a polynomial they integrate exactly
     alpha = 1.5
     for dim in (2, 3):
-        base = BallQuadrature(dim=dim)
+        base = BallQuadrature(dim=dim, radial_nodes=16)
         ones = lambda pts: np.ones(len(pts))
-        absorbed = integrate_ball(ones, alpha, base.with_jacobi_exponent(alpha))
-        sampled = integrate_ball(ones, alpha, base)
+        cube = lambda pts: (1.0 - np.sum(pts * pts, axis=1)) ** 3
+        absorbed = integrate_ball(ones, alpha, base)
+        sampled = integrate_ball(cube, alpha - 3.0, base)
         want = normalization_V(alpha, dim)
         assert absorbed == pytest.approx(want, rel=1e-12)
         assert sampled == pytest.approx(want, rel=1e-6)
+        assert abs(sampled - want) > 1e-8 * want
+        assert integrate_ball(cube, -1.0, base) == pytest.approx(normalization_V(2.0, dim), rel=1e-12)
 
 
 def test_integrate_ball_odd_harmonic_vanishes():
@@ -417,12 +427,13 @@ def test_rule_validation_and_updates():
         BallQuadrature(dim=2, sphere_nodes=3)
     with pytest.raises(TypeError):
         BallQuadrature(dim=4, mc_samples=4096)
-    with pytest.raises(ValueError):
-        BallQuadrature(dim=2, jacobi_exponent=-1.0)
+    # a rule carries no weight: each integral passes its own
+    with pytest.raises(TypeError):
+        BallQuadrature(dim=2, jacobi_exponent=0.5)
     rule = BallQuadrature(dim=3)
-    assert rule.with_jacobi_exponent(0.5).jacobi_exponent == 0.5
+    assert not hasattr(rule, "with_jacobi_exponent")
     assert rule.with_radial_nodes(32).radial_nodes == 32
     assert "mc_samples" not in rule.describe()
     described = BallQuadrature(dim=5).describe()
-    assert set(described) == {"dim", "radial_nodes", "sphere_nodes", "jacobi_exponent"}
+    assert set(described) == {"dim", "radial_nodes", "sphere_nodes"}
     assert "mc_samples" not in described and "seed" not in described

@@ -5,9 +5,10 @@ and constant of the package is still used somewhere in it; no module
 draws random numbers; every name in a submodule's __all__ exists there;
 the package's lazy namespace resolves every public name to its
 submodule's own object; the truncation certificate stays a
-logarithmic search, not a scan over degrees; and a single kernel pair
-takes no array geometry step, with one traced series call per series
-order; and no harmonic expansion reaches the kernel quadrature."""
+logarithmic search, not a scan over degrees; a kernel pair or batch
+reaches _accel only for its series, with one traced series call per
+single pair and one zonal_series call per batch; and no harmonic expansion
+reaches the kernel quadrature."""
 
 import ast
 import importlib
@@ -186,37 +187,46 @@ def test_truncation_degree_evaluates_logarithmically_many_degrees(dim, alpha, t,
 
 @pytest.mark.parametrize("alpha, dim", [(-1.0, 3), (0.0, 3), (0.0, 5), (0.7, 2), (-4.5, 2), (1.7, 3), (-4.5, 4)])
 def test_single_pair_takes_the_float_geometry_and_one_series_call(alpha, dim, monkeypatch):
-    # kernel_eval forms its geometry on Python floats: the array steps of
-    # kernel_eval_batch must not run for a single pair.  An order without a
-    # closed form goes through _accel.series_disk or series_ball exactly
-    # once, since the benchmark's tracer counts the accel.series layer there;
-    # a closed-form order sums no series
+    # kernel_eval and every row of kernel_eval_batch form their geometry on
+    # Python floats, and NumPy is left to the series.  A single pair at an
+    # order without a closed form goes through _accel.series_disk or
+    # series_ball exactly once, since the benchmark's tracer counts the
+    # accel.series layer there; a batch at such an order makes one
+    # zonal_series call over all its rows.  A closed-form order sums no
+    # series, so neither a pair nor a batch calls any _accel function
+    import numpy as np
+
     kernel = importlib.import_module("bergbesov.kernel")
     accel = importlib.import_module("bergbesov._accel")
-
-    def forbidden(*args):
-        raise AssertionError("array geometry step called for a single pair")
-
-    series_calls = []
+    calls = []
 
     def counted(original):
         def wrapper(*args):
-            series_calls.append(original.__name__)
+            calls.append(original.__name__)
             return original(*args)
         return wrapper
 
-    monkeypatch.setattr(kernel, "_cosines", forbidden)
-    monkeypatch.setattr(kernel, "_closed_form_rows", forbidden)
-    monkeypatch.setattr(accel, "series_disk", counted(accel.series_disk))
-    monkeypatch.setattr(accel, "series_ball", counted(accel.series_ball))
+    for name, value in list(vars(accel).items()):
+        if callable(value) and getattr(value, "__module__", None) == accel.__name__:
+            monkeypatch.setattr(accel, name, counted(value))
     spec = kernel.KernelSpec(alpha, dim)
+    closed = kernel.has_closed_form(spec)
     x = [0.3, -0.2, 0.25, 0.1, -0.15][:dim]
     y = [0.4, 0.35, -0.3, 0.2, 0.1][:dim]
     value, degree = kernel.kernel_eval_degree(spec, x, y)
     assert degree > 0 and math.isfinite(value)
+    entry = "series_disk" if dim == 2 else "series_ball"
+    assert calls.count(entry) == (0 if closed else 1)
+    assert not closed or calls == []
     assert kernel.zonal_harmonic(5, x, y, dim) != 0.0
-    want = [] if kernel.has_closed_form(spec) else ["series_disk" if dim == 2 else "series_ball"]
-    assert series_calls == want
+    calls.clear()
+    batch = kernel.kernel_eval_batch(spec, x, np.array([y, x, np.zeros(dim), y]))
+    assert np.all(np.isfinite(batch))
+    if closed:
+        assert calls == [] and batch[0] == batch[3] == value
+    else:
+        assert calls.count("zonal_series") == 1
+        assert not {"series_disk", "series_ball", "series_point"} & set(calls)
 
 
 @pytest.mark.parametrize("dim", range(2, 9))
