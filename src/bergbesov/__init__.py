@@ -14,8 +14,9 @@ inequality system deciding boundedness of T_{b,c} between weighted spaces;
 everything as subcommands.
 
 Each public name is imported from its submodule on first access (PEP 562),
-so `import bergbesov` loads no submodule and the classifier runs without
-NumPy.
+so `import bergbesov` loads no submodule.  The classifier runs without NumPy,
+and `kernel` imports it only in the functions that need it, so its
+certificate, and its closed forms at a pair of lists, run without it too.
 """
 
 import importlib

@@ -22,6 +22,12 @@ Five targets share two inequality skeletons:
 Out-of-range target weights (Lebesgue with beta <= -1, weighted-sup with
 beta < 0) are unbounded outright: no nonzero harmonic function lies in the
 target, and the verdict records that obstruction instead of a part.
+
+Each part is plain data, (name, lhs, rel, rhs) terms, decided by _decide
+with the same comparisons, min and max for every caller: classify wraps the
+result in Inequality and Verdict objects, and the command-line sweep reads
+it tuple by tuple without building any, after checking each grid value
+once with the checks OperatorParams and classify apply.
 """
 
 import math
@@ -101,6 +107,31 @@ def _as_ext(x):
     return x if isinstance(x, ExtExponent) else ExtExponent.parse(x)
 
 
+def _check_finite(name, value):
+    """value as a float; ValueError naming the parameter if it is not finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
+def _check_dim(dim):
+    """dim as an int; ValueError unless it is an integer >= 2."""
+    if int(dim) != dim or dim < 2:
+        raise ValueError(f"dim must be an integer >= 2, got {dim}")
+    return int(dim)
+
+
+def _check_q(target, q):
+    """ValueError unless the ExtExponent q is finite for a finite-q target
+    and inf for a sup-type one."""
+    if target in _FINITE_Q_TARGETS:
+        if q.is_inf:
+            raise ValueError(f"target {target.value} requires finite q")
+    elif not q.is_inf:
+        raise ValueError(f"target {target.value} requires q = inf")
+
+
 @dataclass(frozen=True)
 class OperatorParams:
     b: float
@@ -113,15 +144,10 @@ class OperatorParams:
 
     def __post_init__(self):
         for name in ("b", "c", "alpha", "beta"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         object.__setattr__(self, "p", _as_ext(self.p))
         object.__setattr__(self, "q", _as_ext(self.q))
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim}")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _check_dim(self.dim))
 
     def to_dict(self):
         return {
@@ -170,50 +196,32 @@ class Verdict:
         }
 
 
-def _pair_verdict(part, first, second, notes=""):
-    bounded = first.ok and second.ok
-    return Verdict(bounded, part, (first, second), min(first.slack, second.slack), notes)
-
-
-def _alt_verdict(part, a11, a12, a21, a22):
-    bounded = (a11.ok and a12.ok) or (a21.ok and a22.ok)
-    slack = max(min(a11.slack, a12.slack), min(a21.slack, a22.slack))
-    return Verdict(bounded, part, (a11, a12, a21, a22), slack,
-                   "p=1 regime: bounded iff either inequality pair holds")
+_EITHER_PAIR_NOTE = "p=1 regime: bounded iff either inequality pair holds"
 
 
 def _finite_q_parts(prefix, n, b, c, al, be, p, q):
     if p.raw == 1.0:
         x = b + (n + be) / q.raw - (n + al)
-        return _alt_verdict(
-            f"{prefix}(ii)",
-            Inequality("alpha<b", al, "<", b),
-            Inequality("c<=b+(n+beta)/q-(n+alpha)", c, "<=", x),
-            Inequality("alpha<=b", al, "<=", b),
-            Inequality("c<b+(n+beta)/q-(n+alpha)", c, "<", x),
-        )
+        return (f"{prefix}(ii)", _EITHER_PAIR_NOTE, True, (
+            ("alpha<b", al, "<", b),
+            ("c<=b+(n+beta)/q-(n+alpha)", c, "<=", x),
+            ("alpha<=b", al, "<=", b),
+            ("c<b+(n+beta)/q-(n+alpha)", c, "<", x),
+        ))
     if p.is_inf:
-        return _pair_verdict(
-            f"{prefix}(iv)",
-            Inequality("alpha-1<b", al - 1.0, "<", b),
-            Inequality("c<b+(beta+1)/q-alpha", c, "<", b + (be + 1.0) / q.raw - al),
-            "sup-source regime 1<=q<p=inf",
-        )
+        return (f"{prefix}(iv)", "sup-source regime 1<=q<p=inf", False, (
+            ("alpha-1<b", al - 1.0, "<", b),
+            ("c<b+(beta+1)/q-alpha", c, "<", b + (be + 1.0) / q.raw - al),
+        ))
     if p.raw <= q.raw:
-        return _pair_verdict(
-            f"{prefix}(i)",
-            Inequality("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
-            Inequality("c<=b+(n+beta)/q-(n+alpha)/p", c, "<=",
-                       b + (n + be) / q.raw - (n + al) / p.raw),
-            "regime 1<p<=q<inf",
-        )
-    return _pair_verdict(
-        f"{prefix}(iii)",
-        Inequality("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
-        Inequality("c<b+(1+beta)/q-(1+alpha)/p", c, "<",
-                   b + (1.0 + be) / q.raw - (1.0 + al) / p.raw),
-        "regime 1<=q<p<inf",
-    )
+        return (f"{prefix}(i)", "regime 1<p<=q<inf", False, (
+            ("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
+            ("c<=b+(n+beta)/q-(n+alpha)/p", c, "<=", b + (n + be) / q.raw - (n + al) / p.raw),
+        ))
+    return (f"{prefix}(iii)", "regime 1<=q<p<inf", False, (
+        ("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
+        ("c<b+(1+beta)/q-(1+alpha)/p", c, "<", b + (1.0 + be) / q.raw - (1.0 + al) / p.raw),
+    ))
 
 
 def _sup_parts(prefix, n, b, c, al, be, p, strict_c, uses_beta):
@@ -222,48 +230,36 @@ def _sup_parts(prefix, n, b, c, al, be, p, strict_c, uses_beta):
     rel = "<" if strict_c else "<="
     if p.raw == 1.0:
         x = b + be - (n + al)
-        return _alt_verdict(
-            f"{prefix}(ii)",
-            Inequality("alpha<b", al, "<", b),
-            Inequality(f"c<=b{plus_beta}-(n+alpha)", c, "<=", x),
-            Inequality("alpha<=b", al, "<=", b),
-            Inequality(f"c<b{plus_beta}-(n+alpha)", c, "<", x),
-        )
+        return (f"{prefix}(ii)", _EITHER_PAIR_NOTE, True, (
+            ("alpha<b", al, "<", b),
+            (f"c<=b{plus_beta}-(n+alpha)", c, "<=", x),
+            ("alpha<=b", al, "<=", b),
+            (f"c<b{plus_beta}-(n+alpha)", c, "<", x),
+        ))
     if p.is_inf:
-        return _pair_verdict(
-            f"{prefix}(iii)",
-            Inequality("alpha-1<b", al - 1.0, "<", b),
-            Inequality(f"c{rel}b{plus_beta}-alpha", c, rel, b + be - al),
-            "sup-source regime p=inf",
-        )
-    return _pair_verdict(
-        f"{prefix}(i)",
-        Inequality("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
-        Inequality(f"c{rel}b{plus_beta}-(n+alpha)/p", c, rel, b + be - (n + al) / p.raw),
-        "regime 1<p<inf" + (f"; strict c-inequality at {beta_tag}=0" if strict_c and uses_beta else ""),
-    )
+        return (f"{prefix}(iii)", "sup-source regime p=inf", False, (
+            ("alpha-1<b", al - 1.0, "<", b),
+            (f"c{rel}b{plus_beta}-alpha", c, rel, b + be - al),
+        ))
+    return (f"{prefix}(i)",
+            "regime 1<p<inf" + (f"; strict c-inequality at {beta_tag}=0" if strict_c and uses_beta else ""),
+            False, (
+                ("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
+                (f"c{rel}b{plus_beta}-(n+alpha)/p", c, rel, b + be - (n + al) / p.raw),
+            ))
 
 
-def classify(params, target):
-    """Exact bounded/unbounded verdict for T_{b,c}: L^p_alpha -> target."""
-    target = target if isinstance(target, Target) else Target.parse(target)
-    n, b, c = params.dim, params.b, params.c
-    al, be, p, q = params.alpha, params.beta, params.p, params.q
-    if target in _FINITE_Q_TARGETS:
-        if q.is_inf:
-            raise ValueError(f"target {target.value} requires finite q")
-    elif not q.is_inf:
-        raise ValueError(f"target {target.value} requires q = inf")
-
+def _system(target, n, b, c, al, be, p, q):
+    """The inequality system of T_{b,c}: L^p_alpha -> target as plain data,
+    (part, notes, either_pair, terms), each term a (name, lhs, rel, rhs)
+    tuple.  target is a Target, p and q are ExtExponents, q already checked
+    by _check_q.  A weight obstruction is one term, which fails."""
     if target is Target.LEBESGUE and be <= -1.0:
-        iq = Inequality("-1<beta", -1.0, "<", be)
-        return Verdict(False, "lebesgue(beta<=-1)", (iq,), iq.slack,
-                       "no nonzero harmonic function is q-integrable against this weight")
+        return ("lebesgue(beta<=-1)", "no nonzero harmonic function is q-integrable against this weight",
+                False, (("-1<beta", -1.0, "<", be),))
     if target is Target.WLINF and be < 0.0:
-        iq = Inequality("0<=beta", 0.0, "<=", be)
-        return Verdict(False, "wlinf(beta<0)", (iq,), iq.slack,
-                       "weighted sup weight must be non-negative")
-
+        return ("wlinf(beta<0)", "weighted sup weight must be non-negative",
+                False, (("0<=beta", 0.0, "<=", be),))
     if target in _FINITE_Q_TARGETS:
         return _finite_q_parts(target.value, n, b, c, al, be, p, q)
     if target is Target.BLOCH:
@@ -271,6 +267,32 @@ def classify(params, target):
     if target is Target.HINF:
         return _sup_parts("hinf", n, b, c, al, 0.0, p, strict_c=True, uses_beta=False)
     return _sup_parts("wlinf", n, b, c, al, be, p, strict_c=(be == 0.0), uses_beta=True)
+
+
+def _decide(target, n, b, c, al, be, p, q):
+    """The verdict of _system's inequalities as plain data: (bounded,
+    binding_slack, part, notes, terms).  Bounded iff every term holds, with
+    the least rhs - lhs as the slack; in the p = 1 form (either_pair) the
+    four terms are two pairs, bounded iff either pair holds, with the larger
+    of the pairs' least slacks."""
+    part, notes, either_pair, terms = _system(target, n, b, c, al, be, p, q)
+    holds = [lhs < rhs if rel == "<" else lhs <= rhs for _, lhs, rel, rhs in terms]
+    slacks = [rhs - lhs for _, lhs, _, rhs in terms]
+    if either_pair:
+        bounded = (holds[0] and holds[1]) or (holds[2] and holds[3])
+        slack = max(min(slacks[0], slacks[1]), min(slacks[2], slacks[3]))
+    else:
+        bounded, slack = all(holds), min(slacks)
+    return bounded, slack, part, notes, terms
+
+
+def classify(params, target):
+    """Exact bounded/unbounded verdict for T_{b,c}: L^p_alpha -> target."""
+    target = target if isinstance(target, Target) else Target.parse(target)
+    _check_q(target, params.q)
+    bounded, slack, part, notes, terms = _decide(target, params.dim, params.b, params.c,
+                                                 params.alpha, params.beta, params.p, params.q)
+    return Verdict(bounded, part, tuple(Inequality(*term) for term in terms), slack, notes)
 
 
 def reduce_to_unweighted(params, target=None):

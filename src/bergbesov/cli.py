@@ -9,6 +9,13 @@ b,c,alpha,beta,p,q,target,dim,bounded,part,binding_slack.  Exit codes:
 0 success, 2 malformed input or a value the numerics cannot certify (a
 kernel series past its truncation limit or with both points on the
 sphere, a radial integral whose rule did not converge), 1 I/O failure.
+
+Startup: only the classifier and the errors are imported with this module.
+`classify` and `sweep` never import NumPy, and neither does `kernel` at a
+closed-form order or with a zero point, since points are parsed to lists
+of floats; every other command imports its numerics when it runs.  A sweep
+checks each grid value once, then decides every tuple from the classifier's
+plain inequality data, with no parameter or verdict object per row.
 """
 
 import argparse
@@ -18,9 +25,8 @@ import math
 import numbers
 import sys
 
-# Only the classifier and the errors load here: classify and sweep never
-# import NumPy, and every other command imports its numerics when it runs.
-from .classifier import ExtExponent, OperatorParams, Target, classify
+from .classifier import (ExtExponent, OperatorParams, Target, _check_dim, _check_finite, _check_q,
+                         _decide, classify)
 from .errors import ConvergenceError, KernelDivergenceError, TruncationLimitError
 
 __all__ = ["main"]
@@ -65,8 +71,7 @@ def _print_json(obj):
 
 
 def _parse_point(text):
-    import numpy as np
-
+    """The coordinates of a comma-separated point as a list of finite floats."""
     try:
         vals = [float(s) for s in str(text).split(",") if s.strip() != ""]
     except ValueError:
@@ -75,7 +80,7 @@ def _parse_point(text):
         raise ValueError(f"point coordinates must be finite, got {text!r}")
     if len(vals) < 2:
         raise ValueError(f"points need at least 2 coordinates, got {text!r}")
-    return np.asarray(vals, dtype=float)
+    return vals
 
 
 def _linspace(start, stop, count):
@@ -156,14 +161,14 @@ def _cmd_kernel(args):
 
     x = _parse_point(args.x)
     y = _parse_point(args.y)
-    if x.size != y.size:
-        raise ValueError(f"x has dim {x.size} but y has dim {y.size}")
-    spec = KernelSpec(args.alpha, x.size, args.tol)
+    if len(x) != len(y):
+        raise ValueError(f"x has dim {len(x)} but y has dim {len(y)}")
+    spec = KernelSpec(args.alpha, len(x), args.tol)
     value, degree = kernel_eval_degree(spec, x, y)
     # at degree 0 the value is the series' first term, 1, for every order
     method = "closed-form" if degree > 0 and has_closed_form(spec) else "series"
     _print_json({"command": "kernel", "alpha": spec.alpha, "dim": spec.dim,
-                 "tol": spec.tol, "x": x.tolist(), "y": y.tolist(),
+                 "tol": spec.tol, "x": x, "y": y,
                  "value": value, "truncation_degree": degree, "method": method})
     return 0
 
@@ -174,7 +179,7 @@ def _cmd_apply(args):
     x = _parse_point(args.x)
     # every --f the command accepts has an exact image, so no rule is used
     report = apply_T_report(args.b, args.c, args.f, x)
-    out = {"command": "apply", "b": args.b, "c": args.c, "f": args.f, "x": x.tolist(),
+    out = {"command": "apply", "b": args.b, "c": args.c, "f": args.f, "x": x,
            "rule": None}
     out.update(report.to_dict())
     _print_json(out)
@@ -255,20 +260,26 @@ def _cmd_probe(args):
 
 def _cmd_sweep(args):
     target = Target.parse(args.target)
+    values = [_parse_values(spec) for spec in (args.b, args.c, args.alpha, args.beta)]
+    exps = [[ExtExponent.parse(v) for v in _parse_values(spec, allow_inf=True)]
+            for spec in (args.p, args.q)]
+    # a tuple passes OperatorParams and classify's q check iff each of its
+    # values does, so each grid value is checked once, in their order
+    for name, vals in zip(("b", "c", "alpha", "beta"), values):
+        for v in vals:
+            _check_finite(name, v)
+    dim = _check_dim(args.dim)
+    for q in exps[1]:
+        _check_q(target, q)
     # each grid value as (value, its CSV field), formatted once
-    grids = [[(v, "%.17g" % v) for v in _parse_values(spec)]
-             for spec in (args.b, args.c, args.alpha, args.beta)]
-    for spec in (args.p, args.q):
-        exps = [ExtExponent.parse(v) for v in _parse_values(spec, allow_inf=True)]
-        grids.append([(e, str(e)) for e in exps])
-    fixed = f"{target.value},{args.dim}"
+    grids = [[(v, "%.17g" % v) for v in vals] for vals in values]
+    grids += [[(e, str(e)) for e in axis] for axis in exps]
+    fixed = f"{target.value},{dim}"
     lines = [CSV_HEADER]
     for (b, bs), (c, cs), (al, als), (be, bes), (p, ps), (q, qs) in itertools.product(*grids):
-        params = OperatorParams(b=b, c=c, alpha=al, beta=be, p=p, q=q, dim=args.dim)
-        verdict = classify(params, target)
+        bounded, slack, part, _, _ = _decide(target, dim, b, c, al, be, p, q)
         lines.append(f"{bs},{cs},{als},{bes},{ps},{qs},{fixed},"
-                     f"{'true' if verdict.bounded else 'false'},{verdict.part},"
-                     f"{'%.17g' % verdict.binding_slack}")
+                     f"{'true' if bounded else 'false'},{part},{'%.17g' % slack}")
     text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)

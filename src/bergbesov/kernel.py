@@ -33,15 +33,18 @@ wherever the pair's own certified degree is positive.  NumPy is left to the
 coefficient tables and the series: a single pair's series runs in
 _accel.series_point, a batch's in one _accel.zonal_series call over its
 rows' cosines, and zonal_harmonic reads a one-column zonal table.
+
+NumPy and _accel are imported on first use, by _load_numpy, not with the
+module: the certificate, the closed forms and a pair given as lists or
+tuples of numbers need neither, so `bergbesov kernel` at a closed-form
+order starts without NumPy.  The binding is module-level, not an import
+inside kernel_eval, which would cost every call.
 """
 
 import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import _accel
 from .errors import KernelDivergenceError, TruncationLimitError
 
 __all__ = [
@@ -63,6 +66,22 @@ __all__ = [
 MAX_DEGREE = 200_000
 # log of the largest finite double: a coefficient above it overflows
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
+# NumPy and the _accel loops, bound by _load_numpy on first use
+np = None
+_accel = None
+
+
+def _load_numpy():
+    """Bind the module globals np and _accel, importing them on the first
+    call.  Every function that reads either calls this first; it imports
+    nothing once they are bound."""
+    global np, _accel
+    if _accel is None:
+        import numpy
+
+        from . import _accel as accel
+
+        np, _accel = numpy, accel
 
 
 @dataclass(frozen=True)
@@ -99,6 +118,7 @@ def gamma_coefs(kmax, alpha, dim):
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
+    _load_numpy()
     n2 = 0.5 * dim
     ks = np.arange(kmax, dtype=float)
     if _uses_factorial_branch(alpha, dim):
@@ -148,6 +168,7 @@ def zonal_harmonic(k, x, y, dim):
     k = int(k)
     if k == 0:
         return 1.0
+    _load_numpy()
     x = np.asarray(x, dtype=float).tolist()
     y = np.asarray(y, dtype=float).tolist()
     rx = math.sqrt(_dot(x, x))
@@ -418,7 +439,15 @@ def _pair_closed_form(spec, x, rx_sq, y, ry_sq):
         # a Python power past the double range raises, or underflows to a
         # zero divisor; NumPy's gives inf or 0 (d^{1+n/2} overflows in high
         # dimensions)
+        _load_numpy()
         return float(_closed_form(spec, *(g if g is None else np.asarray(g) for g in geometry)))
+
+
+def _is_point(v, dim):
+    """Whether v is a list or tuple of dim ints and floats, the form
+    kernel_eval_degree converts without NumPy."""
+    return (isinstance(v, (list, tuple)) and len(v) == dim
+            and all(isinstance(a, (int, float)) for a in v))
 
 
 def kernel_eval(spec, x, y):
@@ -438,16 +467,22 @@ def kernel_eval_degree(spec, x, y):
     value is gamma_0 = 1; otherwise a closed-form order takes its closed
     form and every other order the series summed to degree K.
 
-    After the shape check, x and y are lists of Python floats: the norms,
+    A list or tuple of dim ints and floats is converted to Python floats
+    directly; any other array-like goes through np.asarray and its shape
+    check.  Then x and y are lists of Python floats: the norms,
     x.y, and either the closed form's s, d or 1 - z (_pair_closed_form) or
     the series' cosine (_pair_cosine) are formed on them, sums taken in
     coordinate order.  The series itself goes through _accel.series_disk or
     series_ball, which run series_point on the floats."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != (spec.dim,) or y.shape != (spec.dim,):
-        raise ValueError(f"points must have shape ({spec.dim},)")
-    x, y = x.tolist(), y.tolist()
+    if _is_point(x, spec.dim) and _is_point(y, spec.dim):
+        x, y = [float(a) for a in x], [float(a) for a in y]
+    else:
+        _load_numpy()
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape != (spec.dim,) or y.shape != (spec.dim,):
+            raise ValueError(f"points must have shape ({spec.dim},)")
+        x, y = x.tolist(), y.tolist()
     rx_sq, ry_sq = _dot(x, x), _dot(y, y)
     rx, ry = math.sqrt(rx_sq), math.sqrt(ry_sq)
     if rx * ry == 0.0:
@@ -457,6 +492,7 @@ def kernel_eval_degree(spec, x, y):
         return 1.0, 0
     if has_closed_form(spec):
         return _pair_closed_form(spec, x, rx_sq, y, ry_sq), kmax
+    _load_numpy()
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     t = _pair_cosine(x, rx, y, ry)
     return float(_series(gam, np.array([rx * ry]), np.array([t]), spec.dim)[0]), kmax
@@ -479,6 +515,7 @@ def kernel_eval_batch(spec, x, pts):
     taken with np.max, which keeps a NaN, so a NaN or infinite row raises
     as kernel_eval does (ValueError where |x||y_j| is NaN).
     """
+    _load_numpy()
     x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
     if x.shape != (spec.dim,):

@@ -158,6 +158,17 @@ MALFORMED = {
     "classify-b-inf": (("classify", "--b", "inf", "--c", "0", "--alpha", "0", "--target", "besov"),
                        "b must be finite"),
     "sweep-c-infinite-range": (("sweep", "--c=-inf:inf:2", "--target", "besov"), "c must be finite"),
+    # each grid value is checked once, with the message its first tuple would raise
+    "sweep-b-nan": (("sweep", "--b=0,nan", "--target", "besov"), "b must be finite, got nan"),
+    "sweep-alpha-nan": (("sweep", "--alpha=nan", "--target", "besov"),
+                        "alpha must be finite, got nan"),
+    "sweep-beta-nan": (("sweep", "--beta=0.5,nan", "--target", "bloch", "--q", "inf"),
+                       "beta must be finite, got nan"),
+    "sweep-dim-1": (("sweep", "--dim", "1", "--target", "besov"),
+                    "dim must be an integer >= 2, got 1"),
+    "sweep-besov-q-inf": (("sweep", "--target", "besov", "--q", "inf"),
+                          "target besov requires finite q"),
+    "sweep-bloch-q-2": (("sweep", "--target", "bloch", "--q", "2"), "target bloch requires q = inf"),
     "apply-fuv-b-nan": (("apply", "--b", "nan", "--c", "0", "--f", "fuv:0.3,1", "--x", "0.1,0"),
                         "b must be finite"),
     "apply-fuv-c-nan": (("apply", "--b", "0", "--c", "nan", "--f", "fuv:0.3,1", "--x", "0.1,0"),
@@ -190,11 +201,16 @@ MALFORMED = {
 
 
 @pytest.mark.parametrize("args, fragment", MALFORMED.values(), ids=MALFORMED.keys())
-def test_malformed_or_uncertifiable_input_exits_2(args, fragment):
+def test_malformed_or_uncertifiable_input_exits_2(args, fragment, tmp_path):
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
     assert fragment in proc.stderr
+    if args[0] == "sweep":
+        dest = tmp_path / "grid.csv"
+        to_file = run_cli(*args, "--out", str(dest))
+        assert (to_file.returncode, to_file.stderr) == (2, proc.stderr)
+        assert not dest.exists()
 
 
 KERNEL_STDOUT = {
@@ -458,6 +474,74 @@ def test_sweep_parses_each_exponent_once(tmp_path, monkeypatch, capsys):
     assert len(parsed) == 10
 
 
+# Grids on which the sweep reaches every part of its target, with c on a
+# 1/4 grid that meets the c-boundaries exactly: n = 2, so (n + beta)/q,
+# (n + alpha)/p and alpha - 1 are multiples of 1/4 for most of the values.
+FINITE_Q_GRID = {"b": "-0.5,0,0.5,1", "c": "-4:1:21", "alpha": "0,0.5", "beta": "-1.5,-1,0,2",
+                 "p": "1,2,4,inf", "q": "2,4"}
+SUP_GRID = dict(FINITE_Q_GRID, beta="-0.5,0,0.5", q="inf")
+# target: (grid, its parts, (part, term) pairs some row meets with equality:
+# the either-pair terms of p = 1 and the strict c-inequalities)
+SWEEP_PARTS = {
+    "besov": (FINITE_Q_GRID, {"besov(i)", "besov(ii)", "besov(iii)", "besov(iv)"},
+              {("besov(ii)", "alpha<b"), ("besov(ii)", "c<b+(n+beta)/q-(n+alpha)"),
+               ("besov(iii)", "c<b+(1+beta)/q-(1+alpha)/p"), ("besov(iv)", "c<b+(beta+1)/q-alpha")}),
+    "lebesgue": (FINITE_Q_GRID, {"lebesgue(i)", "lebesgue(ii)", "lebesgue(iii)", "lebesgue(iv)",
+                                 "lebesgue(beta<=-1)"},
+                 {("lebesgue(ii)", "alpha<=b"), ("lebesgue(ii)", "c<=b+(n+beta)/q-(n+alpha)"),
+                  ("lebesgue(beta<=-1)", "-1<beta")}),
+    "bloch": (SUP_GRID, {"bloch(i)", "bloch(ii)", "bloch(iii)"},
+              {("bloch(ii)", "alpha<b"), ("bloch(ii)", "c<b+beta-(n+alpha)"),
+               ("bloch(i)", "c<=b+beta-(n+alpha)/p"), ("bloch(iii)", "c<=b+beta-alpha")}),
+    "hinf": (SUP_GRID, {"hinf(i)", "hinf(ii)", "hinf(iii)"},
+             {("hinf(ii)", "alpha<=b"), ("hinf(i)", "c<b-(n+alpha)/p"), ("hinf(iii)", "c<b-alpha")}),
+    "wlinf": (SUP_GRID, {"wlinf(i)", "wlinf(ii)", "wlinf(iii)", "wlinf(beta<0)"},
+              {("wlinf(i)", "c<b+beta-(n+alpha)/p"), ("wlinf(iii)", "c<b+beta-alpha"),
+               ("wlinf(i)", "c<=b+beta-(n+alpha)/p"), ("wlinf(ii)", "c<=b+beta-(n+alpha)")}),
+}
+
+
+@pytest.mark.parametrize("target", SWEEP_PARTS)
+def test_sweep_rows_are_the_verdicts_of_classify(target, capsys):
+    from bergbesov import cli
+    from bergbesov.classifier import OperatorParams, classify
+
+    grid, parts, boundaries = SWEEP_PARTS[target]
+    argv = ["sweep", f"--target={target}"] + [f"--{k}={v}" for k, v in grid.items()]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == math.prod(len(cli._parse_values(v, allow_inf=True)) for v in grid.values())
+    met = set()
+    for row in rows:
+        verdict = classify(OperatorParams(*map(float, row[:6]), dim=int(row[7])), target)
+        assert row[8:] == ["true" if verdict.bounded else "false", verdict.part,
+                           "%.17g" % verdict.binding_slack], row
+        met |= {(verdict.part, iq.name) for iq in verdict.inequalities if iq.lhs == iq.rhs}
+    assert {row[9] for row in rows} == parts
+    assert boundaries <= met
+
+
+def test_sweep_builds_no_parameter_inequality_or_verdict_objects(monkeypatch, capsys):
+    from bergbesov import classifier, cli
+
+    built = []
+    for cls in (classifier.OperatorParams, classifier.Inequality, classifier.Verdict):
+        init = cls.__init__
+
+        def counted(self, *args, _init=init, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    grid, _, _ = SWEEP_PARTS["lebesgue"]
+    assert cli.main(["sweep", "--target=lebesgue"] + [f"--{k}={v}" for k, v in grid.items()]) == 0
+    assert capsys.readouterr().out.count("\n") > 1000
+    assert built == []
+    # the spies see what classify builds
+    classifier.classify(classifier.OperatorParams(0.0, 0.0, 0.0, 0.0, 2.0, 2.0, 2), "besov")
+    assert built == ["OperatorParams", "Inequality", "Inequality", "Verdict"]
+
+
 def test_rejected_sweep_writes_no_file(tmp_path):
     dest = tmp_path / "grid.csv"
     proc = run_cli("sweep", "--c=-inf:inf:2", "--target", "besov", "--out", str(dest))
@@ -571,6 +655,12 @@ NUMPY_FREE_COMMANDS = {
                        "--q", "inf", "--target", "wlinf", "--dim", "4"),
     "sweep": ("sweep", "--b=-1:1:3,-1", "--c=0.5:-0.5:3", "--alpha", "0", "--p", "1,oo",
               "--q", "2", "--target", "besov"),
+    # the closed-form orders, and a pair with y = 0, sum no series
+    "kernel-poisson-dim3": ("kernel", "--alpha", "-1", "--x", "0.5,0.3,-0.1", "--y", "0.2,-0.4,0.6"),
+    "kernel-bergman-dim5": ("kernel", "--alpha", "0", "--x", "0.5,0.3,-0.1,0.2,0.1",
+                            "--y", "0.2,-0.4,0.6,0.1,-0.3"),
+    "kernel-disc": ("kernel", "--alpha", "0.7", "--x", "0.3,0.1", "--y", "0.5,-0.2"),
+    "kernel-y-zero": ("kernel", "--alpha", "-4.5", "--x", "0.5,0.2,-0.3,0.6", "--y", "0,0,0,0"),
 }
 
 
@@ -594,11 +684,34 @@ def test_sweep_to_file_with_numpy_unimportable(tmp_path):
 @pytest.mark.parametrize("args", [
     ("classify", "--b", "0", "--c", "0", "--alpha", "0", "--p", "half", "--target", "besov"),
     ("sweep", "--b", "0:1", "--c", "0", "--alpha", "0", "--target", "besov"),
-], ids=["classify", "sweep"])
+    ("kernel", "--alpha", "0", "--x", "0.1,0.2", "--y", "0.1,0.2,0.3"),
+    ("kernel", "--alpha", "0", "--x", "1,0", "--y", "1,0"),
+], ids=["classify", "sweep", "kernel-dims", "kernel-divergent"])
 def test_malformed_classifier_commands_exit_2_with_numpy_unimportable(args):
     proc = _main_with_unimportable("numpy", *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_kernel_module_loads_numpy_only_for_a_series():
+    # importing the kernel module, and the certificate, import no NumPy; an
+    # order without a closed form loads it for its coefficient table
+    args = ["kernel", *next(a for a in KERNEL_STDOUT if a[1] == "-4.5")]
+    code = ("import contextlib, io, json, sys\n"
+            "import bergbesov.kernel as kernel\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "kernel.truncation_degree(kernel.KernelSpec(-4.5, 4), 0.9, 0.9)\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "import bergbesov.cli as cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    rc = cli.main({args!r})\n"
+            "loaded.append('numpy' in sys.modules)\n"
+            "print(json.dumps([loaded, rc, out.getvalue()]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded, rc, stdout = json.loads(proc.stdout)
+    assert loaded == [False, False, True]
+    assert (rc, stdout) == (0, KERNEL_STDOUT[tuple(args[1:])])
 
 
 def test_sweep_csv_is_frozen(tmp_path):

@@ -528,6 +528,32 @@ def test_has_closed_form_orders():
     assert not has_closed_form(KernelSpec(-4.5, 2))
 
 
+@pytest.mark.parametrize("alpha, dim", [(-1.0, 3), (0.0, 5), (0.7, 2), (-4.5, 4)])
+def test_list_and_tuple_points_give_the_array_value(alpha, dim, monkeypatch):
+    # a list or tuple of ints and floats is converted without NumPy, so a
+    # closed-form order never binds it; any other array-like still goes
+    # through np.asarray and its shape check
+    spec = KernelSpec(alpha, dim)
+    x, y = _ball_point(dim, 0.7), _ball_point(dim, 0.8)
+    want = kernel_eval_degree(spec, x, y)
+    unit = np.eye(dim)[0]
+    want_unit = kernel_eval_degree(spec, unit, y)
+    if has_closed_form(spec):
+        def unavailable():
+            raise AssertionError("a closed-form pair of lists bound NumPy")
+
+        monkeypatch.setattr(kernel, "_load_numpy", unavailable)
+    for kind in (list, tuple):
+        assert kernel_eval_degree(spec, kind(x.tolist()), kind(y.tolist())) == want
+        assert kernel_eval_degree(spec, kind([1] + [0] * (dim - 1)), kind(y.tolist())) == want_unit
+    monkeypatch.undo()
+    for bad in ([0.1] * (dim + 1), (0.1,) * (dim - 1), [[0.1] * dim], np.zeros((1, dim))):
+        with pytest.raises(ValueError, match=r"points must have shape"):
+            kernel_eval_degree(spec, bad, y.tolist())
+        with pytest.raises(ValueError, match=r"points must have shape"):
+            kernel_eval_degree(spec, x.tolist(), bad)
+
+
 @given(
     alpha=st.floats(min_value=-6.0, max_value=3.0),
     r=st.floats(min_value=0.0, max_value=0.9),
