@@ -73,8 +73,10 @@ _accel = None
 
 def _load_numpy():
     """Bind the module globals np and _accel, importing them on the first
-    call.  Every function that reads either calls this first; it imports
-    nothing once they are bound."""
+    call; once they are bound it imports nothing.  Every function that
+    reads either binds them first: kernel_eval_degree and gamma_coefs, on
+    the path of every kernel_eval, call this only while _accel is None,
+    which saves the call."""
     global np, _accel
     if _accel is None:
         import numpy
@@ -118,7 +120,8 @@ def gamma_coefs(kmax, alpha, dim):
     """
     if kmax < 0:
         raise ValueError("kmax must be >= 0")
-    _load_numpy()
+    if _accel is None:
+        _load_numpy()
     n2 = 0.5 * dim
     ks = np.arange(kmax, dtype=float)
     if _uses_factorial_branch(alpha, dim):
@@ -474,10 +477,11 @@ def kernel_eval_degree(spec, x, y):
     the series' cosine (_pair_cosine) are formed on them, sums taken in
     coordinate order.  The series itself goes through _accel.series_disk or
     series_ball, which run series_point on the floats."""
-    if _is_point(x, spec.dim) and _is_point(y, spec.dim):
+    if isinstance(x, (list, tuple)) and _is_point(x, spec.dim) and _is_point(y, spec.dim):
         x, y = [float(a) for a in x], [float(a) for a in y]
     else:
-        _load_numpy()
+        if _accel is None:
+            _load_numpy()
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.shape != (spec.dim,) or y.shape != (spec.dim,):
@@ -492,8 +496,7 @@ def kernel_eval_degree(spec, x, y):
         return 1.0, 0
     if has_closed_form(spec):
         return _pair_closed_form(spec, x, rx_sq, y, ry_sq), kmax
-    _load_numpy()
-    gam = gamma_coefs(kmax, spec.alpha, spec.dim)
+    gam = gamma_coefs(kmax, spec.alpha, spec.dim)  # binds np and _accel
     t = _pair_cosine(x, rx, y, ry)
     return float(_series(gam, np.array([rx * ry]), np.array([t]), spec.dim)[0]), kmax
 
