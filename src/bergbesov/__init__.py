@@ -4,19 +4,20 @@ transforms, exact boundedness classification, and numerical probes.
 The pieces fit together like this: `kernel` evaluates the weighted zonal
 series R_alpha(x, y) with a certified truncation bound; `expansion` holds
 finite zonal-anchored harmonic expansions and their exact fractional
-derivative/integral maps; `quadrature` supplies product rules on the ball
-plus the radial integrals, whose finiteness an exact dichotomy decides and
-the refinement ladders only observe;
-`operators` builds the weighted transform T_{b,c}, the projection, the
-radial test family, and smoothness norms on top; `classifier` is the pure
+derivative/integral maps; `quadrature` supplies product rules on the ball;
+`radial` holds the radial test family f_{u,v} and its 1-D integrals, whose
+finiteness an exact dichotomy decides and the refinement ladders only
+observe; `operators` builds the weighted transform T_{b,c}, the projection,
+and smoothness norms on top; `classifier` is the pure
 inequality system deciding boundedness of T_{b,c} between weighted spaces;
 `probe` cross-checks those verdicts against observed numerics; `cli` exposes
 everything as subcommands.
 
 Each public name is imported from its submodule on first access (PEP 562),
-so `import bergbesov` loads no submodule.  The classifier runs without NumPy,
-and `kernel` imports it only in the functions that need it, so its
-certificate, and its closed forms at a pair of lists, run without it too.
+so `import bergbesov` loads no submodule.  The classifier and `radial` run
+without NumPy, and `kernel` imports it only in the functions that need it,
+so its certificate, and its closed forms at a pair of lists, run without it
+too.
 """
 
 import importlib
@@ -39,20 +40,21 @@ _EXPORTS = {
         "truncation_degree", "zonal_harmonic",
     ),
     "operators": (
-        "NormResult", "TestFunction", "TransformReport", "apply_T",
-        "apply_T_derivative", "apply_T_report", "as_ball_function", "besov_norm",
-        "besov_smoothing_order", "bloch_norm", "bloch_smoothing_order",
-        "lp_membership_analytic", "projection_Q", "test_function_eval",
-        "test_function_lp_norm", "transform_finite_analytic",
+        "NormResult", "TransformReport", "apply_T", "apply_T_derivative",
+        "apply_T_report", "as_ball_function", "besov_norm", "besov_smoothing_order",
+        "bloch_norm", "bloch_smoothing_order", "projection_Q", "test_function_eval",
     ),
     "probe": (
         "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",
         "finiteness_probe", "kernel_floor_probe", "ratio_probe",
     ),
     "quadrature": (
-        "BallQuadrature", "ConvergenceError", "LadderResult", "integrate_ball",
-        "integrate_sphere", "lp_norm", "normalization_V",
-        "radial_power_log_ladder", "weighted_sup_ladder",
+        "BallQuadrature", "ConvergenceError", "integrate_ball", "integrate_sphere", "lp_norm",
+    ),
+    "radial": (
+        "LadderResult", "TestFunction", "lp_membership_analytic", "normalization_V",
+        "radial_power_log_ladder", "test_function_lp_norm", "transform_finite_analytic",
+        "weighted_sup_ladder",
     ),
     "specfun": ("PoleError", "log_gamma", "log_pochhammer", "pochhammer"),
 }

@@ -13,7 +13,10 @@ sphere, a radial integral whose rule did not converge), 1 I/O failure.
 Startup: only the classifier and the errors are imported with this module.
 `classify` and `sweep` never import NumPy, and neither does `kernel` at a
 closed-form order or with a zero point, since points are parsed to lists
-of floats; every other command imports its numerics when it runs.  A sweep
+of floats.  `norm` parses --f with the radial module first: a radial input
+(const1 or fuv:u,v) in source-space mode is a 1-D integral on Python floats,
+and `probe --kind finiteness` a ladder on them, so neither imports NumPy.
+Every other command imports its numerics when it runs.  A sweep
 checks each grid value once, then decides every tuple from the classifier's
 plain inequality data, with no parameter or verdict object per row.
 """
@@ -187,15 +190,19 @@ def _cmd_apply(args):
 
 
 def _cmd_norm(args):
-    from .operators import (_parse_text, as_ball_function, besov_norm, bloch_norm,
-                            lp_membership_analytic, test_function_lp_norm)
-    from .quadrature import lp_norm
+    from .radial import TestFunction, _parse_radial, lp_membership_analytic, test_function_lp_norm
 
     if (args.b is None) != (args.c is None):
         raise ValueError("--b and --c must be given together (transform-image mode)")
-    f = _parse_text(args.f)
+    f = _parse_radial(args.f)
+    if f is None:
+        from .operators import _parse_text
+
+        f = _parse_text(args.f)
     dim = args.dim if args.dim is not None else getattr(f, "dim", 2)
     if args.b is not None:
+        from .operators import besov_norm, bloch_norm
+
         rule = _build_rule(args, dim)
         target = args.target or ("besov" if args.q is not None else "bloch")
         g = (args.b, args.c, f)
@@ -219,18 +226,22 @@ def _cmd_norm(args):
         raise ValueError("source-space mode needs --p (or give --b/--c)")
     p = ExtExponent.parse(args.p)
     p_raw = math.inf if p.is_inf else p.raw
-    fvec, tf = as_ball_function(f, dim)
-    if tf is not None:
-        value = test_function_lp_norm(tf, p_raw, args.alpha, dim)
+    if isinstance(f, TestFunction):
+        value = test_function_lp_norm(f, p_raw, args.alpha, dim)
         method = "closed-form" if p.is_inf else "radial-adaptive"
         rule_echo = None
+        # the sup may be finite past the largest double, so ask the dichotomy
+        finite = lp_membership_analytic(f, p_raw, args.alpha)
     else:
+        from .operators import as_ball_function
+        from .quadrature import lp_norm
+
+        fvec, _ = as_ball_function(f, dim)
         rule = _build_rule(args, dim)
         value = lp_norm(fvec, p_raw, args.alpha, rule)
         method = "quadrature"
         rule_echo = rule.describe()
-    # a TestFunction's sup may be finite past the largest double, so ask its dichotomy
-    finite = math.isfinite(value) if tf is None else lp_membership_analytic(tf, p_raw, args.alpha)
+        finite = math.isfinite(value)
     _print_json({"command": "norm", "mode": "source-space", "f": args.f,
                  "p": math.inf if p.is_inf else p.raw, "alpha": args.alpha,
                  "dim": dim, "method": method, "rule": rule_echo,

@@ -16,8 +16,14 @@ place, _exact_image, as an expansion (None where the transform diverges):
   centered sphere is R_c(x, 0) = 1, so T sends every radial function to the
   constant int_B f (1 - |y|^2)^b dnu, independent of c and x.  For the test
   family f_{u,v}(x) = (1 - |x|^2)^u (1 + log(1/(1 - |x|^2)))^{-v} that
-  constant is quadrature.radial_power_log_value(b + u, v), divergent exactly
+  constant is radial.radial_power_log_value(b + u, v), divergent exactly
   when b+u < -1, or b+u = -1 with v <= 1.
+
+The family itself (TestFunction), its memberships, the finiteness of its
+transform and its source norms are 1-D questions answered on Python floats
+in the radial module; they are re-exported here as the same objects.  This
+module adds the array work: test_function_eval, which TestFunction.__call__
+reaches, and every transform and image norm.
 
 Every answer for such an input is read from its image, with no kernel
 series and no inner quadrature.  An image of degree 0 is a constant c: its
@@ -53,20 +59,19 @@ from .classifier import OperatorParams
 from .expansion import HarmonicExpansion, evaluate, evaluate_many, square_integral, transform
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, truncation_degree
-from .quadrature import (
+from .quadrature import BallQuadrature, _grid_sup, _on_polar_grid, _weighted_radial_rule
+from .radial import (
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
-    BallQuadrature,
-    _grid_sup,
-    _on_polar_grid,
-    _radial_integral_finite,
-    _sup_finite,
+    TestFunction,
+    _parse_radial,
     _v_or_one,
-    _weighted_radial_rule,
+    lp_membership_analytic,
     normalization_V,
     radial_power_log_ladder,
     radial_power_log_value,
-    weighted_sup_ladder,
+    test_function_lp_norm,
+    transform_finite_analytic,
 )
 
 __all__ = [
@@ -98,23 +103,6 @@ _INNER_RADIAL = 48
 _INNER_SPHERE = 48
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """The radial family f_{u,v}; positive on the open ball, f(0) = 1."""
-
-    u: float
-    v: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise ValueError(f"u and v must be finite, got u={self.u}, v={self.v}")
-
-    def __call__(self, x):
-        return test_function_eval(self, x)
-
-
 def test_function_eval(tf, x):
     """(1-|x|^2)^u (1 + log 1/(1-|x|^2))^{-v} at a point or an (m, dim) batch."""
     pts = np.asarray(x, dtype=float)
@@ -132,18 +120,15 @@ _EXACT_INPUTS = (TestFunction, HarmonicExpansion)
 
 
 def _parse_text(f):
-    """The string forms "const1", "fuv:u,v" and expansion JSON text as a
-    TestFunction or a HarmonicExpansion; any other f is returned as is."""
+    """The string forms "const1", "fuv:u,v" (radial._parse_radial) and
+    expansion JSON text as a TestFunction or a HarmonicExpansion; any other
+    f is returned as is."""
     if not isinstance(f, str):
         return f
+    tf = _parse_radial(f)
+    if tf is not None:
+        return tf
     s = f.strip()
-    if s == "const1":
-        return TestFunction(0.0, 0.0)
-    if s.startswith("fuv:"):
-        parts = s[len("fuv:"):].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected 'fuv:u,v', got {f!r}")
-        return TestFunction(float(parts[0]), float(parts[1]))
     if s.startswith(("{", "[")):
         return expansion_from_json(s)
     raise ValueError(f"unknown function spec {f!r}; "
@@ -207,37 +192,6 @@ class TransformReport:
         return {"value": self.value, "divergent": self.divergent,
                 "refinements": [list(r) for r in self.refinements],
                 "method": self.method}
-
-
-def transform_finite_analytic(b, tf):
-    """Exact finiteness of the transform of f_{u,v} under weight b: finite
-    iff b+u > -1, or b+u = -1 and v > 1."""
-    return _radial_integral_finite(float(b) + tf.u, tf.v)
-
-
-def lp_membership_analytic(tf, p, alpha):
-    """Exact membership of f_{u,v} in the alpha-weighted p-space: for finite
-    p, alpha + pu > -1 or (= -1 with pv > 1); for p = inf, alpha + u > 0 or
-    (alpha + u = 0 with v >= 0)."""
-    alpha = float(alpha)
-    if p == math.inf:
-        return _sup_finite(alpha + tf.u, tf.v)
-    return _radial_integral_finite(alpha + p * tf.u, p * tf.v)
-
-
-def test_function_lp_norm(tf, p, alpha, dim):
-    """Norm of f_{u,v} in the alpha-weighted p-space.  For finite p, the
-    full-interval double-exponential integral, inf exactly on the divergent
-    side (alpha + pu < -1, or = -1 with pv <= 1); weight normalization uses
-    V_alpha, or 1 for alpha <= -1.  For p = inf, the closed-form sup
-    weighted_sup_ladder(alpha + u, v).  alpha must be finite."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
-    if p == math.inf:
-        return weighted_sup_ladder(alpha + tf.u, tf.v).value
-    raw = radial_power_log_value(alpha + p * tf.u, p * tf.v, dim=dim)
-    return (raw / _v_or_one(alpha, dim)) ** (1.0 / p)
 
 
 # ---------------------------------------------------------------------------

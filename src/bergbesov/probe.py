@@ -19,24 +19,25 @@ constants (see the operators module), finite exactly when b+u > -1 or
   target norms from operators.besov_norm and bloch_norm, therefore predicts
   growth only for first-inequality failures and weight obstructions, and
   tags the c-only cases as c-blind instead of reporting disagreement.
+
+Startup: this module imports only the classifier and the radial module, so
+finiteness_probe, whose evidence is a 1-D ladder, runs on Python floats
+without NumPy.  ratio_probe imports the operators' norms, and
+kernel_floor_probe NumPy and the kernel, when they run, outside any kernel
+evaluation.
 """
 
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .classifier import OperatorParams, Target, classify
-from .kernel import KernelSpec, kernel_eval_batch
-from .operators import (
+from .radial import (
     TestFunction,
-    besov_norm,
-    bloch_norm,
     lp_membership_analytic,
+    radial_power_log_ladder,
     test_function_lp_norm,
     transform_finite_analytic,
 )
-from .quadrature import radial_power_log_ladder
 
 __all__ = [
     "ProbeEvidence",
@@ -168,6 +169,8 @@ def _target_norm(tf, target, params):
     input's constant image, for the sup-type targets.  A Lebesgue target
     with beta <= -1 or a weighted-sup target with beta < 0 holds no nonzero
     harmonic function, so there every nonzero image has infinite norm."""
+    from .operators import besov_norm, bloch_norm
+
     g = (params.b, params.c, tf)
     be, n = params.beta, params.dim
     if target is Target.BESOV:
@@ -252,6 +255,10 @@ def kernel_floor_probe(alpha, dim):
     (largest) passing eps, or 0.0 if even the finest fails (which would
     flag a kernel evaluation bug, since the value at x = 0 is exactly 1).
     """
+    import numpy as np
+
+    from .kernel import KernelSpec, kernel_eval_batch
+
     spec = KernelSpec(float(alpha), dim)
     cost = np.linspace(-1.0, 1.0, 41)
     sint = np.sqrt(np.clip(1.0 - cost**2, 0.0, None))

@@ -661,6 +661,25 @@ NUMPY_FREE_COMMANDS = {
                             "--y", "0.2,-0.4,0.6,0.1,-0.3"),
     "kernel-disc": ("kernel", "--alpha", "0.7", "--x", "0.3,0.1", "--y", "0.5,-0.2"),
     "kernel-y-zero": ("kernel", "--alpha", "-4.5", "--x", "0.5,0.2,-0.3,0.6", "--y", "0,0,0,0"),
+    # source norms of the radial family are 1-D integrals on Python floats
+    "norm-const1-dim2": ("norm", "--f", "const1", "--p", "1", "--alpha", "0.5"),
+    "norm-const1-dim3": ("norm", "--f", "const1", "--p", "inf", "--alpha", "0.25", "--dim", "3"),
+    "norm-fuv-p1-dim2": ("norm", "--f", "fuv:-0.4,1.5", "--p", "1", "--alpha", "-0.5"),
+    "norm-fuv-p1-dim3": ("norm", "--f", "fuv:0.3,-2", "--p", "1", "--alpha", "0", "--dim", "3"),
+    "norm-fuv-p2-dim2": ("norm", "--f", "fuv:0.5,0", "--p", "2", "--alpha", "0.5"),
+    "norm-fuv-p2-dim3": ("norm", "--f", "fuv:-0.6,0", "--p", "2", "--alpha", "0", "--dim", "3"),
+    "norm-fuv-p3-dim2": ("norm", "--f", "fuv:-0.3,1", "--p", "3", "--alpha", "-0.1"),
+    "norm-fuv-p3-dim3": ("norm", "--f", "fuv:0.5,1", "--p", "3", "--alpha", "0.5", "--dim", "3"),
+    "norm-fuv-inf-dim2": ("norm", "--f", "fuv:0.7,-1", "--p", "inf", "--alpha", "0"),
+    "norm-fuv-inf-dim3": ("norm", "--f", "fuv:-0.2,0.5", "--p", "inf", "--alpha", "0.1",
+                          "--dim", "3"),
+    # b + u = -0.65, -1.25 and -1.02 for the probe's f_{-0.65,1}
+    "finiteness-finite": ("probe", "--kind", "finiteness", "--b", "0", "--c", "0",
+                          "--alpha", "0.3"),
+    "finiteness-divergent": ("probe", "--kind", "finiteness", "--b", "-0.6", "--c", "0",
+                             "--alpha", "0.3", "--dim", "3"),
+    "finiteness-boundary-band": ("probe", "--kind", "finiteness", "--b", "-0.37", "--c", "0",
+                                 "--alpha", "0.3", "--q", "inf", "--target", "bloch"),
 }
 
 
@@ -686,11 +705,53 @@ def test_sweep_to_file_with_numpy_unimportable(tmp_path):
     ("sweep", "--b", "0:1", "--c", "0", "--alpha", "0", "--target", "besov"),
     ("kernel", "--alpha", "0", "--x", "0.1,0.2", "--y", "0.1,0.2,0.3"),
     ("kernel", "--alpha", "0", "--x", "1,0", "--y", "1,0"),
-], ids=["classify", "sweep", "kernel-dims", "kernel-divergent"])
+    ("norm", "--f", "fuv:1", "--p", "2"),
+    ("norm", "--f", "fuv:0.3,0", "--p", "0.5"),
+    ("norm", "--f", "const1", "--alpha", "0.5"),
+    ("norm", "--f", "fuv:0.3,-200", "--p", "2"),
+], ids=["classify", "sweep", "kernel-dims", "kernel-divergent", "norm-fuv-spec", "norm-p-half",
+        "norm-no-p", "norm-overflow"])
 def test_malformed_classifier_commands_exit_2_with_numpy_unimportable(args):
     proc = _main_with_unimportable("numpy", *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+def test_norm_whose_integral_overflows_exits_2_with_one_error_line():
+    # the L^2 integrand of f_{0.3,-200}, e^{-1.6 w} (1+w)^{400}, peaks near
+    # e^{1810}: its rule has no finite value, which is a convergence failure,
+    # with no traceback and no overflow warning
+    proc = run_cli("norm", "--f", "fuv:0.3,-200", "--p", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: double-exponential rule on [")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_radial_layer_and_probes_load_numpy_only_for_array_work():
+    # the radial module, the probe module and the radial family import no
+    # NumPy; the floor probe loads it for its kernel batch, but not the
+    # operators, which the ratio probe still loads and runs on
+    floor = ("probe", "--kind", "floor", "--alpha", "0.5", "--dim", "3")
+    ratio = ("probe", "--kind", "ratio", "--b", "0.5", "--c", "0", "--alpha", "0.3", "--dim", "3")
+    code = ("import contextlib, io, json, sys\n"
+            "import bergbesov.radial, bergbesov.probe\n"
+            "from bergbesov import TestFunction\n"
+            "loaded = ['numpy' in sys.modules]\n"
+            "import bergbesov.cli as cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    rc = [cli.main({list(floor)!r})]\n"
+            "    loaded += ['numpy' in sys.modules, 'bergbesov.operators' in sys.modules]\n"
+            f"    rc.append(cli.main({list(ratio)!r}))\n"
+            "loaded.append('bergbesov.operators' in sys.modules)\n"
+            "value = TestFunction(0.5, 0.0)([0.6, 0.0])\n"
+            "print(json.dumps([loaded, rc, out.getvalue(), value]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded, rc, stdout, value = json.loads(proc.stdout)
+    assert loaded == [False, True, False, True]
+    assert rc == [0, 0]
+    assert stdout == run_cli(*floor).stdout + run_cli(*ratio).stdout
+    assert value == pytest.approx(0.8, rel=1e-15)
 
 
 def test_kernel_module_loads_numpy_only_for_a_series():
@@ -764,10 +825,10 @@ def test_emit_prints_numpy_scalars_as_before():
 
 
 def test_unconverged_radial_integral_exits_2(monkeypatch, capsys):
-    from bergbesov import cli, quadrature
+    from bergbesov import cli, quadrature, radial
 
     # one halving of the double-exponential step cannot reach its tolerance
-    monkeypatch.setattr(quadrature, "_DE_MAX_LEVEL", 1)
+    monkeypatch.setattr(radial, "_DE_MAX_LEVEL", 1)
     rc = cli.main(["norm", "--f", "fuv:0.5,0", "--p", "2", "--alpha", "0.5"])
     err = capsys.readouterr().err
     assert rc == 2

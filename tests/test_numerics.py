@@ -1,5 +1,6 @@
-"""The NumPy-only numerics against 40-digit references: Gauss-Jacobi rules,
-the double-exponential ladder integrals, log-gamma and V_alpha.
+"""The numerics against 40-digit references: Gauss-Jacobi rules (NumPy),
+the double-exponential ladder integrals (Python floats), log-gamma and
+V_alpha.
 
 scipy appears here only as the implementation these replaced: its
 roots_jacobi sets the node and moment bounds, and its quad the ladder
@@ -10,6 +11,7 @@ against quad, which misses 1e-12 on this grid (by up to 2.3e-10 at B = 20).
 import functools
 import json
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -18,7 +20,7 @@ from scipy.integrate import quad
 from scipy.special import roots_jacobi
 
 import ladder_reference as ref
-from bergbesov import quadrature
+from bergbesov import quadrature, radial
 from bergbesov.quadrature import gauss_jacobi, normalization_V, radial_power_log_ladder
 from bergbesov.specfun import log_gamma
 
@@ -52,14 +54,14 @@ def test_ladder_integrals_match_40_digit_values(dim):
         B, v = row["B"], row["v"]
         bexp = B + 1.0
         for (lo, hi), want in zip(ref.PIECES, row["pieces"]):
-            got = quadrature._wspace_piece(coef, expo, bexp, v, lo, hi)
+            got = radial._wspace_piece(coef, expo, bexp, v, lo, hi)
             assert _rel(got, float(want)) <= 1e-12, (B, v, lo, hi, got, want)
         value = quadrature.radial_power_log_value(B, v, dim=_program_dim(dim))
         if not ref.finite(B, v):
             assert "tail" not in row and value == math.inf
             continue
-        head = quadrature._wspace_piece(coef, expo, bexp, v, 0.0, 1.0)
-        tail = quadrature._wspace_tail(coef, expo, bexp, v)
+        head = radial._wspace_piece(coef, expo, bexp, v, 0.0, 1.0)
+        tail = radial._wspace_tail(coef, expo, bexp, v)
         want = float(mpmath.mpf(row["head"]) + mpmath.mpf(row["tail"]))
         assert _rel(head, float(row["head"])) <= 1e-12, (B, v, head, row["head"])
         assert _rel(tail, float(row["tail"])) <= 1e-12, (B, v, tail, row["tail"])
@@ -92,8 +94,44 @@ def test_marginal_tail_needs_the_split():
     # tenth of the value (327 at its last level); the split tail is right
     coef, expo = ref.coefs(6)
     with pytest.raises(quadrature.ConvergenceError):
-        quadrature._de_integrate(quadrature._integrand(coef, expo, 0.0, 1.001), 1.0, math.inf)
-    assert quadrature._wspace_tail(coef, expo, 0.0, 1.001) == pytest.approx(2997.2082163676, rel=1e-12)
+        radial._de_integrate(radial._integrand(coef, expo, 0.0, 1.001), 1.0, math.inf)
+    assert radial._wspace_tail(coef, expo, 0.0, 1.001) == pytest.approx(2997.2082163676, rel=1e-12)
+
+
+EXTREME_B = (-3.0, -1.0, -0.999, -0.5, 0.0, 1.0, 59.0, 300.0, 1e4, 1e8)
+EXTREME_V = (-1e3, -600.0, -200.0, -10.0, 0.0, 1.0, 1.001, 3.0, 1e3, 1e6)
+
+
+@pytest.mark.parametrize("dim", (1, 2, 3, 6), ids=lambda d: f"dim{d}")
+def test_float_rule_ends_in_a_value_or_a_convergence_error(dim):
+    # at V <= -200 a node value or a level sum can exceed the largest double;
+    # that is a ConvergenceError, never an OverflowError, a math-domain
+    # ValueError or a warning, and every value is a non-negative float
+    overflowed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for B in EXTREME_B:
+            for v in EXTREME_V:
+                for fn in (radial_power_log_ladder, quadrature.radial_power_log_value):
+                    try:
+                        out = fn(B, v, dim=dim)
+                    except quadrature.ConvergenceError as exc:
+                        overflowed += "has no finite value" in str(exc)
+                        continue
+                    value = getattr(out, "value", out)
+                    assert isinstance(value, float) and value >= 0.0, (B, v, fn, out)
+    assert overflowed >= 10
+
+
+@pytest.mark.parametrize("B, v, which", [(59.0, -600.0, "ladder"), (59.0, -600.0, "value"),
+                                         (0.6, -400.0, "value")])
+def test_an_integral_past_the_double_range_raises_at_once(B, v, which):
+    # ladder: e^{-60 w} (1+w)^{600} peaks at e^{842} inside [0, 32], where
+    # both ends of the piece pass the log-space check
+    fn = radial_power_log_ladder if which == "ladder" else quadrature.radial_power_log_value
+    with pytest.raises(quadrature.ConvergenceError, match="has no finite value: its terms sum "
+                                                          "to inf at step 2\\^-0"):
+        fn(B, v, dim=1)
 
 
 def _scipy_piece(coef, expo, bexp, v, lo, hi):
@@ -114,7 +152,7 @@ def _scipy_piece(coef, expo, bexp, v, lo, hi):
 def test_ladder_verdicts_equal_the_scipy_version(monkeypatch):
     grid = [(dim, B, v) for dim in ref.DIMS for B in ref.BS for v in ref.VS]
     new = [radial_power_log_ladder(B, v, dim=_program_dim(dim)).finite for dim, B, v in grid]
-    monkeypatch.setattr(quadrature, "_wspace_piece", _scipy_piece)
+    monkeypatch.setattr(radial, "_wspace_piece", _scipy_piece)
     old = [radial_power_log_ladder(B, v, dim=_program_dim(dim)).finite for dim, B, v in grid]
     assert new == old
     assert 0 < sum(new) < len(new)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from bergbesov import operators, probe
+from bergbesov import operators
 from bergbesov.classifier import OperatorParams, Target, classify
 from bergbesov.operators import TestFunction as Fuv
 from bergbesov.probe import (
@@ -189,8 +189,8 @@ def test_ratio_probe_reads_its_target_norms_from_the_operators(target, beta, q, 
             return results[-1]
         return wrapper
 
-    monkeypatch.setattr(probe, "besov_norm", spy(operators.besov_norm))
-    monkeypatch.setattr(probe, "bloch_norm", spy(operators.bloch_norm))
+    monkeypatch.setattr(operators, "besov_norm", spy(operators.besov_norm))
+    monkeypatch.setattr(operators, "bloch_norm", spy(operators.bloch_norm))
     params = make(b=1.0, c=0.5, alpha=0.3, beta=beta, p=2.0, q=q, dim=3)
     family = default_ratio_family(params)
     ratios = ratio_probe(params, target=target).evidence[0].detail["ratios"]

@@ -115,7 +115,7 @@ def test_no_module_draws_random_numbers():
 
 
 SUBMODULES = ("classifier", "errors", "expansion", "kernel", "operators", "probe",
-              "quadrature", "specfun")
+              "quadrature", "radial", "specfun")
 # public names that differ from the submodule's own name
 RENAMED = {"expansion_from_json": "from_json", "expansion_to_json": "to_json"}
 
