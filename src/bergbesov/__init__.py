@@ -42,7 +42,7 @@ _EXPORTS = {
     "operators": (
         "NormResult", "TransformReport", "apply_T", "apply_T_derivative",
         "apply_T_report", "as_ball_function", "besov_norm", "besov_smoothing_order",
-        "bloch_norm", "bloch_smoothing_order", "projection_Q", "test_function_eval",
+        "bloch_norm", "bloch_smoothing_order", "projection_Q",
     ),
     "probe": (
         "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",
@@ -53,8 +53,8 @@ _EXPORTS = {
     ),
     "radial": (
         "LadderResult", "TestFunction", "lp_membership_analytic", "normalization_V",
-        "radial_power_log_ladder", "test_function_lp_norm", "transform_finite_analytic",
-        "weighted_sup_ladder",
+        "radial_power_log_ladder", "test_function_eval", "test_function_lp_norm",
+        "transform_finite_analytic", "weighted_sup_ladder",
     ),
     "specfun": ("PoleError", "log_gamma", "log_pochhammer", "pochhammer"),
 }

@@ -203,6 +203,8 @@ def _cmd_norm(args):
     if args.b is not None:
         from .operators import besov_norm, bloch_norm
 
+        if args.p is not None:
+            raise ValueError("transform-image mode takes no --p (it is the source-space exponent)")
         rule = _build_rule(args, dim)
         target = args.target or ("besov" if args.q is not None else "bloch")
         g = (args.b, args.c, f)
@@ -211,6 +213,8 @@ def _cmd_norm(args):
                 raise ValueError("besov norm needs --q")
             result = besov_norm(g, float(args.q), args.beta, rule=rule, dim=dim)
         elif target == "bloch":
+            if args.q is not None:
+                raise ValueError("bloch norm takes no --q (its exponent is inf)")
             result = bloch_norm(g, args.beta, rule=rule, dim=dim)
         else:
             raise ValueError(f"norm target must be besov or bloch, got {target!r}")
@@ -222,6 +226,9 @@ def _cmd_norm(args):
         out.update(result.to_dict())
         _print_json(out)
         return 0
+    for flag, value in (("--q", args.q), ("--target", args.target)):
+        if value is not None:
+            raise ValueError(f"source-space mode takes no {flag} (give --b/--c for an image norm)")
     if args.p is None:
         raise ValueError("source-space mode needs --p (or give --b/--c)")
     p = ExtExponent.parse(args.p)

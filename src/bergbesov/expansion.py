@@ -17,7 +17,7 @@ import numpy as np
 
 from . import _accel
 from .kernel import gamma_coefs
-from .quadrature import normalization_V
+from .radial import normalization_V
 
 __all__ = [
     "HarmonicExpansion",

@@ -19,11 +19,10 @@ place, _exact_image, as an expansion (None where the transform diverges):
   constant is radial.radial_power_log_value(b + u, v), divergent exactly
   when b+u < -1, or b+u = -1 with v <= 1.
 
-The family itself (TestFunction), its memberships, the finiteness of its
-transform and its source norms are 1-D questions answered on Python floats
-in the radial module; they are re-exported here as the same objects.  This
-module adds the array work: test_function_eval, which TestFunction.__call__
-reaches, and every transform and image norm.
+The family itself (TestFunction, and test_function_eval, which evaluates
+it on points), its memberships, the finiteness of its transform and its
+source norms live in the radial module; they are re-exported here as the
+same objects.  This module adds every transform and image norm.
 
 Every answer for such an input is read from its image, with no kernel
 series and no inner quadrature.  An image of degree 0 is a constant c: its
@@ -32,6 +31,10 @@ its Bloch norm |c|.  Otherwise a point value is the image at x, a q = 2
 Besov norm the finite sum expansion.square_integral, and the other norms
 read the image on their outer grids.  apply_T_report adds the cutoff-ladder
 rungs of the radial integral as the evidence for a radial input.
+
+The Besov norms (finite q) and the Bloch norm (their q = inf endpoint,
+weight beta + t) share one driver, _image_norm; every image norm read on a
+grid is one call of quadrature._weighted_norm on the outer grid.
 
 Every other input (a callable) goes through one evaluator, _image_polar,
 whether the caller wants the transform at a single point (apply_T,
@@ -55,11 +58,11 @@ from functools import partial
 import numpy as np
 
 from . import _accel
-from .classifier import OperatorParams
+from .classifier import OperatorParams, _check_finite
 from .expansion import HarmonicExpansion, evaluate, evaluate_many, square_integral, transform
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, truncation_degree
-from .quadrature import BallQuadrature, _grid_sup, _on_polar_grid, _weighted_radial_rule
+from .quadrature import BallQuadrature, _on_polar_grid, _weighted_norm, _weighted_radial_rule
 from .radial import (
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
@@ -70,6 +73,7 @@ from .radial import (
     normalization_V,
     radial_power_log_ladder,
     radial_power_log_value,
+    test_function_eval,
     test_function_lp_norm,
     transform_finite_analytic,
 )
@@ -103,18 +107,6 @@ _INNER_RADIAL = 48
 _INNER_SPHERE = 48
 
 
-def test_function_eval(tf, x):
-    """(1-|x|^2)^u (1 + log 1/(1-|x|^2))^{-v} at a point or an (m, dim) batch."""
-    pts = np.asarray(x, dtype=float)
-    scalar = pts.ndim == 1
-    rr = np.sum(np.atleast_2d(pts) ** 2, axis=1)
-    if np.any(rr >= 1.0):
-        raise ValueError("test functions are defined on the open unit ball")
-    w = -np.log1p(-rr)  # log 1/(1-|x|^2), stable near 0
-    vals = (1.0 - rr) ** tf.u * (1.0 + w) ** (-tf.v)
-    return float(vals[0]) if scalar else vals
-
-
 # Inputs with an exact image; _ball_input wraps every other callable.
 _EXACT_INPUTS = (TestFunction, HarmonicExpansion)
 
@@ -145,10 +137,8 @@ def _ball_input(f, dim):
     if isinstance(f, _EXACT_INPUTS):
         return f
     if callable(f):
-        raw = f
-
         def fun(pts):
-            vals = np.asarray(raw(pts), dtype=float)
+            vals = np.asarray(f(pts), dtype=float)
             if vals.shape != (len(pts),):
                 raise ValueError("callable must map an (m, dim) array to m values")
             return vals
@@ -239,15 +229,6 @@ def _setup_point(x, rule):
     return x, rule
 
 
-def _finite_orders(b, c):
-    """(b, c) as floats; a transform has no value at a non-finite order."""
-    b, c = float(b), float(c)
-    for name, value in (("b", b), ("c", c)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-    return b, c
-
-
 def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
@@ -310,7 +291,7 @@ def apply_T(b, c, f, x, rule=None):
     with the order-c kernel at KernelSpec's default tolerance.  Convergence
     diagnostics live in apply_T_report.  b and c must be finite.
     """
-    b, c = _finite_orders(b, c)
+    b, c = _check_finite("b", b), _check_finite("c", c)
     x, rule = _setup_point(x, rule)
     g = _ball_input(f, x.size)
     if isinstance(g, _EXACT_INPUTS):
@@ -330,7 +311,7 @@ def apply_T_report(b, c, f, x, rule=None):
     doublings, exceeds DIVERGENCE_CAP, or becomes non-finite (method
     "node-doubling").  b and c must be finite.
     """
-    b, c = _finite_orders(b, c)
+    b, c = _check_finite("b", b), _check_finite("c", c)
     x, rule = _setup_point(x, rule)
     g = _ball_input(f, x.size)
     if isinstance(g, _EXACT_INPUTS):
@@ -409,21 +390,6 @@ def bloch_smoothing_order(beta):
     return t
 
 
-def _norm_input(f, rule, dim):
-    """(f as _ball_input gives it, the ambient dimension n): rule's, else
-    dim, else the dimension of an expansion f (JSON text is parsed for it)."""
-    f = _parse_text(f)
-    if rule is not None:
-        n = rule.dim
-    elif dim is not None:
-        n = int(dim)
-    elif isinstance(f, HarmonicExpansion):
-        n = f.dim
-    else:
-        raise ValueError("pass rule= or dim= to fix the ambient dimension")
-    return _ball_input(f, n), n
-
-
 def _default_inner(dim):
     return BallQuadrature(dim, radial_nodes=_INNER_RADIAL, sphere_nodes=_INNER_SPHERE)
 
@@ -434,13 +400,46 @@ def _default_outer(inner):
                    sphere_nodes=max(min(inner.sphere_nodes, _OUTER_SPHERE), 4))
 
 
-def _outer_integral(polar, q, w, inner):
-    """int_B |image|^q (1-|x|^2)^w dnu on the outer grid of the inner rule,
-    with polar(r, dirs) the image on a polar grid as a (radii, dirs) array."""
+def _image_norm(g, q, beta, rule, dim, t):
+    """besov_norm of g = (b, c, f) for finite q, bloch_norm at q = inf: the
+    image of f read with the weight w = beta + q t (beta + t at q = inf)."""
+    b, c, f = g
+    b, c = _check_finite("b", b), _check_finite("c", c)
+    beta = float(beta)
+    bloch = q == math.inf
+    if t is None:
+        t = bloch_smoothing_order(beta) if bloch else besov_smoothing_order(beta, q)
+    elif t != int(t) or t < 0 or not (beta + t > 0.0 if bloch else beta + q * t > -1.0):
+        admissible = "beta + t > 0" if bloch else "beta + q t > -1"
+        raise ValueError(f"t must be a non-negative integer with {admissible}, got {t}")
+    t = int(t)
+    w = beta + t if bloch else beta + q * t
+    f = _parse_text(f)
+    if rule is None and dim is None and not isinstance(f, HarmonicExpansion):
+        raise ValueError("pass rule= or dim= to fix the ambient dimension")
+    n = rule.dim if rule is not None else int(dim) if dim is not None else f.dim
+    h = _ball_input(f, n)
+    inner = rule if rule is not None else _default_inner(n)
     outer = _default_outer(inner)
-    r_out, wr_out = _weighted_radial_rule(outer, w)
-    zeta_out, ws_out = outer.sphere_rule()
-    return float((np.abs(polar(r_out, zeta_out)) ** q @ ws_out) @ wr_out)
+    if isinstance(h, _EXACT_INPUTS):
+        image = _exact_image(b, c + t, h, n)
+        if image is None:
+            return NormResult(math.inf, c, t, True)
+        const = _constant(image)
+        if const is not None:
+            ratio = normalization_V(w, n) / _v_or_one(beta, n)
+            return NormResult(abs(const) * ratio ** (1.0 / q), c, t, False)
+        if q == 2.0:
+            raw = square_integral(image, w)
+        else:
+            raw = _weighted_norm(partial(_on_polar_grid, partial(evaluate_many, image)), q, w, outer)
+    else:
+        polar = partial(_image_polar, b, h, kspec=KernelSpec(c + t, n), rule=inner)
+        raw = _weighted_norm(polar, q, w, outer)
+    if not math.isfinite(raw):
+        return NormResult(math.inf, c, t, True)
+    value = raw if bloch else (raw / _v_or_one(beta, n)) ** (1.0 / q)
+    return NormResult(float(value), c, t, False)
 
 
 def besov_norm(g, q, beta, rule=None, dim=None, t=None):
@@ -462,40 +461,10 @@ def besov_norm(g, q, beta, rule=None, dim=None, t=None):
     rule's, else dim, else an expansion's own (JSON text is parsed for it).
     b and c must be finite.
     """
-    b, c, f = g
-    b, c = _finite_orders(b, c)
     q = float(q)
     if not 1.0 <= q < math.inf:
         raise ValueError(f"q must be in [1, inf), got {q}")
-    beta = float(beta)
-    if t is None:
-        t = besov_smoothing_order(beta, q)
-    elif t != int(t) or t < 0 or not beta + q * t > -1.0:
-        raise ValueError(f"t must be a non-negative integer with beta + q t > -1, got {t}")
-    t = int(t)
-    h, n = _norm_input(f, rule, dim)
-    s = c
-    inner = rule if rule is not None else _default_inner(n)
-    if isinstance(h, _EXACT_INPUTS):
-        image = _exact_image(b, s + t, h, n)
-        if image is None:
-            return NormResult(math.inf, s, t, True)
-        const = _constant(image)
-        if const is not None:
-            ratio = normalization_V(beta + q * t, n) / _v_or_one(beta, n)
-            return NormResult(abs(const) * ratio ** (1.0 / q), s, t, False)
-        if q == 2.0:
-            raw = square_integral(image, beta + 2.0 * t)
-        else:
-            polar = partial(_on_polar_grid, partial(evaluate_many, image))
-            raw = _outer_integral(polar, q, beta + q * t, inner)
-    else:
-        polar = partial(_image_polar, b, h, kspec=KernelSpec(s + t, n), rule=inner)
-        raw = _outer_integral(polar, q, beta + q * t, inner)
-    if not math.isfinite(raw):
-        return NormResult(math.inf, s, t, True)
-    value = (raw / _v_or_one(beta, n)) ** (1.0 / q)
-    return NormResult(float(value), s, t, False)
+    return _image_norm(g, q, beta, rule, dim, t)
 
 
 def bloch_norm(g, beta, rule=None, dim=None, t=None):
@@ -510,28 +479,4 @@ def bloch_norm(g, beta, rule=None, dim=None, t=None):
     peaks at 1 at the origin), and otherwise its sup on the grid.  rule and
     the dimension are as in besov_norm.  b and c must be finite.
     """
-    b, c, f = g
-    b, c = _finite_orders(b, c)
-    beta = float(beta)
-    if t is None:
-        t = bloch_smoothing_order(beta)
-    elif t != int(t) or t < 0 or not beta + t > 0.0:
-        raise ValueError(f"t must be a non-negative integer with beta + t > 0, got {t}")
-    t = int(t)
-    h, n = _norm_input(f, rule, dim)
-    s = c
-    inner = rule if rule is not None else _default_inner(n)
-    if isinstance(h, _EXACT_INPUTS):
-        image = _exact_image(b, s + t, h, n)
-        if image is None:
-            return NormResult(math.inf, s, t, True)
-        const = _constant(image)
-        if const is not None:
-            return NormResult(abs(const), s, t, False)
-        polar = partial(_on_polar_grid, partial(evaluate_many, image))
-    else:
-        polar = partial(_image_polar, b, h, kspec=KernelSpec(s + t, n), rule=inner)
-    value = _grid_sup(polar, beta + t, _default_outer(inner).sphere_rule()[0])
-    if not math.isfinite(value):
-        return NormResult(math.inf, s, t, True)
-    return NormResult(value, s, t, False)
+    return _image_norm(g, math.inf, beta, rule, dim, t)

@@ -17,6 +17,10 @@ The rules run on numpy and the math module.  They come from gauss_jacobi
 (Golub & Welsch, Math. Comp. 23 (1969): eigenvalues of the Jacobi matrix,
 then Newton steps).
 
+_weighted_norm is the one weighted |g|^p integral, or sup at p = inf, on a
+polar grid: lp_norm's, and the image norms' of operators on their outer
+grid.  integrate_ball serves signed integrals.
+
 The 1-D radial layer (the profiles (1-r^2)^B (1 + log 1/(1-r^2))^{-V}, their
 finiteness, cutoff ladders, full-interval values and closed-form sups, and
 normalization_V) lives in the radial module on Python floats; every public
@@ -273,13 +277,17 @@ def integrate_ball(f, weight_exponent, rule):
     return float(np.sum(np.sum(vals * ws[None, :], axis=1) * wr))
 
 
-def _grid_sup(polar, alpha, dirs):
-    """Max of (1-|x|^2)^alpha |g| over the sup grid's radii times the unit
-    vectors dirs, with polar(r, dirs) the values of g on that polar grid as
-    a (radii, dirs) array: a lower estimate of the weighted sup of g."""
-    r = _SUP_RADII
-    weighted = (1.0 - r * r)[:, None] ** alpha * np.abs(polar(r, dirs))
-    return float(np.max(weighted))
+def _weighted_norm(polar, p, w, rule):
+    """int_B |g|^p (1-|x|^2)^w dnu on rule's polar grid, summed over the
+    sphere first, for finite p; for p = inf the max of (1-|x|^2)^w |g| over
+    _SUP_RADII times rule's sphere nodes, a lower estimate of the weighted
+    sup.  polar(r, dirs) is g on the grid r x dirs as a (radii, dirs) array."""
+    dirs, ws = rule.sphere_rule()
+    if p == math.inf:
+        r = _SUP_RADII
+        return float(np.max((1.0 - r * r)[:, None] ** w * np.abs(polar(r, dirs))))
+    r, wr = _weighted_radial_rule(rule, w)
+    return float((np.abs(polar(r, dirs)) ** p @ ws) @ wr)
 
 
 def lp_norm(f, p, alpha, rule):
@@ -293,10 +301,7 @@ def lp_norm(f, p, alpha, rule):
         raise ValueError(f"p must be in [1, inf], got {p}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    if p == math.inf:
-        return _grid_sup(partial(_on_polar_grid, f), float(alpha), rule.sphere_rule()[0])
-    if not alpha > -1.0:
+    if p != math.inf and not alpha > -1.0:
         raise ValueError(f"finite-p norm requires alpha > -1, got {alpha}")
-    v = normalization_V(alpha, rule.dim)
-    raw = integrate_ball(lambda pts: np.abs(f(pts)) ** p, alpha, rule)
-    return float((raw / v) ** (1.0 / p))
+    raw = _weighted_norm(partial(_on_polar_grid, f), p, float(alpha), rule)
+    return raw if p == math.inf else float((raw / normalization_V(alpha, rule.dim)) ** (1.0 / p))

@@ -16,8 +16,8 @@ Each level is one math.fsum over cached (offset, weight, left) tuples.
 
 Everything here runs on Python floats and the math module, so the source
 norms of the radial family and the finiteness probe start without NumPy.
-Only TestFunction.__call__, which evaluates f_{u,v} on arrays of points,
-reaches NumPy, through operators.test_function_eval.
+Only test_function_eval, which TestFunction.__call__ uses to evaluate
+f_{u,v} on arrays of points, imports NumPy, when it runs.
 """
 
 import math
@@ -36,6 +36,7 @@ __all__ = [
     "normalization_V",
     "radial_power_log_ladder",
     "radial_power_log_value",
+    "test_function_eval",
     "test_function_lp_norm",
     "transform_finite_analytic",
     "weighted_sup_ladder",
@@ -61,6 +62,7 @@ DEFAULT_LEVELS = (32.0, 64.0, 128.0, 256.0, 512.0)
 _DE_T = 5.0
 _DE_MAX_LEVEL = 10
 _DE_RTOL = 1e-14
+_LOG_MAX_DOUBLE = 709.782712893384  # log of the largest double
 
 
 @dataclass(frozen=True)
@@ -135,11 +137,14 @@ def _de_integrate(f, lo, hi):
                            f"{prev!r} and {new!r} at steps 2^-{_DE_MAX_LEVEL - 1} and 2^-{_DE_MAX_LEVEL}")
 
 
-def _integrand(coef, expo, bexp, v):
+def _integrand(coef, expo, bexp, v, peak=0.0):
     """w -> coef (1-e^-w)^expo e^{-bexp w} (1+w)^{-v} on floats, formed in
-    log space so that no factor overflows on its own."""
+    log space so that no factor overflows on its own, and divided by its
+    value at peak, in terms of w - peak, which is exact near the peak (at
+    peak 0 the terms are bexp w and log1p(w) bit for bit)."""
     exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
-    return lambda w: coef * exp(expo * log(-expm1(-w)) - bexp * w - v * log1p(w))
+    return lambda w: coef * exp(expo * log(-expm1(-w)) - bexp * (w - peak)
+                                - v * log1p((w - peak) / (1.0 + peak)))
 
 
 def _wspace_piece(coef, expo, bexp, v, lo, hi):
@@ -151,11 +156,12 @@ def _wspace_piece(coef, expo, bexp, v, lo, hi):
     return _de_integrate(f, lo, hi)
 
 
-def _wspace_tail(coef, expo, bexp, v):
+def _wspace_tail(coef, expo, bexp, v, peak=0.0):
     """coef * int_1^inf (1-e^-w)^expo e^{-bexp w} (1+w)^{-v} dw, for bexp > 0,
-    or bexp = 0 and v > 1."""
+    or bexp = 0 and v > 1; divided by its value at a peak w* > 0 as
+    _integrand divides it, which needs bexp > 0."""
     if bexp > 0.0:
-        return _de_integrate(_integrand(coef, expo, bexp, v), 1.0, math.inf)
+        return _de_integrate(_integrand(coef, expo, bexp, v, peak), 1.0, math.inf)
     # (1+w)^{-v} alone decays too slowly for the rule: its tail is exact, and
     # the rest, ((1-e^-w)^expo - 1)(1+w)^{-v}, decays like e^{-w}
     tail = coef * 2.0 ** (1.0 - v) / (v - 1.0)
@@ -244,15 +250,20 @@ def weighted_sup_ladder(eexp, v):
         return LadderResult(False, math.inf, ())
     if v >= 0.0:
         return LadderResult(True, 1.0, ())
-    w = max(0.0, -v / e - 1.0)
-    if w < math.inf:
-        log_sup = -e * w - v * math.log1p(w)
-    else:  # -V/E overflowed: E w* = -V - E and log1p(w*) = log(-V/E)
-        log_sup = e + v - v * (math.log(-v) - math.log(e))
     try:
-        return LadderResult(True, math.exp(log_sup), ())
+        return LadderResult(True, math.exp(_log_sup(e, v)), ())
     except OverflowError:
         return LadderResult(True, math.inf, ())
+
+
+def _log_sup(e, v):
+    """log sup_{w >= 0} exp(-E w - V log(1+w)) for E > 0 and V < 0, at the
+    stationary point w* = max(0, -V/E - 1)."""
+    w = max(0.0, -v / e - 1.0)
+    if w < math.inf:
+        return -e * w - v * math.log1p(w)
+    # -V/E overflowed: E w* = -V - E and log1p(w*) = log(-V/E)
+    return e + v - v * (math.log(-v) - math.log(e))
 
 
 def normalization_V(alpha, dim):
@@ -291,9 +302,22 @@ class TestFunction:
             raise ValueError(f"u and v must be finite, got u={self.u}, v={self.v}")
 
     def __call__(self, x):
-        from .operators import test_function_eval
-
         return test_function_eval(self, x)
+
+
+def test_function_eval(tf, x):
+    """(1-|x|^2)^u (1 + log 1/(1-|x|^2))^{-v} at a point or an (m, dim)
+    batch: array work, so NumPy is imported here, when it runs."""
+    import numpy as np
+
+    pts = np.asarray(x, dtype=float)
+    scalar = pts.ndim == 1
+    rr = np.sum(np.atleast_2d(pts) ** 2, axis=1)
+    if np.any(rr >= 1.0):
+        raise ValueError("test functions are defined on the open unit ball")
+    w = -np.log1p(-rr)  # log 1/(1-|x|^2), stable near 0
+    vals = (1.0 - rr) ** tf.u * (1.0 + w) ** (-tf.v)
+    return float(vals[0]) if scalar else vals
 
 
 def _parse_radial(text):
@@ -331,11 +355,27 @@ def test_function_lp_norm(tf, p, alpha, dim):
     full-interval double-exponential integral, inf exactly on the divergent
     side (alpha + pu < -1, or = -1 with pv <= 1); weight normalization uses
     V_alpha, or 1 for alpha <= -1.  For p = inf, the closed-form sup
-    weighted_sup_ladder(alpha + u, v).  alpha must be finite."""
+    weighted_sup_ladder(alpha + u, v).  alpha must be finite.
+
+    Where the integrand's peak (_log_sup) is past the doubles, its tail on
+    [1, inf), which holds the peak, is integrated divided by it, and the
+    norm formed from logarithms: inf past the doubles, else good to a few
+    |log peak| 2^-53 / p relative."""
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
     if p == math.inf:
         return weighted_sup_ladder(alpha + tf.u, tf.v).value
-    raw = radial_power_log_value(alpha + p * tf.u, p * tf.v, dim=dim)
-    return (raw / _v_or_one(alpha, dim)) ** (1.0 / p)
+    b, v = alpha + p * tf.u, p * tf.v
+    log_peak = _log_sup(b + 1.0, v) if v < 0.0 and _radial_integral_finite(b, v) else 0.0
+    if log_peak < _LOG_MAX_DOUBLE:
+        raw = radial_power_log_value(b, v, dim=dim)
+        return (raw / _v_or_one(alpha, dim)) ** (1.0 / p)
+    coef, expo = 0.5 * dim, 0.5 * dim - 1.0
+    head = _wspace_piece(coef, expo, b + 1.0, v, 0.0, 1.0)
+    tail = _wspace_tail(coef, expo, b + 1.0, v, peak=-v / (b + 1.0) - 1.0)
+    log_raw = log_peak + math.log(tail + head * math.exp(-log_peak))
+    try:
+        return math.exp((log_raw - math.log(_v_or_one(alpha, dim))) / p)
+    except OverflowError:
+        return math.inf

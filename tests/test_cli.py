@@ -197,6 +197,19 @@ MALFORMED = {
                          "alpha must be finite"),
     "norm-expansion-inf-alpha-nan": (("norm", "--f", ONE_TERM, "--p", "inf", "--alpha", "nan"),
                                      "alpha must be finite"),
+    # a flag the mode does not read is refused rather than echoed
+    "norm-bloch-q": (("norm", "--b", "0", "--c", "0", "--f", "const1", "--target", "bloch",
+                      "--q", "3"), "bloch norm takes no --q"),
+    "norm-image-p": (("norm", "--b", "0", "--c", "0", "--f", "const1", "--q", "2", "--p", "2"),
+                     "transform-image mode takes no --p"),
+    "norm-image-bloch-p": (("norm", "--b", "0", "--c", "0", "--f", ONE_TERM, "--p", "inf"),
+                           "transform-image mode takes no --p"),
+    "norm-source-q": (("norm", "--f", "const1", "--p", "2", "--q", "2"),
+                      "source-space mode takes no --q"),
+    "norm-source-target": (("norm", "--f", ONE_TERM, "--p", "2", "--target", "besov"),
+                           "source-space mode takes no --target"),
+    "norm-source-target-no-p": (("norm", "--f", "fuv:0.3,0", "--target", "bloch"),
+                                "source-space mode takes no --target"),
 }
 
 
@@ -708,23 +721,69 @@ def test_sweep_to_file_with_numpy_unimportable(tmp_path):
     ("norm", "--f", "fuv:1", "--p", "2"),
     ("norm", "--f", "fuv:0.3,0", "--p", "0.5"),
     ("norm", "--f", "const1", "--alpha", "0.5"),
-    ("norm", "--f", "fuv:0.3,-200", "--p", "2"),
 ], ids=["classify", "sweep", "kernel-dims", "kernel-divergent", "norm-fuv-spec", "norm-p-half",
-        "norm-no-p", "norm-overflow"])
+        "norm-no-p"])
 def test_malformed_classifier_commands_exit_2_with_numpy_unimportable(args):
     proc = _main_with_unimportable("numpy", *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
 
-def test_norm_whose_integral_overflows_exits_2_with_one_error_line():
+PAST_THE_DOUBLES = ("norm", "--f", "fuv:0.3,-200", "--p", "2")
+PAST_THE_DOUBLES_STDOUT = """{
+  "command": "norm",
+  "mode": "source-space",
+  "f": "fuv:0.3,-200",
+  "p": 2,
+  "alpha": 0,
+  "dim": 2,
+  "method": "radial-adaptive",
+  "rule": null,
+  "value": Infinity,
+  "finite": true
+}
+"""
+
+
+@pytest.mark.parametrize("numpy", ["importable", "unimportable"])
+def test_norm_whose_integral_is_past_the_double_range_prints_infinity(numpy):
     # the L^2 integrand of f_{0.3,-200}, e^{-1.6 w} (1+w)^{400}, peaks near
-    # e^{1810}: its rule has no finite value, which is a convergence failure,
-    # with no traceback and no overflow warning
-    proc = run_cli("norm", "--f", "fuv:0.3,-200", "--p", "2")
-    assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.startswith("error: double-exponential rule on [")
-    assert proc.stderr.count("\n") == 1
+    # e^{1810}, and the norm is about 6.7e393: past the doubles, so Infinity,
+    # with finite true as for a sup past them, and no warning or error
+    if numpy == "importable":
+        proc = run_cli(*PAST_THE_DOUBLES)
+    else:
+        proc = _main_with_unimportable("numpy", *PAST_THE_DOUBLES)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, PAST_THE_DOUBLES_STDOUT, "")
+
+
+@pytest.mark.parametrize("dim, want", [
+    # 40-digit mpmath values: the integral, about 1.3e420, is past the
+    # doubles, and its square root is not
+    (2, 1.1367423188967590e210),
+    (3, 1.3922193251625878e210),
+], ids=["dim2", "dim3"])
+def test_norm_whose_integral_is_past_the_double_range_but_the_norm_is_not(dim, want):
+    out = run_json("norm", "--f", "fuv:0.3,-120", "--p", "2", "--dim", str(dim))
+    assert out["finite"] is True and out["method"] == "radial-adaptive"
+    assert out["value"] == pytest.approx(want, rel=1e-12)
+
+
+def test_a_test_function_call_and_the_expansion_module_load_no_operators_or_quadrature():
+    # evaluating f_{u,v} on points is array work in the radial module, and
+    # the expansions take normalization_V from it too
+    code = ("import json, sys\n"
+            "from bergbesov import TestFunction\n"
+            "vals = TestFunction(0.5, 1.0)([[0.6, 0.0], [0.0, 0.0]])\n"
+            "loaded = ['numpy' in sys.modules, 'bergbesov.operators' in sys.modules]\n"
+            "import bergbesov.expansion\n"
+            "loaded += ['bergbesov.quadrature' in sys.modules, 'bergbesov.operators' in sys.modules]\n"
+            "print(json.dumps([loaded, vals.tolist()]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    loaded, vals = json.loads(proc.stdout)
+    assert loaded == [True, False, False, False]
+    assert vals[0] == pytest.approx(0.8 / (1.0 - math.log(0.64)), rel=1e-15)
+    assert vals[1] == 1.0
 
 
 def test_radial_layer_and_probes_load_numpy_only_for_array_work():

@@ -753,3 +753,99 @@ def test_image_norms_take_the_dimension_of_expansion_json():
             besov_norm((0.5, 0.25, text), 2.0, 0.0, dim=dim)
         with pytest.raises(ValueError, match=f"expansion dim 3 != requested dim {dim}"):
             bloch_norm((0.5, 0.25, text), 0.5, rule=BallQuadrature(dim))
+
+
+def _spy_on_weighted_norm(monkeypatch):
+    """The (p, w, rule) of every quadrature._weighted_norm call; operators
+    holds the same routine under the same name, so both are wrapped."""
+    assert operators._weighted_norm is quadrature._weighted_norm
+    calls, real = [], quadrature._weighted_norm
+
+    def spy(polar, p, w, rule):
+        calls.append((p, w, rule))
+        return real(polar, p, w, rule)
+
+    monkeypatch.setattr(quadrature, "_weighted_norm", spy)
+    monkeypatch.setattr(operators, "_weighted_norm", spy)
+    return calls
+
+
+SPY_RULE = BallQuadrature(dim=2, radial_nodes=8, sphere_nodes=8)
+TWO_TERMS = HarmonicExpansion.from_terms(2, [(1, [0.5, 0.0], 1.0), (2, [0.0, 0.4], -2.0)])
+DEGREE_0 = HarmonicExpansion.from_terms(2, [(0, [0.3, 0.1], 1.5)])
+CALLABLE = lambda pts: pts[:, 0] * pts[:, 1] + 0.25
+
+
+@pytest.mark.parametrize("f", [CALLABLE, lambda pts: operators.evaluate_many(TWO_TERMS, pts)],
+                         ids=["callable", "expansion"])
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, math.inf])
+def test_lp_norm_runs_the_weighted_norm_once(f, p, monkeypatch):
+    calls = _spy_on_weighted_norm(monkeypatch)
+    assert quadrature.lp_norm(f, p, 0.5, SPY_RULE) > 0.0
+    assert calls == [(p, 0.5, SPY_RULE)]
+
+
+@pytest.mark.parametrize("f", [TWO_TERMS, CALLABLE], ids=["expansion", "callable"])
+@pytest.mark.parametrize("q", [1.0, 3.0, math.inf])
+def test_image_norms_run_the_weighted_norm_once_on_the_outer_grid(f, q, monkeypatch):
+    calls = _spy_on_weighted_norm(monkeypatch)
+    g, beta = (0.5, 0.25, f), -2.5
+    if q == math.inf:
+        res, t = bloch_norm(g, beta, rule=SPY_RULE), 3
+        w = beta + t
+    else:
+        res, t = besov_norm(g, q, beta, rule=SPY_RULE), besov_smoothing_order(beta, q)
+        w = beta + q * t
+    assert not res.divergent and res.value > 0.0 and res.t == t
+    assert calls == [(q, w, operators._default_outer(SPY_RULE))]
+
+
+def test_a_callable_besov_norm_at_q_2_runs_the_weighted_norm_once(monkeypatch):
+    calls = _spy_on_weighted_norm(monkeypatch)
+    assert besov_norm((0.5, 0.25, CALLABLE), 2.0, 0.0, rule=SPY_RULE).value > 0.0
+    assert calls == [(2.0, 0.0, operators._default_outer(SPY_RULE))]
+
+
+@pytest.mark.parametrize("f, b, q, divergent", [
+    ("const1", 0.5, 3.0, False),
+    ("fuv:0.3,0.5", 0.5, 1.5, False),
+    ("fuv:0.3,0.5", 0.5, math.inf, False),
+    (DEGREE_0, 0.5, 3.0, False),
+    (DEGREE_0, 0.5, math.inf, False),
+    (TWO_TERMS, 0.5, 2.0, False),
+    (TWO_TERMS, -1.5, 3.0, True),
+    (TWO_TERMS, -1.0, math.inf, True),
+    ("fuv:-0.3,0.5", -0.8, 3.0, True),
+    ("fuv:-0.3,0.5", -0.8, math.inf, True),
+], ids=["const1", "fuv", "fuv-bloch", "degree-0", "degree-0-bloch", "q-2-sum", "divergent",
+        "divergent-bloch", "fuv-divergent", "fuv-divergent-bloch"])
+def test_constant_summed_and_divergent_images_skip_the_weighted_norm(f, b, q, divergent,
+                                                                      monkeypatch):
+    calls = _spy_on_weighted_norm(monkeypatch)
+    g = (b, 0.25, f)
+    res = bloch_norm(g, 0.3, dim=2) if q == math.inf else besov_norm(g, q, 0.3, dim=2)
+    assert res.divergent is divergent and (res.value == math.inf) is divergent
+    assert calls == []
+
+
+@pytest.mark.parametrize("q, beta, t", [(2.0, 0.0, 0.5), (2.0, 0.0, -1), (2.0, -4.0, 1),
+                                        (1.0, -1.0, 0), (3.0, 0.0, 1.0000001)])
+def test_besov_norm_rejects_a_forced_t_that_is_not_admissible(q, beta, t):
+    with pytest.raises(ValueError) as err:
+        besov_norm((0.5, 0.25, TWO_TERMS), q, beta, t=t)
+    assert str(err.value) == f"t must be a non-negative integer with beta + q t > -1, got {t}"
+
+
+@pytest.mark.parametrize("beta, t", [(0.5, 1.5), (0.5, -1), (0.0, 0), (-2.0, 2), (-2.0, 2.5)])
+def test_bloch_norm_rejects_a_forced_t_that_is_not_admissible(beta, t):
+    with pytest.raises(ValueError) as err:
+        bloch_norm((0.5, 0.25, TWO_TERMS), beta, t=t)
+    assert str(err.value) == f"t must be a non-negative integer with beta + t > 0, got {t}"
+
+
+def test_a_forced_admissible_t_is_used_and_reported_as_an_int():
+    for t in (1, 2.0):
+        res = besov_norm((0.5, 0.25, TWO_TERMS), 3.0, -2.5, t=t)
+        assert res.t == t and type(res.t) is int
+    res = bloch_norm((0.5, 0.25, TWO_TERMS), -2.0, t=3.0)
+    assert res.t == 3 and type(res.t) is int
