@@ -139,10 +139,11 @@ def _de_integrate(f, lo, hi):
 
 def _integrand(coef, expo, bexp, v, peak=0.0):
     """w -> coef (1-e^-w)^expo e^{-bexp w} (1+w)^{-v} on floats, formed in
-    log space so that no factor overflows on its own, and divided by its
-    value at peak, in terms of w - peak, which is exact near the peak (at
-    peak 0 the terms are bexp w and log1p(w) bit for bit)."""
+    log space so that no factor overflows on its own.  A peak w* > 0 divides
+    it by its value there, in terms of w - w*, which is exact near w*."""
     exp, log, log1p, expm1 = math.exp, math.log, math.log1p, math.expm1
+    if peak == 0.0:
+        return lambda w: coef * exp(expo * log(-expm1(-w)) - bexp * w - v * log1p(w))
     return lambda w: coef * exp(expo * log(-expm1(-w)) - bexp * (w - peak)
                                 - v * log1p((w - peak) / (1.0 + peak)))
 
