@@ -34,6 +34,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from .errors import _check_finite, _check_int
+
 __all__ = [
     "ExtExponent",
     "conjugate",
@@ -107,21 +109,6 @@ def _as_ext(x):
     return x if isinstance(x, ExtExponent) else ExtExponent.parse(x)
 
 
-def _check_finite(name, value):
-    """value as a float; ValueError naming the parameter if it is not finite."""
-    value = float(value)
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return value
-
-
-def _check_dim(dim):
-    """dim as an int; ValueError unless it is an integer >= 2."""
-    if int(dim) != dim or dim < 2:
-        raise ValueError(f"dim must be an integer >= 2, got {dim}")
-    return int(dim)
-
-
 def _check_q(target, q):
     """ValueError unless the ExtExponent q is finite for a finite-q target
     and inf for a sup-type one."""
@@ -147,7 +134,7 @@ class OperatorParams:
             object.__setattr__(self, name, _check_finite(name, getattr(self, name)))
         object.__setattr__(self, "p", _as_ext(self.p))
         object.__setattr__(self, "q", _as_ext(self.q))
-        object.__setattr__(self, "dim", _check_dim(self.dim))
+        object.__setattr__(self, "dim", _check_int("dim", self.dim, 2))
 
     def to_dict(self):
         return {

@@ -8,7 +8,16 @@ reproducibility.  Sweeps emit CSV with the fixed header
 b,c,alpha,beta,p,q,target,dim,bounded,part,binding_slack.  Exit codes:
 0 success, 2 malformed input or a value the numerics cannot certify (a
 kernel series past its truncation limit or with both points on the
-sphere, a radial integral whose rule did not converge), 1 I/O failure.
+sphere, a radial integral whose rule did not converge or whose value
+passes the largest double), 1 I/O failure.
+
+Input: every flag a command's mode does not read is refused with exit 2
+(`norm`'s --p and --alpha in image mode, --q, --target and --beta in
+source-space mode; every flag but --alpha and --dim of `probe --kind
+floor`).  Those flags default to None, so a given one is refused at any
+value, and the mode that reads a flag fills in its default.  Dimensions and
+finite parameters are checked by errors._check_int and _check_finite, as
+in the modules the commands call.
 
 Startup: only the classifier and the errors are imported with this module.
 `classify` and `sweep` never import NumPy, and neither does `kernel` at a
@@ -28,9 +37,9 @@ import math
 import numbers
 import sys
 
-from .classifier import (ExtExponent, OperatorParams, Target, _check_dim, _check_finite, _check_q,
-                         _decide, classify)
-from .errors import ConvergenceError, KernelDivergenceError, TruncationLimitError
+from .classifier import ExtExponent, OperatorParams, Target, _check_q, _decide, classify
+from .errors import (ConvergenceError, KernelDivergenceError, TruncationLimitError, _check_finite,
+                     _check_int)
 
 __all__ = ["main"]
 
@@ -79,8 +88,8 @@ def _parse_point(text):
         vals = [float(s) for s in str(text).split(",") if s.strip() != ""]
     except ValueError:
         raise ValueError(f"cannot parse point {text!r}") from None
-    if not all(math.isfinite(v) for v in vals):
-        raise ValueError(f"point coordinates must be finite, got {text!r}")
+    for v in vals:
+        _check_finite(f"the coordinates of point {text!r}", v)
     if len(vals) < 2:
         raise ValueError(f"points need at least 2 coordinates, got {text!r}")
     return vals
@@ -126,10 +135,26 @@ def _parse_values(spec, allow_inf=False):
     return vals
 
 
+def _given(value, default):
+    """value, or default where the flag was not given (None)."""
+    return default if value is None else value
+
+
 def _build_params(args):
-    return OperatorParams(b=args.b, c=args.c, alpha=args.alpha, beta=args.beta,
-                          p=ExtExponent.parse(args.p), q=ExtExponent.parse(args.q),
-                          dim=args.dim)
+    """OperatorParams from the flags: --b, --c and --beta default to 0, --p
+    and --q to 2."""
+    return OperatorParams(b=_given(args.b, 0.0), c=_given(args.c, 0.0), alpha=args.alpha,
+                          beta=_given(args.beta, 0.0), p=ExtExponent.parse(_given(args.p, "2")),
+                          q=ExtExponent.parse(_given(args.q, "2")), dim=args.dim)
+
+
+def _refuse_unread(args, mode, names, reason):
+    """ValueError naming the first of the flags names that was given: mode
+    reads none of them.  They default to None, so one given at the value
+    another mode defaults it to is refused too."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"{mode} takes no --{name} ({reason})")
 
 
 def _build_rule(args, dim):
@@ -142,9 +167,9 @@ def _add_param_flags(sp):
     sp.add_argument("--b", type=float, required=True)
     sp.add_argument("--c", type=float, required=True)
     sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--q", default="2")
+    sp.add_argument("--beta", type=float)
+    sp.add_argument("--p")
+    sp.add_argument("--q")
     sp.add_argument("--dim", type=int, default=2)
 
 
@@ -164,8 +189,6 @@ def _cmd_kernel(args):
 
     x = _parse_point(args.x)
     y = _parse_point(args.y)
-    if len(x) != len(y):
-        raise ValueError(f"x has dim {len(x)} but y has dim {len(y)}")
     spec = KernelSpec(args.alpha, len(x), args.tol)
     value, degree = kernel_eval_degree(spec, x, y)
     # at degree 0 the value is the series' first term, 1, for every order
@@ -190,7 +213,8 @@ def _cmd_apply(args):
 
 
 def _cmd_norm(args):
-    from .radial import TestFunction, _parse_radial, lp_membership_analytic, test_function_lp_norm
+    from .radial import (TestFunction, _parse_radial, lp_membership_analytic, normalization_V,
+                         test_function_lp_norm)
 
     if (args.b is None) != (args.c is None):
         raise ValueError("--b and --c must be given together (transform-image mode)")
@@ -203,54 +227,63 @@ def _cmd_norm(args):
     if args.b is not None:
         from .operators import besov_norm, bloch_norm
 
-        if args.p is not None:
-            raise ValueError("transform-image mode takes no --p (it is the source-space exponent)")
+        _refuse_unread(args, "transform-image mode", ("p", "alpha"),
+                       "--p and --alpha set the source space")
+        beta = _given(args.beta, 0.0)
         rule = _build_rule(args, dim)
         target = args.target or ("besov" if args.q is not None else "bloch")
         g = (args.b, args.c, f)
         if target == "besov":
             if args.q is None:
                 raise ValueError("besov norm needs --q")
-            result = besov_norm(g, float(args.q), args.beta, rule=rule, dim=dim)
+            result = besov_norm(g, float(args.q), beta, rule=rule, dim=dim)
         elif target == "bloch":
             if args.q is not None:
                 raise ValueError("bloch norm takes no --q (its exponent is inf)")
-            result = bloch_norm(g, args.beta, rule=rule, dim=dim)
+            result = bloch_norm(g, beta, rule=rule, dim=dim)
         else:
             raise ValueError(f"norm target must be besov or bloch, got {target!r}")
         out = {"command": "norm", "mode": "transform-image", "target": target,
-               "b": args.b, "c": args.c, "f": args.f, "beta": args.beta,
+               "b": args.b, "c": args.c, "f": args.f, "beta": beta,
                "dim": dim, "rule": rule.describe()}
         if args.q is not None:
             out["q"] = float(args.q)
         out.update(result.to_dict())
         _print_json(out)
         return 0
-    for flag, value in (("--q", args.q), ("--target", args.target)):
-        if value is not None:
-            raise ValueError(f"source-space mode takes no {flag} (give --b/--c for an image norm)")
+    _refuse_unread(args, "source-space mode", ("q", "target", "beta"),
+                   "give --b/--c for an image norm")
     if args.p is None:
         raise ValueError("source-space mode needs --p (or give --b/--c)")
     p = ExtExponent.parse(args.p)
     p_raw = math.inf if p.is_inf else p.raw
+    alpha = _check_finite("alpha", _given(args.alpha, 0.0))
+    rule_echo = None
     if isinstance(f, TestFunction):
-        value = test_function_lp_norm(f, p_raw, args.alpha, dim)
+        value = test_function_lp_norm(f, p_raw, alpha, dim)
         method = "closed-form" if p.is_inf else "radial-adaptive"
-        rule_echo = None
         # the sup may be finite past the largest double, so ask the dichotomy
-        finite = lp_membership_analytic(f, p_raw, args.alpha)
+        finite = lp_membership_analytic(f, p_raw, alpha)
     else:
         from .operators import as_ball_function
-        from .quadrature import lp_norm
 
         fvec, _ = as_ball_function(f, dim)
-        rule = _build_rule(args, dim)
-        value = lp_norm(fvec, p_raw, args.alpha, rule)
-        method = "quadrature"
-        rule_echo = rule.describe()
+        if p_raw == 2.0:
+            from .expansion import square_integral
+
+            # the degrees are orthogonal, so the square integral is a finite sum
+            value = math.sqrt(square_integral(f, alpha) / normalization_V(alpha, dim))
+            method = "spectral"
+        else:
+            from .quadrature import lp_norm
+
+            rule = _build_rule(args, dim)
+            value = lp_norm(fvec, p_raw, alpha, rule)
+            method = "quadrature"
+            rule_echo = rule.describe()
         finite = math.isfinite(value)
     _print_json({"command": "norm", "mode": "source-space", "f": args.f,
-                 "p": math.inf if p.is_inf else p.raw, "alpha": args.alpha,
+                 "p": math.inf if p.is_inf else p.raw, "alpha": alpha,
                  "dim": dim, "method": method, "rule": rule_echo,
                  "value": value, "finite": bool(finite)})
     return 0
@@ -260,6 +293,8 @@ def _cmd_probe(args):
     from .probe import finiteness_probe, kernel_floor_probe, ratio_probe
 
     if args.kind == "floor":
+        _refuse_unread(args, "probe --kind floor", ("b", "c", "beta", "p", "q", "target"),
+                       "it reads only --alpha and --dim")
         eps = kernel_floor_probe(args.alpha, args.dim)
         _print_json({"command": "probe", "kind": "floor", "alpha": args.alpha,
                      "dim": args.dim, "epsilon": eps})
@@ -286,7 +321,7 @@ def _cmd_sweep(args):
     for name, vals in zip(("b", "c", "alpha", "beta"), values):
         for v in vals:
             _check_finite(name, v)
-    dim = _check_dim(args.dim)
+    dim = _check_int("dim", args.dim, 2)
     for q in exps[1]:
         _check_q(target, q)
     # each grid value as (value, its CSV field), formatted once
@@ -340,11 +375,11 @@ def _build_parser():
                                      "norm of the transform image (b,c,f)")
     sp.add_argument("--f", required=True)
     sp.add_argument("--p", default=None, help="source-space exponent (or inf)")
-    sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--b", type=float, default=None)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--q", type=float, default=None)
-    sp.add_argument("--beta", type=float, default=0.0)
+    sp.add_argument("--alpha", type=float, help="source-space weight, default 0")
+    sp.add_argument("--b", type=float)
+    sp.add_argument("--c", type=float)
+    sp.add_argument("--q", type=float)
+    sp.add_argument("--beta", type=float, help="image weight, default 0")
     sp.add_argument("--target", default=None, help="besov | bloch (image mode)")
     sp.add_argument("--dim", type=int, default=None,
                     help="default: the dim of expansion JSON, else 2")
@@ -355,12 +390,14 @@ def _build_parser():
     sp = sub.add_parser("probe", help="finiteness / ratio / kernel-floor probes")
     sp.add_argument("--kind", choices=("finiteness", "ratio", "floor"),
                     default="finiteness")
-    sp.add_argument("--b", type=float, default=0.0)
-    sp.add_argument("--c", type=float, default=0.0)
+    # --b, --c, --beta, --p and --q are unset unless given: floor reads none
+    # of them, and _build_params supplies the defaults
+    sp.add_argument("--b", type=float)
+    sp.add_argument("--c", type=float)
     sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--beta", type=float, default=0.0)
-    sp.add_argument("--p", default="2")
-    sp.add_argument("--q", default="2")
+    sp.add_argument("--beta", type=float)
+    sp.add_argument("--p")
+    sp.add_argument("--q")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--target", default=None)
     sp.set_defaults(func=_cmd_probe)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
+from .errors import _check_int
 from .kernel import gamma_coefs
 from .radial import normalization_V
 
@@ -43,22 +44,17 @@ class HarmonicExpansion:
     def from_terms(cls, dim, terms):
         """Build from an iterable of (k, y, c) triples."""
         terms = list(terms)
-        if int(dim) != dim or any(int(k) != k for k, _, _ in terms):
-            raise ValueError("dim and degrees must be integers")
-        degrees = np.array([int(k) for k, _, _ in terms], dtype=np.int64)
+        dim = _check_int("dim", dim, 2)
+        degrees = np.array([_check_int("degree", k, 0) for k, _, _ in terms], dtype=np.int64)
         anchors = np.array([np.asarray(y, dtype=float) for _, y, _ in terms], dtype=float)
         coefs = np.array([float(c) for _, _, c in terms], dtype=float)
         if len(terms) == 0:
             anchors = np.zeros((0, dim))
-        exp = cls(int(dim), degrees, anchors, coefs)
+        exp = cls(dim, degrees, anchors, coefs)
         exp._validate()
         return exp
 
     def _validate(self):
-        if self.dim < 2:
-            raise ValueError("dim must be >= 2")
-        if np.any(self.degrees < 0):
-            raise ValueError("degrees must be non-negative")
         if self.anchors.shape != (len(self.degrees), self.dim):
             raise ValueError("anchor shape mismatch")
         if not (np.all(np.isfinite(self.coefs)) and np.all(np.isfinite(self.anchors))):

@@ -45,7 +45,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import KernelDivergenceError, TruncationLimitError
+from .errors import KernelDivergenceError, TruncationLimitError, _check_finite, _check_int
 
 __all__ = [
     "KernelSpec",
@@ -96,14 +96,10 @@ class KernelSpec:
     tol: float = 1e-10
 
     def __post_init__(self):
-        if not math.isfinite(float(self.alpha)):
-            raise ValueError(f"alpha must be finite, got {self.alpha}")
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim}")
+        object.__setattr__(self, "alpha", _check_finite("alpha", self.alpha))
+        object.__setattr__(self, "dim", _check_int("dim", self.dim, 2))
         if not self.tol > 0.0:
             raise ValueError(f"tol must be positive, got {self.tol}")
-        object.__setattr__(self, "dim", int(self.dim))
-        object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "tol", float(self.tol))
 
 
@@ -118,8 +114,7 @@ def gamma_coefs(kmax, alpha, dim):
     defining Pochhammer ratios): no overflow, no log-space cancellation, and
     gamma_0 = 1 exactly.  Both branches produce strictly positive values.
     """
-    if kmax < 0:
-        raise ValueError("kmax must be >= 0")
+    kmax = _check_int("kmax", kmax, 0)
     if _accel is None:
         _load_numpy()
     n2 = 0.5 * dim
@@ -138,9 +133,8 @@ def gamma_coefs(kmax, alpha, dim):
 
 def gamma_coef(k, alpha, dim):
     """Scalar gamma_k(alpha) for the given dimension."""
-    if k != int(k) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k}")
-    return float(gamma_coefs(int(k), float(alpha), int(dim))[-1])
+    k, dim = _check_int("degree", k, 0), _check_int("dim", dim, 2)
+    return float(gamma_coefs(k, float(alpha), dim)[-1])
 
 
 def harmonic_dim(k, dim):
@@ -149,9 +143,7 @@ def harmonic_dim(k, dim):
     Equals the coincident-boundary-point value Z_k(zeta, zeta), which is the
     sup-bound constant in the truncation certificate.
     """
-    if k != int(k) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k}")
-    k = int(k)
+    k, dim = _check_int("degree", k, 0), _check_int("dim", dim, 2)
     if k == 0:
         return 1.0
     if dim == 2:
@@ -166,19 +158,16 @@ def zonal_harmonic(k, x, y, dim):
     it is (|x||y|)^k times row k of the one-column zonal table at the cosine
     of the angle between x and y.
     """
-    if k != int(k) or k < 0:
-        raise ValueError(f"degree must be a non-negative integer, got {k}")
-    k = int(k)
+    k, dim = _check_int("degree", k, 0), _check_int("dim", dim, 2)
+    x, y = _as_point(x, dim), _as_point(y, dim)
     if k == 0:
         return 1.0
-    _load_numpy()
-    x = np.asarray(x, dtype=float).tolist()
-    y = np.asarray(y, dtype=float).tolist()
     rx = math.sqrt(_dot(x, x))
     ry = math.sqrt(_dot(y, y))
     if rx == 0.0 or ry == 0.0:
         return 0.0
     t = _pair_cosine(x, rx, y, ry)
+    _load_numpy()
     return rx**k * ry**k * float(_accel.zonal_table(k, np.array([t]), dim)[k, 0])
 
 
@@ -446,11 +435,20 @@ def _pair_closed_form(spec, x, rx_sq, y, ry_sq):
         return float(_closed_form(spec, *(g if g is None else np.asarray(g) for g in geometry)))
 
 
-def _is_point(v, dim):
-    """Whether v is a list or tuple of dim ints and floats, the form
-    kernel_eval_degree converts without NumPy."""
-    return (isinstance(v, (list, tuple)) and len(v) == dim
-            and all(isinstance(a, (int, float)) for a in v))
+def _as_point(v, dim):
+    """The point v as a list of dim Python floats; ValueError unless its
+    shape is (dim,).  A list or tuple of ints and floats is converted
+    directly, without NumPy; any other array-like goes through np.asarray."""
+    if isinstance(v, (list, tuple)) and all(isinstance(a, (int, float)) for a in v):
+        shape, v = (len(v),), [float(a) for a in v]
+    else:
+        if _accel is None:
+            _load_numpy()
+        v = np.asarray(v, dtype=float)
+        shape, v = v.shape, v.tolist()
+    if shape != (dim,):
+        raise ValueError(f"points must have shape ({dim},)")
+    return v
 
 
 def kernel_eval(spec, x, y):
@@ -470,23 +468,13 @@ def kernel_eval_degree(spec, x, y):
     value is gamma_0 = 1; otherwise a closed-form order takes its closed
     form and every other order the series summed to degree K.
 
-    A list or tuple of dim ints and floats is converted to Python floats
-    directly; any other array-like goes through np.asarray and its shape
-    check.  Then x and y are lists of Python floats: the norms,
-    x.y, and either the closed form's s, d or 1 - z (_pair_closed_form) or
+    Both points are converted by _as_point, without NumPy for a list or
+    tuple of ints and floats.  Then x and y are lists of Python floats:
+    the norms, x.y, and either the closed form's s, d or 1 - z (_pair_closed_form) or
     the series' cosine (_pair_cosine) are formed on them, sums taken in
     coordinate order.  The series itself goes through _accel.series_disk or
     series_ball, which run series_point on the floats."""
-    if isinstance(x, (list, tuple)) and _is_point(x, spec.dim) and _is_point(y, spec.dim):
-        x, y = [float(a) for a in x], [float(a) for a in y]
-    else:
-        if _accel is None:
-            _load_numpy()
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if x.shape != (spec.dim,) or y.shape != (spec.dim,):
-            raise ValueError(f"points must have shape ({spec.dim},)")
-        x, y = x.tolist(), y.tolist()
+    x, y = _as_point(x, spec.dim), _as_point(y, spec.dim)
     rx_sq, ry_sq = _dot(x, x), _dot(y, y)
     rx, ry = math.sqrt(rx_sq), math.sqrt(ry_sq)
     if rx * ry == 0.0:
@@ -518,14 +506,12 @@ def kernel_eval_batch(spec, x, pts):
     taken with np.max, which keeps a NaN, so a NaN or infinite row raises
     as kernel_eval does (ValueError where |x||y_j| is NaN).
     """
+    x = _as_point(x, spec.dim)
     _load_numpy()
-    x = np.asarray(x, dtype=float)
     pts = np.asarray(pts, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"points must have shape ({spec.dim},)")
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise ValueError(f"pts must have shape (m, {spec.dim})")
-    x, rows = x.tolist(), pts.tolist()
+    rows = pts.tolist()
     rx_sq = _dot(x, x)
     rx = math.sqrt(rx_sq)
     ry_sq = [_dot(y, y) for y in rows]

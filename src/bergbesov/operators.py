@@ -58,7 +58,8 @@ from functools import partial
 import numpy as np
 
 from . import _accel
-from .classifier import OperatorParams, _check_finite
+from .classifier import OperatorParams
+from .errors import _check_finite, _check_int
 from .expansion import HarmonicExpansion, evaluate, evaluate_many, square_integral, transform
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, truncation_degree
@@ -405,7 +406,7 @@ def _image_norm(g, q, beta, rule, dim, t):
     image of f read with the weight w = beta + q t (beta + t at q = inf)."""
     b, c, f = g
     b, c = _check_finite("b", b), _check_finite("c", c)
-    beta = float(beta)
+    beta = _check_finite("beta", beta)
     bloch = q == math.inf
     if t is None:
         t = bloch_smoothing_order(beta) if bloch else besov_smoothing_order(beta, q)
@@ -417,7 +418,7 @@ def _image_norm(g, q, beta, rule, dim, t):
     f = _parse_text(f)
     if rule is None and dim is None and not isinstance(f, HarmonicExpansion):
         raise ValueError("pass rule= or dim= to fix the ambient dimension")
-    n = rule.dim if rule is not None else int(dim) if dim is not None else f.dim
+    n = rule.dim if rule is not None else _check_int("dim", dim, 2) if dim is not None else f.dim
     h = _ball_input(f, n)
     inner = rule if rule is not None else _default_inner(n)
     outer = _default_outer(inner)
@@ -458,8 +459,8 @@ def besov_norm(g, q, beta, rule=None, dim=None, t=None):
     otherwise its integral on the outer grid.  A callable's transform is
     evaluated on a reduced outer grid, so expect desk-scale accuracy only;
     rule is its inner quadrature and sets the outer grid.  The dimension is
-    rule's, else dim, else an expansion's own (JSON text is parsed for it).
-    b and c must be finite.
+    rule's, else dim (an integer >= 2), else an expansion's own (JSON text
+    is parsed for it).  b, c and beta must be finite.
     """
     q = float(q)
     if not 1.0 <= q < math.inf:
@@ -477,6 +478,6 @@ def bloch_norm(g, beta, rule=None, dim=None, t=None):
     forced instead.  An exact image (_exact_image) gives inf and divergent
     where the transform diverges, |c| when it is a constant c (the weight
     peaks at 1 at the origin), and otherwise its sup on the grid.  rule and
-    the dimension are as in besov_norm.  b and c must be finite.
+    the dimension are as in besov_norm.  b, c and beta must be finite.
     """
     return _image_norm(g, math.inf, beta, rule, dim, t)

@@ -34,7 +34,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _check_finite, _check_int
 from .radial import (
     DEFAULT_LEVELS,
     DIVERGENCE_CAP,
@@ -91,16 +91,12 @@ class BallQuadrature:
     sphere_nodes: int = DEFAULT_SPHERE_NODES
 
     def __post_init__(self):
-        if int(self.dim) != self.dim or self.dim < 2:
-            raise ValueError(f"dim must be an integer >= 2, got {self.dim}")
-        if self.radial_nodes < 1:
-            raise ValueError("radial_nodes must be >= 1")
-        if self.sphere_nodes < 4:
-            raise ValueError("sphere_nodes must be >= 4")
-        object.__setattr__(self, "dim", int(self.dim))
+        object.__setattr__(self, "dim", _check_int("dim", self.dim, 2))
+        object.__setattr__(self, "radial_nodes", _check_int("radial_nodes", self.radial_nodes, 1))
+        object.__setattr__(self, "sphere_nodes", _check_int("sphere_nodes", self.sphere_nodes, 4))
 
     def with_radial_nodes(self, m):
-        return replace(self, radial_nodes=int(m))
+        return replace(self, radial_nodes=m)
 
     def radial_rule(self):
         """(radii, weights): sum_i w_i g(r_i) approximates the radial factor of
@@ -299,9 +295,8 @@ def lp_norm(f, p, alpha, rule):
     """
     if p != math.inf and not p >= 1.0:
         raise ValueError(f"p must be in [1, inf], got {p}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha = _check_finite("alpha", alpha)
     if p != math.inf and not alpha > -1.0:
         raise ValueError(f"finite-p norm requires alpha > -1, got {alpha}")
-    raw = _weighted_norm(partial(_on_polar_grid, f), p, float(alpha), rule)
+    raw = _weighted_norm(partial(_on_polar_grid, f), p, alpha, rule)
     return raw if p == math.inf else float((raw / normalization_V(alpha, rule.dim)) ** (1.0 / p))

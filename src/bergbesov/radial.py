@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, _check_finite, _check_int
 
 __all__ = [
     "DEFAULT_LEVELS",
@@ -124,14 +124,17 @@ def _de_integrate(f, lo, hi):
     fast for the levels to agree, so that raises too: (1+w)^{-v} on
     [1, inf) raises for v <= 1.2 and is within 2.3e-14 at v = 1.25.
     """
-    total = new = _de_terms(f, lo, hi, 0)
-    for level in range(1, _DE_MAX_LEVEL + 1):
+    # -0.0 is the exact additive identity, so level 0's sum is kept bit for bit
+    total = new = -0.0
+    for level in range(_DE_MAX_LEVEL + 1):
+        total += _de_terms(f, lo, hi, level)
+        # checked after every add: an overflowing level would otherwise pass
+        # the stop test below as inf <= rtol * inf
         if not math.isfinite(total):
             raise ConvergenceError(f"double-exponential rule on [{lo}, {hi}] has no finite value: "
-                                   f"its terms sum to {total!r} at step 2^-{level - 1}")
-        total += _de_terms(f, lo, hi, level)
+                                   f"its terms sum to {total!r} at step 2^-{level}")
         prev, new = new, total * 2.0 ** -level
-        if abs(new - prev) <= _DE_RTOL * abs(new):
+        if level and abs(new - prev) <= _DE_RTOL * abs(new):
             return new
     raise ConvergenceError(f"double-exponential rule on [{lo}, {hi}] missed rel {_DE_RTOL:g}: "
                            f"{prev!r} and {new!r} at steps 2^-{_DE_MAX_LEVEL - 1} and 2^-{_DE_MAX_LEVEL}")
@@ -189,8 +192,7 @@ def _radial_integral_finite(bexp_minus_1, v):
 
 def _sup_finite(eexp, v):
     """Whether sup_{w >= 0} exp(-E w - V log(1+w)) is finite: iff E > 0, or E = 0 and V >= 0."""
-    if not (math.isfinite(eexp) and math.isfinite(v)):
-        raise ValueError(f"sup exponents must be finite, got E={eexp}, V={v}")
+    eexp, v = _check_finite("E", eexp), _check_finite("V", v)
     return eexp > 0.0 or (eexp == 0.0 and v >= 0.0)
 
 
@@ -297,10 +299,8 @@ class TestFunction:
     v: float
 
     def __post_init__(self):
-        object.__setattr__(self, "u", float(self.u))
-        object.__setattr__(self, "v", float(self.v))
-        if not (math.isfinite(self.u) and math.isfinite(self.v)):
-            raise ValueError(f"u and v must be finite, got u={self.u}, v={self.v}")
+        object.__setattr__(self, "u", _check_finite("u", self.u))
+        object.__setattr__(self, "v", _check_finite("v", self.v))
 
     def __call__(self, x):
         return test_function_eval(self, x)
@@ -337,15 +337,15 @@ def _parse_radial(text):
 
 def transform_finite_analytic(b, tf):
     """Exact finiteness of the transform of f_{u,v} under weight b: finite
-    iff b+u > -1, or b+u = -1 and v > 1."""
-    return _radial_integral_finite(float(b) + tf.u, tf.v)
+    iff b+u > -1, or b+u = -1 and v > 1.  b must be finite."""
+    return _radial_integral_finite(_check_finite("b", b) + tf.u, tf.v)
 
 
 def lp_membership_analytic(tf, p, alpha):
     """Exact membership of f_{u,v} in the alpha-weighted p-space: for finite
     p, alpha + pu > -1 or (= -1 with pv > 1); for p = inf, alpha + u > 0 or
-    (alpha + u = 0 with v >= 0)."""
-    alpha = float(alpha)
+    (alpha + u = 0 with v >= 0).  alpha must be finite."""
+    alpha = _check_finite("alpha", alpha)
     if p == math.inf:
         return _sup_finite(alpha + tf.u, tf.v)
     return _radial_integral_finite(alpha + p * tf.u, p * tf.v)
@@ -356,15 +356,14 @@ def test_function_lp_norm(tf, p, alpha, dim):
     full-interval double-exponential integral, inf exactly on the divergent
     side (alpha + pu < -1, or = -1 with pv <= 1); weight normalization uses
     V_alpha, or 1 for alpha <= -1.  For p = inf, the closed-form sup
-    weighted_sup_ladder(alpha + u, v).  alpha must be finite.
+    weighted_sup_ladder(alpha + u, v).  alpha must be finite and dim an
+    integer >= 2.
 
     Where the integrand's peak (_log_sup) is past the doubles, its tail on
     [1, inf), which holds the peak, is integrated divided by it, and the
     norm formed from logarithms: inf past the doubles, else good to a few
     |log peak| 2^-53 / p relative."""
-    alpha = float(alpha)
-    if not math.isfinite(alpha):
-        raise ValueError(f"alpha must be finite, got {alpha}")
+    alpha, dim = _check_finite("alpha", alpha), _check_int("dim", dim, 2)
     if p == math.inf:
         return weighted_sup_ladder(alpha + tf.u, tf.v).value
     b, v = alpha + p * tf.u, p * tf.v

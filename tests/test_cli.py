@@ -210,6 +210,36 @@ MALFORMED = {
                            "source-space mode takes no --target"),
     "norm-source-target-no-p": (("norm", "--f", "fuv:0.3,0", "--target", "bloch"),
                                 "source-space mode takes no --target"),
+    # also at the value the mode that reads the flag defaults it to
+    "norm-image-alpha": (("norm", "--b", "0", "--c", "0", "--f", "const1", "--q", "2",
+                          "--alpha", "5"), "transform-image mode takes no --alpha"),
+    "norm-image-alpha-0": (("norm", "--b", "0", "--c", "0", "--f", ONE_TERM, "--target", "bloch",
+                            "--alpha", "0"), "transform-image mode takes no --alpha"),
+    "norm-source-beta": (("norm", "--f", "const1", "--p", "2", "--beta", "7"),
+                         "source-space mode takes no --beta"),
+    "norm-source-beta-0": (("norm", "--f", ONE_TERM, "--p", "inf", "--beta", "0"),
+                           "source-space mode takes no --beta"),
+    **{f"probe-floor-{flag}": (("probe", "--kind", "floor", f"--{flag}", value),
+                               f"probe --kind floor takes no --{flag}")
+       for flag, value in (("b", "0"), ("c", "1"), ("beta", "0"), ("p", "2"), ("q", "3"),
+                           ("target", "besov"))},
+    # an image weight that is not finite read as divergent, or failed in the rule
+    "norm-bloch-beta-nan": (("norm", "--b", "0", "--c", "0", "--f", ONE_TERM, "--target", "bloch",
+                             "--beta", "nan"), "beta must be finite, got nan"),
+    "norm-besov-beta-inf": (("norm", "--b", "0", "--c", "0", "--f", ONE_TERM, "--q", "3",
+                             "--beta", "inf"), "beta must be finite, got inf"),
+    # the source-space dimension is checked as every other one is
+    "norm-source-dim-0": (("norm", "--f", "const1", "--p", "2", "--dim", "0"),
+                          "dim must be an integer >= 2, got 0"),
+    "norm-source-dim-1": (("norm", "--f", "const1", "--p", "inf", "--dim", "1"),
+                          "dim must be an integer >= 2, got 1"),
+    "json-infinite-dim": (APPLY + ("--f", '{"dim":Infinity,"terms":[]}', "--x", "0.1,0"),
+                          "dim must be an integer >= 2, got inf"),
+    "json-infinite-k": (APPLY + ("--f", '{"dim":2,"terms":[{"k":Infinity,"y":[0.5,0],"c":1}]}',
+                                 "--x", "0.1,0"), "degree must be an integer >= 0, got inf"),
+    # a transform value past the double range has no certified value
+    "apply-fuv-past-the-doubles": (("apply", "--b", "1", "--c", "0", "--f", "fuv:0.3,-240",
+                                    "--x", "0.1,0"), "has no finite value"),
 }
 
 
@@ -218,7 +248,7 @@ def test_malformed_or_uncertifiable_input_exits_2(args, fragment, tmp_path):
     proc = run_cli(*args)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
-    assert fragment in proc.stderr
+    assert fragment in proc.stderr and proc.stderr.count("\n") == 1 and proc.stdout == ""
     if args[0] == "sweep":
         dest = tmp_path / "grid.csv"
         to_file = run_cli(*args, "--out", str(dest))
@@ -380,18 +410,48 @@ THREE_DIM = '{"dim":3,"terms":[{"k":1,"y":[0.5,0,0],"c":1}]}'
 @pytest.mark.parametrize("mode", [("--b", "0.5", "--c", "0.25", "--q", "2"), ("--p", "2")],
                          ids=["image", "source"])
 def test_norm_takes_the_dimension_of_expansion_json(mode):
-    # Z_1(x, e_1/2) = 1.5 x_1 in dim 3
+    # Z_1(x, e_1/2) = 1.5 x_1 in dim 3.  The image norm builds its rule in
+    # that dim; the source p = 2 norm reads no rule, and its weight's
+    # normalization V_alpha is the dim-3 one
     from bergbesov.expansion import from_json, square_integral, transform
+    from bergbesov.quadrature import normalization_V
 
     exp = from_json(THREE_DIM)
-    out = run_json("norm", "--f", THREE_DIM, *mode)
-    assert out["dim"] == 3 and out["rule"]["dim"] == 3
-    image = transform(0.5, 0.25, exp) if mode[0] == "--b" else exp
-    assert out["value"] == pytest.approx(math.sqrt(square_integral(image, 0.0)), rel=1e-13)
+    if mode[0] == "--b":
+        out = run_json("norm", "--f", THREE_DIM, *mode)
+        assert out["dim"] == 3 and out["rule"]["dim"] == 3
+        want = math.sqrt(square_integral(transform(0.5, 0.25, exp), 0.0))
+    else:
+        out = run_json("norm", "--f", THREE_DIM, *mode, "--alpha", "0.5")
+        assert out["dim"] == 3 and out["rule"] is None and out["method"] == "spectral"
+        want = math.sqrt(square_integral(exp, 0.5) / normalization_V(0.5, 3))
+        assert normalization_V(0.5, 3) != normalization_V(0.5, 2)
+    assert out["value"] == pytest.approx(want, rel=1e-13)
     for dim in ("2", "4"):
         proc = run_cli("norm", "--f", THREE_DIM, "--dim", dim, *mode)
         assert proc.returncode == 2 and "Traceback" not in proc.stderr
         assert f"expansion dim 3 != requested dim {dim}" in proc.stderr
+
+
+SIX_DIM = '{"dim":6,"terms":[{"k":5,"y":[0,0.8,0,0,0,0],"c":1}]}'
+
+
+def test_source_p2_norm_of_an_expansion_is_its_degree_sum():
+    # the dim-6 product rule is exact only to degree 7, so |Z_5|^2 read 26 %
+    # low on it (1.686996); the sum over orthogonal degrees is exact.  In
+    # the disc the rule is exact for these degrees, and the two agree
+    from bergbesov.expansion import evaluate_many, from_json
+    from bergbesov.quadrature import BallQuadrature, lp_norm
+
+    out = run_json("norm", "--f", SIX_DIM, "--p", "2", "--alpha", "0.5", "--dim", "6")
+    assert out["method"] == "spectral" and out["rule"] is None and out["finite"] is True
+    assert out["value"] == pytest.approx(2.2740178350319, rel=1e-13)
+    disc = '{"dim":2,"terms":[{"k":0,"y":[0,0],"c":0.5},{"k":3,"y":[0.6,-0.3],"c":-2},' \
+           '{"k":2,"y":[0.1,0.7],"c":1.5},{"k":3,"y":[0,0.9],"c":1}]}'
+    out = run_json("norm", "--f", disc, "--p", "2", "--alpha", "0.7")
+    exp = from_json(disc)
+    want = lp_norm(lambda pts: evaluate_many(exp, pts), 2.0, 0.7, BallQuadrature(2, 64, 64))
+    assert out["value"] == pytest.approx(want, rel=1e-12)
 
 
 def test_norm_requires_mode_flags():

@@ -248,6 +248,12 @@ def test_validation_errors():
         HarmonicExpansion.from_terms(3, [(0, np.array([1.5, 0.0, 0.0]), 1.0)])
     with pytest.raises(ValueError):
         HarmonicExpansion.from_terms(1, [])
+    for dim in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 2, got {dim}"):
+            HarmonicExpansion.from_terms(dim, [])
+    for k in (1.5, math.inf, math.nan, -2):
+        with pytest.raises(ValueError, match=f"degree must be an integer >= 0, got {k}"):
+            HarmonicExpansion.from_terms(2, [(0, [0.1, 0.2], 1.0), (k, [0.5, 0.0], 1.0)])
     # NaN or infinite coefficients and anchor coordinates
     for k, y, c in ((1, [0.5, 0.0], math.nan), (1, [0.5, 0.0], math.inf), (1, [0.5, 0.0], -math.inf),
                     (1, [math.nan, 0.0], 1.0), (0, [0.0, math.inf], 1.0)):

@@ -94,6 +94,15 @@ def test_gamma_validation():
         gamma_coef(1.5, 0.0, 2)
     with pytest.raises(ValueError):
         gamma_coefs(-1, 0.0, 2)
+    # the dimension is checked, not truncated
+    for dim in (2.5, 1, math.inf):
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 2, got {dim}"):
+            gamma_coef(1, 0.0, dim)
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 2, got {dim}"):
+            harmonic_dim(2, dim)
+    for k in (math.inf, math.nan, -1, 0.5):
+        with pytest.raises(ValueError, match=f"degree must be an integer >= 0, got {k}"):
+            harmonic_dim(k, 3)
 
 
 def test_harmonic_dim_tables():
@@ -115,6 +124,15 @@ def test_zonal_harmonic_validation():
         zonal_harmonic(-1, x, x, 3)
     with pytest.raises(ValueError):
         zonal_harmonic(1.5, x, x, 3)
+    # points of another length are refused, not cut short, at every degree
+    y = x.tolist()
+    for k in (0, 2):
+        for a, b, dim in ((y, y[:2], 3), (y[:2], y, 3), (y, y, 2), (x, x, 2), (tuple(y), y + [0.1], 3)):
+            with pytest.raises(ValueError, match=r"points must have shape \(\d,\)"):
+                zonal_harmonic(k, a, b, dim)
+        with pytest.raises(ValueError, match="dim must be an integer >= 2"):
+            zonal_harmonic(k, y[:1], y[:1], 1)
+    assert zonal_harmonic(2, y, tuple(y), 3) == zonal_harmonic(2, x, x, 3)
 
 
 def test_zonal_harmonic_is_the_zonal_table_row():
@@ -468,6 +486,10 @@ def test_batch_rows_equal_kernel_eval_on_random_pairs(dim):
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(alpha=0.0, dim=1)
+    for dim in (2.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 2, got {dim}"):
+            KernelSpec(alpha=0.0, dim=dim)
+    assert type(KernelSpec(alpha=1, dim=3.0).dim) is int
     with pytest.raises(ValueError):
         KernelSpec(alpha=0.0, dim=2, tol=0.0)
     for alpha in (math.nan, math.inf, -math.inf):

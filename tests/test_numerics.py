@@ -134,6 +134,16 @@ def test_an_integral_past_the_double_range_raises_at_once(B, v, which):
         fn(B, v, dim=1)
 
 
+def test_a_later_level_past_the_double_range_raises():
+    # level 0 of the tail's exp-sinh rule is finite and level 1 overflows;
+    # the stop test read inf <= rtol * inf as agreement and returned inf for
+    # an integral that is finite (2.7e382, past the doubles)
+    assert radial._radial_integral_finite(1.3, -240.0)
+    with pytest.raises(quadrature.ConvergenceError, match="has no finite value: its terms sum "
+                                                          "to inf at step 2\\^-1"):
+        quadrature.radial_power_log_value(1.3, -240.0, dim=2)
+
+
 def _scipy_piece(coef, expo, bexp, v, lo, hi):
     """The adaptive-quadrature piece the double-exponential rule replaced."""
     def f(w):

@@ -530,6 +530,11 @@ def test_sup_membership_needs_no_representable_sup():
     assert fuv_lp_norm(Fuv(1.0, -200.0), math.inf, 0.0, 2) == math.inf
     with pytest.raises(ValueError, match="finite"):
         lp_membership_analytic(Fuv(1.0, -2.0), math.inf, math.nan)
+    # an infinite weight or order is refused, not read as membership
+    with pytest.raises(ValueError, match="alpha must be finite, got inf"):
+        lp_membership_analytic(Fuv(1.0, -2.0), 2.0, math.inf)
+    with pytest.raises(ValueError, match="b must be finite, got inf"):
+        transform_finite_analytic(math.inf, Fuv(1.0, -2.0))
 
 
 def test_test_function_lp_norm_values():
@@ -557,6 +562,33 @@ def test_test_function_lp_norm_values():
 def test_test_function_lp_norm_rejects_a_non_finite_weight(p, alpha):
     with pytest.raises(ValueError, match="alpha must be finite"):
         fuv_lp_norm(Fuv(0.3, -2.0), p, alpha, 2)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_image_norms_reject_a_non_finite_weight(beta):
+    # a NaN weight read as a divergent Bloch norm, and an infinite one
+    # failed inside the Gauss-Jacobi rule
+    for f in ("const1", HarmonicExpansion.from_terms(2, [(1, [0.5, 0.0], 1.0)]),
+              lambda pts: pts[:, 0]):
+        with pytest.raises(ValueError, match=f"beta must be finite, got {beta}"):
+            besov_norm((0.5, 0.25, f), 3.0, beta, dim=2)
+        with pytest.raises(ValueError, match=f"beta must be finite, got {beta}"):
+            bloch_norm((0.5, 0.25, f), beta, dim=2)
+
+
+@pytest.mark.parametrize("dim", [2.5, 1, 0, math.inf])
+def test_norms_refuse_a_dimension_that_is_not_an_integer_at_least_2(dim):
+    # besov_norm and bloch_norm took int(dim), so 2.5 ran in dim 2, and the
+    # radial source norm ran in any dim, 0 included
+    message = f"dim must be an integer >= 2, got {dim}"
+    for f in ("const1", "fuv:0.3,1", Fuv(0.3, 1.0), lambda pts: pts[:, 0]):
+        with pytest.raises(ValueError, match=message):
+            besov_norm((0.5, 0.25, f), 2.0, 0.0, dim=dim)
+        with pytest.raises(ValueError, match=message):
+            bloch_norm((0.5, 0.25, f), 1.0, dim=dim)
+    for p in (2.0, math.inf):
+        with pytest.raises(ValueError, match=message):
+            fuv_lp_norm(Fuv(0.3, -2.0), p, 0.0, dim)
 
 
 @pytest.mark.parametrize("f", [Fuv(0.3, 1.0), HarmonicExpansion.from_terms(2, [(1, [0.5, 0.0], 1.0)])],

@@ -425,6 +425,17 @@ def test_rule_validation_and_updates():
         BallQuadrature(dim=2, radial_nodes=0)
     with pytest.raises(ValueError):
         BallQuadrature(dim=2, sphere_nodes=3)
+    # node counts are integers: a fractional one is refused, not truncated
+    for kwargs in ({"radial_nodes": 16.5}, {"sphere_nodes": 30.5}, {"radial_nodes": math.inf},
+                   {"sphere_nodes": math.nan}):
+        (name, value), = kwargs.items()
+        least = 1 if name == "radial_nodes" else 4
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= {least}, got {value}"):
+            BallQuadrature(dim=3, **kwargs)
+    with pytest.raises(ValueError, match="radial_nodes must be an integer >= 1, got 16.5"):
+        BallQuadrature(dim=2).with_radial_nodes(16.5)
+    assert BallQuadrature(dim=2.0, radial_nodes=16.0).describe() == {
+        "dim": 2, "radial_nodes": 16, "sphere_nodes": 256}
     with pytest.raises(TypeError):
         BallQuadrature(dim=4, mc_samples=4096)
     # a rule carries no weight: each integral passes its own

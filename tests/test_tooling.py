@@ -7,8 +7,10 @@ the package's lazy namespace resolves every public name to its
 submodule's own object; the truncation certificate stays a
 logarithmic search, not a scan over degrees; a kernel pair or batch
 reaches _accel only for its series, with one traced series call per
-single pair and one zonal_series call per batch; and no harmonic expansion
-reaches the kernel quadrature."""
+single pair and one zonal_series call per batch; no harmonic expansion
+reaches the kernel quadrature; and each check of outside input (integer,
+finite parameter, kernel point) is written out once, the first two in a
+module that imports no NumPy."""
 
 import ast
 import importlib
@@ -268,3 +270,36 @@ def test_expansions_never_reach_the_kernel_quadrature(dim, monkeypatch):
         # the image is a constant, so the Bloch norm is its value
         assert values[0] == values[1] == values[2] == values[3]
         assert operators.projection_Q(1.0, f, x) > 0.0
+
+
+def _sources():
+    out = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                out[fname] = fh.read()
+    return out
+
+
+def test_each_check_of_outside_input_is_formed_once():
+    # dimensions, degrees and node counts go through errors._check_int,
+    # finite parameters through errors._check_finite, and kernel points
+    # through kernel._as_point: a copy written out again, whose text would
+    # drift from the original's, fails here
+    sources = _sources()
+    for text, home in (("must be an integer >=", "errors.py"), ("must be finite, got", "errors.py"),
+                       ("points must have shape (", "kernel.py")):
+        assert [f for f, src in sources.items() if text in src] == [home], text
+        assert sources[home].count(text) == 1, text
+    assert "non-negative integer, got" not in sources["kernel.py"]
+    kernel = importlib.import_module("bergbesov.kernel")
+    assert not hasattr(kernel, "_is_point")
+
+
+def test_the_shared_checks_import_no_numpy():
+    code = ("import sys\n"
+            "from bergbesov.errors import _check_finite, _check_int\n"
+            "print(_check_int('dim', 3.0, 2), _check_finite('b', '0.5'),\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["3", "0.5", "[]"]
