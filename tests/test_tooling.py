@@ -272,21 +272,16 @@ def test_expansions_never_reach_the_kernel_quadrature(dim, monkeypatch):
         assert operators.projection_Q(1.0, f, x) > 0.0
 
 
-def _sources():
-    out = {}
-    for fname in sorted(os.listdir(SRC)):
-        if fname.endswith(".py"):
-            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
-                out[fname] = fh.read()
-    return out
-
-
 def test_each_check_of_outside_input_is_formed_once():
     # dimensions, degrees and node counts go through errors._check_int,
     # finite parameters through errors._check_finite, and kernel points
     # through kernel._as_point: a copy written out again, whose text would
     # drift from the original's, fails here
-    sources = _sources()
+    sources = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                sources[fname] = fh.read()
     for text, home in (("must be an integer >=", "errors.py"), ("must be finite, got", "errors.py"),
                        ("points must have shape (", "kernel.py")):
         assert [f for f, src in sources.items() if text in src] == [home], text
