@@ -40,9 +40,8 @@ _EXPORTS = {
         "truncation_degree", "zonal_harmonic",
     ),
     "operators": (
-        "NormResult", "TransformReport", "apply_T", "apply_T_derivative",
-        "apply_T_report", "as_ball_function", "besov_norm", "besov_smoothing_order",
-        "bloch_norm", "bloch_smoothing_order", "projection_Q",
+        "apply_T", "apply_T_derivative", "apply_T_report", "as_ball_function",
+        "besov_norm", "bloch_norm", "projection_Q",
     ),
     "probe": (
         "ProbeEvidence", "ProbeReport", "boundary_suite", "default_ratio_family",
@@ -52,9 +51,10 @@ _EXPORTS = {
         "BallQuadrature", "ConvergenceError", "integrate_ball", "integrate_sphere", "lp_norm",
     ),
     "radial": (
-        "LadderResult", "TestFunction", "lp_membership_analytic", "normalization_V",
-        "radial_power_log_ladder", "test_function_eval", "test_function_lp_norm",
-        "transform_finite_analytic", "weighted_sup_ladder",
+        "LadderResult", "NormResult", "TestFunction", "TransformReport",
+        "besov_smoothing_order", "bloch_smoothing_order", "lp_membership_analytic",
+        "normalization_V", "radial_power_log_ladder", "test_function_eval",
+        "test_function_lp_norm", "transform_finite_analytic", "weighted_sup_ladder",
     ),
     "specfun": ("PoleError", "log_gamma", "log_pochhammer", "pochhammer"),
 }

@@ -13,19 +13,23 @@ passes the largest double), 1 I/O failure.
 
 Input: every flag a command's mode does not read is refused with exit 2
 (`norm`'s --p and --alpha in image mode, --q, --target and --beta in
-source-space mode; every flag but --alpha and --dim of `probe --kind
-floor`).  Those flags default to None, so a given one is refused at any
-value, and the mode that reads a flag fills in its default.  Dimensions and
-finite parameters are checked by errors._check_int and _check_finite, as
-in the modules the commands call.
+source-space mode, and --radial-nodes and --sphere-nodes wherever no rule
+is read: for a radial input in both modes and the p = 2 norm of an
+expansion; every flag but --alpha and --dim of `probe --kind floor`).
+Those flags default to None, so a given one is refused at any value, and
+the mode that reads a flag fills in its default.  Dimensions and finite
+parameters are checked by errors._check_int and _check_finite, as in the
+modules the commands call.
 
 Startup: only the classifier and the errors are imported with this module.
 `classify` and `sweep` never import NumPy, and neither does `kernel` at a
 closed-form order or with a zero point, since points are parsed to lists
-of floats.  `norm` parses --f with the radial module first: a radial input
-(const1 or fuv:u,v) in source-space mode is a 1-D integral on Python floats,
-and `probe --kind finiteness` a ladder on them, so neither imports NumPy.
-Every other command imports its numerics when it runs.  A sweep
+of floats.  `apply` and `norm` parse --f with the radial module first: for
+a radial input (const1 or fuv:u,v) every answer is formed there, on Python
+floats, so `apply`, and `norm` in both modes, import neither NumPy nor the
+operators; nor do `probe --kind finiteness`, a ladder on floats, and
+`probe --kind ratio`, whose norms are radial too.  Every other command
+imports its numerics when it runs.  A sweep
 checks each grid value once, then decides every tuple from the classifier's
 plain inequality data, with no parameter or verdict object per row.
 """
@@ -149,18 +153,24 @@ def _build_params(args):
 
 
 def _refuse_unread(args, mode, names, reason):
-    """ValueError naming the first of the flags names that was given: mode
-    reads none of them.  They default to None, so one given at the value
-    another mode defaults it to is refused too."""
+    """ValueError naming the first of the flags names (attribute names) that
+    was given: mode reads none of them.  They default to None, so one given
+    at the value another mode defaults it to is refused too."""
     for name in names:
         if getattr(args, name) is not None:
-            raise ValueError(f"{mode} takes no --{name} ({reason})")
+            raise ValueError(f"{mode} takes no --{name.replace('_', '-')} ({reason})")
+
+
+_RULE_FLAGS = ("radial_nodes", "sphere_nodes")
 
 
 def _build_rule(args, dim):
+    """The norm's quadrature rule: --radial-nodes and --sphere-nodes default
+    to 48."""
     from .quadrature import BallQuadrature
 
-    return BallQuadrature(dim, radial_nodes=args.radial_nodes, sphere_nodes=args.sphere_nodes)
+    return BallQuadrature(dim, radial_nodes=_given(args.radial_nodes, 48),
+                          sphere_nodes=_given(args.sphere_nodes, 48))
 
 
 def _add_param_flags(sp):
@@ -200,11 +210,17 @@ def _cmd_kernel(args):
 
 
 def _cmd_apply(args):
-    from .operators import apply_T_report
+    from .radial import _parse_radial, _radial_report
 
     x = _parse_point(args.x)
     # every --f the command accepts has an exact image, so no rule is used
-    report = apply_T_report(args.b, args.c, args.f, x)
+    tf = _parse_radial(args.f)
+    if tf is None:
+        from .operators import apply_T_report
+
+        report = apply_T_report(args.b, args.c, args.f, x)
+    else:
+        report = _radial_report(args.b, args.c, tf, x)
     out = {"command": "apply", "b": args.b, "c": args.c, "f": args.f, "x": x,
            "rule": None}
     out.update(report.to_dict())
@@ -213,8 +229,8 @@ def _cmd_apply(args):
 
 
 def _cmd_norm(args):
-    from .radial import (TestFunction, _parse_radial, lp_membership_analytic, normalization_V,
-                         test_function_lp_norm)
+    from .radial import (TestFunction, _besov_exponent, _parse_radial, _radial_norm,
+                         lp_membership_analytic, normalization_V, test_function_lp_norm)
 
     if (args.b is None) != (args.c is None):
         raise ValueError("--b and --c must be given together (transform-image mode)")
@@ -223,29 +239,38 @@ def _cmd_norm(args):
         from .operators import _parse_text
 
         f = _parse_text(args.f)
+    else:
+        _refuse_unread(args, "a radial input", _RULE_FLAGS, "its norms read no quadrature rule")
     dim = args.dim if args.dim is not None else getattr(f, "dim", 2)
     if args.b is not None:
-        from .operators import besov_norm, bloch_norm
-
         _refuse_unread(args, "transform-image mode", ("p", "alpha"),
                        "--p and --alpha set the source space")
         beta = _given(args.beta, 0.0)
-        rule = _build_rule(args, dim)
+        rule = None if isinstance(f, TestFunction) else _build_rule(args, dim)
         target = args.target or ("besov" if args.q is not None else "bloch")
-        g = (args.b, args.c, f)
         if target == "besov":
             if args.q is None:
                 raise ValueError("besov norm needs --q")
-            result = besov_norm(g, float(args.q), beta, rule=rule, dim=dim)
+            q = _besov_exponent(args.q)
         elif target == "bloch":
             if args.q is not None:
                 raise ValueError("bloch norm takes no --q (its exponent is inf)")
-            result = bloch_norm(g, beta, rule=rule, dim=dim)
+            q = math.inf
         else:
             raise ValueError(f"norm target must be besov or bloch, got {target!r}")
+        if rule is None:
+            result = _radial_norm(args.b, args.c, f, q, beta, dim)
+        else:
+            from .operators import besov_norm, bloch_norm
+
+            g = (args.b, args.c, f)
+            if q == math.inf:
+                result = bloch_norm(g, beta, rule=rule, dim=dim)
+            else:
+                result = besov_norm(g, q, beta, rule=rule, dim=dim)
         out = {"command": "norm", "mode": "transform-image", "target": target,
                "b": args.b, "c": args.c, "f": args.f, "beta": beta,
-               "dim": dim, "rule": rule.describe()}
+               "dim": dim, "rule": None if rule is None else rule.describe()}
         if args.q is not None:
             out["q"] = float(args.q)
         out.update(result.to_dict())
@@ -271,6 +296,8 @@ def _cmd_norm(args):
         if p_raw == 2.0:
             from .expansion import square_integral
 
+            _refuse_unread(args, "the p = 2 norm of an expansion", _RULE_FLAGS,
+                           "it is a sum over degrees, read by no quadrature rule")
             # the degrees are orthogonal, so the square integral is a finite sum
             value = math.sqrt(square_integral(f, alpha) / normalization_V(alpha, dim))
             method = "spectral"
@@ -383,8 +410,10 @@ def _build_parser():
     sp.add_argument("--target", default=None, help="besov | bloch (image mode)")
     sp.add_argument("--dim", type=int, default=None,
                     help="default: the dim of expansion JSON, else 2")
-    sp.add_argument("--radial-nodes", type=int, default=48)
-    sp.add_argument("--sphere-nodes", type=int, default=48)
+    # unset unless given: radial inputs and the p = 2 norm of an expansion
+    # read no rule, and _build_rule supplies the default 48
+    sp.add_argument("--radial-nodes", type=int)
+    sp.add_argument("--sphere-nodes", type=int)
     sp.set_defaults(func=_cmd_norm)
 
     sp = sub.add_parser("probe", help="finiteness / ratio / kernel-floor probes")

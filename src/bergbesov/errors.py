@@ -1,8 +1,10 @@
 """The errors by which the numerics refuse to return an uncertified value,
 and the one check of each kind of outside input: _check_finite for a real
-parameter, _check_int for a dimension, degree or node count.  They import
-no NumPy, so the command line catches the errors, and the classifier checks
-its input, without it.  `kernel` and `quadrature` re-export the errors.
+parameter, _check_int for a dimension, degree or node count, and
+_check_ball_point for a transform's evaluation point.  They import no
+NumPy, so the command line catches the errors, and the classifier and the
+radial layer check their input, without it.  `kernel` and `quadrature`
+re-export the errors.
 """
 
 import math
@@ -42,3 +44,19 @@ def _check_int(name, value, least):
     if not whole or value < least:
         raise ValueError(f"{name} must be an integer >= {least}, got {value}")
     return int(value)
+
+
+def _check_ball_point(x):
+    """The coordinates of x as a list of floats; ValueError unless x lies in
+    the open unit ball.  The rounded sum of squares is within 3e-16 of
+    |x|^2 near 1, so it decides every point but those within 1e-15 of the
+    sphere, and exact rationals decide those (NaN lies nowhere)."""
+    x = [float(v) for v in x]
+    s = math.fsum(v * v for v in x)
+    if abs(s - 1.0) <= 1e-15:
+        from fractions import Fraction
+
+        s = sum(Fraction(v) ** 2 for v in x)
+    if not s < 1:
+        raise ValueError("evaluation point must lie in the open unit ball")
+    return x

@@ -7,11 +7,10 @@ volume measure:
     (T f)(x) = int_B R_c(x, y) f(y) (1 - |y|^2)^b dnu(y).
 
 T is diagonal on zonal harmonics (Axler, Bourdon & Ramey, Harmonic Function
-Theory, ch. 5), so two kinds of input have an exact image, formed in one
-place, _exact_image, as an expansion (None where the transform diverges):
+Theory, ch. 5), so two kinds of input have an exact image:
 
 - A harmonic expansion is scaled degree by degree by its multipliers
-  (expansion.transform; divergent for b <= -1 on any nonzero term).
+  (expansion.transform; None, divergent, for b <= -1 on any nonzero term).
 - A radial input lies in degree 0: the spherical mean of R_c(x, .) over a
   centered sphere is R_c(x, 0) = 1, so T sends every radial function to the
   constant int_B f (1 - |y|^2)^b dnu, independent of c and x.  For the test
@@ -21,16 +20,23 @@ place, _exact_image, as an expansion (None where the transform diverges):
 
 The family itself (TestFunction, and test_function_eval, which evaluates
 it on points), its memberships, the finiteness of its transform and its
-source norms live in the radial module; they are re-exported here as the
-same objects.  This module adds every transform and image norm.
+source norms live in the radial module, and so does every answer for it,
+on Python floats: its image (radial._radial_image), the report of
+apply_T_report with the cutoff-ladder rungs of its radial integral
+(_radial_report), and its image norms (_radial_norm).  Each entry point
+here sends a TestFunction there, once.  The radial module also holds the
+result types TransformReport and NormResult, the smoothing orders and the
+choice or check of t that every image norm shares; all are re-exported
+here as the same objects.  This module adds the transforms and image norms
+of every other input.
 
-Every answer for such an input is read from its image, with no kernel
-series and no inner quadrature.  An image of degree 0 is a constant c: its
-value at every x is c, its Besov norm |c| (V_{beta+qt} / V_beta)^{1/q} and
-its Bloch norm |c|.  Otherwise a point value is the image at x, a q = 2
-Besov norm the finite sum expansion.square_integral, and the other norms
-read the image on their outer grids.  apply_T_report adds the cutoff-ladder
-rungs of the radial integral as the evidence for a radial input.
+An expansion's answers are read from its image, with no kernel series and
+no inner quadrature.  An image of degree 0 is a constant c: its value at
+every x is c, its Besov norm |c| (V_{beta+qt} / V_beta)^{1/q} and its Bloch
+norm |c| (radial._constant_norm, as for a radial input).  Otherwise a
+point value is the image at x, a q = 2 Besov norm the finite sum
+expansion.square_integral, and the other norms read the image on their
+outer grids.
 
 The Besov norms (finite q) and the Bloch norm (their q = inf endpoint,
 weight beta + t) share one driver, _image_norm; every image norm read on a
@@ -52,14 +58,14 @@ exponents a <= -1 (the weighted measure is no longer finite there).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 
 from . import _accel
 from .classifier import OperatorParams
-from .errors import _check_finite, _check_int
+from .errors import _check_ball_point, _check_finite, _check_int
 from .expansion import HarmonicExpansion, evaluate, evaluate_many, square_integral, transform
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, truncation_degree
@@ -67,13 +73,21 @@ from .quadrature import BallQuadrature, _on_polar_grid, _weighted_norm, _weighte
 from .radial import (
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
+    NormResult,
     TestFunction,
+    TransformReport,
+    _besov_exponent,
+    _constant_norm,
     _parse_radial,
+    _radial_image,
+    _radial_norm,
+    _radial_report,
+    _smoothing_order,
     _v_or_one,
+    besov_smoothing_order,
+    bloch_smoothing_order,
     lp_membership_analytic,
     normalization_V,
-    radial_power_log_ladder,
-    radial_power_log_value,
     test_function_eval,
     test_function_lp_norm,
     transform_finite_analytic,
@@ -155,7 +169,7 @@ def as_ball_function(f, dim):
     array to m values, or the string forms "const1", "fuv:u,v", and
     serialized-expansion JSON text (an object or a bare record array).  The
     returned TestFunction, when present, selects the exact radial route
-    (radial_power_log_value).
+    (radial._radial_image).
     """
     g = _ball_input(f, dim)
     if isinstance(g, TestFunction):
@@ -165,42 +179,8 @@ def as_ball_function(f, dim):
     return g, None
 
 
-@dataclass(frozen=True)
-class TransformReport:
-    """Transform value plus divergence analysis.
-
-    refinements lists (resolution, value) pairs: ladder cutoffs for the
-    radial path, radial node counts for the node-doubling path; the exact
-    spectral path of expansions has none.
-    """
-
-    value: float
-    divergent: bool
-    refinements: tuple
-    method: str
-
-    def to_dict(self):
-        return {"value": self.value, "divergent": self.divergent,
-                "refinements": [list(r) for r in self.refinements],
-                "method": self.method}
-
-
 # ---------------------------------------------------------------------------
 # Transform evaluation.
-
-
-def _exact_image(b, c, h, n):
-    """The image under T_{b,c} in dimension n of h, one of _EXACT_INPUTS, as
-    an expansion, or None where the transform diverges: expansion.transform
-    of an expansion, and for f_{u,v} the degree-0 expansion with coefficient
-    radial_power_log_value(b + u, v, dim=n), built unvalidated."""
-    if isinstance(h, TestFunction):
-        value = radial_power_log_value(b + h.u, h.v, dim=n)
-        if not math.isfinite(value):
-            return None
-        return HarmonicExpansion(n, np.zeros(1, dtype=np.int64), np.zeros((1, n)),
-                                 np.array([value]))
-    return transform(b, c, h)
 
 
 def _constant(image):
@@ -221,8 +201,7 @@ def _setup_point(x, rule):
     x = np.asarray(x, dtype=float).ravel()
     if x.size < 2:
         raise ValueError(f"points must have dimension >= 2, got shape {x.shape}")
-    if not float(x @ x) < 1.0:  # also rejects nan
-        raise ValueError("evaluation point must lie in the open unit ball")
+    _check_ball_point(x)
     if rule is None:
         return x, BallQuadrature(x.size)
     if rule.dim != x.size:
@@ -234,7 +213,7 @@ def _image_polar(b, fvec, r_out, dirs, kspec, rule):
     """Transform image on the polar grid r_out x dirs as a (radii, dirs) array.
 
     This is the one evaluator behind every callable input (the inputs with
-    an exact image take _exact_image): the norms use their outer grids, and
+    an exact image never get here): the norms use their outer grids, and
     apply_T, apply_T_report and projection_Q use a 1x1 grid (_image_at).
     The inner radial nodes are _weighted_radial_rule's for the weight
     exponent b: folded into them for b > -1, applied at them below.  The
@@ -286,8 +265,9 @@ def apply_T(b, c, f, x, rule=None):
 
     f may be anything as_ball_function accepts.  A TestFunction or a
     HarmonicExpansion (an object or text) is answered from its exact image
-    (_exact_image): inf where the transform diverges, the constant of a
-    degree-0 image, and the image evaluated at x otherwise; rule is unused.
+    (radial._radial_image or expansion.transform): inf where the transform
+    diverges, the constant of a degree-0 image, and the image evaluated at
+    x otherwise; rule is unused.
     Every other input is integrated by the product quadrature rule as given,
     with the order-c kernel at KernelSpec's default tolerance.  Convergence
     diagnostics live in apply_T_report.  b and c must be finite.
@@ -295,8 +275,10 @@ def apply_T(b, c, f, x, rule=None):
     b, c = _check_finite("b", b), _check_finite("c", c)
     x, rule = _setup_point(x, rule)
     g = _ball_input(f, x.size)
-    if isinstance(g, _EXACT_INPUTS):
-        return _image_value(_exact_image(b, c, g, x.size), x)
+    if isinstance(g, TestFunction):
+        return _radial_image(b, g, x.size)
+    if isinstance(g, HarmonicExpansion):
+        return _image_value(transform(b, c, g), x)
     return _image_at(b, g, x, KernelSpec(c, x.size), rule)
 
 
@@ -305,8 +287,9 @@ def apply_T_report(b, c, f, x, rule=None):
 
     An input with an exact image gets apply_T's value, divergent exactly
     when it is inf, and rule is unused.  A TestFunction reports the
-    cutoff-ladder rungs of its radial integral (method "radial-ladder"); a
-    HarmonicExpansion has no refinements (method "spectral").  Other inputs
+    cutoff-ladder rungs of its radial integral (radial._radial_report,
+    method "radial-ladder"); a HarmonicExpansion has no refinements (method
+    "spectral").  Other inputs
     are evaluated at 1x, 2x, and 4x the rule's radial nodes and flagged
     divergent when the magnitude grows beyond GROWTH_FACTOR across the two
     doublings, exceeds DIVERGENCE_CAP, or becomes non-finite (method
@@ -315,11 +298,10 @@ def apply_T_report(b, c, f, x, rule=None):
     b, c = _check_finite("b", b), _check_finite("c", c)
     x, rule = _setup_point(x, rule)
     g = _ball_input(f, x.size)
-    if isinstance(g, _EXACT_INPUTS):
-        value = _image_value(_exact_image(b, c, g, x.size), x)
-        if isinstance(g, TestFunction):
-            rungs = radial_power_log_ladder(b + g.u, g.v, dim=x.size).rungs
-            return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
+    if isinstance(g, TestFunction):
+        return _radial_report(b, c, g, x)
+    if isinstance(g, HarmonicExpansion):
+        value = _image_value(transform(b, c, g), x)
         return TransformReport(value, not math.isfinite(value), (), "spectral")
     kspec = KernelSpec(c, x.size)
     refinements = []
@@ -359,38 +341,6 @@ def projection_Q(alpha, f, x, rule=None):
 # Norms of transform images.
 
 
-@dataclass(frozen=True)
-class NormResult:
-    """Norm value with the derivative base s and order t actually used."""
-
-    value: float
-    s: float
-    t: int
-    divergent: bool
-
-    def to_dict(self):
-        return {"value": self.value, "s": self.s, "t": self.t,
-                "divergent": self.divergent}
-
-
-def besov_smoothing_order(beta, q):
-    """Smallest non-negative integer t with beta + q t > -1."""
-    beta, q = float(beta), float(q)
-    t = 0
-    while beta + q * t <= -1.0:
-        t += 1
-    return t
-
-
-def bloch_smoothing_order(beta):
-    """Smallest non-negative integer t with beta + t > 0."""
-    beta = float(beta)
-    t = 0
-    while beta + t <= 0.0:
-        t += 1
-    return t
-
-
 def _default_inner(dim):
     return BallQuadrature(dim, radial_nodes=_INNER_RADIAL, sphere_nodes=_INNER_SPHERE)
 
@@ -407,29 +357,23 @@ def _image_norm(g, q, beta, rule, dim, t):
     b, c, f = g
     b, c = _check_finite("b", b), _check_finite("c", c)
     beta = _check_finite("beta", beta)
-    bloch = q == math.inf
-    if t is None:
-        t = bloch_smoothing_order(beta) if bloch else besov_smoothing_order(beta, q)
-    elif t != int(t) or t < 0 or not (beta + t > 0.0 if bloch else beta + q * t > -1.0):
-        admissible = "beta + t > 0" if bloch else "beta + q t > -1"
-        raise ValueError(f"t must be a non-negative integer with {admissible}, got {t}")
-    t = int(t)
-    w = beta + t if bloch else beta + q * t
+    t, w = _smoothing_order(beta, q, t)
     f = _parse_text(f)
     if rule is None and dim is None and not isinstance(f, HarmonicExpansion):
         raise ValueError("pass rule= or dim= to fix the ambient dimension")
     n = rule.dim if rule is not None else _check_int("dim", dim, 2) if dim is not None else f.dim
     h = _ball_input(f, n)
+    if isinstance(h, TestFunction):
+        return _radial_norm(b, c, h, q, beta, n, t)
     inner = rule if rule is not None else _default_inner(n)
     outer = _default_outer(inner)
-    if isinstance(h, _EXACT_INPUTS):
-        image = _exact_image(b, c + t, h, n)
+    if isinstance(h, HarmonicExpansion):
+        image = transform(b, c + t, h)
         if image is None:
             return NormResult(math.inf, c, t, True)
         const = _constant(image)
         if const is not None:
-            ratio = normalization_V(w, n) / _v_or_one(beta, n)
-            return NormResult(abs(const) * ratio ** (1.0 / q), c, t, False)
+            return NormResult(_constant_norm(const, q, beta, w, n), c, t, False)
         if q == 2.0:
             raw = square_integral(image, w)
         else:
@@ -439,7 +383,7 @@ def _image_norm(g, q, beta, rule, dim, t):
         raw = _weighted_norm(polar, q, w, outer)
     if not math.isfinite(raw):
         return NormResult(math.inf, c, t, True)
-    value = raw if bloch else (raw / _v_or_one(beta, n)) ** (1.0 / q)
+    value = raw if q == math.inf else (raw / _v_or_one(beta, n)) ** (1.0 / q)
     return NormResult(float(value), c, t, False)
 
 
@@ -453,8 +397,8 @@ def besov_norm(g, q, beta, rule=None, dim=None, t=None):
 
     using V_beta = 1 when beta <= -1.  Any admissible non-negative integer t
     may be forced instead (all choices give equivalent norms).  An exact
-    image T_{b,c+t} f (_exact_image) gives inf and divergent where the
-    transform diverges, |c| (V_{beta+qt} / V_beta)^{1/q} when it is a
+    image T_{b,c+t} f (radial._radial_norm for f_{u,v}, expansion.transform
+    for an expansion) gives inf and divergent where the transform diverges, |c| (V_{beta+qt} / V_beta)^{1/q} when it is a
     constant c, the finite sum expansion.square_integral for q = 2, and
     otherwise its integral on the outer grid.  A callable's transform is
     evaluated on a reduced outer grid, so expect desk-scale accuracy only;
@@ -462,10 +406,7 @@ def besov_norm(g, q, beta, rule=None, dim=None, t=None):
     rule's, else dim (an integer >= 2), else an expansion's own (JSON text
     is parsed for it).  b, c and beta must be finite.
     """
-    q = float(q)
-    if not 1.0 <= q < math.inf:
-        raise ValueError(f"q must be in [1, inf), got {q}")
-    return _image_norm(g, q, beta, rule, dim, t)
+    return _image_norm(g, _besov_exponent(q), beta, rule, dim, t)
 
 
 def bloch_norm(g, beta, rule=None, dim=None, t=None):
@@ -475,7 +416,7 @@ def bloch_norm(g, beta, rule=None, dim=None, t=None):
     s = c, returns sup (1-|x|^2)^{beta+t} |T_{b,c+t} f| over a log-spaced
     radial grid times the outer rule's sphere directions (a lower estimate
     of the true supremum).  Any admissible non-negative integer t may be
-    forced instead.  An exact image (_exact_image) gives inf and divergent
+    forced instead.  An exact image (as in besov_norm) gives inf and divergent
     where the transform diverges, |c| when it is a constant c (the weight
     peaks at 1 at the origin), and otherwise its sup on the grid.  rule and
     the dimension are as in besov_norm.  b, c and beta must be finite.

@@ -16,15 +16,16 @@ constants (see the operators module), finite exactly when b+u > -1 or
   witness failures of the first inequality (or a weight obstruction): a
   verdict that is unbounded purely through the c-inequality still produces
   bounded ratios on every radial family.  ratio_probe, which reads its
-  target norms from operators.besov_norm and bloch_norm, therefore predicts
-  growth only for first-inequality failures and weight obstructions, and
-  tags the c-only cases as c-blind instead of reporting disagreement.
+  target norms from radial._radial_norm (the route operators.besov_norm and
+  bloch_norm take for a radial input), therefore predicts growth only for
+  first-inequality failures and weight obstructions, and tags the c-only
+  cases as c-blind instead of reporting disagreement.
 
 Startup: this module imports only the classifier and the radial module, so
-finiteness_probe, whose evidence is a 1-D ladder, runs on Python floats
-without NumPy.  ratio_probe imports the operators' norms, and
-kernel_floor_probe NumPy and the kernel, when they run, outside any kernel
-evaluation.
+finiteness_probe, whose evidence is a 1-D ladder, and ratio_probe, whose
+norms are 1-D integrals and constants, run on Python floats without NumPy
+or the operators.  kernel_floor_probe imports NumPy and the kernel when it
+runs, outside any kernel evaluation.
 """
 
 import math
@@ -33,6 +34,7 @@ from dataclasses import dataclass, replace
 from .classifier import OperatorParams, Target, classify
 from .radial import (
     TestFunction,
+    _radial_norm,
     lp_membership_analytic,
     radial_power_log_ladder,
     test_function_lp_norm,
@@ -164,20 +166,18 @@ def default_ratio_family(params, deltas=_DELTAS):
 
 
 def _target_norm(tf, target, params):
-    """Target-space norm of T tf: besov_norm, at t = 0 (the weighted L^q
-    norm) for a Lebesgue target, and bloch_norm, the size of a radial
-    input's constant image, for the sup-type targets.  A Lebesgue target
-    with beta <= -1 or a weighted-sup target with beta < 0 holds no nonzero
-    harmonic function, so there every nonzero image has infinite norm."""
-    from .operators import besov_norm, bloch_norm
-
-    g = (params.b, params.c, tf)
-    be, n = params.beta, params.dim
+    """Target-space norm of T tf, as besov_norm or bloch_norm gives it: the
+    Besov norm, at t = 0 (the weighted L^q norm) for a Lebesgue target, and
+    the Bloch norm, the size of the constant image, for the sup-type
+    targets.  A Lebesgue target with beta <= -1 or a weighted-sup target
+    with beta < 0 holds no nonzero harmonic function, so there every
+    nonzero image has infinite norm."""
+    b, c, be, n = params.b, params.c, params.beta, params.dim
     if target is Target.BESOV:
-        return besov_norm(g, params.q.raw, be, dim=n).value
+        return _radial_norm(b, c, tf, params.q.raw, be, n).value
     if target is Target.LEBESGUE and be > -1.0:
-        return besov_norm(g, params.q.raw, be, dim=n, t=0).value
-    size = bloch_norm(g, be, dim=n).value
+        return _radial_norm(b, c, tf, params.q.raw, be, n, t=0).value
+    size = _radial_norm(b, c, tf, math.inf, be, n).value
     if target is Target.LEBESGUE or (target is Target.WLINF and be < 0.0):
         return math.inf if size > 0.0 else 0.0
     return size

@@ -14,24 +14,36 @@ that halve their step until two levels agree, and raise ConvergenceError
 when they do not, or when a node value or a level sum leaves the doubles.
 Each level is one math.fsum over cached (offset, weight, left) tuples.
 
+Every T_{b,c} sends f_{u,v} to a constant, radial_power_log_value(b+u, v)
+(see the operators module), so every answer for a radial input is formed
+here once: the transform report of apply_T_report (_radial_report), the
+Besov and Bloch norms of the image (_radial_norm, with the choice or check
+of the smoothing order t that every image norm shares) and their result
+types TransformReport and NormResult, which operators re-exports.
+
 Everything here runs on Python floats and the math module, so the source
-norms of the radial family and the finiteness probe start without NumPy.
-Only test_function_eval, which TestFunction.__call__ uses to evaluate
-f_{u,v} on arrays of points, imports NumPy, when it runs.
+norms of the radial family, the finiteness and ratio probes, and the
+transforms and image norms of a radial input start without NumPy.  Only
+test_function_eval, which TestFunction.__call__ uses to evaluate f_{u,v}
+on arrays of points, imports NumPy, when it runs.
 """
 
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ConvergenceError, _check_finite, _check_int
+from .errors import ConvergenceError, _check_ball_point, _check_finite, _check_int
 
 __all__ = [
     "DEFAULT_LEVELS",
     "DIVERGENCE_CAP",
     "GROWTH_FACTOR",
     "LadderResult",
+    "NormResult",
     "TestFunction",
+    "TransformReport",
+    "besov_smoothing_order",
+    "bloch_smoothing_order",
     "lp_membership_analytic",
     "normalization_V",
     "radial_power_log_ladder",
@@ -70,6 +82,11 @@ class LadderResult:
     finite: bool
     value: float
     rungs: tuple
+
+
+class _PastTheDoubles(ConvergenceError):
+    """A double-exponential level sum that is not finite: the integral may
+    be a finite number past the largest double."""
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +148,7 @@ def _de_integrate(f, lo, hi):
         # checked after every add: an overflowing level would otherwise pass
         # the stop test below as inf <= rtol * inf
         if not math.isfinite(total):
-            raise ConvergenceError(f"double-exponential rule on [{lo}, {hi}] has no finite value: "
+            raise _PastTheDoubles(f"double-exponential rule on [{lo}, {hi}] has no finite value: "
                                    f"its terms sum to {total!r} at step 2^-{level}")
         prev, new = new, total * 2.0 ** -level
         if level and abs(new - prev) <= _DE_RTOL * abs(new):
@@ -359,18 +376,23 @@ def test_function_lp_norm(tf, p, alpha, dim):
     weighted_sup_ladder(alpha + u, v).  alpha must be finite and dim an
     integer >= 2.
 
-    Where the integrand's peak (_log_sup) is past the doubles, its tail on
-    [1, inf), which holds the peak, is integrated divided by it, and the
-    norm formed from logarithms: inf past the doubles, else good to a few
-    |log peak| 2^-53 / p relative."""
+    Where the integral is past the doubles and its integrand peaks at some
+    w* > 0 (_log_sup), its tail on [1, inf), which holds the peak, is
+    integrated divided by it, and the norm formed from logarithms: inf past
+    the doubles, else good to a few |log peak| 2^-53 / p relative.  The
+    integral is taken as it is first wherever the peak is a double."""
     alpha, dim = _check_finite("alpha", alpha), _check_int("dim", dim, 2)
     if p == math.inf:
         return weighted_sup_ladder(alpha + tf.u, tf.v).value
     b, v = alpha + p * tf.u, p * tf.v
     log_peak = _log_sup(b + 1.0, v) if v < 0.0 and _radial_integral_finite(b, v) else 0.0
     if log_peak < _LOG_MAX_DOUBLE:
-        raw = radial_power_log_value(b, v, dim=dim)
-        return (raw / _v_or_one(alpha, dim)) ** (1.0 / p)
+        try:
+            raw = radial_power_log_value(b, v, dim=dim)
+            return (raw / _v_or_one(alpha, dim)) ** (1.0 / p)
+        except _PastTheDoubles:
+            if log_peak == 0.0:  # the peak is at w = 0: nothing to divide by
+                raise
     coef, expo = 0.5 * dim, 0.5 * dim - 1.0
     head = _wspace_piece(coef, expo, b + 1.0, v, 0.0, 1.0)
     tail = _wspace_tail(coef, expo, b + 1.0, v, peak=-v / (b + 1.0) - 1.0)
@@ -379,3 +401,127 @@ def test_function_lp_norm(tf, p, alpha, dim):
         return math.exp((log_raw - math.log(_v_or_one(alpha, dim))) / p)
     except OverflowError:
         return math.inf
+
+
+# ---------------------------------------------------------------------------
+# Transforms of the radial family and the norms of their images.
+
+
+@dataclass(frozen=True)
+class TransformReport:
+    """Transform value plus divergence analysis.
+
+    refinements lists (resolution, value) pairs: ladder cutoffs for the
+    radial path, radial node counts for the node-doubling path; the exact
+    spectral path of expansions has none.
+    """
+
+    value: float
+    divergent: bool
+    refinements: tuple
+    method: str
+
+    def to_dict(self):
+        return {"value": self.value, "divergent": self.divergent,
+                "refinements": [list(r) for r in self.refinements],
+                "method": self.method}
+
+
+@dataclass(frozen=True)
+class NormResult:
+    """Norm value with the derivative base s and order t actually used."""
+
+    value: float
+    s: float
+    t: int
+    divergent: bool
+
+    def to_dict(self):
+        return {"value": self.value, "s": self.s, "t": self.t,
+                "divergent": self.divergent}
+
+
+def besov_smoothing_order(beta, q):
+    """Smallest non-negative integer t with beta + q t > -1."""
+    beta, q = float(beta), float(q)
+    t = 0
+    while beta + q * t <= -1.0:
+        t += 1
+    return t
+
+
+def bloch_smoothing_order(beta):
+    """Smallest non-negative integer t with beta + t > 0."""
+    beta = float(beta)
+    t = 0
+    while beta + t <= 0.0:
+        t += 1
+    return t
+
+
+def _besov_exponent(q):
+    """q as a float; ValueError unless 1 <= q < inf."""
+    q = float(q)
+    if not 1.0 <= q < math.inf:
+        raise ValueError(f"q must be in [1, inf), got {q}")
+    return q
+
+
+def _smoothing_order(beta, q, t):
+    """(t, w) for an image norm of exponent q (inf for the Bloch norm) at
+    the finite weight beta: the smallest admissible t, or a forced t
+    checked, and the weight w = beta + q t (beta + t at q = inf) it gives."""
+    bloch = q == math.inf
+    if t is None:
+        t = bloch_smoothing_order(beta) if bloch else besov_smoothing_order(beta, q)
+    else:
+        try:
+            whole = _check_int("t", t, 0)
+        except ValueError:  # fractional, negative, NaN or infinite
+            whole = None
+        if whole is None or not (beta + whole > 0.0 if bloch else beta + q * whole > -1.0):
+            admissible = "beta + t > 0" if bloch else "beta + q t > -1"
+            raise ValueError(f"t must be a non-negative integer with {admissible}, got {t}")
+        t = whole
+    return t, beta + t if bloch else beta + q * t
+
+
+def _constant_norm(const, q, beta, w, dim):
+    """The norm, of exponent q at weight w = beta + q t, of the constant
+    image const: |const| (V_w / V_beta)^{1/q}, which is |const| at q = inf."""
+    ratio = normalization_V(w, dim) / _v_or_one(beta, dim)
+    return abs(const) * ratio ** (1.0 / q)
+
+
+def _radial_image(b, tf, dim):
+    """The image of f_{u,v} under every T_{b,c} in dimension dim, the
+    constant radial_power_log_value(b + u, v): inf exactly where the
+    transform diverges."""
+    return radial_power_log_value(b + tf.u, tf.v, dim=dim)
+
+
+def _radial_report(b, c, tf, x):
+    """apply_T_report of f_{u,v} at x: its constant image, divergent exactly
+    when inf, with the cutoff-ladder rungs of its radial integral (method
+    "radial-ladder").  b and c must be finite and x in the open ball."""
+    b = _check_finite("b", b)
+    _check_finite("c", c)
+    n = len(_check_ball_point(x))
+    value = _radial_image(b, tf, n)
+    rungs = radial_power_log_ladder(b + tf.u, tf.v, dim=n).rungs
+    return TransformReport(value, not math.isfinite(value), rungs, "radial-ladder")
+
+
+def _radial_norm(b, c, tf, q, beta, dim, t=None):
+    """besov_norm (finite q) or bloch_norm (q = inf) of (b, c, f_{u,v}) in
+    dimension dim: inf and divergent where the transform diverges, else
+    _constant_norm of its constant image, with t as _smoothing_order gives
+    it.  b, c and beta must be finite and dim an integer >= 2."""
+    b, c = _check_finite("b", b), _check_finite("c", c)
+    beta = _check_finite("beta", beta)
+    t, w = _smoothing_order(beta, q, t)
+    dim = _check_int("dim", dim, 2)
+    const = _radial_image(b, tf, dim)
+    if not math.isfinite(const):
+        return NormResult(math.inf, c, t, True)
+    return NormResult(_constant_norm(const, q, beta, w, dim), c, t, False)

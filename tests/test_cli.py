@@ -352,11 +352,69 @@ def test_apply_of_an_expansion_near_the_sphere_is_its_exact_multiple():
 @pytest.mark.parametrize("flag", ["--radial-nodes", "--sphere-nodes"])
 def test_apply_takes_no_rule_flags(flag):
     # every --f apply accepts has an exact image, so a rule size would be
-    # a knob that changes nothing; norm keeps both flags
+    # a knob that changes nothing; norm keeps both flags where it reads a
+    # rule, and refuses them for a radial input, which reads none
     proc = run_cli(*APPLY, "--f", "const1", "--x", "0.1,0", flag, "32")
     assert proc.returncode == 2
     assert "unrecognized arguments" in proc.stderr
-    assert run_json("norm", "--f", "const1", "--p", "2", flag, "32")["value"] == pytest.approx(1.0)
+    out = run_json("norm", "--f", ONE_TERM, "--p", "3", flag, "32")
+    assert out["rule"][flag[2:].replace("-", "_")] == 32
+    assert out["value"] == pytest.approx(run_json("norm", "--f", ONE_TERM, "--p", "3")["value"],
+                                         rel=1e-2)
+    proc = run_cli("norm", "--f", "const1", "--p", "2", flag, "32")
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == (f"error: a radial input takes no {flag} "
+                           "(its norms read no quadrature rule)\n")
+
+
+@pytest.mark.parametrize("args, fragment", [
+    (("norm", "--f", "fuv:0.3,1", "--p", "inf"), "a radial input takes no"),
+    (("norm", "--b", "0", "--c", "0", "--f", "const1", "--q", "3"), "a radial input takes no"),
+    (("norm", "--b", "0", "--c", "0", "--f", "fuv:0.3,1", "--target", "bloch"),
+     "a radial input takes no"),
+    (("norm", "--f", ONE_TERM, "--p", "2", "--alpha", "0.5"),
+     "the p = 2 norm of an expansion takes no"),
+], ids=["source-radial", "image-besov-radial", "image-bloch-radial", "source-p2-expansion"])
+@pytest.mark.parametrize("flag", ["--radial-nodes", "--sphere-nodes"])
+def test_norm_refuses_rule_flags_where_no_rule_is_read(args, fragment, flag):
+    # the value and the echo are those without the flag, which is refused
+    # at any value, the rule's old default 48 included
+    plain = run_json(*args)
+    assert plain["rule"] is None
+    for value in ("48", "7"):
+        proc = run_cli(*args, flag, value)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith(f"error: {fragment} {flag} (")
+        assert proc.stderr.count("\n") == 1
+
+
+def test_image_norms_of_radial_inputs_echo_no_rule():
+    # the norm of a constant image reads no rule: the value, s, t and
+    # divergent are the operators' by repr, and "rule" is null
+    from bergbesov.operators import besov_norm, bloch_norm
+
+    out = run_json("norm", "--b", "-0.3", "--c", "1", "--f", "fuv:0.4,-1", "--q", "3",
+                   "--beta", "-2.5", "--dim", "3")
+    res = besov_norm((-0.3, 1.0, "fuv:0.4,-1"), 3.0, -2.5, dim=3)
+    assert out["rule"] is None and out["t"] == res.t == 1 and out["s"] == 1.0
+    assert out["value"] == res.value and out["divergent"] is False
+    out = run_json("norm", "--b", "-1.5", "--c", "0", "--f", "const1", "--target", "bloch")
+    res = bloch_norm((-1.5, 0.0, "const1"), 0.0, dim=2)
+    assert out["rule"] is None and out["value"] == res.value == math.inf
+    assert out["divergent"] is res.divergent is True and out["t"] == res.t == 1
+
+
+@pytest.mark.parametrize("dim, want", [
+    # 40-digit mpmath values: the L^3_3 integrand of f_{-0.9,-60} peaks at
+    # about e^{708.8}, inside the doubles, but its integral, about 1.75e309
+    # in dim 2, is past them
+    (2, 1.9140612232205068015e103),
+    (3, 2.5841795562216726256e103),
+], ids=["dim2", "dim3"])
+def test_norm_whose_integral_is_past_the_doubles_under_a_peak_that_is_not(dim, want):
+    out = run_json("norm", "--f", "fuv:-0.9,-60", "--p", "3", "--alpha", "3", "--dim", str(dim))
+    assert out["finite"] is True and out["method"] == "radial-adaptive"
+    assert out["value"] == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("flag", ["--mc-samples", "--seed"])
@@ -753,6 +811,34 @@ NUMPY_FREE_COMMANDS = {
                              "--alpha", "0.3", "--dim", "3"),
     "finiteness-boundary-band": ("probe", "--kind", "finiteness", "--b", "-0.37", "--c", "0",
                                  "--alpha", "0.3", "--q", "inf", "--target", "bloch"),
+    # every T_{b,c} sends a radial input to a constant, a 1-D integral on
+    # Python floats, so its transforms and image norms need no arrays:
+    # b + u = -1.3 diverges below
+    "apply-const1-dim2": ("apply", "--b", "0.5", "--c", "1", "--f", "const1", "--x", "0.3,0.2"),
+    "apply-fuv-dim3": ("apply", "--b", "-0.3", "--c", "0", "--f", "fuv:0.4,-1",
+                       "--x", "0.1,0.2,-0.3"),
+    "apply-fuv-divergent-dim3": ("apply", "--b", "-1.5", "--c", "2", "--f", "fuv:0.2,1",
+                                 "--x", "0.1,0.2,0.3"),
+    "ratio-besov": ("probe", "--kind", "ratio", "--b", "1", "--c", "0.5", "--alpha", "0.3",
+                    "--beta", "0.5", "--q", "3", "--target", "besov", "--dim", "3"),
+    "ratio-lebesgue": ("probe", "--kind", "ratio", "--b", "1", "--c", "0.5", "--alpha", "0.3",
+                       "--beta", "0.5", "--target", "lebesgue"),
+    "ratio-lebesgue-beta-below-minus-1": ("probe", "--kind", "ratio", "--b", "1", "--c", "0.5",
+                                          "--alpha", "0.3", "--beta", "-1.5",
+                                          "--target", "lebesgue"),
+    "ratio-bloch": ("probe", "--kind", "ratio", "--b", "1", "--c", "0.5", "--alpha", "0.3",
+                    "--beta", "0.7", "--q", "inf", "--target", "bloch", "--dim", "3"),
+    "ratio-hinf": ("probe", "--kind", "ratio", "--b", "1", "--c", "-1", "--alpha", "0.3",
+                   "--q", "inf", "--target", "hinf"),
+    "ratio-wlinf-negative-beta": ("probe", "--kind", "ratio", "--b", "1", "--c", "0.5",
+                                  "--alpha", "0.3", "--beta", "-0.5", "--q", "inf",
+                                  "--target", "wlinf"),
+    "norm-image-besov-q1.5": ("norm", "--b", "0.5", "--c", "0.25", "--f", "fuv:0.3,0.5",
+                              "--q", "1.5", "--beta", "0.3"),
+    "norm-image-besov-q3-t1": ("norm", "--b", "-0.3", "--c", "1", "--f", "const1", "--q", "3",
+                               "--beta", "-2.5", "--dim", "3"),
+    "norm-image-bloch": ("norm", "--b", "0.5", "--c", "0", "--f", "fuv:-0.8,-1",
+                         "--target", "bloch", "--beta", "-0.5", "--dim", "3"),
 }
 
 
@@ -781,8 +867,13 @@ def test_sweep_to_file_with_numpy_unimportable(tmp_path):
     ("norm", "--f", "fuv:1", "--p", "2"),
     ("norm", "--f", "fuv:0.3,0", "--p", "0.5"),
     ("norm", "--f", "const1", "--alpha", "0.5"),
+    ("apply", "--b", "0", "--c", "0", "--f", "const1", "--x", "0.6,0.8"),
+    ("apply", "--b", "nan", "--c", "0", "--f", "fuv:0.3,1", "--x", "0.1,0"),
+    ("apply", "--b", "0", "--c", "0", "--f", "fuv:1", "--x", "0.1,0"),
+    ("norm", "--b", "0", "--c", "0", "--f", "const1", "--q", "2", "--radial-nodes", "32"),
 ], ids=["classify", "sweep", "kernel-dims", "kernel-divergent", "norm-fuv-spec", "norm-p-half",
-        "norm-no-p"])
+        "norm-no-p", "apply-outside-the-ball", "apply-b-nan", "apply-fuv-spec",
+        "norm-image-radial-nodes"])
 def test_malformed_classifier_commands_exit_2_with_numpy_unimportable(args):
     proc = _main_with_unimportable("numpy", *args)
     assert proc.returncode == 2
@@ -848,8 +939,9 @@ def test_a_test_function_call_and_the_expansion_module_load_no_operators_or_quad
 
 def test_radial_layer_and_probes_load_numpy_only_for_array_work():
     # the radial module, the probe module and the radial family import no
-    # NumPy; the floor probe loads it for its kernel batch, but not the
-    # operators, which the ratio probe still loads and runs on
+    # NumPy; the ratio probe's norms are radial too, so it loads neither
+    # NumPy nor the operators, and the floor probe loads NumPy for its
+    # kernel batch, but not the operators
     floor = ("probe", "--kind", "floor", "--alpha", "0.5", "--dim", "3")
     ratio = ("probe", "--kind", "ratio", "--b", "0.5", "--c", "0", "--alpha", "0.3", "--dim", "3")
     code = ("import contextlib, io, json, sys\n"
@@ -859,18 +951,40 @@ def test_radial_layer_and_probes_load_numpy_only_for_array_work():
             "import bergbesov.cli as cli\n"
             "out = io.StringIO()\n"
             "with contextlib.redirect_stdout(out):\n"
-            f"    rc = [cli.main({list(floor)!r})]\n"
+            f"    rc = [cli.main({list(ratio)!r})]\n"
             "    loaded += ['numpy' in sys.modules, 'bergbesov.operators' in sys.modules]\n"
-            f"    rc.append(cli.main({list(ratio)!r}))\n"
-            "loaded.append('bergbesov.operators' in sys.modules)\n"
+            f"    rc.append(cli.main({list(floor)!r}))\n"
+            "loaded += ['numpy' in sys.modules, 'bergbesov.operators' in sys.modules]\n"
             "value = TestFunction(0.5, 0.0)([0.6, 0.0])\n"
             "print(json.dumps([loaded, rc, out.getvalue(), value]))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     loaded, rc, stdout, value = json.loads(proc.stdout)
-    assert loaded == [False, True, False, True]
+    assert loaded == [False, False, False, True, False]
     assert rc == [0, 0]
-    assert stdout == run_cli(*floor).stdout + run_cli(*ratio).stdout
+    assert stdout == run_cli(*ratio).stdout + run_cli(*floor).stdout
     assert value == pytest.approx(0.8, rel=1e-15)
+
+
+@pytest.mark.parametrize("args", [
+    ("apply", "--b", "0.5", "--c", "1", "--f", "fuv:0.3,1", "--x", "0.3,0.2,0.1"),
+    ("norm", "--b", "0.5", "--c", "1", "--f", "const1", "--q", "3", "--beta", "-2.5"),
+    ("norm", "--b", "0.5", "--c", "1", "--f", "fuv:0.3,1", "--target", "bloch", "--dim", "3"),
+], ids=["apply", "norm-besov", "norm-bloch"])
+def test_radial_transforms_and_image_norms_load_neither_numpy_nor_the_operators(args):
+    code = ("import contextlib, io, json, sys\n"
+            "import bergbesov.cli as cli\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            f"    rc = cli.main({list(args)!r})\n"
+            "mods = sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'\n"
+            "              or m in ('bergbesov.operators', 'bergbesov.expansion',\n"
+            "                       'bergbesov.kernel', 'bergbesov.quadrature'))\n"
+            "print(json.dumps([rc, out.getvalue(), mods]))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    rc, stdout, mods = json.loads(proc.stdout)
+    assert (rc, mods) == (0, [])
+    out = json.loads(stdout)
+    assert out["rule"] is None and math.isfinite(out["value"]) and out["value"] > 0.0
 
 
 def test_kernel_module_loads_numpy_only_for_a_series():

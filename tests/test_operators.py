@@ -881,3 +881,89 @@ def test_a_forced_admissible_t_is_used_and_reported_as_an_int():
         assert res.t == t and type(res.t) is int
     res = bloch_norm((0.5, 0.25, TWO_TERMS), -2.0, t=3.0)
     assert res.t == 3 and type(res.t) is int
+
+
+@pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("f", [Fuv(0.3, 0.5), "const1", TWO_TERMS, CALLABLE],
+                         ids=["fuv", "const1", "expansion", "callable"])
+def test_a_forced_t_that_is_not_finite_gets_the_pinned_error(f, t):
+    # int(inf) raised OverflowError and int(nan) "cannot convert float NaN
+    # to integer"; the one check of t names the admissible range instead
+    with pytest.raises(ValueError) as err:
+        bloch_norm((0.5, 0.25, f), 0.5, dim=2, t=t)
+    assert str(err.value) == f"t must be a non-negative integer with beta + t > 0, got {t}"
+    with pytest.raises(ValueError) as err:
+        besov_norm((0.5, 0.25, f), 3.0, 0.5, dim=2, t=t)
+    assert str(err.value) == f"t must be a non-negative integer with beta + q t > -1, got {t}"
+
+
+RADIAL_GRID = [(b, c, u, v, dim) for b, c in ((0.5, 0.25), (-0.3, 1.0), (-1.0, 0.0), (-1.5, 0.5))
+               for u, v in ((0.0, 0.0), (0.3, 0.5), (-0.8, -1.0), (-0.2, 2.0), (1.5, -3.0))
+               for dim in (2, 3, 5)]
+
+
+@pytest.mark.parametrize("b, c, u, v, dim", RADIAL_GRID)
+def test_the_radial_route_is_the_operators_answer_bit_for_bit(b, c, u, v, dim):
+    # every answer for f_{u,v} is formed once, in radial: its image K =
+    # radial_power_log_value(b+u, v), the report with the ladder rungs, and
+    # the norms |K| (V_w / V_beta)^{1/q}, written out here in full; the
+    # operators give exactly those, for the object and for its text
+    from bergbesov import radial
+
+    tf = Fuv(u, v)
+    text = "const1" if u == v == 0.0 else f"fuv:{u!r},{v!r}"
+    x = [0.3, -0.2, 0.1, 0.05, 0.0][:dim]
+    const = radial.radial_power_log_value(b + u, v, dim=dim)
+    divergent = math.isinf(const)
+    rungs = radial.radial_power_log_ladder(b + u, v, dim=dim).rungs
+    want = TransformReport(const, divergent, rungs, "radial-ladder")
+    assert radial._radial_report(b, c, tf, x) == want
+    for f in (tf, text):
+        assert apply_T_report(b, c, f, np.array(x)) == want
+        assert repr(apply_T(b, c, f, x)) == repr(const)
+    for beta in (0.3, -2.5, 0.0):
+        for q, forced in ((1.0, None), (1.5, None), (2.0, None), (3.0, 2), (math.inf, None), (math.inf, 3)):
+            bloch = q == math.inf
+            t = forced
+            if forced is None:
+                t = bloch_smoothing_order(beta) if bloch else besov_smoothing_order(beta, q)
+            w = beta + t if bloch else beta + q * t
+            v_beta = normalization_V(beta, dim) if beta > -1.0 else 1.0
+            value = math.inf if divergent else abs(const) * (normalization_V(w, dim) / v_beta) ** (1.0 / q)
+            want = NormResult(value, c, t, divergent)
+            got = radial._radial_norm(b, c, tf, q, beta, dim, t)
+            assert (repr(got.value), got.s, got.t, got.divergent) == (repr(value), c, t, divergent)
+            for f in (tf, text):
+                if bloch:
+                    res = bloch_norm((b, c, f), beta, dim=dim, t=forced)
+                else:
+                    res = besov_norm((b, c, f), q, beta, dim=dim, t=forced)
+                assert res == want and repr(res.value) == repr(value)
+
+
+def test_the_open_ball_check_decides_points_near_the_sphere_exactly():
+    # |x|^2 rounds to 1.0 for (0.28, 0.96), but the doubles' squares sum to
+    # less than 1; for (0.6, 0.8) they sum to more.  Every transform, radial
+    # or not, takes the one check, and it decides such points exactly
+    from fractions import Fraction
+
+    from bergbesov import radial
+
+    rng = np.random.default_rng(7)
+    points = [[0.28, 0.96], [0.96, 0.28], [0.6, 0.8], [1.0, 0.0], [0.36, 0.48, 0.8],
+              [math.nextafter(1.0, 0.0), 0.0]]
+    for _ in range(40):
+        v = rng.normal(size=int(rng.integers(2, 6)))
+        points.append(list(v / np.linalg.norm(v) * (1.0 + rng.uniform(-1e-15, 1e-15))))
+    inside = 0
+    for x in points:
+        want = sum(Fraction(v) ** 2 for v in x) < 1
+        inside += want
+        for call in (lambda: apply_T(0.5, 0.25, TWO_TERMS if len(x) == 2 else "const1", x),
+                     lambda: radial._radial_report(0.5, 0.25, Fuv(0.3, 1.0), x).value):
+            if want:
+                assert math.isfinite(call())
+            else:
+                with pytest.raises(ValueError, match="^evaluation point must lie in the open unit ball$"):
+                    call()
+    assert 5 < inside < len(points) - 5

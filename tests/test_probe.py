@@ -180,26 +180,27 @@ def test_finiteness_probe_agrees_across_suite():
     (Target.LEBESGUE, -1.5, 2.0), (Target.BLOCH, 0.7, INF), (Target.HINF, 0.0, INF),
     (Target.WLINF, 0.3, INF), (Target.WLINF, -0.5, INF),
 ])
-def test_ratio_probe_reads_its_target_norms_from_the_operators(target, beta, q, monkeypatch):
-    results = []
-
-    def spy(original):
-        def wrapper(*args, **kwargs):
-            results.append(original(*args, **kwargs))
-            return results[-1]
-        return wrapper
-
-    monkeypatch.setattr(operators, "besov_norm", spy(operators.besov_norm))
-    monkeypatch.setattr(operators, "bloch_norm", spy(operators.bloch_norm))
+def test_every_ratio_is_the_operators_norm_over_the_source_norm(target, beta, q):
+    # the probe forms its target norms on the radial route, without the
+    # operators; each ratio is still the operators' besov_norm (at t = 0
+    # for a Lebesgue target) or bloch_norm over the source norm, by repr,
+    # and inf where the target weight admits no nonzero image
     params = make(b=1.0, c=0.5, alpha=0.3, beta=beta, p=2.0, q=q, dim=3)
     family = default_ratio_family(params)
     ratios = ratio_probe(params, target=target).evidence[0].detail["ratios"]
-    assert len(results) == len(family)
+    assert len(ratios) == len(family) == 6
     obstructed = len(classify(params, target).inequalities) == 1
-    for ratio, tf, res in zip(ratios, family, results):
+    for ratio, tf in zip(ratios, family):
+        g = (1.0, 0.5, tf)
+        if target is Target.BESOV:
+            res = operators.besov_norm(g, q, beta, dim=3)
+        elif target is Target.LEBESGUE and beta > -1.0:
+            res = operators.besov_norm(g, q, beta, dim=3, t=0)
+        else:
+            res = operators.bloch_norm(g, beta, dim=3)
         src = operators.test_function_lp_norm(tf, 2.0, 0.3, 3)
-        assert res.s == 0.5 and not res.divergent
-        assert ratio == (INF if obstructed else res.value / src)
+        assert res.s == 0.5 and not res.divergent and 0.0 < res.value < INF
+        assert repr(ratio) == repr(INF if obstructed else res.value / src)
 
 
 def test_ratio_probe_agrees_across_suite():

@@ -8,9 +8,11 @@ submodule's own object; the truncation certificate stays a
 logarithmic search, not a scan over degrees; a kernel pair or batch
 reaches _accel only for its series, with one traced series call per
 single pair and one zonal_series call per batch; no harmonic expansion
-reaches the kernel quadrature; and each check of outside input (integer,
-finite parameter, kernel point) is written out once, the first two in a
-module that imports no NumPy."""
+reaches the kernel quadrature; each check of outside input (integer,
+finite parameter, kernel point, evaluation point) is written out once, all
+but the kernel point in a module that imports no NumPy; and the image of a
+radial input, its norms and the check of a forced t are formed once, in
+the radial module, which imports no NumPy."""
 
 import ast
 import importlib
@@ -298,3 +300,44 @@ def test_the_shared_checks_import_no_numpy():
             "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.split() == ["3", "0.5", "[]"]
+
+
+def _sources():
+    sources = {}
+    for fname in sorted(os.listdir(SRC)):
+        if fname.endswith(".py"):
+            with open(os.path.join(SRC, fname), encoding="utf-8") as fh:
+                sources[fname] = fh.read()
+    return sources
+
+
+def test_a_radial_image_and_its_norms_are_formed_once_in_the_radial_module():
+    # the constant image radial_power_log_value(b + u, v), the norm of a
+    # constant image |K| (V_w / V_beta)^{1/q}, the choice and check of t and
+    # the open-ball check each have one home: a second copy in operators,
+    # probe or cli would be a fork of the radial route
+    sources = _sources()
+    for text, home in (("radial_power_log_value(b + tf.u", "radial.py"),
+                       ("normalization_V(w, dim) / _v_or_one(beta, dim)", "radial.py"),
+                       ("t must be a non-negative integer with", "radial.py"),
+                       ("_smoothing_order(beta) if", "radial.py"),
+                       ("must lie in the open unit ball", "errors.py")):
+        assert [f for f, src in sources.items() if text in src] == [home], text
+        assert sources[home].count(text) == 1, text
+    operators = importlib.import_module("bergbesov.operators")
+    radial = importlib.import_module("bergbesov.radial")
+    assert not hasattr(operators, "_exact_image")
+    for name in ("TransformReport", "NormResult", "besov_smoothing_order", "bloch_smoothing_order"):
+        assert getattr(operators, name) is getattr(radial, name), name
+
+
+def test_the_radial_route_imports_no_numpy():
+    code = ("import sys\n"
+            "import bergbesov.radial as r\n"
+            "tf = r.TestFunction(0.3, 1.0)\n"
+            "rep = r._radial_report(0.5, 1.0, tf, [0.3, 0.2, 0.1])\n"
+            "norm = r._radial_norm(0.5, 1.0, tf, 3.0, -2.5, 3)\n"
+            "print(rep.method, norm.t, rep.value > 0.0 < norm.value,\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["radial-ladder", "1", "True", "[]"]
