@@ -180,7 +180,7 @@ def test_finiteness_probe_agrees_across_suite():
     (Target.LEBESGUE, -1.5, 2.0), (Target.BLOCH, 0.7, INF), (Target.HINF, 0.0, INF),
     (Target.WLINF, 0.3, INF), (Target.WLINF, -0.5, INF),
 ])
-def test_every_ratio_is_the_operators_norm_over_the_source_norm(target, beta, q):
+def test_ratio_probe_reads_its_target_norms_from_the_operators(target, beta, q):
     # the probe forms its target norms on the radial route, without the
     # operators; each ratio is still the operators' besov_norm (at t = 0
     # for a Lebesgue target) or bloch_norm over the source norm, by repr,
