@@ -12,7 +12,22 @@ per degree, by Horner's rule over column blocks of at most TABLE_ENTRIES
 entries; `kernel_eval_batch` makes one such call over its rows.  Every
 node's |x||y| and cosine come from the kernel module's float geometry, the
 same for a pair and for a batch row.
+
+Dimension 2 runs the Chebyshev recurrence.  Every dimension n >= 3 runs
+one recurrence, on the zonal harmonics normalized at the pole, Y_k = Z_k /
+h_k, whose coefficients a_k, b_k and the harmonic dimensions h_k both
+drivers read from `_zonal_coefficients`, computed once per dimension and
+power-of-two length.  Its rounded coefficients keep a_k - b_k = 1, so the
+rows at the poles t = +-1, where x = +-y, are exact; a recurrence on Z_k
+itself, a_k = (2k+n-2)/k, loses that, and at |x||y| = 0.9995, K = 146 383
+its x = y sum was 8e-11 off instead of 1.4e-12.  Per degree `series_point`
+spends five float operations: the recurrence with t folded into a_k, and
+the accumulation with c_k = rho^k gamma_k h_k formed by NumPy.
+`zonal_table` forms each row in place from the two above it and scales the
+rows by h_k once.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,15 +58,22 @@ def series_point(gam, rho, t, dim):
     The recurrence runs on Python floats.  Its per-degree factors, which do
     not depend on the running terms, are formed first by NumPy and read back
     as floats through a memoryview; the terms are then accumulated in
-    ascending degree order.
+    ascending degree order.  In dimension 2 the Chebyshev recurrence gives
+    cos(k theta).  Above, the normalized zonal harmonics Y_k = Z_k / h_k run
+    the recurrence of _zonal_coefficients with t folded into a_k, and each
+    is weighted by c_k = rho^k gamma_k h_k:
+
+        Y_k = (a_k t) Y_{k-1} - b_k Y_{k-2},  acc += c_k Y_k,
+
+    five float operations per degree.
     """
     kmax = gam.shape[0] - 1
     acc = float(gam[0])
     if kmax == 0:
         return acc
-    cm1 = 1.0
-    rk = rho
     if dim == 2:
+        cm1 = 1.0
+        rk = rho
         c = t
         acc += float(gam[1]) * 2.0 * rk * c
         t2 = 2.0 * t
@@ -60,18 +82,56 @@ def series_point(gam, rho, t, dim):
             rk = rk * rho
             acc += g2 * rk * c
         return acc
-    lam = 0.5 * (dim - 2.0)
-    c = 2.0 * lam * t
-    acc += float(gam[1]) * (dim / (dim - 2.0)) * rk * c
-    ks = np.arange(2.0, kmax + 1.0)
-    a = 2.0 * t * (ks + lam - 1.0)
-    b = ks + 2.0 * lam - 2.0
-    g = gam[2:] * ((dim + 2.0 * ks - 2.0) / (dim - 2.0))
-    for k, ak, bk, gk in zip(memoryview(ks), memoryview(a), memoryview(b), memoryview(g)):
-        cm1, c = c, (ak * c - bk * cm1) / k
-        rk = rk * rho
-        acc += gk * rk * c
+    a, b, h = _zonal_coefficients(dim, 1 << kmax.bit_length())
+    c = rho ** np.arange(1.0, kmax + 1.0)
+    c *= gam[1:]
+    c *= h[1:kmax + 1]
+    y2, y1 = 0.0, 1.0
+    for ak, bk, ck in zip(memoryview(a[1:kmax + 1] * t), memoryview(b)[1:kmax + 1], memoryview(c)):
+        y2, y1 = y1, ak * y1 - bk * y2
+        acc += ck * y1
     return acc
+
+
+@lru_cache(maxsize=32)
+def _zonal_coefficients(dim, size):
+    """(a, b, h), read-only arrays over the degrees k < size, for dimension
+    n = dim >= 3: the recurrence of the zonal harmonics normalized at the
+    pole, Y_k = Z_k / h_k,
+
+        Y_k = a_k t Y_{k-1} - b_k Y_{k-2},  Y_0 = 1,  Y_1 = t,
+
+    and h_k = Z_k(1), the dimension of the degree-k spherical harmonics.
+    Y_k = C_k^lam(t) / C_k^lam(1) for the Gegenbauer polynomials, lam =
+    (n-2)/2, so their recurrence (Axler, Bourdon & Ramey, Harmonic Function
+    Theory, ch. 5; DLMF 18.9.1) gives
+
+        a_k = (2k+n-4)/(k+n-3),  b_k = (k-1)/(k+n-3) = a_k - 1.
+
+    b_k is formed as a_k - 1, which is exact since 1 <= a_k < 2, so the
+    rounded coefficients keep a_k - b_k = 1: Y_k(+-1) = (+-1)^k exactly,
+    and no rounding of a coefficient shifts the double root the recurrence
+    has at t = +-1.  a_1 = 1 and b_1 = 0 start it from Y_0; a_0 = b_0 = 0
+    are unused.  h_k = (2k+n-2) C(k+n-3, n-3) / (n-2) is formed through the
+    integers (2k+n-2) C(k+j, j), j = 1..n-3, each exact below 2^53.
+
+    Callers ask for the first power of two above their top degree kmax,
+    `1 << kmax.bit_length()`, so every kmax below that power shares one
+    cache entry.
+    """
+    ks = np.arange(float(size))
+    a = np.zeros(size)
+    a[1:] = (2.0 * ks[1:] + dim - 4.0) / (ks[1:] + dim - 3.0)
+    b = a - 1.0
+    b[0] = 0.0
+    h = 2.0 * ks + dim - 2.0
+    for j in range(1, dim - 2):
+        h *= ks + j
+        h /= j
+    h /= dim - 2.0
+    for v in (a, b, h):
+        v.flags.writeable = False
+    return a, b, h
 
 
 def zonal_table(kmax, u, dim):
@@ -79,16 +139,17 @@ def zonal_table(kmax, u, dim):
     product u[j]: P[k, j] = Z_k(zeta, eta_j), degrees 0..kmax.
 
     Row 0 is 1.  Dimension 2 rows are 2 T_k(u), with the Chebyshev
-    recurrence of series_point; higher dimensions use its Gegenbauer
-    recurrence with parameter (dim-2)/2.
+    recurrence of series_point; higher dimensions run the recurrence of
+    _zonal_coefficients on the normalized Y_k, each row formed in place
+    from the two above it, and scale row k by h_k at the end.
     """
     m = u.shape[0]
     out = np.empty((kmax + 1, m))
     out[0] = 1.0
     if kmax == 0:
         return out
-    cm1 = np.ones(m)
     if dim == 2:
+        cm1 = np.ones(m)
         c = u
         out[1] = 2.0 * c
         u2 = 2.0 * u
@@ -96,12 +157,16 @@ def zonal_table(kmax, u, dim):
             cm1, c = c, u2 * c - cm1
             out[k] = 2.0 * c
         return out
-    lam = 0.5 * (dim - 2.0)
-    c = 2.0 * lam * u
-    out[1] = (dim / (dim - 2.0)) * c
-    for k in range(2, kmax + 1):
-        cm1, c = c, (2.0 * u * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * cm1) / k
-        out[k] = ((dim + 2.0 * k - 2.0) / (dim - 2.0)) * c
+    a, b, h = _zonal_coefficients(dim, 1 << kmax.bit_length())
+    out[1] = u
+    scratch = np.empty(m)
+    for k, ak, bk in zip(range(2, kmax + 1), memoryview(a)[2:kmax + 1], memoryview(b)[2:kmax + 1]):
+        row = out[k]
+        np.multiply(u, ak, out=row)
+        row *= out[k - 1]
+        np.multiply(out[k - 2], bk, out=scratch)
+        row -= scratch
+    out *= h[:kmax + 1, None]
     return out
 
 

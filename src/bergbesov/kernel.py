@@ -13,7 +13,10 @@ spherical harmonic space.  The certificate is monotone in the degree, so
 truncation_degree finds K by a galloping and bisecting search over single
 degrees, each checked in closed form from log-gamma values, from a
 Newton estimate of K: usually two checks, and at most a few dozen, however
-large K is.
+large K is.  What the checks read of the order alone (the estimate's
+constants, log (n-2)! and the constant halves of the paired log-Pochhammer
+ratios) is formed once per (alpha, dim) by _order_constants, and the
+certifying degree's log gamma_K serves the overflow check.
 
 Three families have elementary closed forms (Axler, Bourdon & Ramey,
 Harmonic Function Theory, ch. 8), and kernel_eval and kernel_eval_batch
@@ -44,6 +47,7 @@ inside kernel_eval, which would cost every call.
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import KernelDivergenceError, TruncationLimitError, _check_finite, _check_int
 
@@ -211,80 +215,126 @@ def _log_rising(x, d):
             + (1.0 / y - 1.0 / x) / 12.0 - (y**-3 - x**-3) / 360.0)
 
 
-def _log_pochhammer_ratio(p, q, k):
-    """log((p)_k / (q)_k) for p, q > 0.
+def _log_pochhammer_ratio(ratio, k):
+    """log((p)_k / (q)_k) for p, q > 0, ratio = (p, q, p - q, const) from
+    _order_constants.
 
     Both of its forms as differences of _log_rising are exact; the one
     taken keeps every term small.  Where |p - q| <= k it pairs the Gamma
     values at p + k and q + k, which are large and close, instead of
-    subtracting log (q)_k, of size k log k, from log (p)_k."""
-    if abs(p - q) <= k:
-        return _log_rising(q + k, p - q) - _log_rising(q, p - q)
+    subtracting log (q)_k, of size k log k, from log (p)_k; the other half
+    of that pair, _log_rising(q, p - q), does not depend on k and is const."""
+    p, q, d, const = ratio
+    if abs(d) <= k:
+        return _log_rising(q + k, d) - const
     return _log_rising(p, k) - _log_rising(q, k)
 
 
-def _tail_ratio(k, t, alpha, dim):
+def _tail_ratio(k, t, order):
     """rho_k = t g_k h_{k+1}/h_k, the certified ratio of the tail past
-    degree k >= 1: g_k = (k+1)/(k+n/2) on the factorial branch and
-    max(1, (a+k)/(n/2+k)) on the reproducing branch (a = 1 + n/2 + alpha)
-    bound every later coefficient ratio gamma_{j+1}/gamma_j, and h_{k+1}/h_k
-    every later ratio of harmonic dimensions.  Each factor, and so rho_k,
-    is nonincreasing in k."""
-    n2 = 0.5 * dim
+    degree k >= 1 for the _Order order: g_k = (k+1)/(k+n/2) on the factorial
+    branch and max(1, (a+k)/(n/2+k)) on the reproducing branch (a = 1 + n/2
+    + alpha) bound every later coefficient ratio gamma_{j+1}/gamma_j, and
+    h_{k+1}/h_k every later ratio of harmonic dimensions.  Each factor, and
+    so rho_k, is nonincreasing in k."""
+    dim, n2 = order.dim, order.n2
     # h_k = (2k+n-2) (k+n-3)! / (k! (n-2)!)
     hr = (2.0 * k + dim) * (k + dim - 2.0) / ((2.0 * k + dim - 2.0) * (k + 1.0))
-    if _uses_factorial_branch(alpha, dim):
+    if order.factorial:
         g = (k + 1.0) / (k + n2)
     else:
-        g = max(1.0, (1.0 + n2 + alpha + k) / (n2 + k))
+        g = max(1.0, (order.a + k) / (n2 + k))
     return t * g * hr
 
 
-def _log_gamma_coef(k, alpha, dim):
-    """log gamma_k(alpha), from the Pochhammer ratios that define it."""
+@dataclass(frozen=True)
+class _Order:
+    """What truncation_degree's arithmetic reads of an order (alpha, dim)
+    alone, formed once per order by _order_constants.
+
+    n2 = n/2; factorial tells the coefficient branch; a = 1 + n/2 + alpha.
+    ratios holds (p, q, p - q, _log_rising(q, p - q)) for each Pochhammer
+    ratio (p)_k/(q)_k of gamma_k: (a, n/2) on the reproducing branch,
+    (1, 1 - (n/2 + alpha)) and (1, n/2) on the factorial one.  Its last
+    entry is None where |p - q| > MAX_DEGREE: no degree the search checks
+    pairs the Gamma values there, and it may not be finite.  log_fact =
+    lgamma(n - 1) = log (n-2)!, of h_k.  newton is the (exponent, constant)
+    of _degree_estimate's large-k form, None where lgamma overflows."""
+
+    dim: int
+    n2: float
+    factorial: bool
+    a: float
+    ratios: tuple
+    log_fact: float
+    newton: tuple
+
+
+@lru_cache(maxsize=1024)
+def _order_constants(alpha, dim):
+    """The _Order of (alpha, dim).  Each constant is the expression that
+    formed it at every degree before, so every sum it enters rounds as it
+    did."""
     n2 = 0.5 * dim
-    if _uses_factorial_branch(alpha, dim):
-        return _log_pochhammer_ratio(1.0, 1.0 - (n2 + alpha), k) + _log_pochhammer_ratio(1.0, n2, k)
-    return _log_pochhammer_ratio(1.0 + n2 + alpha, n2, k)
+    factorial = _uses_factorial_branch(alpha, dim)
+    big_a, a = 1.0 - (n2 + alpha), 1.0 + n2 + alpha
+    pairs = ((1.0, big_a), (1.0, n2)) if factorial else ((a, n2),)
+    ratios = tuple((p, q, p - q, _log_rising(q, p - q) if abs(p - q) <= MAX_DEGREE else None)
+                   for p, q in pairs)
+    log_fact = math.lgamma(dim - 1.0)
+    try:
+        if factorial:
+            expo, const = 2.0 - big_a - n2, math.lgamma(big_a) + math.lgamma(n2)
+        else:
+            expo, const = a - n2, math.lgamma(n2) - math.lgamma(a)
+        # h_k ~ 2 k^{n-2} / (n-2)!
+        newton = (expo + dim - 2.0, const + math.log(2.0) - log_fact)
+    except OverflowError:  # |alpha| above about 2.5e305
+        newton = None
+    return _Order(dim, n2, factorial, a, ratios, log_fact, newton)
 
 
-def _certifies(k, t, log_t, log_tol, alpha, dim):
+def _log_gamma_coef(k, order):
+    """log gamma_k(alpha), from the Pochhammer ratios that define it."""
+    ratios = order.ratios
+    if order.factorial:
+        return _log_pochhammer_ratio(ratios[0], k) + _log_pochhammer_ratio(ratios[1], k)
+    return _log_pochhammer_ratio(ratios[0], k)
+
+
+def _certifies(k, t, log_t, log_tol, order):
     """The truncation certificate at first omitted degree k >= 1:
 
         rho_k < 1  and  gamma_k h_k t^k <= tol (1 - rho_k),
 
     rho_k the tail ratio of _tail_ratio.  The first omitted term is
     compared in logs, from log-gamma values, so no coefficient is formed.
+    Returns log gamma_k where the certificate holds, None where it fails.
     """
-    rho = _tail_ratio(k, t, alpha, dim)
+    rho = _tail_ratio(k, t, order)
     if not rho < 1.0:
-        return False
+        return None
     # h_k = (2k+n-2) (k+1)_{n-3} / (n-2)!
-    log_h = math.log(2.0 * k + dim - 2.0) + _log_rising(k + 1.0, dim - 3.0) - math.lgamma(dim - 1.0)
-    return _log_gamma_coef(k, alpha, dim) + log_h + k * log_t <= log_tol + math.log(1.0 - rho)
+    dim = order.dim
+    log_h = math.log(2.0 * k + dim - 2.0) + _log_rising(k + 1.0, dim - 3.0) - order.log_fact
+    log_gamma = _log_gamma_coef(k, order)
+    if log_gamma + log_h + k * log_t <= log_tol + math.log(1.0 - rho):
+        return log_gamma
+    return None
 
 
-def _degree_estimate(t, log_t, log_tol, alpha, dim):
+def _degree_estimate(t, log_t, log_tol, order):
     """A starting degree for the search: where the first omitted term
     meets tol (1 - rho_k) with gamma_k h_k replaced by its large-k form
     C k^E, by Newton steps from log(tol)/log(t), each doubling the degree
     instead while the terms still grow, until a step is below 1/2 (at most
     eight)."""
-    n2 = 0.5 * dim
     k = max(1.0, log_tol / log_t)
-    try:
-        if _uses_factorial_branch(alpha, dim):
-            big_a = 1.0 - (n2 + alpha)
-            expo, const = 2.0 - big_a - n2, math.lgamma(big_a) + math.lgamma(n2)
-        else:
-            a = 1.0 + n2 + alpha
-            expo, const = a - n2, math.lgamma(n2) - math.lgamma(a)
-    except OverflowError:  # |alpha| above about 2.5e305
+    if order.newton is None:
         return k
-    # h_k ~ 2 k^{n-2} / (n-2)!
-    expo, const = expo + dim - 2.0, const + math.log(2.0) - math.lgamma(dim - 1.0)
+    expo, const = order.newton
     for _ in range(8):
-        rho = _tail_ratio(k, t, alpha, dim)
+        rho = _tail_ratio(k, t, order)
         slope = log_t + expo / k
         if rho < 1.0 and slope < 0.0:
             step = (expo * math.log(k) + const + k * log_t - log_tol - math.log(1.0 - rho)) / slope
@@ -341,20 +391,22 @@ def truncation_degree(spec, rx, ry, cap=None):
         raise KernelDivergenceError(f"|x||y| = {t} >= 1: series does not converge")
     if t == 0.0:
         return 0
-    alpha, dim, tol = spec.alpha, spec.dim, spec.tol
+    alpha, tol = spec.alpha, spec.tol
+    order = _order_constants(alpha, spec.dim)
     last = MAX_DEGREE if cap is None else min(int(cap), MAX_DEGREE)
     log_t, log_tol = math.log(t), math.log(tol)
     # the first certifying degree lies in (fail, hit]: fail = 0 while no
     # failing degree is known, hit = last + 1 while no certifying one is.
     # Gallop from the estimate by doubling steps, then bisect
     fail, hit = 0, last + 1
-    k = min(last, math.ceil(_degree_estimate(t, log_t, log_tol, alpha, dim)))
+    k = min(last, math.ceil(_degree_estimate(t, log_t, log_tol, order)))
     step = 1
     while hit - fail > 1:
-        if _certifies(k, t, log_t, log_tol, alpha, dim):
-            hit = k
-        else:
+        log_gamma = _certifies(k, t, log_t, log_tol, order)
+        if log_gamma is None:
             fail = k
+        else:
+            hit, hit_log_gamma = k, log_gamma
         if hit > last:
             k = min(fail + step, last)
         elif fail == 0:
@@ -363,14 +415,14 @@ def truncation_degree(spec, rx, ry, cap=None):
             k = (fail + hit) // 2
         step *= 2
     if hit <= last:
-        if _log_gamma_coef(hit, alpha, dim) >= _LOG_MAX_FLOAT:
+        if hit_log_gamma >= _LOG_MAX_FLOAT:
             raise TruncationLimitError(
                 f"coefficient gamma_{hit}({alpha}) at the first omitted degree overflows a "
                 f"double: the kernel series cannot be certified in floating point (t={t})"
             )
         return hit - 1
     if last < MAX_DEGREE:
-        if last > 0 and _log_gamma_coef(last, alpha, dim) >= _LOG_MAX_FLOAT:
+        if last > 0 and _log_gamma_coef(last, order) >= _LOG_MAX_FLOAT:
             raise TruncationLimitError(
                 f"coefficient gamma_{last}({alpha}) at the cap overflows a double: the "
                 f"capped kernel series cannot be summed in floating point (t={t})"

@@ -353,38 +353,47 @@ def _default_outer(inner):
 
 def _image_norm(g, q, beta, rule, dim, t):
     """besov_norm of g = (b, c, f) for finite q, bloch_norm at q = inf: the
-    image of f read with the weight w = beta + q t (beta + t at q = inf)."""
+    image of f read with the weight w = beta + q t (beta + t at q = inf).
+
+    rule is a BallQuadrature, which fixes the dimension, None for the
+    default inner rule, or a function of the dimension that builds one,
+    called only where the value reads a rule.  Returns the NormResult and
+    the rule it read: None for a radial input, and for an expansion whose
+    image diverges, is a constant, or is summed over its degrees at q = 2.
+    """
     b, c, f = g
     b, c = _check_finite("b", b), _check_finite("c", c)
     beta = _check_finite("beta", beta)
     t, w = _smoothing_order(beta, q, t)
     f = _parse_text(f)
-    if rule is None and dim is None and not isinstance(f, HarmonicExpansion):
+    fixed = isinstance(rule, BallQuadrature)
+    if not fixed and dim is None and not isinstance(f, HarmonicExpansion):
         raise ValueError("pass rule= or dim= to fix the ambient dimension")
-    n = rule.dim if rule is not None else _check_int("dim", dim, 2) if dim is not None else f.dim
+    n = rule.dim if fixed else _check_int("dim", dim, 2) if dim is not None else f.dim
     h = _ball_input(f, n)
     if isinstance(h, TestFunction):
-        return _radial_norm(b, c, h, q, beta, n, t)
-    inner = rule if rule is not None else _default_inner(n)
-    outer = _default_outer(inner)
-    if isinstance(h, HarmonicExpansion):
+        return _radial_norm(b, c, h, q, beta, n, t), None
+    expansion = isinstance(h, HarmonicExpansion)
+    if expansion:
         image = transform(b, c + t, h)
         if image is None:
-            return NormResult(math.inf, c, t, True)
+            return NormResult(math.inf, c, t, True), None
         const = _constant(image)
         if const is not None:
-            return NormResult(_constant_norm(const, q, beta, w, n), c, t, False)
-        if q == 2.0:
-            raw = square_integral(image, w)
-        else:
-            raw = _weighted_norm(partial(_on_polar_grid, partial(evaluate_many, image)), q, w, outer)
+            return NormResult(_constant_norm(const, q, beta, w, n), c, t, False), None
+    if expansion and q == 2.0:
+        raw, inner = square_integral(image, w), None
     else:
-        polar = partial(_image_polar, b, h, kspec=KernelSpec(c + t, n), rule=inner)
-        raw = _weighted_norm(polar, q, w, outer)
+        inner = rule if fixed else (rule or _default_inner)(n)
+        if expansion:
+            values = partial(_on_polar_grid, partial(evaluate_many, image))
+        else:
+            values = partial(_image_polar, b, h, kspec=KernelSpec(c + t, n), rule=inner)
+        raw = _weighted_norm(values, q, w, _default_outer(inner))
     if not math.isfinite(raw):
-        return NormResult(math.inf, c, t, True)
+        return NormResult(math.inf, c, t, True), inner
     value = raw if q == math.inf else (raw / _v_or_one(beta, n)) ** (1.0 / q)
-    return NormResult(float(value), c, t, False)
+    return NormResult(float(value), c, t, False), inner
 
 
 def besov_norm(g, q, beta, rule=None, dim=None, t=None):
@@ -406,7 +415,7 @@ def besov_norm(g, q, beta, rule=None, dim=None, t=None):
     rule's, else dim (an integer >= 2), else an expansion's own (JSON text
     is parsed for it).  b, c and beta must be finite.
     """
-    return _image_norm(g, _besov_exponent(q), beta, rule, dim, t)
+    return _image_norm(g, _besov_exponent(q), beta, rule, dim, t)[0]
 
 
 def bloch_norm(g, beta, rule=None, dim=None, t=None):
@@ -421,4 +430,4 @@ def bloch_norm(g, beta, rule=None, dim=None, t=None):
     peaks at 1 at the origin), and otherwise its sup on the grid.  rule and
     the dimension are as in besov_norm.  b, c and beta must be finite.
     """
-    return _image_norm(g, math.inf, beta, rule, dim, t)
+    return _image_norm(g, math.inf, beta, rule, dim, t)[0]

@@ -124,6 +124,7 @@ def test_kernel_both_points_on_sphere_is_input_error():
 
 ONE_TERM = '{"dim":2,"terms":[{"k":1,"y":[0.5,0],"c":1}]}'
 APPLY = ("apply", "--b", "0", "--c", "0")
+DEGREE_ZERO = '{"dim":3,"terms":[{"k":0,"y":[0.5,0,0],"c":2}]}'
 # id: (arguments, a fragment the error line must hold)
 MALFORMED = {
     # a kernel series that cannot be certified below MAX_DEGREE
@@ -320,6 +321,36 @@ def test_kernel_certifies_once_and_prints_the_fixture(args, monkeypatch, capsys)
     assert len(calls) == 1
 
 
+def test_kernel_series_fixture_matches_mpmath():
+    # the dim-4 factorial-branch fixture against the kernel series summed in
+    # 40 digits well past its certified degree, at the printed inputs taken
+    # exactly: within tol plus the rounding bound 2 (K+2) eps sum_k gamma_k
+    # h_k (|x||y|)^k of any order of summation
+    import mpmath
+
+    args = next(a for a in KERNEL_STDOUT if a[1] == "-4.5")
+    out = json.loads(KERNEL_STDOUT[args])
+    alpha, n, tol, kmax = out["alpha"], out["dim"], out["tol"], out["truncation_degree"]
+    with mpmath.workdps(40):
+        x, y = [mpmath.mpf(v) for v in out["x"]], [mpmath.mpf(v) for v in out["y"]]
+        rho = mpmath.sqrt(mpmath.fsum(v * v for v in x) * mpmath.fsum(v * v for v in y))
+        t = mpmath.fsum(a * b for a, b in zip(x, y)) / rho
+        half, big_a, lam = mpmath.mpf(n) / 2, 1 - (mpmath.mpf(n) / 2 + alpha), mpmath.mpf(n - 2) / 2
+        gam, total, scale = mpmath.mpf(1), mpmath.mpf(1), mpmath.mpf(1)
+        cm1, c = mpmath.mpf(1), 2 * lam * t
+        for k in range(1, 4 * kmax):
+            if k >= 2:
+                cm1, c = c, (2 * t * (k + lam - 1) * c - (k + 2 * lam - 2) * cm1) / k
+            # the factorial branch: gamma_k = (k!)^2 / ((1-(n/2+alpha))_k (n/2)_k)
+            gam *= mpmath.mpf(k) ** 2 / ((big_a + k - 1) * (half + k - 1))
+            total += gam * rho**k * (k + lam) / lam * c
+            if k <= kmax:
+                scale += gam * (k + 1) ** 2 * rho**k  # h_k = (k+1)^2 in dimension 4
+        rounding = 2 * (kmax + 2) * sys.float_info.epsilon * scale
+        assert abs(out["value"] - total) <= tol + rounding
+        assert n == 4 and abs(out["value"] - total) <= 1e-13
+
+
 def test_apply_constant_function():
     out = run_json("apply", "--b", "0", "--c", "0", "--f", "const1", "--x", "0.4,0.2")
     assert out["divergent"] is False
@@ -374,7 +405,12 @@ def test_apply_takes_no_rule_flags(flag):
      "a radial input takes no"),
     (("norm", "--f", ONE_TERM, "--p", "2", "--alpha", "0.5"),
      "the p = 2 norm of an expansion takes no"),
-], ids=["source-radial", "image-besov-radial", "image-bloch-radial", "source-p2-expansion"])
+    (("norm", "--b", "0", "--c", "0", "--f", ONE_TERM, "--q", "2"), "this image norm takes no"),
+    (("norm", "--b", "0.5", "--c", "0", "--f", DEGREE_ZERO, "--q", "3"), "this image norm takes no"),
+    (("norm", "--b", "-1.5", "--c", "0", "--f", ONE_TERM, "--target", "bloch"),
+     "this image norm takes no"),
+], ids=["source-radial", "image-besov-radial", "image-bloch-radial", "source-p2-expansion",
+        "image-q2-expansion", "image-degree0-expansion", "image-divergent-expansion"])
 @pytest.mark.parametrize("flag", ["--radial-nodes", "--sphere-nodes"])
 def test_norm_refuses_rule_flags_where_no_rule_is_read(args, fragment, flag):
     # the value and the echo are those without the flag, which is refused
@@ -386,6 +422,36 @@ def test_norm_refuses_rule_flags_where_no_rule_is_read(args, fragment, flag):
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith(f"error: {fragment} {flag} (")
         assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("--b", "0", "--c", "0", "--f", ONE_TERM, "--q", "2"),
+    ("--b", "0.5", "--c", "0", "--f", DEGREE_ZERO, "--q", "3"),
+    ("--b", "0.5", "--c", "0", "--f", DEGREE_ZERO, "--target", "bloch", "--beta", "1"),
+    ("--b", "-1.5", "--c", "0", "--f", ONE_TERM, "--q", "1.5"),
+    ("--b", "0", "--c", "0", "--f", ONE_TERM, "--q", "3"),
+    ("--b", "0.5", "--c", "0.25", "--f", ONE_TERM, "--target", "bloch"),
+], ids=["q2", "degree0-besov", "degree0-bloch", "divergent", "q3", "bloch"])
+def test_image_norms_of_expansions_echo_the_rule_they_read(args):
+    # the value, s, t and divergent are the operators' by repr; "rule" is
+    # the default rule where the image is read on a grid, and null where
+    # its norm is exact (q = 2, a constant image, a divergent one)
+    from bergbesov.operators import _image_norm, besov_norm, bloch_norm
+
+    out = run_json("norm", *args)
+    b, c, f = float(args[1]), float(args[3]), args[5]
+    beta = out["beta"]
+    if out["target"] == "bloch":
+        res = bloch_norm((b, c, f), beta, dim=out["dim"])
+        q = math.inf
+    else:
+        q = out["q"]
+        res = besov_norm((b, c, f), q, beta, dim=out["dim"])
+    assert {k: out[k] for k in ("value", "s", "t", "divergent")} == res.to_dict()
+    read = _image_norm((b, c, f), q, beta, None, out["dim"], None)[1]
+    exact = args[-1] == "2" or f == DEGREE_ZERO or b <= -1.0
+    assert (read is None) is exact
+    assert out["rule"] == (None if exact else read.describe())
 
 
 def test_image_norms_of_radial_inputs_echo_no_rule():
@@ -468,16 +534,19 @@ THREE_DIM = '{"dim":3,"terms":[{"k":1,"y":[0.5,0,0],"c":1}]}'
 @pytest.mark.parametrize("mode", [("--b", "0.5", "--c", "0.25", "--q", "2"), ("--p", "2")],
                          ids=["image", "source"])
 def test_norm_takes_the_dimension_of_expansion_json(mode):
-    # Z_1(x, e_1/2) = 1.5 x_1 in dim 3.  The image norm builds its rule in
-    # that dim; the source p = 2 norm reads no rule, and its weight's
-    # normalization V_alpha is the dim-3 one
+    # Z_1(x, e_1/2) = 1.5 x_1 in dim 3.  The image norm at q = 2 and the
+    # source p = 2 norm read no rule; at q = 3 the image norm builds its
+    # rule in that dim.  The source norm's weight normalization V_alpha is
+    # the dim-3 one
     from bergbesov.expansion import from_json, square_integral, transform
     from bergbesov.quadrature import normalization_V
 
     exp = from_json(THREE_DIM)
     if mode[0] == "--b":
         out = run_json("norm", "--f", THREE_DIM, *mode)
-        assert out["dim"] == 3 and out["rule"]["dim"] == 3
+        assert out["dim"] == 3 and out["rule"] is None
+        cubic = run_json("norm", "--f", THREE_DIM, *mode[:-1], "3")
+        assert cubic["dim"] == 3 and cubic["rule"] == {"dim": 3, "radial_nodes": 48, "sphere_nodes": 48}
         want = math.sqrt(square_integral(transform(0.5, 0.25, exp), 0.0))
     else:
         out = run_json("norm", "--f", THREE_DIM, *mode, "--alpha", "0.5")

@@ -388,7 +388,8 @@ def test_tail_ratio_is_nonincreasing(k, alpha, dim, t):
     # the search relies on it: with rho_k nonincreasing, every degree past
     # the first that certifies also certifies.  Both branches: the
     # factorial one for alpha <= -(1 + n/2)
-    rho = [kernel._tail_ratio(j, t, alpha, dim) for j in (k, k + 1, 2 * k)]
+    order = kernel._order_constants(alpha, dim)
+    rho = [kernel._tail_ratio(j, t, order) for j in (k, k + 1, 2 * k)]
     assert rho[1] <= rho[0] * (1.0 + 4.0 * np.finfo(float).eps)
     assert rho[2] <= rho[0] * (1.0 + 4.0 * np.finfo(float).eps)
 
@@ -592,15 +593,19 @@ def test_kernel_diagonal_positive(alpha, r, dim):
 
 def _series_array(gam, rho, t, dim):
     # the zonal recurrence run on node arrays, at one node: an independent
-    # form of series_point's sum, with the same expressions in the same order
+    # form of series_point's sum, with the same expressions in the same
+    # order.  Above dimension 2 it forms the coefficients of the normalized
+    # zonal harmonics Y_k = Z_k / h_k degree by degree on Python floats,
+    # a_k = (2k+n-4)/(k+n-3), b_k = a_k - 1 and h_k through the integers
+    # (2k+n-2) C(k+j, j), and weights Y_k by rho^k gamma_k h_k
     rho, cost = np.array([rho]), np.array([t])
     kmax = gam.shape[0] - 1
     acc = np.full(rho.shape, gam[0])
     if kmax == 0:
         return acc[0]
-    cm1 = np.ones_like(cost)
-    rk = rho.copy()
     if dim == 2:
+        cm1 = np.ones_like(cost)
+        rk = rho.copy()
         c = cost.copy()
         acc += gam[1] * 2.0 * rk * c
         for k in range(2, kmax + 1):
@@ -608,13 +613,17 @@ def _series_array(gam, rho, t, dim):
             rk = rk * rho
             acc += gam[k] * 2.0 * rk * c
         return acc[0]
-    lam = 0.5 * (dim - 2.0)
-    c = 2.0 * lam * cost
-    acc += gam[1] * (dim / (dim - 2.0)) * rk * c
-    for k in range(2, kmax + 1):
-        cm1, c = c, (2.0 * cost * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * cm1) / k
-        rk = rk * rho
-        acc += gam[k] * ((dim + 2.0 * k - 2.0) / (dim - 2.0)) * rk * c
+    powers = rho[0] ** np.arange(1.0, kmax + 1.0)
+    y2, y1 = np.zeros_like(cost), np.ones_like(cost)
+    for k in range(1, kmax + 1):
+        a = (2.0 * k + dim - 4.0) / (k + dim - 3.0)
+        b = a - 1.0
+        h = 2.0 * k + dim - 2.0
+        for j in range(1, dim - 2):
+            h = h * (k + j) / j
+        h = h / (dim - 2.0)
+        y2, y1 = y1, (a * cost) * y1 - b * y2
+        acc += (powers[k - 1] * gam[k]) * h * y1
     return acc[0]
 
 
@@ -798,6 +807,87 @@ def _disk_series_mp(alpha, xi, yi, kmax):
         gam *= (alpha + 1 + k) / mpmath.mpf(k)
         total += gam * 2 * mpmath.cos(k * theta) * rho**k
     return total
+
+
+def _gegenbauer_series_point(gam, rho, t, dim):
+    # the dimension >= 3 loop that series_point ran before the normalized
+    # recurrence: Gegenbauer C_k^lam, lam = (n-2)/2, rescaled to Z_k term by
+    # term, with rho^k by repeated multiplication.  A reference that must
+    # meet the same rounding bound
+    kmax = gam.shape[0] - 1
+    acc = float(gam[0])
+    if kmax == 0:
+        return acc
+    lam = 0.5 * (dim - 2.0)
+    cm1, c, rk = 1.0, 2.0 * lam * t, rho
+    acc += float(gam[1]) * (dim / (dim - 2.0)) * rk * c
+    for k in range(2, kmax + 1):
+        cm1, c = c, (2.0 * t * (k + lam - 1.0) * c - (k + 2.0 * lam - 2.0) * cm1) / k
+        rk = rk * rho
+        acc += float(gam[k]) * ((dim + 2.0 * k - 2.0) / (dim - 2.0)) * rk * c
+    return acc
+
+
+def _mp_gegenbauer_sum(gam, rho, ts, dim):
+    """sum_k gam[k] rho^k Z_k(t) in 40 digits for each t of ts, the float
+    coefficients, rho and t taken exactly, Z_k = ((k+lam)/lam) C_k^lam(t)
+    from the Gegenbauer recurrence (DLMF 18.9.1)."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(dim - 2) / 2
+        out = []
+        for t in ts:
+            t = mpmath.mpf(t)
+            cm1, c, rk = mpmath.mpf(1), 2 * lam * t, mpmath.mpf(1)
+            total = mpmath.mpf(float(gam[0]))
+            for k in range(1, gam.shape[0]):
+                if k >= 2:
+                    cm1, c = c, (2 * t * (k + lam - 1) * c - (k + 2 * lam - 2) * cm1) / k
+                rk *= mpmath.mpf(rho)
+                total += mpmath.mpf(float(gam[k])) * rk * (k + lam) / lam * c
+            out.append(total)
+        return out
+
+
+ROUNDING_TS = (1.0, -1.0, 1.0 - 1e-7, -1.0 + 1e-7, 0.0, 0.3)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+def test_dimension_3_up_series_meet_the_rounding_bound(dim):
+    # series_point, zonal_series over zonal_table rows, and the Gegenbauer
+    # loop they replaced, against the 40-digit sum of the same float
+    # coefficients, at the certified degree of |x||y| = rho: K from about
+    # 40 to about 2 500, at the poles, an ulp-scale step inside them, the
+    # equator and a generic angle.  The rounding bound 2 (K+2) eps
+    # sum_k gamma_k h_k rho^k allows every order of summation
+    for alpha, rho in ((-4.5, 0.5), (1.7, 0.9), (0.4, 0.97), (1.7, 0.976)):
+        spec = KernelSpec(alpha, dim)
+        kmax = truncation_degree(spec, math.sqrt(rho), math.sqrt(rho))
+        gam = gamma_coefs(kmax, alpha, dim)
+        bound = _rounding_bound(spec, rho, kmax)
+        wants = _mp_gegenbauer_sum(gam, rho, ROUNDING_TS, dim)
+        table = _accel.zonal_series(gam, np.full(len(ROUNDING_TS), rho), np.array(ROUNDING_TS), dim)
+        for t, want, batch in zip(ROUNDING_TS, wants, table.tolist()):
+            case = (alpha, rho, kmax, t)
+            assert abs(_accel.series_point(gam, rho, t, dim) - want) <= bound, case
+            assert abs(batch - want) <= bound, case
+            assert abs(_gegenbauer_series_point(gam, rho, t, dim) - want) <= bound, case
+    assert kmax > 2000
+
+
+def test_normalized_zonal_rows_are_exact_at_the_poles():
+    # a_k - b_k = 1 in floats, so Y_k(+-1) = (+-1)^k exactly at every
+    # degree: the rows at u = +-1 are +-h_k, whose integers are exact
+    # below 2^53
+    for dim in (3, 4, 5, 8):
+        kmax = 3000
+        table = _accel.zonal_table(kmax, np.array([1.0, -1.0]), dim)
+        h = [float(math.comb(dim + k - 1, dim - 1) - math.comb(dim + k - 3, dim - 1)) for k in range(kmax + 1)]
+        h[0] = 1.0
+        signs = [(-1.0) ** k for k in range(kmax + 1)]
+        exact = [k for k in range(kmax + 1) if (2 * k + dim) * h[k] < 2.0**53]
+        assert len(exact) > 100
+        for k in exact:
+            assert table[k, 0] == h[k] and table[k, 1] == signs[k] * h[k], (dim, k)
 
 
 def test_disk_zonal_series_is_as_accurate_as_series_point_near_the_boundary():

@@ -189,6 +189,86 @@ def test_truncation_degree_evaluates_logarithmically_many_degrees(dim, alpha, t,
     assert max(degrees) <= kernel.MAX_DEGREE
 
 
+def test_the_certificate_forms_each_orders_constants_once(monkeypatch):
+    # one _order_constants entry per (alpha, dim), however many products
+    # are certified; log gamma_k is formed once per degree checked whose
+    # tail ratio is below 1, and the certifying degree's value is reused by
+    # the overflow check
+    kernel = importlib.import_module("bergbesov.kernel")
+    kernel._order_constants.cache_clear()
+    logs = []
+    log_gamma = kernel._log_gamma_coef
+
+    def counted(k, order):
+        logs.append(k)
+        return log_gamma(k, order)
+
+    monkeypatch.setattr(kernel, "_log_gamma_coef", counted)
+    checked = []
+    certifies = kernel._certifies
+    monkeypatch.setattr(kernel, "_certifies", lambda k, *a: checked.append(k) or certifies(k, *a))
+    def below_one(t, alpha, dim):
+        order = kernel._order_constants(alpha, dim)
+        return [k for k in checked if kernel._tail_ratio(k, t, order) < 1.0]
+
+    for alpha, dim in ((0.4, 3), (-4.5, 4), (0.0, 5)):
+        spec = kernel.KernelSpec(alpha, dim)
+        for t in (0.3, 0.9, 0.99, 0.999):
+            logs.clear()
+            checked.clear()
+            r = math.sqrt(t)
+            kernel.truncation_degree(spec, r, r)
+            assert logs == below_one(r * r, alpha, dim)
+            assert logs and len(set(checked)) == len(checked)
+    assert kernel._order_constants.cache_info().misses == 3
+    # at a cap below the certified degree the overflow check forms it
+    logs.clear()
+    checked.clear()
+    assert kernel.truncation_degree(kernel.KernelSpec(0.4, 3), 0.99, 0.99, cap=20) == 20
+    assert logs == below_one(0.99 * 0.99, 0.4, 3) + [20]
+
+
+def test_both_zonal_drivers_read_one_coefficient_table(monkeypatch):
+    # series_point and zonal_table take the recurrence of every dimension
+    # >= 3 from _accel._zonal_coefficients, asked once per call at the power
+    # of two above the top degree, and dimension 2 not at all: a table the
+    # helper hands out with b_k moved moves both drivers' values
+    import numpy as np
+
+    accel = importlib.import_module("bergbesov._accel")
+    kernel = importlib.import_module("bergbesov.kernel")
+    table = accel._zonal_coefficients
+    asked = []
+
+    def recording(dim, size):
+        asked.append((dim, size))
+        return table(dim, size)
+
+    monkeypatch.setattr(accel, "_zonal_coefficients", recording)
+    u = np.array([0.3, -0.8, 1.0])
+    for dim in range(2, 9):
+        for kmax in (1, 7, 8, 300):
+            gam = kernel.gamma_coefs(kmax, 0.4, dim)
+            want = [] if dim == 2 else [(dim, 1 << kmax.bit_length())]
+            asked.clear()
+            point = accel.series_point(gam, 0.9, 0.3, dim)
+            assert asked == want
+            asked.clear()
+            rows = accel.zonal_table(kmax, u, dim)
+            assert asked == want
+            if dim == 2 or kmax == 1:  # b_1 = 0 times anything
+                continue
+
+            def moved(dim, size):
+                a, b, h = table(dim, size)
+                return a, b * (1.0 + 1e-6), h
+
+            monkeypatch.setattr(accel, "_zonal_coefficients", moved)
+            assert accel.series_point(gam, 0.9, 0.3, dim) != point
+            assert not np.array_equal(accel.zonal_table(kmax, u, dim)[kmax], rows[kmax])
+            monkeypatch.setattr(accel, "_zonal_coefficients", recording)
+
+
 @pytest.mark.parametrize("alpha, dim", [(-1.0, 3), (0.0, 3), (0.0, 5), (0.7, 2), (-4.5, 2), (1.7, 3), (-4.5, 4)])
 def test_single_pair_takes_the_float_geometry_and_one_series_call(alpha, dim, monkeypatch):
     # kernel_eval and every row of kernel_eval_batch form their geometry on
