@@ -13,18 +13,11 @@ entries; `kernel_eval_batch` makes one such call over its rows.  Every
 node's |x||y| and cosine come from the kernel module's float geometry, the
 same for a pair and for a batch row.
 
-Dimension 2 runs the Chebyshev recurrence.  Every dimension n >= 3 runs
-one recurrence, on the zonal harmonics normalized at the pole, Y_k = Z_k /
-h_k, whose coefficients a_k, b_k and the harmonic dimensions h_k both
-drivers read from `_zonal_coefficients`, computed once per dimension and
-power-of-two length.  Its rounded coefficients keep a_k - b_k = 1, so the
-rows at the poles t = +-1, where x = +-y, are exact; a recurrence on Z_k
-itself, a_k = (2k+n-2)/k, loses that, and at |x||y| = 0.9995, K = 146 383
-its x = y sum was 8e-11 off instead of 1.4e-12.  Per degree `series_point`
-spends five float operations: the recurrence with t folded into a_k, and
-the accumulation with c_k = rho^k gamma_k h_k formed by NumPy.
-`zonal_table` forms each row in place from the two above it and scales the
-rows by h_k once.
+Dimension 2 runs the Chebyshev recurrence; every dimension n >= 3 runs the
+recurrence of the zonal harmonics normalized at the pole, Y_k = Z_k / h_k,
+whose coefficients and h_k both drivers read from `_zonal_coefficients`.
+`series_point` spends five float operations per degree there, and
+`zonal_table` forms each row in place and scales the rows by h_k once.
 """
 
 from functools import lru_cache
@@ -58,14 +51,10 @@ def series_point(gam, rho, t, dim):
     The recurrence runs on Python floats.  Its per-degree factors, which do
     not depend on the running terms, are formed first by NumPy and read back
     as floats through a memoryview; the terms are then accumulated in
-    ascending degree order.  In dimension 2 the Chebyshev recurrence gives
-    cos(k theta).  Above, the normalized zonal harmonics Y_k = Z_k / h_k run
-    the recurrence of _zonal_coefficients with t folded into a_k, and each
-    is weighted by c_k = rho^k gamma_k h_k:
+    ascending degree order.  Above dimension 2 those factors are a_k t and
+    b_k of _zonal_coefficients and c_k = rho^k gamma_k h_k:
 
-        Y_k = (a_k t) Y_{k-1} - b_k Y_{k-2},  acc += c_k Y_k,
-
-    five float operations per degree.
+        Y_k = (a_k t) Y_{k-1} - b_k Y_{k-2},  acc += c_k Y_k.
     """
     kmax = gam.shape[0] - 1
     acc = float(gam[0])
@@ -111,13 +100,17 @@ def _zonal_coefficients(dim, size):
     b_k is formed as a_k - 1, which is exact since 1 <= a_k < 2, so the
     rounded coefficients keep a_k - b_k = 1: Y_k(+-1) = (+-1)^k exactly,
     and no rounding of a coefficient shifts the double root the recurrence
-    has at t = +-1.  a_1 = 1 and b_1 = 0 start it from Y_0; a_0 = b_0 = 0
-    are unused.  h_k = (2k+n-2) C(k+n-3, n-3) / (n-2) is formed through the
-    integers (2k+n-2) C(k+j, j), j = 1..n-3, each exact below 2^53.
+    has at t = +-1, where x = +-y.  The recurrence on Z_k itself, a_k =
+    (2k+n-2)/k, keeps no such identity: at |x||y| = 0.9995 in dimension 3
+    (K = 146 383) its x = y sum was 8e-11 off, this one's 1.4e-12.  a_1 = 1
+    and b_1 = 0 start the recurrence from Y_0; a_0 = b_0 = 0 are unused.
+    h_k = (2k+n-2) C(k+n-3, n-3) / (n-2) is formed through the integers
+    (2k+n-2) C(k+j, j), j = 1..n-3, each exact below 2^53.
 
     Callers ask for the first power of two above their top degree kmax,
     `1 << kmax.bit_length()`, so every kmax below that power shares one
-    cache entry.
+    cache entry; an entry holds at most 3 x 2^18 doubles (6 MB), and the
+    cache at most 32 entries.
     """
     ks = np.arange(float(size))
     a = np.zeros(size)

@@ -34,8 +34,10 @@ would cost more than the rest of a closed-form evaluation.  So at a
 closed-form order the batch returns kernel_eval's value bit for bit
 wherever the pair's own certified degree is positive.  NumPy is left to the
 coefficient tables and the series: a single pair's series runs in
-_accel.series_point, a batch's in one _accel.zonal_series call over its
-rows' cosines, and zonal_harmonic reads a one-column zonal table.
+_accel.series_point on a prefix of its order's coefficient table, formed
+once per order and power-of-two length (_gamma_table), a batch's in one
+_accel.zonal_series call over its rows' cosines, and zonal_harmonic reads
+a one-column zonal table.
 
 NumPy and _accel are imported on first use, by _load_numpy, not with the
 module: the certificate, the closed forms and a pair given as lists or
