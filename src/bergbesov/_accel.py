@@ -26,6 +26,9 @@ import numpy as np
 
 # Entries of one zonal table in zonal_series: 8 MB of float64 per block.
 TABLE_ENTRIES = 2**20
+# Largest length of a cached coefficient table (_zonal_coefficients): the
+# power of two above the kernel's MAX_DEGREE = 200 000.
+CACHED_SIZE = 2**18
 
 
 def series_disk(gam, rho, cost):
@@ -82,8 +85,18 @@ def series_point(gam, rho, t, dim):
     return acc
 
 
-@lru_cache(maxsize=32)
 def _zonal_coefficients(dim, size):
+    """_coefficients(dim, size), the one source of both drivers' dimension
+    >= 3 recurrence: cached where size <= CACHED_SIZE, which holds every
+    degree the kernel certifies (MAX_DEGREE), and formed afresh and freed
+    after the call above it, where callers such as zonal_harmonic and
+    expansions choose the degree."""
+    if size > CACHED_SIZE:
+        return _coefficients(dim, size)
+    return _cached_coefficients(dim, size)
+
+
+def _coefficients(dim, size):
     """(a, b, h), read-only arrays over the degrees k < size, for dimension
     n = dim >= 3: the recurrence of the zonal harmonics normalized at the
     pole, Y_k = Z_k / h_k,
@@ -109,8 +122,8 @@ def _zonal_coefficients(dim, size):
 
     Callers ask for the first power of two above their top degree kmax,
     `1 << kmax.bit_length()`, so every kmax below that power shares one
-    cache entry; an entry holds at most 3 x 2^18 doubles (6 MB), and the
-    cache at most 32 entries.
+    entry of _cached_coefficients; an entry holds at most 3 x CACHED_SIZE
+    doubles (6 MB), and the cache at most 32 entries.
     """
     ks = np.arange(float(size))
     a = np.zeros(size)
@@ -125,6 +138,9 @@ def _zonal_coefficients(dim, size):
     for v in (a, b, h):
         v.flags.writeable = False
     return a, b, h
+
+
+_cached_coefficients = lru_cache(maxsize=32)(_coefficients)
 
 
 def zonal_table(kmax, u, dim):

@@ -40,7 +40,6 @@ import json
 import math
 import numbers
 import sys
-from functools import partial
 
 from .classifier import ExtExponent, OperatorParams, Target, _check_q, _decide, classify
 from .errors import (ConvergenceError, KernelDivergenceError, TruncationLimitError, _check_finite,
@@ -247,6 +246,7 @@ def _cmd_norm(args):
         _refuse_unread(args, "transform-image mode", ("p", "alpha"),
                        "--p and --alpha set the source space")
         beta = _given(args.beta, 0.0)
+        rule = None if isinstance(f, TestFunction) else _build_rule(args, dim)
         target = args.target or ("besov" if args.q is not None else "bloch")
         if target == "besov":
             if args.q is None:
@@ -258,14 +258,12 @@ def _cmd_norm(args):
             q = math.inf
         else:
             raise ValueError(f"norm target must be besov or bloch, got {target!r}")
-        if isinstance(f, TestFunction):
-            result, rule = _radial_norm(args.b, args.c, f, q, beta, dim), None
+        if rule is None:
+            result = _radial_norm(args.b, args.c, f, q, beta, dim)
         else:
             from .operators import _image_norm
 
-            # the rule is built only where the image's norm reads one
-            result, rule = _image_norm((args.b, args.c, f), q, beta, partial(_build_rule, args),
-                                       dim, None)
+            result, rule = _image_norm((args.b, args.c, f), q, beta, rule, dim, None)
             if rule is None:
                 _refuse_unread(args, "this image norm", _RULE_FLAGS,
                                "its image is exact: divergent, constant or summed at q = 2")

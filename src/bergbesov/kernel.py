@@ -34,10 +34,8 @@ would cost more than the rest of a closed-form evaluation.  So at a
 closed-form order the batch returns kernel_eval's value bit for bit
 wherever the pair's own certified degree is positive.  NumPy is left to the
 coefficient tables and the series: a single pair's series runs in
-_accel.series_point on a prefix of its order's coefficient table, formed
-once per order and power-of-two length (_gamma_table), a batch's in one
-_accel.zonal_series call over its rows' cosines, and zonal_harmonic reads
-a one-column zonal table.
+_accel.series_point, a batch's in one _accel.zonal_series call over its
+rows' cosines, and zonal_harmonic reads a one-column zonal table.
 
 NumPy and _accel are imported on first use, by _load_numpy, not with the
 module: the certificate, the closed forms and a pair given as lists or
@@ -80,10 +78,9 @@ _accel = None
 def _load_numpy():
     """Bind the module globals np and _accel, importing them on the first
     call; once they are bound it imports nothing.  Every function that
-    reads either binds them first: gamma_coefs and _as_point, on the path
-    of every series evaluation, call this only while _accel is None, which
-    saves the call, and kernel_eval_degree's series reads them after
-    _gamma_table, whose first call binds them."""
+    reads either binds them first: kernel_eval_degree and gamma_coefs, on
+    the path of every kernel_eval, call this only while _accel is None,
+    which saves the call."""
     global np, _accel
     if _accel is None:
         import numpy
@@ -135,21 +132,6 @@ def gamma_coefs(kmax, alpha, dim):
     out = np.empty(kmax + 1)
     out[0] = 1.0
     np.cumprod(factors, out=out[1:])
-    return out
-
-
-@lru_cache(maxsize=64)
-def _gamma_table(alpha, dim, size):
-    """gamma_coefs(size - 1, alpha, dim), read-only, for kernel_eval's
-    series, which asks for size = `1 << kmax.bit_length()` at degree kmax
-    and reads the first kmax + 1 entries: they equal gamma_coefs(kmax) bit
-    for bit, since the table is a running product.  Entries past the double
-    range, which no caller reads, are inf.  A table holds at most 2^18
-    doubles (2 MB), and most far fewer.  Binds np and _accel."""
-    _load_numpy()
-    with np.errstate(over="ignore"):
-        out = gamma_coefs(size - 1, alpha, dim)
-    out.flags.writeable = False
     return out
 
 
@@ -554,7 +536,7 @@ def kernel_eval_degree(spec, x, y):
         return 1.0, 0
     if has_closed_form(spec):
         return _pair_closed_form(spec, x, rx_sq, y, ry_sq), kmax
-    gam = _gamma_table(spec.alpha, spec.dim, 1 << kmax.bit_length())[:kmax + 1]
+    gam = gamma_coefs(kmax, spec.alpha, spec.dim)  # binds np and _accel
     t = _pair_cosine(x, rx, y, ry)
     return float(_series(gam, np.array([rx * ry]), np.array([t]), spec.dim)[0]), kmax
 

@@ -355,21 +355,19 @@ def _image_norm(g, q, beta, rule, dim, t):
     """besov_norm of g = (b, c, f) for finite q, bloch_norm at q = inf: the
     image of f read with the weight w = beta + q t (beta + t at q = inf).
 
-    rule is a BallQuadrature, which fixes the dimension, None for the
-    default inner rule, or a function of the dimension that builds one,
-    called only where the value reads a rule.  Returns the NormResult and
-    the rule it read: None for a radial input, and for an expansion whose
-    image diverges, is a constant, or is summed over its degrees at q = 2.
+    Returns the NormResult and the inner rule it read (rule, or the default
+    inner rule where rule is None): None for a radial input, and for an
+    expansion whose image diverges, is a constant, or is summed over its
+    degrees at q = 2.
     """
     b, c, f = g
     b, c = _check_finite("b", b), _check_finite("c", c)
     beta = _check_finite("beta", beta)
     t, w = _smoothing_order(beta, q, t)
     f = _parse_text(f)
-    fixed = isinstance(rule, BallQuadrature)
-    if not fixed and dim is None and not isinstance(f, HarmonicExpansion):
+    if rule is None and dim is None and not isinstance(f, HarmonicExpansion):
         raise ValueError("pass rule= or dim= to fix the ambient dimension")
-    n = rule.dim if fixed else _check_int("dim", dim, 2) if dim is not None else f.dim
+    n = rule.dim if rule is not None else _check_int("dim", dim, 2) if dim is not None else f.dim
     h = _ball_input(f, n)
     if isinstance(h, TestFunction):
         return _radial_norm(b, c, h, q, beta, n, t), None
@@ -384,7 +382,7 @@ def _image_norm(g, q, beta, rule, dim, t):
     if expansion and q == 2.0:
         raw, inner = square_integral(image, w), None
     else:
-        inner = rule if fixed else (rule or _default_inner)(n)
+        inner = rule if rule is not None else _default_inner(n)
         if expansion:
             values = partial(_on_polar_grid, partial(evaluate_many, image))
         else:

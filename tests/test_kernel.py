@@ -52,30 +52,6 @@ def _gamma_reference(k, alpha, dim):
     return math.factorial(k) ** 2 / (pochhammer(1.0 - (n2 + alpha), k) * pochhammer(n2, k))
 
 
-def test_kernel_eval_reads_a_cached_prefix_of_gamma_coefs():
-    # kernel_eval sums its series with the first K + 1 entries of a cached,
-    # read-only table at the power of two above K: gamma_coefs(K) bit for
-    # bit, so the value is series_point's at gamma_coefs(K).  A table whose
-    # tail is past the double range stays silent
-    for alpha, dim, kmax in ((-4.5, 3, 1), (1.7, 5, 8), (0.4, 3, 100), (-4.5, 2, 1000), (1e7, 3, 40)):
-        size = 1 << kmax.bit_length()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            table = kernel._gamma_table(alpha, dim, size)
-        assert table.shape == (size,) and not table.flags.writeable
-        assert np.array_equal(table[:kmax + 1], gamma_coefs(kmax, alpha, dim))
-    assert np.isinf(kernel._gamma_table(1e7, 3, 64)[-1])
-    rng = np.random.default_rng(23)
-    for alpha, dim in ((-4.5, 2), (1.7, 3), (-4.5, 4), (0.4, 5)):
-        spec = KernelSpec(alpha, dim)
-        for _ in range(3):
-            x, y = (rng.uniform(-0.4, 0.4, size=(2, dim)) + 0.1).tolist()
-            value, kmax = kernel_eval_degree(spec, x, y)
-            rx, ry = math.sqrt(kernel._dot(x, x)), math.sqrt(kernel._dot(y, y))
-            t = kernel._pair_cosine(x, rx, y, ry)
-            assert value == _accel.series_point(gamma_coefs(kmax, alpha, dim), rx * ry, t, dim)
-
-
 def test_gamma_frozen_examples():
     assert gamma_coef(0, 0.7, 2) == 1.0
     assert gamma_coef(0, -9.0, 5) == 1.0

@@ -269,6 +269,27 @@ def test_both_zonal_drivers_read_one_coefficient_table(monkeypatch):
             monkeypatch.setattr(accel, "_zonal_coefficients", recording)
 
 
+def test_the_coefficient_cache_keeps_no_table_past_the_kernels_degrees():
+    # tables up to CACHED_SIZE, the power of two above MAX_DEGREE, are kept;
+    # a longer one, which only a caller-chosen degree asks for, is formed
+    # for its call alone, with the same entries
+    import numpy as np
+
+    accel = importlib.import_module("bergbesov._accel")
+    kernel = importlib.import_module("bergbesov.kernel")
+    assert accel.CACHED_SIZE == 1 << kernel.MAX_DEGREE.bit_length()
+    accel._cached_coefficients.cache_clear()
+    kept = accel._zonal_coefficients(3, accel.CACHED_SIZE)
+    assert accel._zonal_coefficients(3, accel.CACHED_SIZE) is kept
+    longer = accel._zonal_coefficients(3, 2 * accel.CACHED_SIZE)
+    info = accel._cached_coefficients.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    for short, long in zip(kept, longer):
+        assert not long.flags.writeable
+        assert np.array_equal(long[:accel.CACHED_SIZE], short)
+    accel._cached_coefficients.cache_clear()
+
+
 @pytest.mark.parametrize("alpha, dim", [(-1.0, 3), (0.0, 3), (0.0, 5), (0.7, 2), (-4.5, 2), (1.7, 3), (-4.5, 4)])
 def test_single_pair_takes_the_float_geometry_and_one_series_call(alpha, dim, monkeypatch):
     # kernel_eval and every row of kernel_eval_batch form their geometry on
