@@ -9,7 +9,9 @@ one-element arrays cost 8 to 14 us per degree.  `kernel_eval` reaches
 runs the recurrence on node arrays as a degree-by-node table, and
 `zonal_series` sums such tables, times a coefficient and a power of |x||y|
 per degree, by Horner's rule over column blocks of at most TABLE_ENTRIES
-entries; `kernel_eval_batch` makes one such call over its rows.  Every
+entries; `kernel_eval_batch` makes one such call over its rows.
+`zonal_point` runs zonal_table's recurrence on floats at one cosine, for
+`zonal_harmonic`, and returns that table's last row bit for bit.  Every
 node's |x||y| and cosine come from the kernel module's float geometry, the
 same for a pair and for a batch row.
 
@@ -177,6 +179,29 @@ def zonal_table(kmax, u, dim):
         row -= scratch
     out *= h[:kmax + 1, None]
     return out
+
+
+def zonal_point(kmax, t, dim):
+    """Z_kmax(zeta, eta) for unit vectors with inner product t, a Python
+    float: row kmax of zonal_table at the single cosine t, bit for bit.
+
+    It runs zonal_table's recurrence on floats, operation for operation:
+    in dimension 2, c_k = (2t) c_{k-1} - c_{k-2} and Z_k = 2 c_k; above,
+    Y_k = (t a_k) Y_{k-1} - Y_{k-2} b_k and Z_k = Y_k h_k.
+    """
+    if kmax == 0:
+        return 1.0
+    if dim == 2:
+        cm1, c = 1.0, t
+        t2 = 2.0 * t
+        for _ in range(kmax - 1):
+            cm1, c = c, t2 * c - cm1
+        return 2.0 * c
+    a, b, h = _zonal_coefficients(dim, 1 << kmax.bit_length())
+    y2, y1 = 1.0, t
+    for ak, bk in zip(memoryview(a)[2:kmax + 1], memoryview(b)[2:kmax + 1]):
+        y2, y1 = y1, t * ak * y1 - y2 * bk
+    return y1 * float(h[kmax])
 
 
 def zonal_series(coef, prod, u, dim):

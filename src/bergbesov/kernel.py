@@ -27,15 +27,16 @@ truncation degree is still certified for them, so both entry points raise
 the same errors and report the same degree whichever way they evaluate.
 
 Every pair is evaluated on Python floats, one at a time or as a row of
-kernel_eval_batch: once the shapes are checked the points become lists, and
-the norms, the cosine and the closed forms are formed on them by _dot,
+kernel_eval_batch: once the shapes are checked the points become lists (a
+batch's BATCH_ROWS rows at a time), and the norms, the cosine and the closed forms are formed on them by _dot,
 _pair_cosine and _pair_closed_form, since NumPy calls on one-row arrays
 would cost more than the rest of a closed-form evaluation.  So at a
 closed-form order the batch returns kernel_eval's value bit for bit
 wherever the pair's own certified degree is positive.  NumPy is left to the
 coefficient tables and the series: a single pair's series runs in
 _accel.series_point, a batch's in one _accel.zonal_series call over its
-rows' cosines, and zonal_harmonic reads a one-column zonal table.
+rows' cosines, and zonal_harmonic runs the zonal table's recurrence on
+floats (_accel.zonal_point).
 
 NumPy and _accel are imported on first use, by _load_numpy, not with the
 module: the certificate, the closed forms and a pair given as lists or
@@ -68,6 +69,9 @@ __all__ = [
 
 # Hard ceiling on series degree; reached only for |x||y| extremely close to 1.
 MAX_DEGREE = 200_000
+# Rows of kernel_eval_batch held as Python lists at a time (about 6 MB in
+# dim 3).
+BATCH_ROWS = 2**15
 # log of the largest finite double: a coefficient above it overflows
 _LOG_MAX_FLOAT = math.log(sys.float_info.max)
 # NumPy and the _accel loops, bound by _load_numpy on first use
@@ -159,8 +163,8 @@ def zonal_harmonic(k, x, y, dim):
     """Zonal harmonic Z_k(x, y) (real, symmetric, harmonic in each argument).
 
     Z_0 = 1.  For k >= 1 and either argument zero the value is 0.  Otherwise
-    it is (|x||y|)^k times row k of the one-column zonal table at the cosine
-    of the angle between x and y.
+    it is (|x||y|)^k times _accel.zonal_point at the cosine of the angle
+    between x and y, which is row k of the zonal table at that cosine.
     """
     k, dim = _check_int("degree", k, 0), _check_int("dim", dim, 2)
     x, y = _as_point(x, dim), _as_point(y, dim)
@@ -172,7 +176,7 @@ def zonal_harmonic(k, x, y, dim):
         return 0.0
     t = _pair_cosine(x, rx, y, ry)
     _load_numpy()
-    return rx**k * ry**k * float(_accel.zonal_table(k, np.array([t]), dim)[k, 0])
+    return rx**k * ry**k * _accel.zonal_point(k, t, dim)
 
 
 def _pair_cosine(x, rx, y, ry):
@@ -557,25 +561,45 @@ def kernel_eval_batch(spec, x, pts):
     The certificate sees every row, x = 0 included, and its largest norm is
     taken with np.max, which keeps a NaN, so a NaN or infinite row raises
     as kernel_eval does (ValueError where |x||y_j| is NaN).
+
+    The rows become lists BATCH_ROWS at a time: a first pass forms their
+    squared norms into a float array, the certificate reads their largest
+    root, and a second pass forms the closed forms or the cosines.  A batch
+    of at most BATCH_ROWS rows converts its rows once.
     """
     x = _as_point(x, spec.dim)
     _load_numpy()
     pts = np.asarray(pts, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != spec.dim:
         raise ValueError(f"pts must have shape (m, {spec.dim})")
-    rows = pts.tolist()
+    m = len(pts)
+    starts = range(0, m, BATCH_ROWS)
     rx_sq = _dot(x, x)
     rx = math.sqrt(rx_sq)
-    ry_sq = [_dot(y, y) for y in rows]
-    ry = [math.sqrt(s) for s in ry_sq]
+    ry_sq = np.empty(m)
+    for lo in starts:
+        rows = pts[lo:lo + BATCH_ROWS].tolist()
+        ry_sq[lo:lo + BATCH_ROWS] = [_dot(y, y) for y in rows]
+    # np.sqrt rounds as math.sqrt does, both correctly
+    ry = np.sqrt(ry_sq)
     kmax = truncation_degree(spec, rx, float(np.max(ry, initial=0.0)))
     if kmax == 0:
-        return np.ones(len(rows))
-    if has_closed_form(spec):
-        return np.array([1.0 if rx * r == 0.0 else _pair_closed_form(spec, x, rx_sq, y, s)
-                         for y, s, r in zip(rows, ry_sq, ry)])
+        return np.ones(m)
+    closed = has_closed_form(spec)
+    # the closed forms, or for the series the cosines
+    out = np.empty(m)
+    for lo in starts:
+        hi = lo + BATCH_ROWS
+        if len(starts) > 1:
+            rows = pts[lo:hi].tolist()
+        if closed:
+            out[lo:hi] = [1.0 if rx * r == 0.0 else _pair_closed_form(spec, x, rx_sq, y, s)
+                          for y, s, r in zip(rows, ry_sq[lo:hi].tolist(), ry[lo:hi].tolist())]
+        else:
+            # a zero row takes its cosine at norm 1: its product |x||y| = 0
+            # removes it from every degree above 0
+            out[lo:hi] = [_pair_cosine(x, rx, y, r or 1.0) for y, r in zip(rows, ry[lo:hi].tolist())]
+    if closed:
+        return out
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
-    # a zero row takes its cosine at norm 1: its product |x||y| = 0 removes
-    # it from every degree above 0
-    cosines = [_pair_cosine(x, rx, y, r or 1.0) for y, r in zip(rows, ry)]
-    return _accel.zonal_series(gam, rx * np.array(ry), np.array(cosines), spec.dim)
+    return _accel.zonal_series(gam, rx * ry, out, spec.dim)

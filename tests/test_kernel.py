@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import mpmath
@@ -143,6 +144,19 @@ def test_zonal_harmonic_is_the_zonal_table_row():
         for k in (1, 2, 7, 30):
             want = 0.63**k * _accel.zonal_table(k, np.array([u]), dim)[k, 0]
             assert zonal_harmonic(k, x, y, dim) == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_zonal_point_is_the_zonal_table_row_bit_for_bit(dim):
+    for t in (1.0, -1.0, 0.0, 0.3, -0.3, 1.0 - 1e-7, -(1.0 - 1e-7)):
+        table = _accel.zonal_table(300, np.array([t]), dim)[:, 0].tolist()
+        assert [_accel.zonal_point(k, t, dim).hex() for k in range(301)] == [v.hex() for v in table]
+    # zonal_harmonic is (|x||y|)^k times it at the pair's float cosine
+    x, y = (np.random.default_rng(dim).uniform(-0.3, 0.3, size=(2, dim))).tolist()
+    rx, ry = math.sqrt(kernel._dot(x, x)), math.sqrt(kernel._dot(y, y))
+    t = kernel._pair_cosine(x, rx, y, ry)
+    for k in (1, 2, 7, 30, 300):
+        assert zonal_harmonic(k, x, y, dim) == rx**k * ry**k * _accel.zonal_table(k, np.array([t]), dim)[k, 0]
 
 
 def test_zonal_frozen_value_disk():
@@ -536,6 +550,44 @@ def test_batch_at_the_origin_checks_every_row():
     for alpha in (-4.5, -1.0, 0.0, 1.7):
         assert kernel_eval_batch(KernelSpec(alpha, 3), zero, rows).tolist() == [1.0] * 4
     assert kernel_eval_batch(spec, zero, np.zeros((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("alpha, dim", [(0.0, 3), (-1.0, 4), (1.7, 2), (0.4, 3), (-3.5, 5), (0.4, 2)])
+def test_batch_in_row_blocks_is_the_one_block_batch_bit_for_bit(alpha, dim, monkeypatch):
+    spec = KernelSpec(alpha, dim)
+    pts = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(1003, dim)) * (0.9 / math.sqrt(dim))
+    pts[500] = 0.0
+    x = np.full(dim, 0.8 / math.sqrt(dim))
+    whole = kernel_eval_batch(spec, x, pts)
+    monkeypatch.setattr(kernel, "BATCH_ROWS", 64)
+    assert kernel_eval_batch(spec, x, pts).tobytes() == whole.tobytes()
+    # a NaN in the last block stops the certificate before any row value
+    # is formed, as in one block
+    formed = []
+    for name in ("_pair_cosine", "_pair_closed_form"):
+        monkeypatch.setattr(kernel, name, lambda *a, name=name: formed.append(name))
+    pts[-1, 0] = math.nan
+    with pytest.raises(ValueError, match="radii must be numbers") as blocked:
+        kernel_eval_batch(spec, x, pts)
+    monkeypatch.setattr(kernel, "BATCH_ROWS", 2**15)
+    with pytest.raises(ValueError, match="radii must be numbers") as single:
+        kernel_eval_batch(spec, x, pts)
+    assert str(blocked.value) == str(single.value) and formed == []
+
+
+def test_batch_holds_one_block_of_rows_as_lists(monkeypatch):
+    """10 003 dim-3 rows as Python lists take about 2.6 MB; the batch holds
+    512 of them at a time and three float arrays of its rows (240 KB)."""
+    monkeypatch.setattr(kernel, "BATCH_ROWS", 512)
+    pts = np.random.default_rng(3).uniform(-0.5, 0.5, size=(10_003, 3))
+    kernel_eval_batch(KernelSpec(0.0, 3), [0.5, 0.0, 0.0], pts[:10])
+    tracemalloc.start()
+    try:
+        kernel_eval_batch(KernelSpec(0.0, 3), [0.5, 0.0, 0.0], pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 def test_has_closed_form_orders():

@@ -2,6 +2,8 @@
 family, membership ladders, and norms of transform images."""
 
 import math
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -967,3 +969,26 @@ def test_the_open_ball_check_decides_points_near_the_sphere_exactly():
                 with pytest.raises(ValueError, match="^evaluation point must lie in the open unit ball$"):
                     call()
     assert 5 < inside < len(points) - 5
+
+
+def test_a_dim_16_image_norm_stays_within_its_memory_bound():
+    """The q = 3 Besov norm of the image of one degree-2 term in dim 16 reads
+    its image on a 24-radius grid over a 65 536-point sphere rule.  Formed
+    at once, that grid took 448 MB; in blocks of whole radii the process
+    peaks near 70 MB.  The peak is the child's VmHWM, the high-water mark
+    of its own address space: Linux carries the peak of the image a process
+    replaced by exec into its ru_maxrss, and a child spawned by vfork
+    replaced this test process's image."""
+    code = (
+        "import numpy as np\n"
+        "from bergbesov.expansion import HarmonicExpansion\n"
+        "from bergbesov.operators import besov_norm\n"
+        "y = np.zeros(16); y[0] = 0.6\n"
+        "f = HarmonicExpansion.from_terms(16, [(2, y, 1.0)])\n"
+        "print(repr(besov_norm((0.5, 0.25, f), 3.0, 0.5).value))\n"
+        "print(next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    value, peak_kb = out.stdout.split()
+    assert float(value) == pytest.approx(0.7898126468071746, rel=1e-14)
+    assert int(peak_kb) < 200 * 1024

@@ -10,10 +10,15 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as sbeta
+from scipy.special import eval_gegenbauer
 
+from bergbesov import quadrature
+from bergbesov.expansion import HarmonicExpansion, evaluate_many
+from bergbesov.operators import apply_T
 from bergbesov.quadrature import (
     BallQuadrature,
     LadderResult,
+    _on_polar_grid,
     _weighted_radial_rule,
     gauss_jacobi,
     integrate_ball,
@@ -246,6 +251,115 @@ def test_integrate_ball_nonfinite_propagates():
         return out
 
     assert not math.isfinite(integrate_ball(bad, 0.0, rule))
+
+
+# ---------------------------------------------------------------------------
+# The polar grid in blocks of whole radii.
+
+
+def _grid_inputs(dim):
+    """Three callables on (m, dim) points: an expansion through
+    evaluate_many, the solid harmonic Z_3(., w) from scipy's Gegenbauer
+    polynomials (both read the points through a matrix product) and
+    x1 x2."""
+    rng = np.random.default_rng(dim)
+    anchors = [rng.uniform(-0.5, 0.5, dim) for _ in range(3)]
+    exp = HarmonicExpansion.from_terms(dim, [(3, anchors[0], 1.5), (1, anchors[1], -0.5), (7, anchors[2], 0.25)])
+    w = rng.uniform(-0.5, 0.5, dim)
+
+    def solid(pts):
+        prod = np.linalg.norm(pts, axis=1) * np.linalg.norm(w)
+        cos = np.clip((pts @ w) / np.where(prod == 0.0, 1.0, prod), -1.0, 1.0)
+        if dim == 2:
+            return prod**3 * 2.0 * np.cos(3.0 * np.arccos(cos))
+        return prod**3 * (dim + 4.0) / (dim - 2.0) * eval_gegenbauer(3, 0.5 * dim - 1.0, cos)
+
+    return {"evaluate_many": lambda pts: evaluate_many(exp, pts), "solid": solid,
+            "x1x2": lambda pts: pts[:, 0] * pts[:, 1]}
+
+
+def _one_call_grid(f, r, dirs):
+    return np.asarray(f((r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1]))).reshape(len(r), len(dirs))
+
+
+# The block against the grid's S directions and R = 5 radii: below R S,
+# equal to it, two radii a block (R not a multiple of them), and fewer
+# points than one radius has.
+_BLOCKS = {"below": lambda s: 5 * s + 1, "equal": lambda s: 5 * s, "two-radii": lambda s: 2 * s + s // 2,
+           "under-one-radius": lambda s: s // 2}
+
+
+@pytest.mark.parametrize("block", sorted(_BLOCKS))
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_blocked_grid_equals_the_one_call_grid(dim, block, monkeypatch):
+    """The sphere rules' directions (S = 2^dim from dim 8 on, a multiple of
+    4: a BLAS matrix-vector product takes four rows at a time and the
+    remainder in another order, so a block of other size could move a row
+    of a callable that forms x @ a in its last bit)."""
+    rule = BallQuadrature(dim, radial_nodes=5, sphere_nodes=12 if dim == 2 else 16)
+    r, _ = rule.radial_rule()
+    dirs, _ = rule.sphere_rule()
+    monkeypatch.setattr(quadrature, "GRID_POINTS", _BLOCKS[block](len(dirs)))
+    for name, f in _grid_inputs(dim).items():
+        want = _one_call_grid(f, r, dirs)
+        got = _on_polar_grid(f, r, dirs)
+        assert got.shape == (5, len(dirs))
+        assert np.array_equal(got, want), (name, block)
+
+
+@pytest.mark.parametrize("dim, radial_nodes", [(2, 63), (2, 64), (2, 128), (2, 129), (3, 127), (3, 128)])
+def test_grid_blocks_hold_at_most_the_block_and_one_block_is_one_call(dim, radial_nodes):
+    rule = BallQuadrature(dim, radial_nodes=radial_nodes)
+    r, _ = rule.radial_rule()
+    dirs, _ = rule.sphere_rule()
+    f = _grid_inputs(dim)["x1x2"]
+    sizes = []
+
+    def spy(pts):
+        sizes.append(len(pts))
+        return f(pts)
+
+    got = _on_polar_grid(spy, r, dirs)
+    assert sum(sizes) == radial_nodes * len(dirs)
+    assert max(sizes) <= max(quadrature.GRID_POINTS, len(dirs))
+    radii_per_call = quadrature.GRID_POINTS // len(dirs)
+    assert len(sizes) == -(-radial_nodes // radii_per_call)
+    if radial_nodes * len(dirs) <= quadrature.GRID_POINTS:
+        assert sizes == [radial_nodes * len(dirs)]
+    assert np.array_equal(got, _one_call_grid(f, r, dirs))
+
+
+def test_a_grid_larger_than_one_radius_block_takes_one_radius_a_call(monkeypatch):
+    monkeypatch.setattr(quadrature, "GRID_POINTS", 100)
+    rule = BallQuadrature(3, radial_nodes=3, sphere_nodes=32)
+    sizes = []
+    integrate_ball(lambda pts: sizes.append(len(pts)) or np.ones(len(pts)), 0.0, rule)
+    assert sizes == [len(rule.sphere_rule()[0])] * 3 and sizes[0] > 100
+
+
+def test_errors_and_nonfinite_values_of_later_blocks_reach_the_caller(monkeypatch):
+    monkeypatch.setattr(quadrature, "GRID_POINTS", 64)
+    rule = BallQuadrature(2, radial_nodes=8, sphere_nodes=16)
+    calls = []
+
+    def late_nan(pts):
+        calls.append(len(pts))
+        out = np.ones(len(pts))
+        if len(calls) == 2:
+            out[-1] = np.nan
+        return out
+
+    assert math.isnan(integrate_ball(late_nan, 0.0, rule))
+    assert calls == [64, 64]
+
+    def late_short(pts):
+        calls.append(len(pts))
+        return np.ones(len(pts) - (len(calls) == 2))
+
+    calls.clear()
+    with pytest.raises(ValueError, match="callable must map an"):
+        apply_T(0.5, 0.25, late_short, [0.3, 0.2], rule=rule)
+    assert calls == [64, 64]
 
 
 def test_lp_norm_constants():
