@@ -28,9 +28,10 @@ the same errors and report the same degree whichever way they evaluate.
 
 Every pair is evaluated on Python floats, one at a time or as a row of
 kernel_eval_batch: once the shapes are checked the points become lists (a
-batch's BATCH_ROWS rows at a time), and the norms, the cosine and the closed forms are formed on them by _dot,
-_pair_cosine and _pair_closed_form, since NumPy calls on one-row arrays
-would cost more than the rest of a closed-form evaluation.  So at a
+batch's BATCH_ROWS rows at a time), and the norms, the cosine and the
+closed forms are formed on them by _dot, _pair_cosine and
+_pair_closed_form, since NumPy calls on one-row arrays would cost more than
+the rest of a closed-form evaluation.  So at a
 closed-form order the batch returns kernel_eval's value bit for bit
 wherever the pair's own certified degree is positive.  NumPy is left to the
 coefficient tables and the series: a single pair's series runs in

@@ -271,7 +271,11 @@ def _on_polar_grid(f, r, dirs):
     most GRID_POINTS points is one call of f, whose values are returned
     without a copy.  Every point is the same product r_i zeta_j in either
     case, so a callable whose value at a row does not depend on the other
-    rows of its call gives the same grid bit for bit.
+    rows of its call gives the same grid bit for bit.  NumPy's
+    matrix-vector product (pts @ a, as in evaluate_many) does depend on
+    them from dim 8 on, where a call's row count is not a multiple of 4,
+    but every block here holds whole radii and the sphere rules have
+    2^dim directions there.
     """
     r = np.asarray(r, dtype=float)
     step = max(1, GRID_POINTS // len(dirs))
