@@ -22,9 +22,15 @@ Three families have elementary closed forms (Axler, Bourdon & Ramey,
 Harmonic Function Theory, ch. 8), and kernel_eval and kernel_eval_batch
 evaluate them instead of summing the series: alpha = -1, the extended
 Poisson kernel, and alpha = 0, the harmonic Bergman kernel, in every
-dimension, and every alpha > -2 in the disc (has_closed_form).  The
-truncation degree is still certified for them, so both entry points raise
-the same errors and report the same degree whichever way they evaluate.
+dimension, and every alpha > -2 in the disc (has_closed_form).  Their value
+reads of the truncation degree only whether it is positive (where it is 0
+the value is gamma_0 = 1), and _degree_is_positive settles that, and that
+the search would not raise, from the certificate at degrees 1 and
+MAX_DEGREE, whose log-gamma terms are formed once per order
+(_last_degree_logs); in every other case it runs truncation_degree itself.
+So a closed-form value, and every error raised on the way to it, is the
+one the search would give, and kernel_eval_degree, which reports the
+degree, still searches for it.
 
 Every pair is evaluated on Python floats, one at a time or as a row of
 kernel_eval_batch: once the shapes are checked the points become lists (a
@@ -307,23 +313,38 @@ def _log_gamma_coef(k, order):
     return _log_pochhammer_ratio(ratios[0], k)
 
 
-def _certifies(k, t, log_t, log_tol, order):
+def _degree_logs(k, order):
+    """(log gamma_k, log gamma_k + log h_k): what the certificate at degree
+    k reads of the order alone."""
+    # h_k = (2k+n-2) (k+1)_{n-3} / (n-2)!
+    dim = order.dim
+    log_h = math.log(2.0 * k + dim - 2.0) + _log_rising(k + 1.0, dim - 3.0) - order.log_fact
+    log_gamma = _log_gamma_coef(k, order)
+    return log_gamma, log_gamma + log_h
+
+
+@lru_cache(maxsize=1024)
+def _last_degree_logs(alpha, dim):
+    """_degree_logs at MAX_DEGREE, formed once per order (alpha, dim)."""
+    return _degree_logs(MAX_DEGREE, _order_constants(alpha, dim))
+
+
+def _certifies(k, t, log_t, log_tol, order, logs=None):
     """The truncation certificate at first omitted degree k >= 1:
 
         rho_k < 1  and  gamma_k h_k t^k <= tol (1 - rho_k),
 
     rho_k the tail ratio of _tail_ratio.  The first omitted term is
-    compared in logs, from log-gamma values, so no coefficient is formed.
-    Returns log gamma_k where the certificate holds, None where it fails.
+    compared in logs, from log-gamma values, so no coefficient is formed;
+    logs, where given, is _degree_logs(k, order), which is formed here
+    otherwise.  Returns log gamma_k where the certificate holds, None where
+    it fails.
     """
     rho = _tail_ratio(k, t, order)
     if not rho < 1.0:
         return None
-    # h_k = (2k+n-2) (k+1)_{n-3} / (n-2)!
-    dim = order.dim
-    log_h = math.log(2.0 * k + dim - 2.0) + _log_rising(k + 1.0, dim - 3.0) - order.log_fact
-    log_gamma = _log_gamma_coef(k, order)
-    if log_gamma + log_h + k * log_t <= log_tol + math.log(1.0 - rho):
+    log_gamma, log_term = _degree_logs(k, order) if logs is None else logs
+    if log_term + k * log_t <= log_tol + math.log(1.0 - rho):
         return log_gamma
     return None
 
@@ -379,14 +400,18 @@ def truncation_degree(spec, rx, ry, cap=None):
     from an exact evaluation only where the first omitted term lies within
     that relative distance of tol (1 - rho).
 
-    A caller that sums no further than degree cap passes it: the search
-    stops there and returns min(K, cap), so a K past MAX_DEGREE raises
-    TruncationLimitError only when cap is None or not below MAX_DEGREE.
+    A caller that sums no further than degree cap, an integer >= 0, passes
+    it: the search stops there and returns min(K, cap), so a K past
+    MAX_DEGREE raises TruncationLimitError only when cap is None or not
+    below MAX_DEGREE.  Any other cap (negative, fractional, NaN or
+    infinite) raises ValueError before the radii are looked at.
     TruncationLimitError is raised as well, at once, when the coefficient
     gamma_{K+1} at the first omitted degree is not a finite double, or, when
     the search stops at the cap, when gamma_cap is not.  NaN radii, or the
     NaN product inf * 0, raise ValueError before any degree is checked.
     """
+    if cap is not None:
+        cap = _check_int("cap", cap, 0)
     t = rx * ry
     if math.isnan(t):
         raise ValueError(f"radii must be numbers, got |x| = {rx}, |y| = {ry}")
@@ -398,7 +423,7 @@ def truncation_degree(spec, rx, ry, cap=None):
         return 0
     alpha, tol = spec.alpha, spec.tol
     order = _order_constants(alpha, spec.dim)
-    last = MAX_DEGREE if cap is None else min(int(cap), MAX_DEGREE)
+    last = MAX_DEGREE if cap is None else min(cap, MAX_DEGREE)
     log_t, log_tol = math.log(t), math.log(tol)
     # the first certifying degree lies in (fail, hit]: fail = 0 while no
     # failing degree is known, hit = last + 1 while no certifying one is.
@@ -436,6 +461,35 @@ def truncation_degree(spec, rx, ry, cap=None):
     raise TruncationLimitError(
         f"tail bound did not reach tol={tol} within {MAX_DEGREE} terms (t={t})"
     )
+
+
+def _degree_is_positive(spec, rx, ry):
+    """truncation_degree(spec, rx, ry) > 0 for an order with a closed form
+    (has_closed_form), raising whatever the search raises.
+
+    The certificate holds at every degree past the first that meets it, so
+    where it holds at degree 1, with log gamma_1 below _LOG_MAX_FLOAT, the
+    search returns K = 0.  Where it holds at MAX_DEGREE but not at 1, the
+    search returns a K in [1, MAX_DEGREE), and it cannot raise if log
+    gamma_MAX_DEGREE is below _LOG_MAX_FLOAT: every closed-form order is on
+    the reproducing branch, where gamma_k is monotone in k, so no
+    coefficient up to MAX_DEGREE overflows.  Every other case (a zero, NaN,
+    negative or divergent product, no certificate at MAX_DEGREE, or a
+    coefficient past the double range) runs the search.
+    """
+    t = rx * ry
+    if 0.0 < t < 1.0 and rx > 0.0:
+        order = _order_constants(spec.alpha, spec.dim)
+        log_t, log_tol = math.log(t), math.log(spec.tol)
+        log_gamma = _certifies(1, t, log_t, log_tol, order)
+        if log_gamma is None:
+            logs = _last_degree_logs(spec.alpha, spec.dim)
+            log_gamma = _certifies(MAX_DEGREE, t, log_t, log_tol, order, logs)
+            if log_gamma is not None and log_gamma < _LOG_MAX_FLOAT:
+                return True
+        elif log_gamma < _LOG_MAX_FLOAT:
+            return False
+    return truncation_degree(spec, rx, ry) > 0
 
 
 def _series(gam, rho, cost, dim):
@@ -508,15 +562,31 @@ def _as_point(v, dim):
     return v
 
 
+def _pair(spec, x, y):
+    """x and y as lists of floats (_as_point) with their squared norms and
+    norms: (x, |x|^2, |x|, y, |y|^2, |y|)."""
+    x, y = _as_point(x, spec.dim), _as_point(y, spec.dim)
+    rx_sq, ry_sq = _dot(x, x), _dot(y, y)
+    return x, rx_sq, math.sqrt(rx_sq), y, ry_sq, math.sqrt(ry_sq)
+
+
 def kernel_eval(spec, x, y):
     """Evaluate R_alpha(x, y); truncation error below spec.tol.
 
     Either argument may lie on the unit sphere, but not both (the series has
     no convergent truncation there and KernelDivergenceError is raised).
-    Orders with a closed form (has_closed_form) are evaluated by it; the
-    truncation degree is certified for them all the same.
+    Orders with a closed form (has_closed_form) are evaluated by it, and
+    read of the truncation degree only whether it is positive, which
+    _degree_is_positive answers without the search but in edge cases; the
+    value, or the error raised, is kernel_eval_degree's.  Every other order
+    is kernel_eval_degree's value.
     """
-    return kernel_eval_degree(spec, x, y)[0]
+    if not has_closed_form(spec):
+        return kernel_eval_degree(spec, x, y)[0]
+    x, rx_sq, rx, y, ry_sq, ry = _pair(spec, x, y)
+    if rx * ry == 0.0 or not _degree_is_positive(spec, rx, ry):
+        return 1.0
+    return _pair_closed_form(spec, x, rx_sq, y, ry_sq)
 
 
 def kernel_eval_degree(spec, x, y):
@@ -531,9 +601,7 @@ def kernel_eval_degree(spec, x, y):
     the series' cosine (_pair_cosine) are formed on them, sums taken in
     coordinate order.  The series itself goes through _accel.series_disk or
     series_ball, which run series_point on the floats."""
-    x, y = _as_point(x, spec.dim), _as_point(y, spec.dim)
-    rx_sq, ry_sq = _dot(x, x), _dot(y, y)
-    rx, ry = math.sqrt(rx_sq), math.sqrt(ry_sq)
+    x, rx_sq, rx, y, ry_sq, ry = _pair(spec, x, y)
     if rx * ry == 0.0:
         return 1.0, 0
     kmax = truncation_degree(spec, rx, ry)
@@ -553,8 +621,9 @@ def kernel_eval_batch(spec, x, pts):
     kernel_eval forms them, on Python floats.  The truncation degree is
     certified once, for the largest |x||y_j|, and shared across the batch;
     smaller products only gain accuracy.  Orders with a closed form
-    (has_closed_form) are evaluated by it row by row once the degree is
-    certified, so a row equals kernel_eval's value for its pair bit for bit,
+    (has_closed_form) are evaluated by it row by row where that degree is
+    positive, which _degree_is_positive tells as kernel_eval's value reads
+    it, so a row equals kernel_eval's value for its pair bit for bit,
     except where that pair's own certified degree is 0 and kernel_eval
     returns gamma_0 = 1 (a zero row gives 1 here too).  Every other order
     is summed by one _accel.zonal_series call over the rows' cosines, which
@@ -583,10 +652,12 @@ def kernel_eval_batch(spec, x, pts):
         ry_sq[lo:lo + BATCH_ROWS] = [_dot(y, y) for y in rows]
     # np.sqrt rounds as math.sqrt does, both correctly
     ry = np.sqrt(ry_sq)
-    kmax = truncation_degree(spec, rx, float(np.max(ry, initial=0.0)))
-    if kmax == 0:
-        return np.ones(m)
     closed = has_closed_form(spec)
+    # a closed form reads of the degree only whether it is positive
+    certify = _degree_is_positive if closed else truncation_degree
+    kmax = certify(spec, rx, float(np.max(ry, initial=0.0)))
+    if not kmax:
+        return np.ones(m)
     # the closed forms, or for the series the cosines
     out = np.empty(m)
     for lo in starts:

@@ -1,6 +1,7 @@
 """Kernel layer: gamma coefficients, zonal harmonics, truncation certificate,
-series evaluation, the single-pair series against a node-array loop, the
-batch (zonal table and Horner) against the single-pair series, and the
+the closed-form orders' two-degree check of it against the search, series
+evaluation, the single-pair series against a node-array loop, the batch
+(zonal table and Horner) against the single-pair series, and the
 closed-form orders against 40-digit references and against the series."""
 
 import itertools
@@ -283,6 +284,18 @@ def test_truncation_degree_cap_with_an_overflowing_coefficient_raises():
     assert truncation_degree(spec, r, r, cap=100) == 100
 
 
+@pytest.mark.parametrize("cap", [-1, -5, 2.5, math.nan, math.inf])
+def test_truncation_degree_rejects_a_cap_that_is_no_degree(cap):
+    # -1 and -5 were returned as degrees, 2.5 was cut to 2, and NaN and inf
+    # raised int()'s own errors; every radius pair, zero and divergent
+    # ones included, now sees the cap checked first
+    spec = KernelSpec(0.4, 3)
+    for rx, ry in ((0.9, 0.9), (0.0, 0.9), (1.0, 1.0)):
+        with pytest.raises(ValueError, match=rf"^cap must be an integer >= 0, got {cap}$"):
+            truncation_degree(spec, rx, ry, cap=cap)
+    assert truncation_degree(spec, 0.9, 0.9, cap=3.0) == truncation_degree(spec, 0.9, 0.9, cap=np.int64(3)) == 3
+
+
 def _outcome(certify, spec, rx, ry, cap=None):
     # the degree, or the type of the error raised
     try:
@@ -334,7 +347,9 @@ def _assert_matches_the_scan(spec, rx, ry, cap=None):
 
 
 def _caps(k):
-    return (0, 3, 23, MAX_DEGREE) + ((k - 1, k, k + 1) if isinstance(k, int) else ())
+    # k - 1 only where it is a degree: a negative cap raises ValueError
+    # (test_truncation_degree_rejects_a_cap_that_is_no_degree)
+    return (0, 3, 23, MAX_DEGREE) + ((k - 1, k, k + 1)[k == 0:] if isinstance(k, int) else ())
 
 
 ORACLE_TS = (0.01, 0.3, 0.7, 0.9, 0.99, 0.999, 1.0 - 1e-5)
@@ -389,6 +404,106 @@ def test_truncation_degree_matches_the_block_scan_at_huge_orders():
             spec = KernelSpec(alpha, dim)
             r = math.sqrt(t)
             assert isinstance(_assert_matches_the_scan(spec, r, r), int)
+
+
+# orders with a closed form at which the value's degree check is compared
+# with the search: c = -1 and 0 in dims 2-8, and the disc's c > -2 up to
+# orders whose coefficients overflow a double before MAX_DEGREE
+POSITIVE_DEGREE_ORDERS = ([(c, n) for c in (-1.0, 0.0) for n in range(2, 9)]
+                          + [(c, 2) for c in (-1.99, -1.5, 0.7, 3.0, 1e3, 1e5)])
+
+
+def _last_holding(holds, lo, hi):
+    # the largest double in [lo, hi) at which holds is true, for holds true
+    # at lo, false at hi and monotone between
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return lo
+        lo, hi = (mid, hi) if holds(mid) else (lo, mid)
+
+
+def _switch_products(spec):
+    """Products |x||y| on both sides of the two switch points of
+    _degree_is_positive: the last double at which the certificate holds at
+    degree 1, and the last at which it holds at MAX_DEGREE."""
+    order = kernel._order_constants(spec.alpha, spec.dim)
+    out = []
+    for k in (1, MAX_DEGREE):
+        def holds(t, k=k):
+            return kernel._certifies(k, t, math.log(t), math.log(spec.tol), order) is not None
+
+        t = _last_holding(holds, 5e-324, 1.0)
+        out += [t, math.nextafter(t, 0.0), math.nextafter(t, 1.0), t * (1.0 - 1e-9), min(t * (1.0 + 1e-9), 1.0)]
+    return tuple(out)
+
+
+# zero, subnormal, tiny, moderate and near-sphere products
+EDGE_PRODUCTS = (0.0, 5e-324, 1e-300, 1e-10, 0.5, 0.9, 0.999, 1.0 - 1e-9)
+# radii whose product the search refuses: negative, on or past the sphere,
+# NaN and inf * 0
+REFUSED_RADII = ((1.0, 1.0), (1.5, 0.9), (-0.25, 0.5), (0.5, -0.25), (-0.5, -0.5), (math.nan, 0.5),
+                 (math.inf, 0.0), (0.0, math.inf))
+
+
+def _outcome_of(f, *args):
+    # the value, or the type and message of the error raised
+    try:
+        return f(*args)
+    except (ValueError, ArithmeticError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("alpha, dim", POSITIVE_DEGREE_ORDERS)
+def test_the_closed_form_degree_check_is_the_search_by_outcome(alpha, dim):
+    # _degree_is_positive settles a closed-form pair from the certificate at
+    # degrees 1 and MAX_DEGREE; it must give truncation_degree(...) > 0, or
+    # raise the same error with the same message, on both sides of either
+    # switch point, and where log gamma_MAX_DEGREE overflows (c = 1e3, 1e5)
+    for tol in (1e-6, 1e-10, 1e-14):
+        spec = KernelSpec(alpha, dim, tol)
+        assert has_closed_form(spec)
+        products = EDGE_PRODUCTS + _switch_products(spec)
+        for rx, ry in [(t, 1.0) for t in products] + list(REFUSED_RADII):
+            want = _outcome_of(lambda *a: truncation_degree(*a) > 0, spec, rx, ry)
+            assert _outcome_of(kernel._degree_is_positive, spec, rx, ry) == want, (spec, rx, ry)
+        # kernel_eval reads the check, kernel_eval_degree the search: x = t e_1
+        # against e_1, -e_1 and e_2 has the product t exactly
+        unit = np.eye(dim)
+        for t in products:
+            x = (t * unit[0]).tolist()
+            for y in (unit[0], -unit[0], unit[1]):
+                y = y.tolist()
+                want = _outcome_of(lambda *a: kernel_eval_degree(*a)[0], spec, x, y)
+                assert _outcome_of(kernel_eval, spec, x, y) == want, (spec, t, y)
+
+
+@pytest.mark.parametrize("alpha, dim", POSITIVE_DEGREE_ORDERS)
+def test_the_closed_form_batch_reads_the_search_bit_for_bit(alpha, dim, monkeypatch):
+    # a batch at a closed-form order reads _degree_is_positive where it read
+    # truncation_degree(...) > 0: the rows, or the error and its message,
+    # are those of the batch that runs the search
+    unit = np.eye(dim)
+    rows = np.vstack([unit[0], -unit[0], unit[1], np.zeros(dim), 0.5 * unit[1]])
+    bad_rows = (np.array([[math.nan] + [0.0] * (dim - 1)]), np.array([[math.inf] + [0.0] * (dim - 1)]))
+
+    def batches(spec):
+        out = []
+        for t in EDGE_PRODUCTS + _switch_products(spec):
+            x = t * unit[0]
+            for pts in (rows, 1.0000001 * rows, *bad_rows):
+                got = _outcome_of(kernel_eval_batch, spec, x, pts)
+                out.append(got.tobytes() if isinstance(got, np.ndarray) else got)
+        return out
+
+    for tol in (1e-6, 1e-10, 1e-14):
+        spec = KernelSpec(alpha, dim, tol)
+        with np.errstate(over="ignore"):
+            got = batches(spec)
+            with monkeypatch.context() as m:
+                m.setattr(kernel, "_degree_is_positive", lambda *a: truncation_degree(*a) > 0)
+                want = batches(spec)
+        assert got == want, spec
 
 
 @given(

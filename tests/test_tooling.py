@@ -7,7 +7,10 @@ the package's lazy namespace resolves every public name to its
 submodule's own object; the truncation certificate stays a
 logarithmic search, not a scan over degrees; a kernel pair or batch
 reaches _accel only for its series, with one traced series call per
-single pair and one zonal_series call per batch; no harmonic expansion
+single pair and one zonal_series call per batch; a closed-form pair or
+batch runs the truncation-degree search only where two checks of the
+certificate do not settle its value, and a pair of lists imports no NumPy;
+no harmonic expansion
 reaches the kernel quadrature; each check of outside input (integer,
 finite parameter, kernel point, evaluation point) is written out once, all
 but the kernel point in a module that imports no NumPy; and the image of a
@@ -288,6 +291,58 @@ def test_the_coefficient_cache_keeps_no_table_past_the_kernels_degrees():
         assert not long.flags.writeable
         assert np.array_equal(long[:accel.CACHED_SIZE], short)
     accel._cached_coefficients.cache_clear()
+
+
+def test_a_closed_form_value_searches_for_no_degree_where_two_checks_settle_it(monkeypatch):
+    # kernel_eval and kernel_eval_batch at a closed-form order read of the
+    # degree only whether it is positive; _degree_is_positive settles that
+    # from the certificate at degrees 1 and MAX_DEGREE and runs the search
+    # only where those do not (here: no certificate within MAX_DEGREE, and
+    # a coefficient that overflows before it).  kernel_eval_degree, which
+    # reports the degree, and every series order search once per pair.
+    # The benchmark's tracer counts kernel.truncation_degree.calls here
+    import numpy as np
+
+    kernel = importlib.import_module("bergbesov.kernel")
+    searched = []
+    search = kernel.truncation_degree
+    monkeypatch.setattr(kernel, "truncation_degree", lambda *a, **k: searched.append(a) or search(*a, **k))
+
+    def searches(f, *args):
+        searched.clear()
+        f(*args)
+        return len(searched)
+
+    x3, y3 = [0.3, -0.2, 0.25], [0.4, 0.35, -0.3]
+    kernel._last_degree_logs.cache_clear()
+    for spec in (kernel.KernelSpec(-1.0, 3), kernel.KernelSpec(0.0, 3), kernel.KernelSpec(0.7, 2)):
+        x, y = x3[:spec.dim], y3[:spec.dim]
+        for scale in (1.0, 1.5, 2.0):
+            assert searches(kernel.kernel_eval, spec, x, [scale * v for v in y]) == 0
+        tiny = [1e-9] * spec.dim  # K = 0
+        assert searches(kernel.kernel_eval, spec, tiny, tiny) == 0 and kernel.kernel_eval(spec, tiny, tiny) == 1.0
+        assert searches(kernel.kernel_eval_batch, spec, x, np.array([y, x])) == 0
+        assert searches(kernel.kernel_eval_degree, spec, x, y) == 1
+    # the MAX_DEGREE check's log-gamma terms are formed once per order
+    assert kernel._last_degree_logs.cache_info().misses == 3
+    r = 0.99999  # K past MAX_DEGREE in the disc
+    with pytest.raises(kernel.TruncationLimitError):
+        searches(kernel.kernel_eval, kernel.KernelSpec(0.0, 2), [r, 0.0], [r, 0.0])
+    assert len(searched) == 1
+    assert searches(kernel.kernel_eval, kernel.KernelSpec(1e5, 2), [1e-6, 0.0], [0.5, 0.0]) == 1
+    for spec in (kernel.KernelSpec(1.7, 3), kernel.KernelSpec(-4.5, 2)):
+        x, y = x3[:spec.dim], y3[:spec.dim]
+        assert searches(kernel.kernel_eval, spec, x, y) == 1
+        assert searches(kernel.kernel_eval_degree, spec, x, y) == 1
+
+
+def test_a_closed_form_pair_of_lists_imports_no_numpy():
+    code = ("import sys\n"
+            "from bergbesov.kernel import KernelSpec, kernel_eval\n"
+            "value = kernel_eval(KernelSpec(0, 3), [0.3, -0.2, 0.25], [0.4, 0.35, -0.3])\n"
+            "print(value > 0.0, sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["True", "[]"]
 
 
 @pytest.mark.parametrize("alpha, dim", [(-1.0, 3), (0.0, 3), (0.0, 5), (0.7, 2), (-4.5, 2), (1.7, 3), (-4.5, 4)])
