@@ -83,9 +83,11 @@ def evaluate_many(exp, pts):
     over the cosines u between the points and y: the degree-k row of its
     zonal table times (|x||y|)^k is Z_k(x, y), and the anchor's terms sum
     those rows by Horner's rule in |x||y|.  Where |x||y| = 0 only the
-    degree-0 terms survive.
+    degree-0 terms survive.  pts is read in C order, since the product
+    pts @ y (from dim 3) and the row norms (from dim 8) round by layout:
+    the column-major blocks of the quadrature grids give the same values.
     """
-    pts = np.asarray(pts, dtype=float)
+    pts = np.asarray(pts, dtype=float, order="C")
     out = np.zeros(pts.shape[0])
     if len(exp) == 0:
         return out

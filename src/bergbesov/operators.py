@@ -69,7 +69,7 @@ from .errors import _check_ball_point, _check_finite, _check_int
 from .expansion import HarmonicExpansion, evaluate, evaluate_many, square_integral, transform
 from .expansion import from_json as expansion_from_json
 from .kernel import KernelSpec, gamma_coefs, truncation_degree
-from .quadrature import BallQuadrature, _on_polar_grid, _weighted_norm, _weighted_radial_rule
+from .quadrature import BallQuadrature, _on_polar_grid, _values, _weighted_norm, _weighted_radial_rule
 from .radial import (
     DIVERGENCE_CAP,
     GROWTH_FACTOR,
@@ -122,7 +122,7 @@ _INNER_RADIAL = 48
 _INNER_SPHERE = 48
 
 
-# Inputs with an exact image; _ball_input wraps every other callable.
+# Inputs with an exact image; _ball_input returns every other callable as is.
 _EXACT_INPUTS = (TestFunction, HarmonicExpansion)
 
 
@@ -144,21 +144,14 @@ def _parse_text(f):
 
 def _ball_input(f, dim):
     """f as a TestFunction, a HarmonicExpansion of dimension dim, or a
-    vectorized callable whose output shape is checked; accepts what
-    as_ball_function accepts."""
+    callable, returned as is: the quadrature layer checks its output shape
+    at every call (quadrature._values).  Accepts what as_ball_function
+    accepts."""
     f = _parse_text(f)
     if isinstance(f, HarmonicExpansion) and f.dim != dim:
         raise ValueError(f"expansion dim {f.dim} != requested dim {dim}")
-    if isinstance(f, _EXACT_INPUTS):
+    if isinstance(f, _EXACT_INPUTS) or callable(f):
         return f
-    if callable(f):
-        def fun(pts):
-            vals = np.asarray(f(pts), dtype=float)
-            if vals.shape != (len(pts),):
-                raise ValueError("callable must map an (m, dim) array to m values")
-            return vals
-
-        return fun
     raise TypeError(f"cannot interpret {type(f).__name__} as a ball function")
 
 
@@ -168,15 +161,18 @@ def as_ball_function(f, dim):
     Accepts TestFunction, HarmonicExpansion, a callable mapping an (m, dim)
     array to m values, or the string forms "const1", "fuv:u,v", and
     serialized-expansion JSON text (an object or a bare record array).  The
-    returned TestFunction, when present, selects the exact radial route
-    (radial._radial_image).
+    returned callable gives a float array of m values, and raises
+    ValueError when a callable f gives another shape.  The quadrature layer
+    passes f its points as column-major (F-contiguous) float64 blocks, so a
+    callable f must not assume C order.  The returned TestFunction, when
+    present, selects the exact radial route (radial._radial_image).
     """
     g = _ball_input(f, dim)
     if isinstance(g, TestFunction):
         return (lambda pts: test_function_eval(g, pts)), g
     if isinstance(g, HarmonicExpansion):
         return (lambda pts: evaluate_many(g, pts)), None
-    return g, None
+    return partial(_values, g), None
 
 
 # ---------------------------------------------------------------------------
@@ -269,8 +265,10 @@ def apply_T(b, c, f, x, rule=None):
     diverges, the constant of a degree-0 image, and the image evaluated at
     x otherwise; rule is unused.
     Every other input is integrated by the product quadrature rule as given,
-    with the order-c kernel at KernelSpec's default tolerance.  Convergence
-    diagnostics live in apply_T_report.  b and c must be finite.
+    with the order-c kernel at KernelSpec's default tolerance; a callable
+    receives the rule's points as column-major (F-contiguous) float64
+    (m, dim) blocks, and must not assume C order.  Convergence diagnostics
+    live in apply_T_report.  b and c must be finite.
     """
     b, c = _check_finite("b", b), _check_finite("c", c)
     x, rule = _setup_point(x, rule)
@@ -409,7 +407,9 @@ def besov_norm(g, q, beta, rule=None, dim=None, t=None):
     constant c, the finite sum expansion.square_integral for q = 2, and
     otherwise its integral on the outer grid.  A callable's transform is
     evaluated on a reduced outer grid, so expect desk-scale accuracy only;
-    rule is its inner quadrature and sets the outer grid.  The dimension is
+    rule is its inner quadrature and sets the outer grid.  The callable
+    receives the inner rule's points as column-major (F-contiguous) float64
+    (m, dim) blocks, and must not assume C order.  The dimension is
     rule's, else dim (an integer >= 2), else an expansion's own (JSON text
     is parsed for it).  b, c and beta must be finite.
     """

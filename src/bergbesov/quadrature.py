@@ -22,7 +22,10 @@ polar grid: lp_norm's, and the image norms' of operators on their outer
 grid.  integrate_ball serves signed integrals.  Every grid of values, theirs
 and the callable transforms' inner grid in operators, is evaluated by
 _on_polar_grid, in blocks of whole radii of at most GRID_POINTS points: the
-dim-3 grid of the default rule has 1 048 576 points, 25 MB at once.
+dim-3 grid of the default rule has 1 048 576 points, 25 MB at once.  Every
+integrand, on a grid block or on integrate_sphere's nodes, receives its
+points as one column-major (F-contiguous) float64 (m, dim) array, whose
+columns pts[:, d] are contiguous, and must return m values (_values).
 
 The 1-D radial layer (the profiles (1-r^2)^B (1 + log 1/(1-r^2))^{-V}, their
 finiteness, cutoff ladders, full-interval values and closed-form sups, and
@@ -76,8 +79,12 @@ _SPHERE_BUDGET = 4096
 # Points per call of the integrand in _on_polar_grid: a block of whole radii
 # whose points and the callable's temporaries stay in cache (768 KB of points
 # in dim 3), where the whole dim-3 grid of the default rule is 1 048 576
-# points (25 MB).  2^14 and 2^15 were about equally fast, and 2^15 keeps
-# the dim-2 grid of the default rule (128 x 256 points) one call.
+# points (25 MB).  On column-major blocks, a round of the perfbench
+# transforms workload took 173.0, 170.8 and 181.6 ms (medians of 12
+# interleaved rounds; quartiles 170.0-174.3, 169.4-175.0 and
+# 178.7-184.2 ms) at 2^14, 2^15 and 2^16 points (2-CPU Xeon, Python 3.11,
+# NumPy 2.4).  2^14 and 2^15 are equally fast within that spread, and 2^15
+# keeps the dim-2 grid of the default rule (128 x 256 points) one call.
 GRID_POINTS = 2**15
 
 # Radii of the sup-norm grid: w = log 1/(1-r^2) on 97 points of [0, 16].
@@ -256,9 +263,23 @@ def _sphere_rule(dim, sphere_nodes):
 
 def integrate_sphere(f, rule):
     """Normalized spherical mean of f on the rule's sphere nodes; exact for
-    polynomials of degree up to rule.sphere_exactness()."""
+    polynomials of degree up to rule.sphere_exactness().
+
+    f maps an (m, dim) array of points to m values.  It receives the nodes
+    as one column-major (F-contiguous) float64 array, as every integrand of
+    this module does, so it must not assume C order.
+    """
     pts, wts = rule.sphere_rule()
-    return float(np.sum(np.asarray(f(pts), dtype=float) * wts))
+    return float(np.sum(_values(f, np.asfortranarray(pts)) * wts))
+
+
+def _values(f, pts):
+    """f(pts) as a float array of one value per row of pts; any other shape
+    raises ValueError.  Every integrand call of this module goes through it."""
+    vals = np.asarray(f(pts), dtype=float)
+    if vals.shape != (len(pts),):
+        raise ValueError("callable must map an (m, dim) array to m values")
+    return vals
 
 
 def _on_polar_grid(f, r, dirs):
@@ -269,13 +290,18 @@ def _on_polar_grid(f, r, dirs):
     at most GRID_POINTS points, or of one radius where dirs alone has more,
     and the values are written into one (radii, dirs) array.  A grid of at
     most GRID_POINTS points is one call of f, whose values are returned
-    without a copy.  Every point is the same product r_i zeta_j in either
-    case, so a callable whose value at a row does not depend on the other
-    rows of its call gives the same grid bit for bit.  NumPy's
-    matrix-vector product (pts @ a, as in evaluate_many) does depend on
-    them from dim 8 on, where a call's row count is not a multiple of 4,
-    but every block here holds whole radii and the sphere rules have
-    2^dim directions there.
+    without a copy.  f receives each block as a column-major (F-contiguous)
+    float64 array, and must not assume C order.  Every point is the same
+    product r_i zeta_j, in the same row, in either case, so a callable
+    whose value at a row does not depend on the other rows of its call
+    gives the same grid bit for bit.  A callable whose own matrix products
+    or row sums round by layout (pts @ a from dim 3, the row sums of NumPy
+    from dim 8) moves in its last bits against C-ordered points of the same
+    values; evaluate_many and test_function_eval read them in C order, so
+    theirs do not.  NumPy's C-ordered matrix-vector product also depends on
+    the other rows from dim 8 on, where a call's row count is not a
+    multiple of 4, but every block here holds whole radii and the sphere
+    rules have 2^dim directions there.
     """
     r = np.asarray(r, dtype=float)
     step = max(1, GRID_POINTS // len(dirs))
@@ -288,19 +314,26 @@ def _on_polar_grid(f, r, dirs):
 
 
 def _grid_block(f, r, dirs):
-    pts = (r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
-    return np.asarray(f(pts), dtype=float).reshape(len(r), len(dirs))
+    """f on r x dirs, with the point r_i zeta_j in row i S + j of one
+    column-major (R S, dim) array: the transpose of the C-ordered
+    (dim, R, S) array of the products r_i zeta_j[d]."""
+    n_dirs, dim = dirs.shape
+    coords = np.empty((dim, len(r), n_dirs))
+    np.multiply(np.ascontiguousarray(dirs.T)[:, None, :], r[:, None], out=coords)
+    return _values(f, coords.reshape(dim, -1).T).reshape(len(r), n_dirs)
 
 
 def integrate_ball(f, weight_exponent, rule):
     """Approximate int_B f(x) (1-|x|^2)^weight_exponent dnu(x).
 
-    f maps an (m, dim) array of points to m values.  The weight takes the
-    radial nodes of _weighted_radial_rule: folded into them for
-    weight_exponent > -1, applied at them otherwise.  Non-finite node values
-    propagate into the result.
+    f maps an (m, dim) array of points to m values; it receives the points
+    in column-major (F-contiguous) float64 blocks (_on_polar_grid), and
+    must not assume C order.  The weight takes the radial nodes of
+    _weighted_radial_rule: folded into them for weight_exponent > -1,
+    applied at them otherwise; weight_exponent must be finite.  Non-finite
+    node values propagate into the result.
     """
-    r, wr = _weighted_radial_rule(rule, weight_exponent)
+    r, wr = _weighted_radial_rule(rule, _check_finite("weight_exponent", weight_exponent))
     zeta, ws = rule.sphere_rule()
     vals = _on_polar_grid(f, r, zeta)
     return float(np.sum(np.sum(vals * ws[None, :], axis=1) * wr))
@@ -325,6 +358,9 @@ def lp_norm(f, p, alpha, rule):
     Finite p: ((1/V_alpha) int_B |f|^p (1-|x|^2)^alpha dnu)^(1/p), requiring
     alpha > -1.  p = inf: sup of (1-|x|^2)^alpha |f| over a log-spaced radial
     grid times the rule's sphere directions (a documented lower estimate).
+    f maps an (m, dim) array of points to m values; it receives the points
+    in column-major (F-contiguous) float64 blocks (_on_polar_grid), and
+    must not assume C order.
     """
     if p != math.inf and not p >= 1.0:
         raise ValueError(f"p must be in [1, inf], got {p}")

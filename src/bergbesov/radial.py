@@ -325,10 +325,12 @@ class TestFunction:
 
 def test_function_eval(tf, x):
     """(1-|x|^2)^u (1 + log 1/(1-|x|^2))^{-v} at a point or an (m, dim)
-    batch: array work, so NumPy is imported here, when it runs."""
+    batch: array work, so NumPy is imported here, when it runs.  The batch
+    is read in C order, since NumPy's row sums round by layout from dim 8:
+    the column-major blocks of the quadrature grids give the same values."""
     import numpy as np
 
-    pts = np.asarray(x, dtype=float)
+    pts = np.asarray(x, dtype=float, order="C")
     scalar = pts.ndim == 1
     rr = np.sum(np.atleast_2d(pts) ** 2, axis=1)
     if np.any(rr >= 1.0):

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.special import beta as sbeta
-from scipy.special import eval_gegenbauer
 
 from bergbesov import quadrature
 from bergbesov.expansion import HarmonicExpansion, evaluate_many
+from bergbesov.operators import TestFunction as Fuv
 from bergbesov.operators import apply_T
+from bergbesov.operators import test_function_eval as fuv_eval
 from bergbesov.quadrature import (
     BallQuadrature,
     LadderResult,
@@ -259,27 +260,29 @@ def test_integrate_ball_nonfinite_propagates():
 
 def _grid_inputs(dim):
     """Three callables on (m, dim) points: an expansion through
-    evaluate_many, the solid harmonic Z_3(., w) from scipy's Gegenbauer
-    polynomials (both read the points through a matrix product) and
-    x1 x2."""
+    evaluate_many (a matrix product and row norms), the test function
+    f_{0.7,1.3} through test_function_eval (row sums) and x1 x2."""
     rng = np.random.default_rng(dim)
-    anchors = [rng.uniform(-0.5, 0.5, dim) for _ in range(3)]
+    anchors = [a / max(1.0, np.linalg.norm(a)) for a in rng.uniform(-0.5, 0.5, (3, dim))]
     exp = HarmonicExpansion.from_terms(dim, [(3, anchors[0], 1.5), (1, anchors[1], -0.5), (7, anchors[2], 0.25)])
-    w = rng.uniform(-0.5, 0.5, dim)
-
-    def solid(pts):
-        prod = np.linalg.norm(pts, axis=1) * np.linalg.norm(w)
-        cos = np.clip((pts @ w) / np.where(prod == 0.0, 1.0, prod), -1.0, 1.0)
-        if dim == 2:
-            return prod**3 * 2.0 * np.cos(3.0 * np.arccos(cos))
-        return prod**3 * (dim + 4.0) / (dim - 2.0) * eval_gegenbauer(3, 0.5 * dim - 1.0, cos)
-
-    return {"evaluate_many": lambda pts: evaluate_many(exp, pts), "solid": solid,
+    return {"evaluate_many": lambda pts: evaluate_many(exp, pts),
+            "test_function_eval": lambda pts: fuv_eval(Fuv(0.7, 1.3), pts),
             "x1x2": lambda pts: pts[:, 0] * pts[:, 1]}
 
 
+def _grid_points(r, dirs):
+    """The points r_i zeta_j of the grid r x dirs, row i S + j, C-ordered."""
+    return (r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1])
+
+
 def _one_call_grid(f, r, dirs):
-    return np.asarray(f((r[:, None, None] * dirs[None, :, :]).reshape(-1, dirs.shape[1]))).reshape(len(r), len(dirs))
+    return np.asarray(f(_grid_points(r, dirs))).reshape(len(r), len(dirs))
+
+
+def _grid_rule(dim):
+    """A rule of R = 5 radii whose S directions are a multiple of 4: 2^dim
+    from dim 8 on."""
+    return BallQuadrature(dim, radial_nodes=5, sphere_nodes=12 if dim == 2 else 16)
 
 
 # The block against the grid's S directions and R = 5 radii: below R S,
@@ -290,13 +293,16 @@ _BLOCKS = {"below": lambda s: 5 * s + 1, "equal": lambda s: 5 * s, "two-radii": 
 
 
 @pytest.mark.parametrize("block", sorted(_BLOCKS))
-@pytest.mark.parametrize("dim", range(2, 9))
+@pytest.mark.parametrize("dim", range(2, 10))
 def test_blocked_grid_equals_the_one_call_grid(dim, block, monkeypatch):
-    """The sphere rules' directions (S = 2^dim from dim 8 on, a multiple of
-    4: a BLAS matrix-vector product takes four rows at a time and the
-    remainder in another order, so a block of other size could move a row
-    of a callable that forms x @ a in its last bit)."""
-    rule = BallQuadrature(dim, radial_nodes=5, sphere_nodes=12 if dim == 2 else 16)
+    """The program's own integrands give, on the column-major blocks, the
+    grid of one call on C-ordered points bit for bit.  evaluate_many's
+    pts @ y (from dim 3) and row norms (from dim 8) and test_function_eval's
+    row sums (from dim 8) round by layout, so both read their points in C
+    order; a BLAS matrix-vector product also takes four rows at a time and
+    the remainder in another order, so a block of other size could move a
+    row in its last bit."""
+    rule = _grid_rule(dim)
     r, _ = rule.radial_rule()
     dirs, _ = rule.sphere_rule()
     monkeypatch.setattr(quadrature, "GRID_POINTS", _BLOCKS[block](len(dirs)))
@@ -305,6 +311,51 @@ def test_blocked_grid_equals_the_one_call_grid(dim, block, monkeypatch):
         got = _on_polar_grid(f, r, dirs)
         assert got.shape == (5, len(dirs))
         assert np.array_equal(got, want), (name, block)
+
+
+@pytest.mark.parametrize("block", ["one-call", *sorted(_BLOCKS)])
+@pytest.mark.parametrize("dim", range(2, 10))
+def test_integrands_receive_column_major_blocks_of_the_grid_points(dim, block, monkeypatch):
+    rule = _grid_rule(dim)
+    r, _ = rule.radial_rule()
+    dirs, _ = rule.sphere_rule()
+    if block != "one-call":
+        monkeypatch.setattr(quadrature, "GRID_POINTS", _BLOCKS[block](len(dirs)))
+    seen = []
+
+    def spy(pts):
+        seen.append((pts.flags.f_contiguous, pts.dtype, pts.copy()))
+        return np.zeros(len(pts))
+
+    _on_polar_grid(spy, r, dirs)
+    assert all(f_order and dtype == np.float64 for f_order, dtype, _ in seen)
+    assert np.array_equal(np.concatenate([pts for _, _, pts in seen]), _grid_points(r, dirs))
+    if block == "one-call":
+        assert len(seen) == 1
+    seen.clear()
+    integrate_sphere(spy, rule)
+    assert len(seen) == 1 and seen[0][0] and seen[0][1] == np.float64
+    assert np.array_equal(seen[0][2], dirs)
+
+
+_BAD_OUTPUTS = {"column": lambda pts: (pts[:, 0] ** 2)[:, None], "scalar": lambda pts: 1.0,
+                "short": lambda pts: np.ones(len(pts) - 1)}
+
+
+@pytest.mark.parametrize("output", sorted(_BAD_OUTPUTS))
+def test_every_integrand_call_checks_the_output_shape(output):
+    rule = BallQuadrature(3, radial_nodes=8, sphere_nodes=16)
+    f = _BAD_OUTPUTS[output]
+    for integral in (lambda: integrate_sphere(f, rule), lambda: integrate_ball(f, 0.0, rule),
+                     lambda: lp_norm(f, 2.0, 0.0, rule), lambda: lp_norm(f, math.inf, 0.0, rule)):
+        with pytest.raises(ValueError, match=r"callable must map an \(m, dim\) array to m values"):
+            integral()
+
+
+@pytest.mark.parametrize("w", [math.nan, math.inf, -math.inf])
+def test_integrate_ball_refuses_a_nonfinite_weight_exponent(w):
+    with pytest.raises(ValueError, match="weight_exponent must be finite"):
+        integrate_ball(lambda pts: np.ones(len(pts)), w, BallQuadrature(2, 8, 16))
 
 
 @pytest.mark.parametrize("dim, radial_nodes", [(2, 63), (2, 64), (2, 128), (2, 129), (3, 127), (3, 128)])
