@@ -41,9 +41,11 @@ the rest of a closed-form evaluation.  So at a
 closed-form order the batch returns kernel_eval's value bit for bit
 wherever the pair's own certified degree is positive.  NumPy is left to the
 coefficient tables and the series: a single pair's series runs in
-_accel.series_point, a batch's in one _accel.zonal_series call over its
-rows' cosines, and zonal_harmonic runs the zonal table's recurrence on
-floats (_accel.zonal_point).
+_accel.series_point, which weights its degrees by a running product of the
+coefficient ratios gamma_k/gamma_{k-1} (_gamma_ratios) and so forms no
+coefficient table, a batch's in one _accel.zonal_series call over its
+rows' cosines with the table of gamma_coefs, and zonal_harmonic runs the
+zonal table's recurrence on floats (_accel.zonal_point).
 
 NumPy and _accel are imported on first use, by _load_numpy, not with the
 module: the certificate, the closed forms and a pair given as lists or
@@ -89,9 +91,9 @@ _accel = None
 def _load_numpy():
     """Bind the module globals np and _accel, importing them on the first
     call; once they are bound it imports nothing.  Every function that
-    reads either binds them first: kernel_eval_degree and gamma_coefs, on
-    the path of every kernel_eval, call this only while _accel is None,
-    which saves the call."""
+    reads either binds them first: _gamma_ratios, on the path of every
+    series kernel_eval, calls this only while _accel is None, which saves
+    the call."""
     global np, _accel
     if _accel is None:
         import numpy
@@ -126,30 +128,49 @@ def gamma_coefs(kmax, alpha, dim):
     """Coefficient table gamma_0..gamma_kmax as an array.
 
     Computed by the exact ratio recurrence (incremental finite products of the
-    defining Pochhammer ratios): no overflow, no log-space cancellation, and
-    gamma_0 = 1 exactly.  Both branches produce strictly positive values.
+    defining Pochhammer ratios): the running product of _gamma_ratios, with
+    no overflow, no log-space cancellation, and gamma_0 = 1 exactly.  Both
+    branches produce strictly positive values.  ValueError unless kmax is an
+    integer >= 0, dim an integer >= 2 and alpha finite.
     """
     kmax = _check_int("kmax", kmax, 0)
+    dim = _check_int("dim", dim, 2)
+    alpha = _check_finite("alpha", alpha)
+    out = _gamma_ratios(kmax, alpha, dim)
+    return np.cumprod(out, out=out)
+
+
+def _gamma_ratios(kmax, alpha, dim):
+    """The ratios [1, gamma_1/gamma_0, ..., gamma_kmax/gamma_{kmax-1}] as an
+    array of kmax + 1 entries, for checked arguments: a single pair's series
+    (_accel.series_point) weights its degrees by their running product, and
+    gamma_coefs is that product.
+
+    The ratio at degree k + 1 is (k+1)^2 / ((1 - (n/2 + alpha) + k) (n/2 + k))
+    on the factorial branch and (1 + n/2 + alpha + k) / (n/2 + k) on the
+    reproducing one.
+    """
     if _accel is None:
         _load_numpy()
     n2 = 0.5 * dim
-    ks = np.arange(kmax, dtype=float)
-    if _uses_factorial_branch(alpha, dim):
-        big_a = 1.0 - (n2 + alpha)
-        factors = (ks + 1.0) ** 2 / ((big_a + ks) * (n2 + ks))
-    else:
-        a = 1.0 + n2 + alpha
-        factors = (a + ks) / (n2 + ks)
+    ks = np.arange(float(kmax))
     out = np.empty(kmax + 1)
     out[0] = 1.0
-    np.cumprod(factors, out=out[1:])
+    factors = out[1:]
+    if _uses_factorial_branch(alpha, dim):
+        np.add(ks, 1.0, out=factors)
+        factors *= factors
+        factors /= (ks + (1.0 - (n2 + alpha))) * (ks + n2)
+    else:
+        np.add(ks, 1.0 + n2 + alpha, out=factors)
+        factors /= ks + n2
     return out
 
 
 def gamma_coef(k, alpha, dim):
-    """Scalar gamma_k(alpha) for the given dimension."""
-    k, dim = _check_int("degree", k, 0), _check_int("dim", dim, 2)
-    return float(gamma_coefs(k, float(alpha), dim)[-1])
+    """Scalar gamma_k(alpha) for the given dimension; the checks of
+    gamma_coefs."""
+    return float(gamma_coefs(_check_int("degree", k, 0), alpha, dim)[-1])
 
 
 def harmonic_dim(k, dim):
@@ -492,12 +513,6 @@ def _degree_is_positive(spec, rx, ry):
     return truncation_degree(spec, rx, ry) > 0
 
 
-def _series(gam, rho, cost, dim):
-    if dim == 2:
-        return _accel.series_disk(gam, rho, cost)
-    return _accel.series_ball(gam, rho, cost, dim)
-
-
 def has_closed_form(spec):
     """Whether kernel_eval and kernel_eval_batch evaluate R_alpha in closed
     form: alpha = -1 or alpha = 0 in every dimension, and alpha > -2 in the
@@ -600,7 +615,9 @@ def kernel_eval_degree(spec, x, y):
     the norms, x.y, and either the closed form's s, d or 1 - z (_pair_closed_form) or
     the series' cosine (_pair_cosine) are formed on them, sums taken in
     coordinate order.  The series itself goes through _accel.series_disk or
-    series_ball, which run series_point on the floats."""
+    series_ball, which run series_point on the floats, given the K+1
+    coefficient ratios of _gamma_ratios and |x||y| and the cosine as
+    one-element tuples."""
     x, rx_sq, rx, y, ry_sq, ry = _pair(spec, x, y)
     if rx * ry == 0.0:
         return 1.0, 0
@@ -609,9 +626,11 @@ def kernel_eval_degree(spec, x, y):
         return 1.0, 0
     if has_closed_form(spec):
         return _pair_closed_form(spec, x, rx_sq, y, ry_sq), kmax
-    gam = gamma_coefs(kmax, spec.alpha, spec.dim)  # binds np and _accel
-    t = _pair_cosine(x, rx, y, ry)
-    return float(_series(gam, np.array([rx * ry]), np.array([t]), spec.dim)[0]), kmax
+    ratios = _gamma_ratios(kmax, spec.alpha, spec.dim)  # binds np and _accel
+    rho, cost = (rx * ry,), (_pair_cosine(x, rx, y, ry),)
+    if spec.dim == 2:
+        return _accel.series_disk(ratios, rho, cost), kmax
+    return _accel.series_ball(ratios, rho, cost, spec.dim), kmax
 
 
 def kernel_eval_batch(spec, x, pts):

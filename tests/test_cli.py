@@ -293,7 +293,7 @@ KERNEL_STDOUT = {
     0.40000000000000002,
     -0.5
   ],
-  "value": 0.84193330500457197,
+  "value": 0.84193330500457175,
   "truncation_degree": 118,
   "method": "series"
 }

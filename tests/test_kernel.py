@@ -4,6 +4,7 @@ evaluation, the single-pair series against a node-array loop, the batch
 (zonal table and Horner) against the single-pair series, and the
 closed-form orders against 40-digit references and against the series."""
 
+import functools
 import itertools
 import math
 import os
@@ -105,6 +106,37 @@ def test_gamma_validation():
     for k in (math.inf, math.nan, -1, 0.5):
         with pytest.raises(ValueError, match=f"degree must be an integer >= 0, got {k}"):
             harmonic_dim(k, 3)
+
+
+def test_gamma_coefs_checks_dim_and_alpha():
+    # both public coefficient functions check every argument: a fractional,
+    # too small or boolean dimension and a non-finite order raise instead of
+    # returning a table of another dimension or of NaN
+    for dim in (2.5, 1, True, math.nan):
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 2, got {dim}"):
+            gamma_coefs(3, 0.0, dim)
+        with pytest.raises(ValueError, match=f"dim must be an integer >= 2, got {dim}"):
+            gamma_coef(3, 0.0, dim)
+    for alpha in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+            gamma_coefs(3, alpha, 3)
+        with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+            gamma_coef(3, alpha, 3)
+    assert gamma_coefs(3, 0.0, np.int64(2)).tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def test_gamma_coefs_is_the_running_product_of_the_ratio_table():
+    # a single pair's series reads the ratios gamma_k/gamma_{k-1}; the table
+    # is their running product, bit for bit, on both branches
+    for dim in range(2, 9):
+        for alpha in (-9.5, -(1.0 + 0.5 * dim), -1.3, 0.0, 2.25):
+            for kmax in (0, 1, 2, 40, 3000):
+                ratios = kernel._gamma_ratios(kmax, alpha, dim)
+                assert ratios.shape == (kmax + 1,) and ratios[0] == 1.0
+                assert np.array_equal(gamma_coefs(kmax, alpha, dim), np.cumprod(ratios))
+                for k in range(1, min(kmax, 40) + 1):
+                    want = _gamma_reference(k, alpha, dim) / _gamma_reference(k - 1, alpha, dim)
+                    assert ratios[k] == pytest.approx(want, rel=1e-13)
 
 
 def test_harmonic_dim_tables():
@@ -758,60 +790,51 @@ def test_kernel_diagonal_positive(alpha, r, dim):
     assert kernel_eval(spec, x, x) >= 1.0 - 1e-10
 
 
-def _series_array(gam, rho, t, dim):
-    # the zonal recurrence run on node arrays, at one node: an independent
-    # form of series_point's sum, with the same expressions in the same
-    # order.  Above dimension 2 it forms the coefficients of the normalized
-    # zonal harmonics Y_k = Z_k / h_k degree by degree on Python floats,
-    # a_k = (2k+n-4)/(k+n-3), b_k = a_k - 1 and h_k through the integers
-    # (2k+n-2) C(k+j, j), and weights Y_k by rho^k gamma_k h_k
+def _series_array(ratios, rho, t, dim):
+    # the single-pair series run on one-node arrays: an independent form of
+    # series_point's arithmetic, with the same expressions in the same
+    # order.  It forms the coefficients of the normalized zonal harmonics
+    # Y_k = Z_k / h_k degree by degree on Python floats, a_k = 2 (a_1 = 1)
+    # and h_k = 2 in dimension 2, a_k = (2k+n-4)/(k+n-3) and h_k through the
+    # integers (2k+n-2) C(k+j, j) above, b_k = a_k - 1, and weights Y_k by
+    # the running product c_k = c_{k-1} (r_k h_k/h_{k-1}) rho of the
+    # coefficient ratios r_k = gamma_k/gamma_{k-1}
     rho, cost = np.array([rho]), np.array([t])
-    kmax = gam.shape[0] - 1
-    acc = np.full(rho.shape, gam[0])
-    if kmax == 0:
-        return acc[0]
-    if dim == 2:
-        cm1 = np.ones_like(cost)
-        rk = rho.copy()
-        c = cost.copy()
-        acc += gam[1] * 2.0 * rk * c
-        for k in range(2, kmax + 1):
-            cm1, c = c, 2.0 * cost * c - cm1
-            rk = rk * rho
-            acc += gam[k] * 2.0 * rk * c
-        return acc[0]
-    powers = rho[0] ** np.arange(1.0, kmax + 1.0)
-    y2, y1 = np.zeros_like(cost), np.ones_like(cost)
+    kmax = ratios.shape[0] - 1
+    acc, c, h_prev = np.ones(1), np.ones(1), 1.0
+    y2, y1 = np.zeros(1), np.ones(1)
     for k in range(1, kmax + 1):
-        a = (2.0 * k + dim - 4.0) / (k + dim - 3.0)
+        if dim == 2:
+            a, h = (1.0 if k == 1 else 2.0), 2.0
+        else:
+            a = (2.0 * k + dim - 4.0) / (k + dim - 3.0)
+            h = 2.0 * k + dim - 2.0
+            for j in range(1, dim - 2):
+                h = h * (k + j) / j
+            h = h / (dim - 2.0)
         b = a - 1.0
-        h = 2.0 * k + dim - 2.0
-        for j in range(1, dim - 2):
-            h = h * (k + j) / j
-        h = h / (dim - 2.0)
         y2, y1 = y1, (a * cost) * y1 - b * y2
-        acc += (powers[k - 1] * gam[k]) * h * y1
+        c = c * ((ratios[k] * (h / h_prev)) * rho)
+        acc += c * y1
+        h_prev = h
     return acc[0]
-
-
-def _series(gam, rho, cost, dim):
-    if dim == 2:
-        return _accel.series_disk(gam, rho, cost)
-    return _accel.series_ball(gam, rho, cost, dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
 def test_series_point_equals_array_series_at_one_node(dim):
+    # and the entry points kernel_eval_degree calls, with |x||y| and the
+    # cosine as one-element tuples, return its float
     spec = KernelSpec(alpha=-1.1, dim=dim)
     certified = truncation_degree(spec, 0.999, 1.0)
+    entry = _accel.series_disk if dim == 2 else functools.partial(_accel.series_ball, dim=dim)
     for kmax in (0, 1, 2, certified):
-        gam = gamma_coefs(kmax, spec.alpha, dim)
+        ratios = kernel._gamma_ratios(kmax, spec.alpha, dim)
         for rho, t in ((0.999, 0.3), (0.999, 1.0), (0.5, -1.0), (0.0, 0.7)):
-            value = _accel.series_point(gam, rho, t, dim)
+            value = _accel.series_point(ratios, rho, t, dim)
             assert type(value) is float
-            assert value == _series_array(gam, rho, t, dim)
-            routed = _series(gam, np.array([rho]), np.array([t]), dim)
-            assert routed.shape == (1,) and routed[0] == value
+            assert value == _series_array(ratios, rho, t, dim)
+            routed = entry(ratios, (rho,), (t,))
+            assert type(routed) is float and routed == value
 
 
 def _abs_series(spec, rho, kmax):
@@ -865,8 +888,8 @@ def test_batch_on_many_nodes_matches_kernel_eval_per_node(dim):
 )
 @settings(max_examples=60, deadline=None)
 def test_series_point_bit_identical_over_angles(t, rho, alpha, dim):
-    gam = gamma_coefs(120, alpha, dim)
-    assert _accel.series_point(gam, rho, t, dim) == _series_array(gam, rho, t, dim)
+    ratios = kernel._gamma_ratios(120, alpha, dim)
+    assert _accel.series_point(ratios, rho, t, dim) == _series_array(ratios, rho, t, dim)
 
 
 def _dyadic_point(dim):
@@ -976,14 +999,23 @@ def _disk_series_mp(alpha, xi, yi, kmax):
     return total
 
 
-def _gegenbauer_series_point(gam, rho, t, dim):
-    # the dimension >= 3 loop that series_point ran before the normalized
-    # recurrence: Gegenbauer C_k^lam, lam = (n-2)/2, rescaled to Z_k term by
-    # term, with rho^k by repeated multiplication.  A reference that must
-    # meet the same rounding bound
+def _replaced_series_point(gam, rho, t, dim):
+    # the loops that series_point ran before its one loop for every
+    # dimension, with rho^k by repeated multiplication: in dimension 2 the
+    # Chebyshev recurrence, above it the Gegenbauer C_k^lam, lam = (n-2)/2,
+    # rescaled to Z_k term by term.  A reference that must meet the same
+    # rounding bound
     kmax = gam.shape[0] - 1
     acc = float(gam[0])
     if kmax == 0:
+        return acc
+    if dim == 2:
+        cm1, c, rk = 1.0, t, rho
+        acc += float(gam[1]) * 2.0 * rk * c
+        for k in range(2, kmax + 1):
+            cm1, c = c, 2.0 * t * c - cm1
+            rk = rk * rho
+            acc += float(gam[k]) * 2.0 * rk * c
         return acc
     lam = 0.5 * (dim - 2.0)
     cm1, c, rk = 1.0, 2.0 * lam * t, rho
@@ -995,22 +1027,25 @@ def _gegenbauer_series_point(gam, rho, t, dim):
     return acc
 
 
-def _mp_gegenbauer_sum(gam, rho, ts, dim):
+def _mp_zonal_sum(gam, rho, ts, dim):
     """sum_k gam[k] rho^k Z_k(t) in 40 digits for each t of ts, the float
-    coefficients, rho and t taken exactly, Z_k = ((k+lam)/lam) C_k^lam(t)
-    from the Gegenbauer recurrence (DLMF 18.9.1)."""
+    coefficients, rho and t taken exactly: Z_k = 2 T_k(t) by the Chebyshev
+    recurrence in dimension 2, and ((k+lam)/lam) C_k^lam(t) from the
+    Gegenbauer recurrence (DLMF 18.9.1) above it."""
     with mpmath.workdps(40):
         lam = mpmath.mpf(dim - 2) / 2
         out = []
         for t in ts:
             t = mpmath.mpf(t)
-            cm1, c, rk = mpmath.mpf(1), 2 * lam * t, mpmath.mpf(1)
+            cm1, c, rk = mpmath.mpf(1), (t if dim == 2 else 2 * lam * t), mpmath.mpf(1)
             total = mpmath.mpf(float(gam[0]))
             for k in range(1, gam.shape[0]):
-                if k >= 2:
+                if k >= 2 and dim == 2:
+                    cm1, c = c, 2 * t * c - cm1
+                elif k >= 2:
                     cm1, c = c, (2 * t * (k + lam - 1) * c - (k + 2 * lam - 2) * cm1) / k
                 rk *= mpmath.mpf(rho)
-                total += mpmath.mpf(float(gam[k])) * rk * (k + lam) / lam * c
+                total += mpmath.mpf(float(gam[k])) * rk * (2 * c if dim == 2 else (k + lam) / lam * c)
             out.append(total)
         return out
 
@@ -1018,27 +1053,32 @@ def _mp_gegenbauer_sum(gam, rho, ts, dim):
 ROUNDING_TS = (1.0, -1.0, 1.0 - 1e-7, -1.0 + 1e-7, 0.0, 0.3)
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6, 7, 8])
 def test_dimension_3_up_series_meet_the_rounding_bound(dim):
-    # series_point, zonal_series over zonal_table rows, and the Gegenbauer
-    # loop they replaced, against the 40-digit sum of the same float
+    # series_point, zonal_series over zonal_table rows, and the loops
+    # series_point replaced, against the 40-digit sum of the same float
     # coefficients, at the certified degree of |x||y| = rho: K from about
-    # 40 to about 2 500, at the poles, an ulp-scale step inside them, the
-    # equator and a generic angle.  The rounding bound 2 (K+2) eps
-    # sum_k gamma_k h_k rho^k allows every order of summation
-    for alpha, rho in ((-4.5, 0.5), (1.7, 0.9), (0.4, 0.97), (1.7, 0.976)):
+    # 20 to about 3 600, at the poles, an ulp-scale step inside them, the
+    # equator and a generic angle, in every dimension from 2 on (the name
+    # is older than the dimension-2 cases), on both coefficient branches
+    # (alpha = -7.5 and -4.5 are factorial-branch orders).  The rounding
+    # bound 2 (K+2) eps sum_k gamma_k h_k rho^k allows every order of
+    # summation, and series_point's weights, a running product of the
+    # coefficient ratios, must meet it too
+    for alpha, rho in ((-4.5, 0.5), (1.7, 0.9), (0.4, 0.97), (-7.5, 0.99), (1.7, 0.976)):
         spec = KernelSpec(alpha, dim)
         kmax = truncation_degree(spec, math.sqrt(rho), math.sqrt(rho))
         gam = gamma_coefs(kmax, alpha, dim)
+        ratios = kernel._gamma_ratios(kmax, alpha, dim)
         bound = _rounding_bound(spec, rho, kmax)
-        wants = _mp_gegenbauer_sum(gam, rho, ROUNDING_TS, dim)
+        wants = _mp_zonal_sum(gam, rho, ROUNDING_TS, dim)
         table = _accel.zonal_series(gam, np.full(len(ROUNDING_TS), rho), np.array(ROUNDING_TS), dim)
         for t, want, batch in zip(ROUNDING_TS, wants, table.tolist()):
             case = (alpha, rho, kmax, t)
-            assert abs(_accel.series_point(gam, rho, t, dim) - want) <= bound, case
+            assert abs(_accel.series_point(ratios, rho, t, dim) - want) <= bound, case
             assert abs(batch - want) <= bound, case
-            assert abs(_gegenbauer_series_point(gam, rho, t, dim) - want) <= bound, case
-    assert kmax > 2000
+            assert abs(_replaced_series_point(gam, rho, t, dim) - want) <= bound, case
+    assert kmax > 1900
 
 
 def test_normalized_zonal_rows_are_exact_at_the_poles():
@@ -1073,7 +1113,7 @@ def test_disk_zonal_series_is_as_accurate_as_series_point_near_the_boundary():
             kmax = truncation_degree(spec, rx, ry)
             gam = gamma_coefs(kmax, alpha, 2)
             t = min(1.0, max(-1.0, float(np.dot(x, y)) / (rx * ry)))
-            point = _accel.series_point(gam, rx * ry, t, 2)
+            point = _accel.series_point(kernel._gamma_ratios(kmax, alpha, 2), rx * ry, t, 2)
             cost = np.clip((y[None, :] @ x) / (rx * ry), -1.0, 1.0)
             batch = _accel.zonal_series(gam, np.array([rx * ry]), cost, 2)[0]
             with mpmath.workdps(40):
@@ -1291,9 +1331,8 @@ def test_series_point_agrees_with_the_closed_form(alpha, dim):
         kmax = truncation_degree(spec, rx, ry)
         if kmax == 0:
             continue
-        gam = gamma_coefs(kmax, alpha, dim)
         t = min(1.0, max(-1.0, float(np.dot(x, y)) / (rx * ry)))
-        series = _accel.series_point(gam, rx * ry, t, dim)
+        series = _accel.series_point(kernel._gamma_ratios(kmax, alpha, dim), rx * ry, t, dim)
         closed = kernel_eval(spec, x, y)
         bound = spec.tol + _rounding_bound(spec, rx * ry, kmax) + _geometry_rounding(spec, rx * ry, kmax)
         assert abs(series - closed) <= bound

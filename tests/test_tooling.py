@@ -232,10 +232,12 @@ def test_the_certificate_forms_each_orders_constants_once(monkeypatch):
 
 
 def test_both_zonal_drivers_read_one_coefficient_table(monkeypatch):
-    # series_point and zonal_table take the recurrence of every dimension
-    # >= 3 from _accel._zonal_coefficients, asked once per call at the power
-    # of two above the top degree, and dimension 2 not at all: a table the
-    # helper hands out with b_k moved moves both drivers' values
+    # series_point and zonal_point take the recurrence of every dimension,
+    # and zonal_table that of every dimension >= 3, from
+    # _accel._zonal_coefficients, asked once per call at the power of two
+    # above the top degree; zonal_table runs its dimension-2 rows without
+    # it.  A table the helper hands out with b_k moved moves every value
+    # read from it
     import numpy as np
 
     accel = importlib.import_module("bergbesov._accel")
@@ -251,24 +253,29 @@ def test_both_zonal_drivers_read_one_coefficient_table(monkeypatch):
     u = np.array([0.3, -0.8, 1.0])
     for dim in range(2, 9):
         for kmax in (1, 7, 8, 300):
-            gam = kernel.gamma_coefs(kmax, 0.4, dim)
-            want = [] if dim == 2 else [(dim, 1 << kmax.bit_length())]
+            ratios = kernel._gamma_ratios(kmax, 0.4, dim)
+            want = [(dim, 1 << kmax.bit_length())]
             asked.clear()
-            point = accel.series_point(gam, 0.9, 0.3, dim)
+            point = accel.series_point(ratios, 0.9, 0.3, dim)
+            assert asked == want
+            asked.clear()
+            harmonic = accel.zonal_point(kmax, 0.3, dim)
             assert asked == want
             asked.clear()
             rows = accel.zonal_table(kmax, u, dim)
-            assert asked == want
-            if dim == 2 or kmax == 1:  # b_1 = 0 times anything
+            assert asked == ([] if dim == 2 else want)
+            if kmax == 1:  # b_1 = 0 times anything
                 continue
 
             def moved(dim, size):
-                a, b, h = table(dim, size)
-                return a, b * (1.0 + 1e-6), h
+                a, b, h, hr = table(dim, size)
+                return a, b * (1.0 + 1e-6), h, hr
 
             monkeypatch.setattr(accel, "_zonal_coefficients", moved)
-            assert accel.series_point(gam, 0.9, 0.3, dim) != point
-            assert not np.array_equal(accel.zonal_table(kmax, u, dim)[kmax], rows[kmax])
+            assert accel.series_point(ratios, 0.9, 0.3, dim) != point
+            assert accel.zonal_point(kmax, 0.3, dim) != harmonic
+            if dim > 2:
+                assert not np.array_equal(accel.zonal_table(kmax, u, dim)[kmax], rows[kmax])
             monkeypatch.setattr(accel, "_zonal_coefficients", recording)
 
 
