@@ -23,11 +23,17 @@ Out-of-range target weights (Lebesgue with beta <= -1, weighted-sup with
 beta < 0) are unbounded outright: no nonzero harmonic function lies in the
 target, and the verdict records that obstruction instead of a part.
 
-Each part is plain data, (name, lhs, rel, rhs) terms, decided by _decide
-with the same comparisons, min and max for every caller: classify wraps the
-result in Inequality and Verdict objects, and the command-line sweep reads
-it tuple by tuple without building any, after checking each grid value
-once with the checks OperatorParams and classify apply.
+Each part is planned once per (target, n, alpha, beta, p, q) by _plan as
+plain data: the part, its notes, each term's name and relation, and one
+function of (b, c) alone that gives each term's (lhs, rhs).  What reads
+neither b nor c, such as (n+beta)/q or alpha+1, is formed with the plan, in
+the order of operations the inequality is written in, so every lhs, rhs
+and slack is the double a tuple-by-tuple evaluation gives.  _decide reads a
+plan at (b, c) with the same comparisons, min and max for every caller:
+classify wraps the result in Inequality and Verdict objects, and the
+command-line sweep plans each (alpha, beta, p, q) of its grid once and runs
+its (b, c) rows against the plans without building any, after checking
+each grid value once with the checks OperatorParams and classify apply.
 """
 
 import math
@@ -186,100 +192,103 @@ class Verdict:
 _EITHER_PAIR_NOTE = "p=1 regime: bounded iff either inequality pair holds"
 
 
-def _finite_q_parts(prefix, n, b, c, al, be, p, q):
-    if p.raw == 1.0:
-        x = b + (n + be) / q.raw - (n + al)
-        return (f"{prefix}(ii)", _EITHER_PAIR_NOTE, True, (
-            ("alpha<b", al, "<", b),
-            ("c<=b+(n+beta)/q-(n+alpha)", c, "<=", x),
-            ("alpha<=b", al, "<=", b),
-            ("c<b+(n+beta)/q-(n+alpha)", c, "<", x),
-        ))
-    if p.is_inf:
-        return (f"{prefix}(iv)", "sup-source regime 1<=q<p=inf", False, (
-            ("alpha-1<b", al - 1.0, "<", b),
-            ("c<b+(beta+1)/q-alpha", c, "<", b + (be + 1.0) / q.raw - al),
-        ))
-    if p.raw <= q.raw:
-        return (f"{prefix}(i)", "regime 1<p<=q<inf", False, (
-            ("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
-            ("c<=b+(n+beta)/q-(n+alpha)/p", c, "<=", b + (n + be) / q.raw - (n + al) / p.raw),
-        ))
-    return (f"{prefix}(iii)", "regime 1<=q<p<inf", False, (
-        ("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
-        ("c<b+(1+beta)/q-(1+alpha)/p", c, "<", b + (1.0 + be) / q.raw - (1.0 + al) / p.raw),
-    ))
+def _plan(target, n, al, be, p, q):
+    """The inequality system of T_{b,c}: L^p_alpha -> target at fixed
+    (n, alpha, beta, p, q) as plain data, (part, notes, either_pair, heads,
+    sides): heads holds each term's (name, rel), and sides(b, c) each
+    term's (lhs, rhs).  target is a Target, p and q are ExtExponents, q
+    already checked by _check_q.  A weight obstruction is one term, which
+    fails.
 
-
-def _sup_parts(prefix, n, b, c, al, be, p, strict_c, uses_beta):
-    beta_tag = "beta" if uses_beta else ""
-    plus_beta = "+beta" if uses_beta else ""
-    rel = "<" if strict_c else "<="
-    if p.raw == 1.0:
-        x = b + be - (n + al)
-        return (f"{prefix}(ii)", _EITHER_PAIR_NOTE, True, (
-            ("alpha<b", al, "<", b),
-            (f"c<=b{plus_beta}-(n+alpha)", c, "<=", x),
-            ("alpha<=b", al, "<=", b),
-            (f"c<b{plus_beta}-(n+alpha)", c, "<", x),
-        ))
-    if p.is_inf:
-        return (f"{prefix}(iii)", "sup-source regime p=inf", False, (
-            ("alpha-1<b", al - 1.0, "<", b),
-            (f"c{rel}b{plus_beta}-alpha", c, rel, b + be - al),
-        ))
-    return (f"{prefix}(i)",
-            "regime 1<p<inf" + (f"; strict c-inequality at {beta_tag}=0" if strict_c and uses_beta else ""),
-            False, (
-                ("alpha+1<p(b+1)", al + 1.0, "<", p.raw * (b + 1.0)),
-                (f"c{rel}b{plus_beta}-(n+alpha)/p", c, rel, b + be - (n + al) / p.raw),
-            ))
-
-
-def _system(target, n, b, c, al, be, p, q):
-    """The inequality system of T_{b,c}: L^p_alpha -> target as plain data,
-    (part, notes, either_pair, terms), each term a (name, lhs, rel, rhs)
-    tuple.  target is a Target, p and q are ExtExponents, q already checked
-    by _check_q.  A weight obstruction is one term, which fails."""
+    Every part's c-threshold is (b + x) - y, x and y formed here once from
+    what reads neither b nor c: x = (n+beta)/q, (beta+1)/q or (1+beta)/q
+    for a finite-q target and beta for a sup-type one (0 for hinf), and y
+    = n+alpha, (n+alpha)/p, (1+alpha)/p or alpha.  The source side depends
+    on p alone: alpha < b and alpha <= b (the two pairs of p = 1),
+    alpha - 1 < b (p = inf), alpha + 1 < p(b+1) (1 < p < inf)."""
     if target is Target.LEBESGUE and be <= -1.0:
         return ("lebesgue(beta<=-1)", "no nonzero harmonic function is q-integrable against this weight",
-                False, (("-1<beta", -1.0, "<", be),))
+                False, (("-1<beta", "<"),), lambda b, c: ((-1.0, be),))
     if target is Target.WLINF and be < 0.0:
         return ("wlinf(beta<0)", "weighted sup weight must be non-negative",
-                False, (("0<=beta", 0.0, "<=", be),))
+                False, (("0<=beta", "<="),), lambda b, c: ((0.0, be),))
     if target in _FINITE_Q_TARGETS:
-        return _finite_q_parts(target.value, n, b, c, al, be, p, q)
-    if target is Target.BLOCH:
-        return _sup_parts("bloch", n, b, c, al, be, p, strict_c=False, uses_beta=True)
-    if target is Target.HINF:
-        return _sup_parts("hinf", n, b, c, al, 0.0, p, strict_c=True, uses_beta=False)
-    return _sup_parts("wlinf", n, b, c, al, be, p, strict_c=(be == 0.0), uses_beta=True)
-
-
-def _decide(target, n, b, c, al, be, p, q):
-    """The verdict of _system's inequalities as plain data: (bounded,
-    binding_slack, part, notes, terms).  Bounded iff every term holds, with
-    the least rhs - lhs as the slack; in the p = 1 form (either_pair) the
-    four terms are two pairs, bounded iff either pair holds, with the larger
-    of the pairs' least slacks."""
-    part, notes, either_pair, terms = _system(target, n, b, c, al, be, p, q)
-    holds = [lhs < rhs if rel == "<" else lhs <= rhs for _, lhs, rel, rhs in terms]
-    slacks = [rhs - lhs for _, lhs, _, rhs in terms]
-    if either_pair:
-        bounded = (holds[0] and holds[1]) or (holds[2] and holds[3])
-        slack = max(min(slacks[0], slacks[1]), min(slacks[2], slacks[3]))
+        if p.raw == 1.0:
+            part, notes, rel, tail = "(ii)", _EITHER_PAIR_NOTE, None, "+(n+beta)/q-(n+alpha)"
+            x, y = (n + be) / q.raw, n + al
+        elif p.is_inf:
+            part, notes, rel, tail = "(iv)", "sup-source regime 1<=q<p=inf", "<", "+(beta+1)/q-alpha"
+            x, y = (be + 1.0) / q.raw, al
+        elif p.raw <= q.raw:
+            part, notes, rel, tail = "(i)", "regime 1<p<=q<inf", "<=", "+(n+beta)/q-(n+alpha)/p"
+            x, y = (n + be) / q.raw, (n + al) / p.raw
+        else:
+            part, notes, rel, tail = "(iii)", "regime 1<=q<p<inf", "<", "+(1+beta)/q-(1+alpha)/p"
+            x, y = (1.0 + be) / q.raw, (1.0 + al) / p.raw
     else:
-        bounded, slack = all(holds), min(slacks)
-    return bounded, slack, part, notes, terms
+        # hinf is the beta = 0 endpoint, where the c-inequality is strict,
+        # as it is for wlinf at beta = 0
+        if target is Target.HINF:
+            x, plus_beta, rel = 0.0, "", "<"
+        else:
+            x, plus_beta = be, "+beta"
+            rel = "<" if target is Target.WLINF and be == 0.0 else "<="
+        if p.raw == 1.0:
+            part, notes, tail, y = "(ii)", _EITHER_PAIR_NOTE, f"{plus_beta}-(n+alpha)", n + al
+        elif p.is_inf:
+            part, notes, tail, y = "(iii)", "sup-source regime p=inf", f"{plus_beta}-alpha", al
+        else:
+            part, tail, y = "(i)", f"{plus_beta}-(n+alpha)/p", (n + al) / p.raw
+            notes = "regime 1<p<inf" + ("; strict c-inequality at beta=0" if rel == "<" and plus_beta else "")
+    if p.raw == 1.0:
+        return (target.value + part, notes, True,
+                (("alpha<b", "<"), (f"c<=b{tail}", "<="), ("alpha<=b", "<="), (f"c<b{tail}", "<")),
+                lambda b, c: ((al, b), (c, b + x - y)) * 2)
+    if p.is_inf:
+        am1 = al - 1.0
+        return (target.value + part, notes, False, (("alpha-1<b", "<"), (f"c{rel}b{tail}", rel)),
+                lambda b, c: ((am1, b), (c, b + x - y)))
+    ap1, pr = al + 1.0, p.raw
+    return (target.value + part, notes, False, (("alpha+1<p(b+1)", "<"), (f"c{rel}b{tail}", rel)),
+            lambda b, c: ((ap1, pr * (b + 1.0)), (c, b + x - y)))
+
+
+def _decide(plan, b, c):
+    """(bounded, binding_slack, sides) of a _plan at (b, c), sides its
+    terms' (lhs, rhs).  Bounded iff every term holds, with the least
+    rhs - lhs as the slack; in the p = 1 form (either_pair) the four terms
+    are two pairs, bounded iff either pair holds, with the larger of the
+    pairs' least slacks."""
+    _, _, either_pair, heads, sides_at = plan
+    sides = sides_at(b, c)
+    if either_pair:
+        holds, slacks = [], []
+        for (_, rel), (lhs, rhs) in zip(heads, sides):
+            holds.append(lhs < rhs if rel == "<" else lhs <= rhs)
+            slacks.append(rhs - lhs)
+        return ((holds[0] and holds[1]) or (holds[2] and holds[3]),
+                max(min(slacks[0], slacks[1]), min(slacks[2], slacks[3])), sides)
+    # all() and min() of the terms in one pass (the sweep's hot loop); the
+    # running min keeps the first least slack, as min() does
+    bounded, slack = True, math.inf
+    for (_, rel), (lhs, rhs) in zip(heads, sides):
+        if rhs - lhs < slack:
+            slack = rhs - lhs
+        if not (lhs < rhs if rel == "<" else lhs <= rhs):
+            bounded = False
+    return bounded, slack, sides
 
 
 def classify(params, target):
     """Exact bounded/unbounded verdict for T_{b,c}: L^p_alpha -> target."""
     target = target if isinstance(target, Target) else Target.parse(target)
     _check_q(target, params.q)
-    bounded, slack, part, notes, terms = _decide(target, params.dim, params.b, params.c,
-                                                 params.alpha, params.beta, params.p, params.q)
-    return Verdict(bounded, part, tuple(Inequality(*term) for term in terms), slack, notes)
+    plan = _plan(target, params.dim, params.alpha, params.beta, params.p, params.q)
+    part, notes, _, heads, _ = plan
+    bounded, slack, sides = _decide(plan, params.b, params.c)
+    return Verdict(bounded, part, tuple(Inequality(name, lhs, rel, rhs)
+                                        for (name, rel), (lhs, rhs) in zip(heads, sides)),
+                   slack, notes)
 
 
 def reduce_to_unweighted(params, target=None):

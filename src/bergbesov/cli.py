@@ -21,17 +21,26 @@ the mode that reads a flag fills in its default.  Dimensions and finite
 parameters are checked by errors._check_int and _check_finite, as in the
 modules the commands call.
 
+Numbers: a value may be given as its own token or joined to its flag by
+'=', negative ones included: exponents, the inf spellings, start:stop:count
+ranges and comma lists (_NEGATIVE_VALUE).  A range is np.linspace's values;
+one whose count is not an integer >= 1, or whose finite ends are more than
+the largest double apart, is refused by name.
+
 Startup: only the classifier and the errors are imported with this module.
 `classify` and `sweep` never import NumPy, and neither does `kernel` at a
 closed-form order or with a zero point, since points are parsed to lists
-of floats.  `apply` and `norm` parse --f with the radial module first: for
-a radial input (const1 or fuv:u,v) every answer is formed there, on Python
-floats, so `apply`, and `norm` in both modes, import neither NumPy nor the
-operators; nor do `probe --kind finiteness`, a ladder on floats, and
-`probe --kind ratio`, whose norms are radial too.  Every other command
-imports its numerics when it runs.  A sweep
-checks each grid value once, then decides every tuple from the classifier's
-plain inequality data, with no parameter or verdict object per row.
+of floats, nor `probe --kind floor` at such an order, whose rows are lists
+too; at a series order it loads NumPy.  `apply` and `norm` parse --f with
+the radial module first: for a radial input (const1 or fuv:u,v) every
+answer is formed there, on Python floats, so `apply`, and `norm` in both
+modes, import neither NumPy nor the operators; nor do `probe --kind
+finiteness`, a ladder on floats, and `probe --kind ratio`, whose norms are
+radial too.  Every other command imports its numerics when it runs.  A
+sweep checks each grid value once, plans the classifier's inequalities once
+per (alpha, beta, p, q) of its grid, with those fields of the CSV row, and
+then decides every (b, c) row from the plans, with no parameter or verdict
+object per row.
 """
 
 import argparse
@@ -39,11 +48,12 @@ import itertools
 import json
 import math
 import numbers
+import re
 import sys
 
-from .classifier import ExtExponent, OperatorParams, Target, _check_q, _decide, classify
+from .classifier import ExtExponent, OperatorParams, Target, _check_q, _decide, _plan, classify
 from .errors import (ConvergenceError, KernelDivergenceError, TruncationLimitError, _check_finite,
-                     _check_int)
+                     _check_int, _linspace)
 
 __all__ = ["main"]
 
@@ -99,24 +109,11 @@ def _parse_point(text):
     return vals
 
 
-def _linspace(start, stop, count):
-    """np.linspace(start, stop, count).tolist() in Python floats, bit for bit:
-    start + i*step (i/div*delta when step underflows to 0), the last value
-    set to stop."""
-    delta = stop - start
-    if count == 1:
-        return [0.0 * delta + start]
-    div = count - 1
-    step = delta / div
-    if step == 0.0:
-        vals = [i / div * delta + start for i in range(count)]
-    else:
-        vals = [i * step + start for i in range(count)]
-    vals[-1] = stop
-    return vals
-
-
 def _parse_values(spec, allow_inf=False):
+    """The values of a comma list of numbers and start:stop:count ranges
+    (np.linspace's values, by errors._linspace); ValueError naming the
+    range where its count is not an integer >= 1, or where its ends are
+    finite and stop - start is not."""
     vals = []
     for item in str(spec).split(","):
         item = item.strip()
@@ -126,10 +123,15 @@ def _parse_values(spec, allow_inf=False):
             parts = item.split(":")
             if len(parts) != 3:
                 raise ValueError(f"range spec must be start:stop:count, got {item!r}")
-            count = int(parts[2])
-            if count < 1:
-                raise ValueError(f"range count must be >= 1 in {item!r}")
-            vals.extend(_linspace(float(parts[0]), float(parts[1]), count))
+            try:
+                start, stop, count = (float(v) for v in parts)
+            except ValueError:
+                raise ValueError(f"range {item!r} must be three numbers start:stop:count") from None
+            count = _check_int(f"the count of range {item!r}", count, 1)
+            if math.isfinite(start) and math.isfinite(stop) and not math.isfinite(stop - start):
+                raise ValueError(f"range {item!r} spans past the double range: "
+                                 f"stop - start is {stop - start}")
+            vals.extend(_linspace(start, stop, count))
         elif allow_inf and item.lower() in ("inf", "infinity", "oo"):
             vals.append(math.inf)
         else:
@@ -353,12 +355,19 @@ def _cmd_sweep(args):
     # each grid value as (value, its CSV field), formatted once
     grids = [[(v, "%.17g" % v) for v in vals] for vals in values]
     grids += [[(e, str(e)) for e in axis] for axis in exps]
-    fixed = f"{target.value},{dim}"
+    # one plan per (alpha, beta, p, q), in the rows' order, with the CSV
+    # fields between c and the slack for either verdict
+    plans = []
+    for (al, als), (be, bes), (p, ps), (q, qs) in itertools.product(*grids[2:]):
+        plan = _plan(target, dim, al, be, p, q)
+        mid = f"{als},{bes},{ps},{qs},{target.value},{dim},"
+        plans.append((plan, (f"{mid}false,{plan[0]},", f"{mid}true,{plan[0]},")))
     lines = [CSV_HEADER]
-    for (b, bs), (c, cs), (al, als), (be, bes), (p, ps), (q, qs) in itertools.product(*grids):
-        bounded, slack, part, _, _ = _decide(target, dim, b, c, al, be, p, q)
-        lines.append(f"{bs},{cs},{als},{bes},{ps},{qs},{fixed},"
-                     f"{'true' if bounded else 'false'},{part},{'%.17g' % slack}")
+    for (b, bs), (c, cs) in itertools.product(*grids[:2]):
+        lead = f"{bs},{cs},"
+        for plan, fields in plans:
+            bounded, slack, _ = _decide(plan, b, c)
+            lines.append(lead + fields[bounded] + "%.17g" % slack)
     text = "\n".join(lines) + "\n"
     if args.out in (None, "-"):
         sys.stdout.write(text)
@@ -368,8 +377,26 @@ def _cmd_sweep(args):
     return 0
 
 
+# argparse reads the token after a flag as its value only where the token
+# does not look like a flag, and of those that start with '-' it takes only
+# '-2' and '-.5' for numbers.  Every negative value the commands read starts
+# with '-' and a digit, '-.' and a digit, or '-inf': numbers with exponents,
+# the inf spellings, start:stop:count ranges and comma lists.  No flag starts
+# that way, so an unknown flag still fails.
+_NEGATIVE_VALUE = re.compile(r"-\.?\d|-inf", re.IGNORECASE)
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and its subparsers, that read every token
+    _NEGATIVE_VALUE matches as a value."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_VALUE
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bergbesov",
         description="Weighted harmonic kernel toolkit: classify operator "
                     "boundedness, evaluate kernels and transforms, compute "

@@ -4,7 +4,9 @@ parameter, _check_int for a dimension, degree or node count, and
 _check_ball_point for a transform's evaluation point.  They import no
 NumPy, so the command line catches the errors, and the classifier and the
 radial layer check their input, without it.  `kernel` and `quadrature`
-re-export the errors.
+re-export the errors.  _linspace, np.linspace on Python floats, is here for
+the same reason: it expands the command line's ranges and the floor
+probe's cosines.
 """
 
 import math
@@ -60,3 +62,20 @@ def _check_ball_point(x):
     if not s < 1:
         raise ValueError("evaluation point must lie in the open unit ball")
     return x
+
+
+def _linspace(start, stop, count):
+    """np.linspace(start, stop, count).tolist() in Python floats, bit for bit:
+    start + i*step (i/div*delta when step underflows to 0), the last value
+    set to stop."""
+    delta = stop - start
+    if count == 1:
+        return [0.0 * delta + start]
+    div = count - 1
+    step = delta / div
+    if step == 0.0:
+        vals = [i / div * delta + start for i in range(count)]
+    else:
+        vals = [i * step + start for i in range(count)]
+    vals[-1] = stop
+    return vals

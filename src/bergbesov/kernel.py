@@ -39,7 +39,9 @@ closed forms are formed on them by _dot, _pair_cosine and
 _pair_closed_form, since NumPy calls on one-row arrays would cost more than
 the rest of a closed-form evaluation.  So at a
 closed-form order the batch returns kernel_eval's value bit for bit
-wherever the pair's own certified degree is positive.  NumPy is left to the
+wherever the pair's own certified degree is positive.  That branch of the
+batch, _closed_form_rows, reads lists and needs no NumPy, so the floor
+probe runs it on rows it forms as lists.  NumPy is left to the
 coefficient tables and the series: a single pair's series runs in
 _accel.series_point, which weights its degrees by a running product of the
 coefficient ratios gamma_k/gamma_{k-1} (_gamma_ratios) and so forms no
@@ -652,9 +654,11 @@ def kernel_eval_batch(spec, x, pts):
     as kernel_eval does (ValueError where |x||y_j| is NaN).
 
     The rows become lists BATCH_ROWS at a time: a first pass forms their
-    squared norms into a float array, the certificate reads their largest
-    root, and a second pass forms the closed forms or the cosines.  A batch
-    of at most BATCH_ROWS rows converts its rows once.
+    squared norms into a float array, and a second pass forms the closed
+    forms (_closed_form_rows, whose certificate reads the largest norm of
+    the whole batch, once per block) or the cosines, after the series'
+    certificate has read that norm.  A batch of at most BATCH_ROWS rows
+    converts its rows once.
     """
     x = _as_point(x, spec.dim)
     _load_numpy()
@@ -663,34 +667,49 @@ def kernel_eval_batch(spec, x, pts):
         raise ValueError(f"pts must have shape (m, {spec.dim})")
     m = len(pts)
     starts = range(0, m, BATCH_ROWS)
-    rx_sq = _dot(x, x)
-    rx = math.sqrt(rx_sq)
     ry_sq = np.empty(m)
+    rows = []
     for lo in starts:
         rows = pts[lo:lo + BATCH_ROWS].tolist()
         ry_sq[lo:lo + BATCH_ROWS] = [_dot(y, y) for y in rows]
     # np.sqrt rounds as math.sqrt does, both correctly
     ry = np.sqrt(ry_sq)
-    closed = has_closed_form(spec)
-    # a closed form reads of the degree only whether it is positive
-    certify = _degree_is_positive if closed else truncation_degree
-    kmax = certify(spec, rx, float(np.max(ry, initial=0.0)))
+    ry_max = float(np.max(ry, initial=0.0))
+    out = np.empty(m)
+    if has_closed_form(spec):
+        # an empty batch is one empty block, whose certificate still runs
+        for lo in starts or range(1):
+            hi = lo + BATCH_ROWS
+            if len(starts) > 1:
+                rows = pts[lo:hi].tolist()
+            out[lo:hi] = _closed_form_rows(spec, x, rows, ry_sq[lo:hi].tolist(), ry_max)
+        return out
+    rx = math.sqrt(_dot(x, x))
+    kmax = truncation_degree(spec, rx, ry_max)
     if not kmax:
         return np.ones(m)
-    # the closed forms, or for the series the cosines
-    out = np.empty(m)
     for lo in starts:
         hi = lo + BATCH_ROWS
         if len(starts) > 1:
             rows = pts[lo:hi].tolist()
-        if closed:
-            out[lo:hi] = [1.0 if rx * r == 0.0 else _pair_closed_form(spec, x, rx_sq, y, s)
-                          for y, s, r in zip(rows, ry_sq[lo:hi].tolist(), ry[lo:hi].tolist())]
-        else:
-            # a zero row takes its cosine at norm 1: its product |x||y| = 0
-            # removes it from every degree above 0
-            out[lo:hi] = [_pair_cosine(x, rx, y, r or 1.0) for y, r in zip(rows, ry[lo:hi].tolist())]
-    if closed:
-        return out
+        # a zero row takes its cosine at norm 1: its product |x||y| = 0
+        # removes it from every degree above 0
+        out[lo:hi] = [_pair_cosine(x, rx, y, r or 1.0) for y, r in zip(rows, ry[lo:hi].tolist())]
     gam = gamma_coefs(kmax, spec.alpha, spec.dim)
     return _accel.zonal_series(gam, rx * ry, out, spec.dim)
+
+
+def _closed_form_rows(spec, x, rows, ry_sq, ry_max):
+    """kernel_eval_batch's values at an order with a closed form, as a list,
+    for x and rows lists of floats, ry_sq the rows' squared norms (_dot)
+    and ry_max the largest norm of the batch's rows: one
+    _degree_is_positive at |x| and ry_max, then, where the degree is
+    positive, _pair_closed_form row by row (1 where |x||y| is 0), and
+    elsewhere gamma_0 = 1 for every row.  It needs no NumPy, so the floor
+    probe calls it on its own rows."""
+    rx_sq = _dot(x, x)
+    rx = math.sqrt(rx_sq)
+    if not _degree_is_positive(spec, rx, ry_max):
+        return [1.0] * len(rows)
+    return [1.0 if rx * math.sqrt(s) == 0.0 else _pair_closed_form(spec, x, rx_sq, y, s)
+            for y, s in zip(rows, ry_sq)]

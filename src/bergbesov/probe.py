@@ -24,14 +24,18 @@ constants (see the operators module), finite exactly when b+u > -1 or
 Startup: this module imports only the classifier and the radial module, so
 finiteness_probe, whose evidence is a 1-D ladder, and ratio_probe, whose
 norms are 1-D integrals and constants, run on Python floats without NumPy
-or the operators.  kernel_floor_probe imports NumPy and the kernel when it
-runs, outside any kernel evaluation.
+or the operators.  kernel_floor_probe imports the kernel when it runs and
+forms its rows as lists of floats: at an order with a closed form it
+evaluates them through kernel._closed_form_rows, the closed-form branch of
+kernel_eval_batch, without NumPy, and only at a series order does the
+batch load NumPy.
 """
 
 import math
 from dataclasses import dataclass, replace
 
 from .classifier import OperatorParams, Target, classify
+from .errors import _linspace
 from .radial import (
     TestFunction,
     _radial_norm,
@@ -254,28 +258,27 @@ def kernel_floor_probe(alpha, dim):
     angles; scans eps = 2^-1 down to 2^-_FLOOR_LEVELS and returns the first
     (largest) passing eps, or 0.0 if even the finest fails (which would
     flag a kernel evaluation bug, since the value at x = 0 is exactly 1).
+    At each x the values are kernel_eval_batch's on the same rows.
     """
-    import numpy as np
-
-    from .kernel import KernelSpec, kernel_eval_batch
+    from .kernel import KernelSpec, _closed_form_rows, _dot, has_closed_form, kernel_eval_batch
 
     spec = KernelSpec(float(alpha), dim)
-    cost = np.linspace(-1.0, 1.0, 41)
-    sint = np.sqrt(np.clip(1.0 - cost**2, 0.0, None))
-    pts = np.zeros((len(_FLOOR_RADII) * len(cost), dim))
-    row = 0
-    for ry in _FLOOR_RADII:
-        for t, s in zip(cost, sint):
-            pts[row, 0] = ry * t
-            pts[row, 1] = ry * s
-            row += 1
+    rows = [[ry * t, ry * math.sqrt(max(1.0 - t * t, 0.0))] + [0.0] * (dim - 2)
+            for ry in _FLOOR_RADII for t in _linspace(-1.0, 1.0, 41)]
+    closed = has_closed_form(spec)
+    if closed:
+        ry_sq = [_dot(y, y) for y in rows]
+        ry_max = math.sqrt(max(ry_sq))
     for level in range(1, _FLOOR_LEVELS + 1):
         eps = 2.0 ** -level
         ok = True
         for rx in (eps, 0.5 * eps):
-            x = np.zeros(dim)
-            x[0] = rx
-            if np.min(kernel_eval_batch(spec, x, pts)) < 0.5:
+            x = [rx] + [0.0] * (dim - 1)
+            if closed:
+                low = min(_closed_form_rows(spec, x, rows, ry_sq, ry_max))
+            else:
+                low = kernel_eval_batch(spec, x, rows).min()
+            if low < 0.5:
                 ok = False
                 break
         if ok:

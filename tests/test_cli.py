@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import math
+import random
 import subprocess
 import sys
 import warnings
@@ -159,6 +160,14 @@ MALFORMED = {
     "classify-b-inf": (("classify", "--b", "inf", "--c", "0", "--alpha", "0", "--target", "besov"),
                        "b must be finite"),
     "sweep-c-infinite-range": (("sweep", "--c=-inf:inf:2", "--target", "besov"), "c must be finite"),
+    # a range is named where its count is not an integer or stop - start
+    # overflows, which gave "b must be finite, got nan"
+    "sweep-range-overflow": (("sweep", "--b=1e308:-1e308:3", "--target", "besov"),
+                             "range '1e308:-1e308:3' spans past the double range: stop - start is -inf"),
+    "sweep-range-fractional-count": (("sweep", "--b=0:1:2.5", "--target", "besov"),
+                                     "the count of range '0:1:2.5' must be an integer >= 1, got 2.5"),
+    "sweep-range-text": (("sweep", "--c", "-1:x:3", "--target", "besov"),
+                         "range '-1:x:3' must be three numbers start:stop:count"),
     # each grid value is checked once, with the message its first tuple would raise
     "sweep-b-nan": (("sweep", "--b=0,nan", "--target", "besov"), "b must be finite, got nan"),
     "sweep-alpha-nan": (("sweep", "--alpha=nan", "--target", "besov"),
@@ -764,6 +773,56 @@ def test_infinite_exponent_spellings(pflag):
     assert out["theorem_part"] == "bloch(iii)"
 
 
+# Negative values in the number syntax the commands read, each given as its
+# own token: argparse alone took only -2 and -.5 there, and refused the rest
+# with "expected one argument"
+NEGATIVE_TOKENS = {
+    "classify-exponents": ("classify", "--b", "-1E+1", "--c", "-1.5e-3", "--alpha", "-.5e0",
+                           "--beta", "-2.", "--target", "besov"),
+    "classify-wlinf": ("classify", "--b", "-0.25", "--c", "-7e-1", "--alpha", "-1e-9",
+                       "--q", "inf", "--target", "wlinf", "--dim", "3"),
+    "sweep-ranges-and-lists": ("sweep", "--b", "-1e-3:1:3", "--c", "-1,-2e0,-.5:-1.5e0:3",
+                               "--alpha", "-5e-1", "--beta", "-1.5:-.5:2", "--p", "1,inf",
+                               "--target", "lebesgue"),
+    "kernel-point": ("kernel", "--alpha", "-1e0", "--x", "-1e-1,0.2", "--y", "-.3,-2e-1"),
+    "norm-weight": ("norm", "--f", "fuv:-0.4,1.5", "--p", "1", "--alpha", "-5e-1"),
+    "probe-floor": ("probe", "--kind", "floor", "--alpha", "-1.5e0"),
+}
+
+
+@pytest.mark.parametrize("args", NEGATIVE_TOKENS.values(), ids=NEGATIVE_TOKENS.keys())
+def test_negative_values_are_read_in_their_own_token(args, capsys):
+    from bergbesov import cli
+
+    # the same command with every value joined to its flag by '='
+    joined = [args[0]] + [f"{flag}={value}" for flag, value in zip(args[1::2], args[2::2])]
+    assert cli.main(joined) == 0
+    want = capsys.readouterr().out
+    assert cli.main(list(args)) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize("args, fragment", [
+    # an infinite parameter is read, and refused by its check
+    (("classify", "--b", "0", "--c", "-inf", "--alpha", "0", "--target", "besov"),
+     "error: c must be finite, got -inf"),
+    (("sweep", "--b", "-Infinity:0:3", "--target", "besov"), "error: b must be finite, got nan"),
+    # an unknown flag still fails, with or without a negative value
+    (("classify", "--b", "0", "--c", "0", "--alpha", "0", "--target", "besov", "--bogus", "-1e-3"),
+     "unrecognized arguments: --bogus -1e-3"),
+    (("classify", "--b", "0", "--c", "0", "--alpha", "0", "--target", "besov", "-1e-3"),
+     "unrecognized arguments: -1e-3"),
+    (("classify", "--b", "0", "--c", "-x", "--alpha", "0", "--target", "besov"),
+     "argument --c: expected one argument"),
+    (("sweep", "--b", "0", "-x", "--target", "besov"), "unrecognized arguments: -x"),
+], ids=["classify-c-inf", "sweep-infinite-range", "unknown-flag", "stray-value", "flag-like-value",
+        "unknown-short-flag"])
+def test_negative_tokens_that_are_no_values_still_exit_2(args, fragment):
+    proc = run_cli(*args)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert fragment in proc.stderr and "Traceback" not in proc.stderr
+
+
 def _main_in_fresh_process(*args):
     """Run cli.main(args) in a new interpreter; return its exit code, its
     stdout, and the scipy modules it loaded."""
@@ -861,6 +920,11 @@ NUMPY_FREE_COMMANDS = {
                             "--y", "0.2,-0.4,0.6,0.1,-0.3"),
     "kernel-disc": ("kernel", "--alpha", "0.7", "--x", "0.3,0.1", "--y", "0.5,-0.2"),
     "kernel-y-zero": ("kernel", "--alpha", "-4.5", "--x", "0.5,0.2,-0.3,0.6", "--y", "0,0,0,0"),
+    # so the floor probe evaluates its rows on floats at those orders
+    "floor-disc-0.7": ("probe", "--kind", "floor", "--alpha", "0.7"),
+    "floor-disc--1.5": ("probe", "--kind", "floor", "--alpha", "-1.5"),
+    "floor-poisson-dim3": ("probe", "--kind", "floor", "--alpha", "-1", "--dim", "3"),
+    "floor-bergman-dim5": ("probe", "--kind", "floor", "--alpha", "0", "--dim", "5"),
     # source norms of the radial family are 1-D integrals on Python floats
     "norm-const1-dim2": ("norm", "--f", "const1", "--p", "1", "--alpha", "0.5"),
     "norm-const1-dim3": ("norm", "--f", "const1", "--p", "inf", "--alpha", "0.25", "--dim", "3"),
@@ -1093,6 +1157,84 @@ def test_sweep_csv_is_frozen(tmp_path):
         "2327d7c5c4bfa88c2ce5507f619ffca52d16a517b36ebc3869105ad92c3dd10c")
 
 
+# b and c on a 1/4 grid, so hundreds of rows of every part meet its boundary
+# with slack 0; alpha = 0.3, beta = 0.1, p = 1.5 and q = 3 round, so a
+# threshold formed in another order moves some slacks
+REGIME_GRID = ("--b=-1:1:9", "--c=-4:1:21", "--alpha=-0.5,0,0.3,1")
+# target: (flags, sha256 of the CSV)
+FROZEN_SWEEPS = {
+    # p = 1, 1 < p <= q, q < p and p = inf; for lebesgue beta <= -1 too
+    "besov": ((*REGIME_GRID, "--beta=-2,-1.5,-1,0.1,2", "--p=1,1.5,2,4,inf", "--q=1,3,4"),
+              "ca3b86f4d156f4b16b0dbe00c2003178cbe1a605e32431ed12f51b71c53011f8"),
+    "lebesgue": ((*REGIME_GRID, "--beta=-2,-1.5,-1,0.1,2", "--p=1,1.5,2,4,inf", "--q=1,3,4"),
+                 "529de024b0c3853b1b062b7d786e85abca70ad55af452b4d664fa0198ca6e2dd"),
+    # through beta = 0, where the c-inequality turns strict
+    "wlinf": ((*REGIME_GRID, "--beta=-0.5,-0,0,0.1,1e-300", "--p=1,1.5,4,inf", "--q=inf", "--dim=3"),
+              "0b76b3c474cd534eb1a22b0af80348680eae41236dc828c71f857e7624d6d564"),
+}
+
+
+@pytest.mark.parametrize("target", FROZEN_SWEEPS)
+def test_sweep_csv_of_every_regime_is_frozen(target, capsys):
+    # the digests are those of the CSV each tuple's own inequality system
+    # wrote, before the systems were planned once per (alpha, beta, p, q)
+    from bergbesov import cli
+
+    flags, digest = FROZEN_SWEEPS[target]
+    assert cli.main(["sweep", f"--target={target}", *flags]) == 0
+    text = capsys.readouterr().out
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    parts = {row[9] for row in rows}
+    assert len(parts) == (5 if target == "lebesgue" else 4)
+    assert parts - {row[9] for row in rows if float(row[10]) == 0.0} <= {"wlinf(beta<0)"}
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _classify_tuples():
+    """(b, c, alpha, beta, p, q, dim, target) tuples over every target: 3 800
+    drawn at random, each followed by its c-boundary (the rhs of its
+    c-inequality, read from classify) and the c-boundary of the tuple moved
+    onto its first-inequality boundary, where they exist."""
+    from bergbesov.classifier import OperatorParams, classify
+
+    rng = random.Random(2028)
+    targets = ("besov", "lebesgue", "bloch", "hinf", "wlinf")
+    out = []
+    for draw in range(3_800):
+        target = targets[draw % 5]
+        p = rng.choice((1.0, 1.3, 2.0, 3.0, 6.0, math.inf))
+        q = rng.choice((1.0, 1.5, 2.0, 4.0)) if target in ("besov", "lebesgue") else math.inf
+        dim = rng.choice((2, 3, 5))
+        b, c, alpha, beta = (rng.choice((rng.uniform(-3.0, 3.0), rng.randrange(-12, 13) / 4))
+                             for _ in range(4))
+        case = [b, c, alpha, beta, p, q, dim, target]
+        out.append(tuple(case))
+        for first in (False, True):
+            if first:
+                case[0] = alpha if p == 1.0 else alpha - 1.0 if p == math.inf else (alpha + 1.0) / p - 1.0
+            verdict = classify(OperatorParams(*case[:7]), target)
+            if len(verdict.inequalities) > 1:
+                case[1] = verdict.inequalities[1].rhs
+                out.append(tuple(case))
+    return out
+
+
+def test_classify_json_is_frozen(capsys):
+    # the classify command's JSON on random and on-boundary tuples of every
+    # target; the digest is that of the JSON each tuple's own inequality
+    # system gave, before the systems were planned once per (alpha, beta, p, q)
+    import argparse
+
+    from bergbesov import cli
+
+    digest = hashlib.sha256()
+    for b, c, alpha, beta, p, q, dim, target in _classify_tuples():
+        args = argparse.Namespace(b=b, c=c, alpha=alpha, beta=beta, p=p, q=q, dim=dim, target=target)
+        assert cli._cmd_classify(args) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == "622064d89113eb3c22fe6cc6947a415c9443d66ee6971744eefc6532fb434e84"
+
+
 RANGE_GRID = [-2.5, -1.0, -1e-300, 0.0, 0.3, 1.0, 7.25]
 
 
@@ -1101,14 +1243,22 @@ def test_range_expansion_equals_linspace(count):
     import numpy as np
 
     from bergbesov import cli
+    from bergbesov.errors import _linspace
 
     pairs = list(itertools.product(RANGE_GRID, repeat=2))  # a == b and negative steps
     pairs += [(0.0, 5e-324), (-1e-320, 1e-320), (1e308, -1e308), (0.0, math.inf)]
     for a, b in pairs:
         with np.errstate(all="ignore"):
-            want = np.linspace(a, b, count).tolist()
-        got = cli._parse_values(f"{a!r}:{b!r}:{count}")
-        assert [v.hex() for v in got] == [v.hex() for v in want], (a, b, count)
+            want = [v.hex() for v in np.linspace(a, b, count).tolist()]
+        assert [v.hex() for v in _linspace(a, b, count)] == want, (a, b, count)
+        spec = f"{a!r}:{b!r}:{count}"
+        if (a, b) == (1e308, -1e308):
+            # stop - start overflows: the range is refused by name
+            with pytest.raises(ValueError) as refused:
+                cli._parse_values(spec)
+            assert str(refused.value).startswith(f"range '{spec}' spans past the double range")
+        else:
+            assert [v.hex() for v in cli._parse_values(spec)] == want, (a, b, count)
 
 
 def test_emit_prints_numpy_scalars_as_before():

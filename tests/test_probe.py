@@ -148,6 +148,41 @@ def test_kernel_floor_positive_across_alpha():
         assert kernel_floor_probe(alpha, dim) > 0.0
 
 
+@pytest.mark.parametrize("dim", range(2, 9))
+def test_floor_rows_at_a_closed_form_order_are_the_batch_values(dim, monkeypatch):
+    # at a closed-form order the probe evaluates its rows on Python floats,
+    # through kernel._closed_form_rows, and calls no kernel_eval_batch; its
+    # rows are the array the probe built with np.linspace, and at every
+    # level of the scan the values are the batch's on that array bit for bit
+    import numpy as np
+
+    from bergbesov import kernel
+
+    cost = np.linspace(-1.0, 1.0, 41)
+    sint = np.sqrt(np.clip(1.0 - cost**2, 0.0, None))
+    pts = np.zeros((205, dim))
+    for i, ry in enumerate((0.0, 0.5, 0.9, 0.99, 0.999)):
+        pts[41 * i:41 * i + 41, 0] = ry * cost
+        pts[41 * i:41 * i + 41, 1] = ry * sint
+    closed_form_rows, batch = kernel._closed_form_rows, kernel.kernel_eval_batch
+    seen = []
+    monkeypatch.setattr(kernel, "_closed_form_rows", lambda *a: seen.append(a) or closed_form_rows(*a))
+    monkeypatch.setattr(kernel, "kernel_eval_batch", lambda *a: pytest.fail("batch called"))
+    for alpha in (-1.0, 0.0) + ((-1.99, -1.5, 0.7, 2.5, 30.0) if dim == 2 else ()):
+        seen.clear()
+        eps = kernel_floor_probe(alpha, dim)
+        spec, _, rows, ry_sq, ry_max = seen[0]
+        assert np.array(rows).tobytes() == pts.tobytes()
+        scanned = [x[0] for _, x, *_ in seen]
+        assert eps in scanned and scanned[0] == 0.5 and 0.0 < eps
+        for level in range(1, 21):
+            for rx in (2.0**-level, 0.5 * 2.0**-level):
+                x = [rx] + [0.0] * (dim - 1)
+                want = batch(spec, x, pts).tolist()
+                assert [v.hex() for v in closed_form_rows(spec, x, rows, ry_sq, ry_max)] == [
+                    v.hex() for v in want], (alpha, dim, level)
+
+
 # ------------------------------------------------------------ curated suite
 
 
